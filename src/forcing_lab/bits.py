@@ -204,23 +204,6 @@ class BitString:
     def compatible(self, other: "BitString") -> bool:
         return self.end_extends(other) or other.end_extends(self)
 
-    def leading_zero_run(self) -> NatLike:
-        if self.runs and self.runs[0][0] == 0:
-            return self.runs[0][1]
-        return 0
-
-    def first_one_at_or_after(self, start: NatLike = 0):
-        """Position of the first 1 bit at index >= start, or None."""
-        pos = 0
-        for b, l in self.runs:
-            end = nat_add(pos, l)
-            if b == 1:
-                cand = start if nat_less(pos, start) else pos
-                if nat_less(cand, end):
-                    return cand
-            pos = end
-        return None
-
     def ones(self) -> NatLike:
         return nat_add(*(l for b, l in self.runs if b == 1), 0)
 

@@ -12,13 +12,13 @@ import argparse
 import os
 import sys
 
-from .bits import PayloadSource, read_bit_file, BitStream
+from .bits import BitStream, PayloadSource, read_bit_file, stream_from_json
 from .closure import bound_chain, build_generics_run
 from .dense import load_family_file
 from .entangle import decode_many, decode_pair, entangle_many, entangle_pair
 from .errors import CheckFailure, InternalError, UsageError
 from .posets import POSET_REGISTRY, WITNESS_REGISTRY
-from .trace import WideTrace, load_trace, write_trace
+from .trace import GenericsTrace, WideTrace, load_trace, write_trace
 from .verify import verify_trace
 from .wide import decode_wide, entangle_wide
 
@@ -179,8 +179,12 @@ def _run(args) -> int:
             raise UsageError(f"{args.trace} is not a wide trace")
         from .dense import family_from_spec
         family = family_from_spec(trace.family)
-        poset = POSET_REGISTRY[trace.poset]()
-        witness = WITNESS_REGISTRY[trace.witness]()
+        poset_factory = POSET_REGISTRY.get(trace.poset)
+        witness_factory = WITNESS_REGISTRY.get(trace.witness)
+        if poset_factory is None or witness_factory is None:
+            raise UsageError(f"unknown poset/witness {trace.poset!r}/"
+                             f"{trace.witness!r} in {args.trace}")
+        poset, witness = poset_factory(), witness_factory()
         count = args.count or len(trace.payload_bits)
         triples = decode_wide(trace.g_chain, trace.h_chain, poset, witness,
                               family, count, args.budget)
@@ -199,9 +203,10 @@ def _run(args) -> int:
         seed = _default_seed(args)
         if args.from_generics:
             src = load_trace(args.from_generics)
-            from .bits import stream_from_json
-            rows = [stream_from_json({k: v for k, v in s.items() if k != "name"})
-                    for s in src.streams][:args.rows]
+            if not isinstance(src, GenericsTrace):
+                raise UsageError(f"{args.from_generics} is a {src.kind} trace, "
+                                 f"not a {GenericsTrace.kind} trace")
+            rows = [stream_from_json(s) for s in src.streams][:args.rows]
         else:
             rows = build_generics_run(family, args.rows, len(family), seed)[0]
         result, trace = bound_chain(rows, family,

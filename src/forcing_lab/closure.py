@@ -18,7 +18,7 @@ that surfaces honestly as RetryBudgetExceeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import BitStream, PatchedStream, derive_seed
@@ -27,7 +27,7 @@ from .errors import (FamilyTooSmall, IncompatibleCommitment,
                      IncompatibleConditions, RetryBudgetExceeded, UsageError)
 from .generic import meets_family
 from .plane import GenericPlane, PlaneCondition, merge_conditions
-from .trace import ChainBoundTrace, GenericsTrace
+from .trace import ChainBoundTrace, GenericsTrace, VerifyReport
 
 
 def _plane_leq(a: PlaneCondition, b: PlaneCondition) -> bool:
@@ -63,7 +63,7 @@ def build_generics_run(family: DenseFamily, rows: int, horizon: int,
     streams = [plane.row_stream(r) for r in range(rows)]
     trace = GenericsTrace(
         family=family.describe(), seed=seed, rows=rows, horizon=horizon,
-        commitments=cond,
+        conditions=[cond],
         streams=[{"name": str(r), **streams[r].to_json()}
                  for r in range(rows)])
     return streams, plane, trace
@@ -154,36 +154,17 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
         commitments=chain, patches=patches)
     trace = ChainBoundTrace(
         family=family.describe(), seed=fill_seed, rows=m,
-        stages=stage_records, commitments=chain, patches=patches,
-        base_streams=[s.to_json() for s in b],
-        d_streams=[result.d_rows[k].to_json() for k in range(m)],
+        stages=stage_records, conditions=chain, patches=patches,
+        streams=[{"name": f"b{k}", **b[k].to_json()} for k in range(m)]
+        + [{"name": f"d{k}", **result.d_rows[k].to_json()} for k in range(m)],
         plane=plane.to_json())
     return result, trace
-
-
-@dataclass
-class BoundReport:
-    items: List[Tuple[str, bool, str]] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok, _ in self.items)
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.items.append((name, ok, detail))
-
-    def summary(self) -> str:
-        lines = []
-        for name, ok, detail in self.items:
-            mark = "ok  " if ok else "FAIL"
-            lines.append(f"{mark} {name}" + (f": {detail}" if detail else ""))
-        return "\n".join(lines)
 
 
 def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
                  trace: ChainBoundTrace, family: DenseFamily,
                  horizon: Optional[int] = None,
-                 col_window: Optional[int] = None) -> BoundReport:
+                 col_window: Optional[int] = None) -> VerifyReport:
     """Independently re-check a chain-bound run; reports, never raises.
 
     Checks: commitments in their sets, the commitment chain descending,
@@ -191,17 +172,10 @@ def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
     (and equal to them on the patches, over a finite column window), and
     the plane meeting the family.
     """
-    report = BoundReport()
-    chain = trace.commitments
+    report = VerifyReport()
+    chain = trace.conditions
     if horizon is None:
         horizon = len(family)
-
-    def run(name, fn):
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # noqa: BLE001 - verification must not throw
-            ok, detail = False, f"exception: {exc}"
-        report.add(name, ok, detail)
 
     def members():
         bad = [n for n in range(min(len(chain), len(family)))
@@ -239,9 +213,9 @@ def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
         rep = meets_family(plane, family, horizon)
         return rep.all_met, rep.summary()
 
-    run("commitments-in-sets", members)
-    run("chain-descending", descending)
-    run("commitments-in-plane", contained)
-    run("rows-preserved-off-patches", rows_preserved)
-    run("plane-meets-family", meets)
+    report.check("commitments-in-sets", members)
+    report.check("chain-descending", descending)
+    report.check("commitments-in-plane", contained)
+    report.check("rows-preserved-off-patches", rows_preserved)
+    report.check("plane-meets-family", meets)
     return report

@@ -448,32 +448,36 @@ def _plane_cell(i: int, row: int, seed) -> DenseSet:
 
 # --- family construction ----------------------------------------------------
 
-_COHEN_TYPES = {"min-length", "pattern", "parity"}
-_PRODUCT_TYPES = {"min-length", "coord-min-length", "separating"}
-_PLANE_TYPES = {"square", "cell"}
+def _entry_field(index: int, entry: dict, key: str):
+    if key not in entry:
+        raise UsageError(f"set {index} of type {entry.get('type')!r} needs {key!r}")
+    return entry[key]
 
 
 def build_set(index: int, entry: dict, carrier: str, arity, seed) -> DenseSet:
+    if not isinstance(entry, dict):
+        raise UsageError(f"set {index} must be an object, got {entry!r}")
     kind = entry.get("type")
     if carrier in (CARRIER_COHEN, CARRIER_POSET):
         if kind == "min-length":
             return _cohen_min_length(index, seed)
         if kind == "pattern":
-            return _cohen_pattern(index, entry["word"], seed)
+            return _cohen_pattern(index, _entry_field(index, entry, "word"), seed)
         if kind == "parity":
             return _cohen_parity(index, entry.get("parity", index % 2), seed)
     elif carrier == CARRIER_PRODUCT:
         if kind == "min-length":
             return _product_min_length(index, arity, seed)
         if kind == "coord-min-length":
-            return _product_coord_min_length(index, arity, entry["coord"], seed)
+            return _product_coord_min_length(
+                index, arity, _entry_field(index, entry, "coord"), seed)
         if kind == "separating":
             return _product_separating(index, arity, seed)
     elif carrier == CARRIER_PLANE:
         if kind == "square":
             return _plane_square(index, seed)
         if kind == "cell":
-            return _plane_cell(index, entry["row"], seed)
+            return _plane_cell(index, _entry_field(index, entry, "row"), seed)
     raise UsageError(f"unknown set type {kind!r} for carrier {carrier!r}")
 
 
@@ -481,6 +485,8 @@ def family_from_spec(obj) -> DenseFamily:
     """Build a family from its JSON form (an object, or a bare cohen list)."""
     if isinstance(obj, list):
         obj = {"carrier": CARRIER_COHEN, "sets": obj}
+    if not isinstance(obj, dict) or not isinstance(obj.get("sets", []), list):
+        raise UsageError("a family is an object with a list of sets, or a list")
     carrier = obj.get("carrier", CARRIER_COHEN)
     arity = obj.get("arity")
     seed = obj.get("seed")

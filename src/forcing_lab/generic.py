@@ -20,7 +20,7 @@ instead, since a bounded search cannot prove absence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .bits import BitStream, BitString
 from .dense import (CARRIER_COHEN, CARRIER_PLANE, CARRIER_POSET,
@@ -98,48 +98,42 @@ class _PrefixFilter:
         return self.string.bit(i)
 
 
-def _search_cohen(dset, filt: _PrefixFilter, budget: int):
-    cap = filt.cap(budget)
+def _search(dset, view, cap: int, candidate):
+    """Fast witness re-checked with `member`, else a linear scan to cap.
+
+    `view` is what the set's witness search reads; `candidate(k)` is the
+    filter's k-th condition (prefix, prefix tuple or square corner).
+    """
     if dset.witness_search is not None:
-        k = dset.witness_search(filt, cap)
+        k = dset.witness_search(view, cap)
         if k is not None and k <= cap:
-            cand = filt.take(k)
+            cand = candidate(k)
             if dset.member(cand):
                 return cand
     for k in range(cap + 1):
-        cand = filt.take(k)
+        cand = candidate(k)
         if dset.member(cand):
             return cand
     return None
 
 
-def _search_product(dset, filts: Sequence[_PrefixFilter], budget: int):
-    cap = min([budget] + [f.cap(budget) for f in filts])
-    if dset.witness_search is not None:
-        k = dset.witness_search(filts, cap)
-        if k is not None and k <= cap:
-            cand = tuple(f.take(k) for f in filts)
-            if dset.member(cand):
-                return cand
-    for k in range(cap + 1):
-        cand = tuple(f.take(k) for f in filts)
-        if dset.member(cand):
-            return cand
-    return None
-
-
-def _search_plane(dset, plane: GenericPlane, budget: int):
-    if dset.witness_search is not None:
-        t = dset.witness_search(plane, budget)
-        if t is not None and t <= budget:
-            cand = plane.restriction(t)
-            if dset.member(cand):
-                return cand
-    for t in range(budget + 1):
-        cand = plane.restriction(t)
-        if dset.member(cand):
-            return cand
-    return None
+def _prefix_view(filt, family: DenseFamily, budget: int):
+    """(witness-search view, scan cap, candidate(k)) for a prefix filter."""
+    if family.carrier == CARRIER_COHEN:
+        view = _PrefixFilter(filt)
+        return view, view.cap(budget), view.take
+    if family.carrier == CARRIER_PRODUCT:
+        filts = [_PrefixFilter(f) for f in filt]
+        if family.arity != len(filts):
+            raise BadArity(
+                f"family arity {family.arity} != {len(filts)} filters")
+        cap = min([budget] + [f.cap(budget) for f in filts])
+        return filts, cap, lambda k: tuple(f.take(k) for f in filts)
+    if family.carrier == CARRIER_PLANE:
+        if not isinstance(filt, GenericPlane):
+            raise UsageError("plane families need a GenericPlane filter")
+        return filt, budget, filt.restriction
+    raise UsageError(f"unknown carrier {family.carrier!r}")
 
 
 def _search_chain(dset, chain, poset, budget: int):
@@ -193,31 +187,17 @@ def meets_family(filt, family: DenseFamily, horizon: int,
         raise UsageError("budget must be >= 1")
 
     carrier = family.carrier
-    if carrier == CARRIER_COHEN and isinstance(filt, (list, tuple)):
+    if carrier == CARRIER_POSET or (carrier == CARRIER_COHEN
+                                    and isinstance(filt, (list, tuple))):
         # a descending chain of conditions is also a filter representation
-        if poset is None:
+        if poset is None and carrier == CARRIER_COHEN:
             from .posets import cohen_poset
             poset = cohen_poset()
         chain = list(filt)
         search = lambda dset: _search_chain(dset, chain, poset, budget)
-    elif carrier == CARRIER_COHEN:
-        pf = _PrefixFilter(filt)
-        search = lambda dset: _search_cohen(dset, pf, budget)
-    elif carrier == CARRIER_PRODUCT:
-        filts = [_PrefixFilter(f) for f in filt]
-        if family.arity != len(filts):
-            raise BadArity(
-                f"family arity {family.arity} != {len(filts)} filters")
-        search = lambda dset: _search_product(dset, filts, budget)
-    elif carrier == CARRIER_PLANE:
-        if not isinstance(filt, GenericPlane):
-            raise UsageError("plane families need a GenericPlane filter")
-        search = lambda dset: _search_plane(dset, filt, budget)
-    elif carrier == CARRIER_POSET:
-        chain = list(filt)
-        search = lambda dset: _search_chain(dset, chain, poset, budget)
     else:
-        raise UsageError(f"unknown carrier {carrier!r}")
+        view, cap, candidate = _prefix_view(filt, family, budget)
+        search = lambda dset: _search(dset, view, cap, candidate)
 
     report = GenericityReport(horizon=horizon, budget=budget)
     for n in range(horizon):

@@ -64,9 +64,6 @@ class CountablePoset:
         self.extend = extend
         self.ancestors = ancestors
 
-    def root(self):
-        return self.decode(0)
-
     def __repr__(self):
         return f"CountablePoset({self.name})"
 
@@ -137,10 +134,6 @@ class WitnessReport:
     members_checked: int
     samples_checked: int
     notes: List[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return True
 
     def summary(self) -> str:
         return (f"witness ok below {self.condition!r}: {self.members_checked} members, "

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .errors import AmbiguousNat
+from .errors import AmbiguousNat, UsageError
 
 LIMIT_BITS = 4096
 
@@ -257,17 +257,13 @@ class NatTable:
     def decode_all(cls, nodes):
         """Rebuild the interned values for a serialized table."""
         built = []
-
-        def resolve(ref):
-            if isinstance(ref, int):
-                return ref
-            return built[ref["$nat"]]
-
         for obj in nodes or []:
             if obj["op"] == "add":
-                val = nat_add(*[resolve(a) for a in obj["args"]], obj["const"])
+                val = nat_add(*[nat_resolve(a, built) for a in obj["args"]],
+                              obj["const"])
             else:
-                val = nat_mul_pow2(resolve(obj["arg"]), resolve(obj["exp"]))
+                val = nat_mul_pow2(nat_resolve(obj["arg"], built),
+                                   nat_resolve(obj["exp"], built))
             built.append(val)
         return built
 
@@ -276,4 +272,8 @@ def nat_resolve(ref, built):
     """Turn a serialized int-or-{"$nat": id} reference back into a value."""
     if isinstance(ref, int):
         return ref
-    return built[ref["$nat"]]
+    nid = ref.get("$nat") if isinstance(ref, dict) else None
+    if type(nid) is not int or not 0 <= nid < len(built):
+        raise UsageError(f"bad nat reference {ref!r} into a table of "
+                         f"{len(built)} nodes")
+    return built[nid]

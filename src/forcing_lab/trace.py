@@ -1,11 +1,13 @@
-"""Audit traces and their JSON persistence.
+"""Audit traces, their JSON persistence, and the report of re-checking them.
 
 Every construction returns a trace: the complete record of stage lengths,
 coding points, chosen conditions and payload bits, enough to replay and
-re-verify the run without re-running the construction. Traces serialize to
-a single JSON envelope with the fields {kind, family, seed, payload_source,
-stages, streams, boundaries, conditions}; serialization is deterministic
-(sorted keys, stable node ids), so identical runs give identical bytes.
+re-verify the run without re-running the construction. Every kind shares
+one envelope, the `Trace` fields {kind, family, seed, payload_source,
+payload_bits, boundaries, stages, conditions, streams}; a kind only adds
+keys of its own and converts the fields it keeps decoded. Serialization is
+deterministic (sorted keys, stable node ids), so identical runs give
+identical bytes.
 
 Bitstrings are stored as ASCII '0'/'1' when small; conditions from wide
 runs can be astronomically long, and are stored as run lists whose lengths
@@ -15,11 +17,11 @@ live in a shared table of lazy-natural nodes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from .bits import BitString, stream_from_json
-from .errors import UsageError
+from .errors import CheckFailure, UsageError
 from .plane import GenericPlane, PlaneCondition
 from .towers import NatTable, nat_resolve
 
@@ -61,189 +63,221 @@ def load_trace(path):
 
 
 def trace_from_json(obj):
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     cls = _TRACE_KINDS.get(kind)
     if cls is None:
         raise UsageError(f"unknown trace kind {kind!r}")
     return cls.from_json(obj)
 
 
-@dataclass
-class PairTrace:
-    kind = "pair"
-    family: dict
-    seed: object
-    payload_source: dict
-    payload_bits: List[int]
-    boundaries: List[int]
-    stages: List[dict]
-    conditions: List[dict]
-    streams: List[dict]
+# JSON type of every stored field; `seed` may hold any JSON value.
+_JSON_TYPES = {
+    "family": (dict, list), "payload_source": (dict, type(None)),
+    "payload_bits": list, "boundaries": list, "stages": list,
+    "conditions": (list, dict), "streams": list,
+    "k": int, "poset": str, "witness": str, "rows": int, "horizon": int,
+    "patches": dict, "plane": dict,
+}
+_OPTIONAL = ("seed", "payload_source")
 
-    def to_json(self):
-        return {"kind": self.kind, "family": self.family, "seed": self.seed,
-                "payload_source": self.payload_source,
-                "payload_bits": self.payload_bits,
-                "boundaries": self.boundaries, "stages": self.stages,
-                "conditions": self.conditions, "streams": self.streams}
+
+def _json_field(obj: dict, kind: str, key: str):
+    if key not in obj:
+        if key in _OPTIONAL:
+            return None
+        raise UsageError(f"{kind} trace has no {key!r}")
+    value = obj[key]
+    if not isinstance(value, _JSON_TYPES.get(key, object)):
+        raise UsageError(f"{kind} trace field {key!r} has the wrong type "
+                         f"{type(value).__name__}")
+    return value
+
+
+@dataclass(kw_only=True)
+class Trace:
+    """The envelope every trace kind shares.
+
+    Subclasses set `kind`, declare their own fields, and override
+    `_encode`/`_decode` only for fields they keep as decoded objects.
+    """
+
+    kind: ClassVar[str]
+    family: dict
+    seed: object = None
+    payload_source: Optional[dict] = None
+    payload_bits: List[int] = field(default_factory=list)
+    boundaries: List[int] = field(default_factory=list)
+    stages: List[dict] = field(default_factory=list)
+    conditions: list = field(default_factory=list)
+    streams: List[dict] = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["kind"] = self.kind
+        self._encode(obj)
+        return obj
 
     @classmethod
-    def from_json(cls, obj):
-        return cls(family=obj["family"], seed=obj.get("seed"),
-                   payload_source=obj.get("payload_source"),
-                   payload_bits=obj["payload_bits"],
-                   boundaries=obj["boundaries"], stages=obj["stages"],
-                   conditions=obj["conditions"], streams=obj["streams"])
+    def from_json(cls, obj: dict) -> "Trace":
+        values = {f.name: _json_field(obj, cls.kind, f.name)
+                  for f in fields(cls)}
+        if not all(isinstance(s, dict) for s in values["streams"]):
+            raise UsageError(f"{cls.kind} trace streams must be objects")
+        try:
+            cls._decode(obj, values)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise UsageError(f"malformed {cls.kind} trace: {exc!r}") from exc
+        return cls(**values)
+
+    def _encode(self, obj: dict) -> None:
+        """Turn this kind's decoded fields in `obj` into JSON values."""
+
+    @classmethod
+    def _decode(cls, obj: dict, values: dict) -> None:
+        """Turn this kind's JSON values into decoded fields."""
 
 
-@dataclass
-class ManyTrace:
+class PairTrace(Trace):
+    kind = "pair"
+
+
+@dataclass(kw_only=True)
+class ManyTrace(Trace):
     kind = "many"
     k: int
-    family: dict
-    seed: object
-    payload_source: dict
-    payload_bits: List[int]
-    boundaries: List[int]
-    stages: List[dict]
-    conditions: List[dict]
-    streams: List[dict]
-
-    def to_json(self):
-        return {"kind": self.kind, "k": self.k, "family": self.family,
-                "seed": self.seed, "payload_source": self.payload_source,
-                "payload_bits": self.payload_bits,
-                "boundaries": self.boundaries, "stages": self.stages,
-                "conditions": self.conditions, "streams": self.streams}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(k=obj["k"], family=obj["family"], seed=obj.get("seed"),
-                   payload_source=obj.get("payload_source"),
-                   payload_bits=obj["payload_bits"],
-                   boundaries=obj["boundaries"], stages=obj["stages"],
-                   conditions=obj["conditions"], streams=obj["streams"])
 
 
-@dataclass
-class WideTrace:
+_STAGE_NATS = ("alpha", "j", "beta")
+
+
+@dataclass(kw_only=True)
+class WideTrace(Trace):
+    """Stages hold z plus lazy naturals alpha, j, beta per step; conditions
+    hold the two descending chains as {"g": [...], "h": [...]}."""
+
     kind = "wide"
     poset: str
     witness: str
-    family: dict
-    seed: object
-    payload_source: dict
-    payload_bits: List[int]
-    stages: List[dict]          # per step: z plus nat refs for alpha, j, beta
-    g_chain: List[BitString]
-    h_chain: List[BitString]
 
-    def to_json(self):
+    @property
+    def g_chain(self) -> List[BitString]:
+        return self.conditions["g"]
+
+    @property
+    def h_chain(self) -> List[BitString]:
+        return self.conditions["h"]
+
+    def _encode(self, obj):
         table = NatTable()
-        stages = []
-        for rec in self.stages:
-            stages.append({"step": rec["step"], "z": rec["z"],
-                           "alpha": table.encode(rec["alpha"]),
-                           "j": table.encode(rec["j"]),
-                           "beta": table.encode(rec["beta"])})
-        conditions = {
-            "g": [encode_bitstring(s, table) for s in self.g_chain],
-            "h": [encode_bitstring(s, table) for s in self.h_chain]}
-        return {"kind": self.kind, "poset": self.poset, "witness": self.witness,
-                "family": self.family, "seed": self.seed,
-                "payload_source": self.payload_source,
-                "payload_bits": self.payload_bits,
-                "boundaries": [], "stages": stages,
-                "conditions": conditions, "streams": [],
-                "nats": table.to_list()}
+        obj["stages"] = [{**rec, **{key: table.encode(rec[key])
+                                    for key in _STAGE_NATS}}
+                         for rec in self.stages]
+        obj["conditions"] = {side: [encode_bitstring(s, table)
+                                    for s in self.conditions[side]]
+                             for side in ("g", "h")}
+        obj["nats"] = table.to_list()
 
     @classmethod
-    def from_json(cls, obj):
+    def _decode(cls, obj, values):
         built = NatTable.decode_all(obj.get("nats", []))
-        stages = []
-        for rec in obj["stages"]:
-            stages.append({"step": rec["step"], "z": rec["z"],
-                           "alpha": nat_resolve(rec["alpha"], built),
-                           "j": nat_resolve(rec["j"], built),
-                           "beta": nat_resolve(rec["beta"], built)})
-        conds = obj["conditions"]
-        return cls(poset=obj["poset"], witness=obj["witness"],
-                   family=obj["family"], seed=obj.get("seed"),
-                   payload_source=obj.get("payload_source"),
-                   payload_bits=obj["payload_bits"], stages=stages,
-                   g_chain=[decode_bitstring(s, built) for s in conds["g"]],
-                   h_chain=[decode_bitstring(s, built) for s in conds["h"]])
+        values["stages"] = [{**rec, **{key: nat_resolve(rec[key], built)
+                                       for key in _STAGE_NATS}}
+                            for rec in values["stages"]]
+        values["conditions"] = {side: [decode_bitstring(s, built)
+                                       for s in values["conditions"][side]]
+                                for side in ("g", "h")}
 
 
-@dataclass
-class ChainBoundTrace:
+@dataclass(kw_only=True)
+class _PlaneTrace(Trace):
+    """A trace whose conditions are plane conditions over `rows` rows."""
+
+    rows: int
+
+    def _encode(self, obj):
+        obj["conditions"] = [p.to_json() for p in self.conditions]
+
+    @classmethod
+    def _decode(cls, obj, values):
+        values["conditions"] = [PlaneCondition.from_json(p)
+                                for p in values["conditions"]]
+
+
+@dataclass(kw_only=True)
+class ChainBoundTrace(_PlaneTrace):
+    """Conditions are the stage commitments; seed is the fill seed; streams
+    are the inputs b0, b1, ... followed by their patched rows d0, d1, ..."""
+
     kind = "chain-bound"
-    family: dict
-    seed: object                 # fill seed
-    rows: int                    # m = number of base streams
-    stages: List[dict]
-    commitments: List[PlaneCondition]
     patches: Dict[int, Dict[int, int]]
-    base_streams: List[dict]     # serialized b_k
-    d_streams: List[dict]        # serialized patched rows, k < m
     plane: dict                  # serialized GenericPlane
 
-    def to_json(self):
-        return {"kind": self.kind, "family": self.family, "seed": self.seed,
-                "payload_source": None, "payload_bits": [],
-                "boundaries": [], "rows": self.rows, "stages": self.stages,
-                "conditions": [p.to_json() for p in self.commitments],
-                "patches": {str(r): {str(c): b for c, b in sorted(cols.items())}
-                            for r, cols in sorted(self.patches.items())},
-                "streams": [{"name": f"b{i}", **s} for i, s in enumerate(self.base_streams)]
-                           + [{"name": f"d{i}", **s} for i, s in enumerate(self.d_streams)],
-                "plane": self.plane}
+    def _encode(self, obj):
+        super()._encode(obj)
+        obj["patches"] = {str(r): {str(c): b for c, b in sorted(cols.items())}
+                          for r, cols in sorted(self.patches.items())}
 
     @classmethod
-    def from_json(cls, obj):
-        base, dpatched = [], []
-        for s in obj["streams"]:
-            s = dict(s)
-            name = s.pop("name")
-            (base if name.startswith("b") else dpatched).append(s)
-        return cls(family=obj["family"], seed=obj.get("seed"),
-                   rows=obj["rows"], stages=obj["stages"],
-                   commitments=[PlaneCondition.from_json(p) for p in obj["conditions"]],
-                   patches={int(r): {int(c): b for c, b in cols.items()}
-                            for r, cols in obj["patches"].items()},
-                   base_streams=base, d_streams=dpatched, plane=obj["plane"])
+    def _decode(cls, obj, values):
+        super()._decode(obj, values)
+        values["patches"] = {int(r): {int(c): b for c, b in cols.items()}
+                             for r, cols in values["patches"].items()}
 
     def rebuild_plane(self) -> GenericPlane:
         return GenericPlane.from_json(self.plane)
 
     def rebuild_bases(self):
-        return [stream_from_json(s) for s in self.base_streams]
+        return [stream_from_json(s) for s in self.streams
+                if str(s.get("name", "")).startswith("b")]
+
+
+@dataclass(kw_only=True)
+class GenericsTrace(_PlaneTrace):
+    """The single condition is the folded commitments; streams are rows."""
+
+    kind = "generic-plane"
+    horizon: int
+
+    @classmethod
+    def _decode(cls, obj, values):
+        super()._decode(obj, values)
+        if len(values["conditions"]) != 1:
+            raise UsageError("generic-plane trace needs exactly one condition")
+
+
+_TRACE_KINDS = {cls.kind: cls for cls in (PairTrace, ManyTrace, WideTrace,
+                                          ChainBoundTrace, GenericsTrace)}
 
 
 @dataclass
-class GenericsTrace:
-    kind = "generic-plane"
-    family: dict
-    seed: object
-    rows: int
-    horizon: int
-    commitments: PlaneCondition
-    streams: List[dict] = field(default_factory=list)
+class VerifyReport:
+    """Itemized outcome of re-checking a trace."""
 
-    def to_json(self):
-        return {"kind": self.kind, "family": self.family, "seed": self.seed,
-                "payload_source": None, "payload_bits": [], "boundaries": [],
-                "rows": self.rows, "horizon": self.horizon, "stages": [],
-                "conditions": [self.commitments.to_json()],
-                "streams": self.streams}
+    items: List[Tuple[str, bool, str]] = field(default_factory=list)
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(family=obj["family"], seed=obj.get("seed"),
-                   rows=obj["rows"], horizon=obj["horizon"],
-                   commitments=PlaneCondition.from_json(obj["conditions"][0]),
-                   streams=obj["streams"])
+    @property
+    def all_passed(self) -> bool:
+        return all(ok for _, ok, _ in self.items)
 
+    def add(self, name: str, ok: bool, detail: str = ""):
+        self.items.append((name, ok, detail))
 
-_TRACE_KINDS = {"pair": PairTrace, "many": ManyTrace, "wide": WideTrace,
-                "chain-bound": ChainBoundTrace, "generic-plane": GenericsTrace}
+    def check(self, name: str, fn):
+        try:
+            out = fn()
+            ok, detail = out if isinstance(out, tuple) else (bool(out), "")
+        except CheckFailure as exc:
+            ok, detail = False, str(exc)
+        except Exception as exc:  # noqa: BLE001 - reports must not throw
+            ok, detail = False, f"exception: {exc!r}"
+        self.add(name, ok, detail)
+
+    def summary(self) -> str:
+        lines = []
+        for name, ok, detail in self.items:
+            mark = "ok  " if ok else "FAIL"
+            lines.append(f"{mark} {name}" + (f": {detail}" if detail else ""))
+        verdict = "PASS" if self.all_passed else "FAIL"
+        lines.append(f"{verdict}: {sum(ok for _, ok, _ in self.items)}"
+                     f"/{len(self.items)} checks passed")
+        return "\n".join(lines)

@@ -10,52 +10,18 @@ construction itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
-
 from .bits import BitString, stream_from_json
 from .closure import verify_bound
 from .dense import family_from_spec
 from .entangle import decode_many, decode_pair
-from .errors import CheckFailure, UsageError
+from .errors import UsageError
 from .generic import meets_family, mutual_genericity_check
+from .plane import GenericPlane
 from .posets import POSET_REGISTRY, WITNESS_REGISTRY
 from .towers import nat_equal
 from .trace import (ChainBoundTrace, GenericsTrace, ManyTrace, PairTrace,
-                    WideTrace)
+                    VerifyReport, WideTrace)
 from .wide import decode_wide
-
-
-@dataclass
-class VerifyReport:
-    items: List[Tuple[str, bool, str]] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok, _ in self.items)
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.items.append((name, ok, detail))
-
-    def check(self, name: str, fn):
-        try:
-            out = fn()
-            ok, detail = out if isinstance(out, tuple) else (bool(out), "")
-        except CheckFailure as exc:
-            ok, detail = False, str(exc)
-        except Exception as exc:  # noqa: BLE001 - reports must not throw
-            ok, detail = False, f"exception: {exc!r}"
-        self.add(name, ok, detail)
-
-    def summary(self) -> str:
-        lines = []
-        for name, ok, detail in self.items:
-            mark = "ok  " if ok else "FAIL"
-            lines.append(f"{mark} {name}" + (f": {detail}" if detail else ""))
-        verdict = "PASS" if self.all_passed else "FAIL"
-        lines.append(f"{verdict}: {sum(ok for _, ok, _ in self.items)}"
-                     f"/{len(self.items)} checks passed")
-        return "\n".join(lines)
 
 
 def _scan_budget_for(boundaries, default: int = 4096) -> int:
@@ -63,24 +29,19 @@ def _scan_budget_for(boundaries, default: int = 4096) -> int:
 
 
 def verify_trace(trace) -> VerifyReport:
-    if isinstance(trace, PairTrace):
-        return _verify_pair(trace)
-    if isinstance(trace, ManyTrace):
-        return _verify_many(trace)
-    if isinstance(trace, WideTrace):
-        return _verify_wide(trace)
-    if isinstance(trace, ChainBoundTrace):
-        return _verify_chain(trace)
-    if isinstance(trace, GenericsTrace):
-        return _verify_generics(trace)
-    raise UsageError(f"cannot verify trace of type {type(trace).__name__}")
+    verifier = _VERIFIERS.get(getattr(trace, "kind", None))
+    if verifier is None:
+        raise UsageError(f"cannot verify trace of type {type(trace).__name__}")
+    return verifier(trace)
 
 
 def _verify_pair(trace: PairTrace) -> VerifyReport:
     report = VerifyReport()
     family = family_from_spec(trace.family)
-    streams = {s["name"]: stream_from_json(s) for s in trace.streams}
-    c, d = streams["c"], streams["d"]
+    streams = {s.get("name"): s for s in trace.streams}
+    if "c" not in streams or "d" not in streams:
+        raise UsageError("pair trace needs streams named 'c' and 'd'")
+    c, d = stream_from_json(streams["c"]), stream_from_json(streams["d"])
     horizon = len(trace.stages)
 
     def decode_matches():
@@ -216,21 +177,17 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
 
 
 def _verify_chain(trace: ChainBoundTrace) -> VerifyReport:
-    report = VerifyReport()
     family = family_from_spec(trace.family)
-    plane = trace.rebuild_plane()
-    bases = trace.rebuild_bases()
-    bound = verify_bound(plane, bases, trace, family)
-    for name, ok, detail in bound.items:
-        report.add(f"chain-{name}", ok, detail)
-    return report
+    bound = verify_bound(trace.rebuild_plane(), trace.rebuild_bases(), trace,
+                         family)
+    return VerifyReport([(f"chain-{name}", ok, detail)
+                         for name, ok, detail in bound.items])
 
 
 def _verify_generics(trace: GenericsTrace) -> VerifyReport:
     report = VerifyReport()
     family = family_from_spec(trace.family)
-    from .plane import GenericPlane
-    plane = GenericPlane(commitments=trace.commitments, fill_seed=trace.seed)
+    plane = GenericPlane(commitments=trace.conditions[0], fill_seed=trace.seed)
 
     report.check("generics-plane-meets-family",
                  lambda: _meets(plane, family, trace.horizon))
@@ -238,8 +195,7 @@ def _verify_generics(trace: GenericsTrace) -> VerifyReport:
     def rows_are_slices():
         for s in trace.streams:
             r = int(s["name"])
-            rebuilt = stream_from_json({k: v for k, v in s.items()
-                                        if k != "name"})
+            rebuilt = stream_from_json(s)
             width = len(rebuilt.prefix_string.to01()) + 8
             for col in range(width):
                 if rebuilt.bit(col) != plane.cell(r, col):
@@ -248,3 +204,8 @@ def _verify_generics(trace: GenericsTrace) -> VerifyReport:
 
     report.check("generics-rows-are-slices", rows_are_slices)
     return report
+
+
+_VERIFIERS = {PairTrace.kind: _verify_pair, ManyTrace.kind: _verify_many,
+              WideTrace.kind: _verify_wide, ChainBoundTrace.kind: _verify_chain,
+              GenericsTrace.kind: _verify_generics}

@@ -76,7 +76,8 @@ def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
     trace = WideTrace(
         poset=poset.name, witness=witness.name, family=family.describe(),
         seed=family.seed, payload_source=source.description,
-        payload_bits=consumed, stages=records, g_chain=ps, h_chain=qs)
+        payload_bits=consumed, stages=records,
+        conditions={"g": ps, "h": qs})
     return ps, qs, trace
 
 

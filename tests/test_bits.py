@@ -67,14 +67,6 @@ def test_bit_indexing_matches_text(text):
         s.bit(len(text))
 
 
-@given(bit_texts, st.integers(min_value=0, max_value=45))
-def test_first_one_matches_naive(text, start):
-    s = BitString.from01(text)
-    naive = text.find("1", start)
-    got = s.first_one_at_or_after(start)
-    assert got == (naive if naive != -1 else None)
-
-
 def test_pad_and_append():
     s = BitString.from01("01")
     assert s.pad_zeros_to(5).to01() == "01000"
@@ -90,7 +82,7 @@ def test_huge_runs_stay_structural():
     assert not s.is_concrete
     assert s.end_extends(BitString.from01("01"))
     rest = s.strip_prefix(BitString.from01("01"))
-    assert rest.leading_zero_run() is big
+    assert rest.runs[0] == (0, big) and rest.runs[0][1] is big
     assert s.bit(0) == 0 and s.bit(1) == 1 and s.bit(2) == 0
     key1, key2 = s.stable_key(), s.stable_key()
     assert key1 == key2 and "runs" in key1

@@ -157,3 +157,82 @@ def test_check_failures_exit_1(tmp_path, len_family):
     # exhausted finite payload
     assert main(["entangle-pair", "--family", len_family,
                  "--payload", "bits:1", "--stages", "4"]) == 1
+
+
+def _pair_trace(tmp_path, family):
+    out = tmp_path / "pair.json"
+    assert main(["entangle-pair", "--family", family, "--payload", "hex:ff",
+                 "--stages", "4", "--out", str(out)]) == 0
+    return out
+
+
+def _wide_trace(tmp_path, family):
+    out = tmp_path / "wide.json"
+    assert main(["entangle-wide", "--family", family, "--payload", "bits:101",
+                 "--steps", "3", "--out", str(out)]) == 0
+    return out
+
+
+def _edited(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _without_c(obj):
+    obj["streams"] = [s for s in obj["streams"] if s["name"] != "c"]
+
+
+def _case_pair_no_payload_bits(tmp_path, fam, plane):
+    path = _edited(_pair_trace(tmp_path, fam), lambda o: o.pop("payload_bits"))
+    return ["verify", "--trace", path]
+
+
+def _case_pair_no_stream_c(tmp_path, fam, plane):
+    return ["verify", "--trace", _edited(_pair_trace(tmp_path, fam), _without_c)]
+
+
+def _case_family_of_ints(tmp_path, fam, plane):
+    bad = tmp_path / "ints.json"
+    bad.write_text("[1, 2]")
+    return ["entangle-pair", "--family", str(bad), "--payload", "hex:ff",
+            "--stages", "2"]
+
+
+def _case_pattern_without_word(tmp_path, fam, plane):
+    bad = tmp_path / "noword.json"
+    bad.write_text(json.dumps([{"type": "min-length"}, {"type": "pattern"}]))
+    return ["entangle-pair", "--family", str(bad), "--payload", "hex:ff",
+            "--stages", "2"]
+
+
+def _case_decode_wide_unknown_poset(tmp_path, fam, plane):
+    path = _edited(_wide_trace(tmp_path, fam),
+                   lambda o: o.update(poset="nope"))
+    return ["decode-wide", "--trace", path]
+
+
+def _case_bound_chain_from_wide(tmp_path, fam, plane):
+    return ["bound-chain", "--family", plane, "--rows", "1",
+            "--from-generics", str(_wide_trace(tmp_path, fam))]
+
+
+def _case_bound_chain_from_pair(tmp_path, fam, plane):
+    return ["bound-chain", "--family", plane, "--rows", "2",
+            "--from-generics", str(_pair_trace(tmp_path, fam))]
+
+
+@pytest.mark.parametrize("case", [
+    _case_pair_no_payload_bits, _case_pair_no_stream_c, _case_family_of_ints,
+    _case_pattern_without_word, _case_decode_wide_unknown_poset,
+    _case_bound_chain_from_wide, _case_bound_chain_from_pair,
+], ids=lambda f: f.__name__[len("_case_"):])
+def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
+                                                 plane_family, case, capsys):
+    argv = case(tmp_path, len_family, plane_family)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err

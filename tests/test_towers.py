@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from forcing_lab.errors import AmbiguousNat
+from forcing_lab.errors import AmbiguousNat, UsageError
 from forcing_lab.towers import (LIMIT_BITS, Nat, NatTable, is_huge, nat_add,
                                 nat_equal, nat_half, nat_le, nat_less,
-                                nat_mul_pow2, nat_parity, nat_pow2, nat_sub,
-                                nat_to_int)
+                                nat_mul_pow2, nat_parity, nat_pow2, nat_resolve,
+                                nat_sub, nat_to_int)
 
 
 def test_small_values_stay_ints():
@@ -101,6 +101,9 @@ def test_nat_table_roundtrip_reinterns():
     rebuilt = NatTable.decode_all(table.to_list())
     assert rebuilt[refs[0]["$nat"]] is alpha
     assert rebuilt[refs[1]["$nat"]] is j
+    for bad in ({"$nat": len(rebuilt)}, {"$nat": -1}, {"nat": 0}, "7"):
+        with pytest.raises(UsageError):
+            nat_resolve(bad, rebuilt)
 
 
 def test_repr_is_safe_for_towers():
