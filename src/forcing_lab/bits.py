@@ -1,10 +1,12 @@
 """Finite binary conditions and infinite bit streams.
 
 BitString is the condition type for Cohen forcing: finite, immutable,
-ordered by end-extension (longer = stronger). It is stored as a normalized
-run list so that the wide-poset constructions, whose conditions contain
-astronomically long zero blocks, stay exact: run lengths are ``int | Nat``
-(see towers).
+ordered by end-extension (longer = stronger). A string of at most
+_MATERIALIZE_LIMIT bits is stored as its '0'/'1' text, so prefix tests,
+comparison and appends run as str operations. The wide-poset constructions
+build conditions with astronomically long zero blocks; every string longer
+than the limit, or of symbolic length, is stored as a normalized run list
+so that it stays exact: run lengths are ``int | Nat`` (see towers).
 
 BitStream is an everywhere-defined binary sequence: a finalized BitString
 prefix plus a deterministic tail rule. The induced filter is the set of its
@@ -24,7 +26,6 @@ from .towers import (NatLike, NatTable, nat_add, nat_equal, nat_le,
 
 _MATERIALIZE_LIMIT = 1 << 22
 _CLEAN01 = re.compile(r"[01]*")
-_RUNS01 = re.compile(r"0+|1+")
 
 
 def _normalize_runs(pairs):
@@ -44,21 +45,60 @@ def _normalize_runs(pairs):
     return tuple(runs)
 
 
-class BitString:
-    """Immutable finite binary string, run-length encoded."""
+def _runs_of(text: str):
+    # One find per run: the wide constructions keep strings of up to
+    # _MATERIALIZE_LIMIT bits that are a few long zero runs.
+    runs = []
+    i, n = 0, len(text)
+    while i < n:
+        one = text[i] == "1"
+        j = text.find("0" if one else "1", i)
+        if j == -1:
+            j = n
+        runs.append((1 if one else 0, j - i))
+        i = j
+    return tuple(runs)
 
-    __slots__ = ("runs", "length")
+
+class BitString:
+    """Immutable finite binary string.
+
+    Exactly one backing is set: `_text` when the length is a plain int no
+    larger than _MATERIALIZE_LIMIT, else `_runs`. The choice depends on the
+    length alone, so equal strings have equal backings.
+    """
+
+    __slots__ = ("_text", "_runs", "length")
 
     def __init__(self, pairs=()):
-        self.runs = _normalize_runs(pairs)
-        self.length = nat_add(*(l for _, l in self.runs)) if self.runs else 0
+        runs = _normalize_runs(pairs)
+        self._set(runs, nat_add(*(l for _, l in runs)) if runs else 0)
+
+    def _set(self, runs, length):
+        # runs must already be normalized
+        self.length = length
+        if type(length) is int and length <= _MATERIALIZE_LIMIT:
+            self._text = "".join(("1" if b else "0") * l for b, l in runs)
+            self._runs = None
+        else:
+            self._text = None
+            self._runs = runs
 
     @classmethod
     def _make(cls, runs, length) -> "BitString":
-        # runs must already be normalized
         obj = cls.__new__(cls)
-        obj.runs = runs
-        obj.length = length
+        obj._set(runs, length)
+        return obj
+
+    @classmethod
+    def _of_text(cls, text: str) -> "BitString":
+        # text must hold only '0' and '1'
+        if len(text) > _MATERIALIZE_LIMIT:
+            return cls._make(_runs_of(text), len(text))
+        obj = cls.__new__(cls)
+        obj._text = text
+        obj._runs = None
+        obj.length = len(text)
         return obj
 
     @classmethod
@@ -73,8 +113,7 @@ class BitString:
             if any(ch not in "01" for ch in clean):
                 bad = next(ch for ch in clean if ch not in "01")
                 raise UsageError(f"invalid bitstring character {bad!r}")
-        runs = tuple((int(g[0]), len(g)) for g in _RUNS01.findall(clean))
-        return cls._make(runs, len(clean))
+        return cls._of_text(clean)
 
     @classmethod
     def zeros(cls, n: NatLike) -> "BitString":
@@ -85,22 +124,34 @@ class BitString:
         return cls.from01("".join(map(str, bits)))
 
     @property
+    def runs(self):
+        """Normalized (bit, length) runs; derived anew for a text backing."""
+        if self._text is not None:
+            return _runs_of(self._text)
+        return self._runs
+
+    @property
     def is_empty(self) -> bool:
-        return not self.runs
+        return self.length == 0
 
     @property
     def is_concrete(self) -> bool:
-        return all(isinstance(l, int) for _, l in self.runs)
+        return type(self.length) is int
 
-    def to01(self, limit: int = _MATERIALIZE_LIMIT) -> str:
-        if not self.is_concrete or self.length > limit:
+    def to01(self) -> str:
+        if self._text is None:
             raise AmbiguousNat("bitstring too large to materialize")
-        return "".join(str(b) * l for b, l in self.runs)
+        return self._text
 
     def bit(self, i: int) -> int:
         if i < 0:
             raise IndexError(i)
-        for b, l in self.runs:
+        text = self._text
+        if text is not None:
+            if i < len(text):
+                return 1 if text[i] == "1" else 0
+            raise IndexError("bit index beyond string length")
+        for b, l in self._runs:
             if type(l) is int:
                 if i < l:
                     return b
@@ -114,10 +165,14 @@ class BitString:
     def append_run(self, bit: int, length: NatLike) -> "BitString":
         if bit not in (0, 1):
             raise UsageError(f"bit must be 0 or 1, got {bit!r}")
-        if type(length) is int and length <= 0:
-            if length == 0:
-                return self
-            raise UsageError(f"negative run length {length}")
+        if type(length) is int:
+            if length <= 0:
+                if length == 0:
+                    return self
+                raise UsageError(f"negative run length {length}")
+            text = self._text
+            if text is not None and len(text) + length <= _MATERIALIZE_LIMIT:
+                return BitString._of_text(text + ("1" if bit else "0") * length)
         runs = self.runs
         if runs and runs[-1][0] == bit:
             runs = runs[:-1] + ((bit, nat_add(runs[-1][1], length)),)
@@ -132,10 +187,14 @@ class BitString:
         return self.concat(BitString.from01(text))
 
     def concat(self, other: "BitString") -> "BitString":
-        if not other.runs:
+        if other.is_empty:
             return self
-        if not self.runs:
+        if self.is_empty:
             return other
+        a, b = self._text, other._text
+        if (a is not None and b is not None
+                and len(a) + len(b) <= _MATERIALIZE_LIMIT):
+            return BitString._of_text(a + b)
         a, b = self.runs, other.runs
         if a[-1][0] == b[0][0]:
             joined = a[:-1] + ((a[-1][0], nat_add(a[-1][1], b[0][1])),) + b[1:]
@@ -151,10 +210,12 @@ class BitString:
         """First n bits; n must be a plain int within the string."""
         if not nat_le(n, self.length):
             raise IndexError("prefix longer than string")
+        if self._text is not None:
+            return BitString._of_text(self._text[:n])
         out = []
         left = n
         total = n
-        for b, l in self.runs:
+        for b, l in self._runs:
             if left == 0:
                 break
             if nat_le(l, left):
@@ -167,11 +228,19 @@ class BitString:
 
     def end_extends(self, other: "BitString") -> bool:
         """True iff other is a prefix of self (self is stronger or equal)."""
+        if self._text is not None and other._text is not None:
+            return self._text.startswith(other._text)
         return self.strip_prefix(other) is not None
 
     def strip_prefix(self, other: "BitString") -> Optional["BitString"]:
         """Bits of self after the prefix other, or None if not a prefix."""
-        mine = list(self.runs)
+        a, b = self._text, other._text
+        if a is not None:
+            # a run-backed other is longer than any text-backed string
+            if b is None or not a.startswith(b):
+                return None
+            return BitString._of_text(a[len(b):])
+        mine = list(self._runs)
         i = 0
         for b, want in other.runs:
             if i >= len(mine):
@@ -205,31 +274,42 @@ class BitString:
         return self.end_extends(other) or other.end_extends(self)
 
     def ones(self) -> NatLike:
-        return nat_add(*(l for b, l in self.runs if b == 1), 0)
+        if self._text is not None:
+            return self._text.count("1")
+        return nat_add(*(l for b, l in self._runs if b == 1), 0)
 
     def stable_key(self) -> str:
         """Deterministic, process-independent serialization for hashing."""
-        if self.is_concrete and nat_le(self.length, 4096):
-            return self.to01()
-        table = NatTable()
-        runs = [[b, table.encode(l)] for b, l in self.runs]
-        return json.dumps({"runs": runs, "nats": table.to_list()},
+        if self._text is not None and len(self._text) <= 4096:
+            return self._text
+        if self.is_concrete:
+            runs, nats = self.runs, []
+        else:
+            table = NatTable()
+            runs = [[b, table.encode(l)] for b, l in self._runs]
+            nats = table.to_list()
+        return json.dumps({"runs": runs, "nats": nats},
                           sort_keys=True, separators=(",", ":"))
 
     def _eq_key(self):
-        return tuple((b, l if isinstance(l, int) else id(l)) for b, l in self.runs)
+        return tuple((b, l if isinstance(l, int) else id(l))
+                     for b, l in self._runs)
 
     def __eq__(self, other):
         if not isinstance(other, BitString):
             return NotImplemented
+        if self._text is not None or other._text is not None:
+            return self._text == other._text
         return self._eq_key() == other._eq_key()
 
     def __hash__(self):
+        if self._text is not None:
+            return hash(self._text)
         return hash(self._eq_key())
 
     def __repr__(self):
-        if self.is_concrete and self.length <= 64:
-            return f"BitString({self.to01()!r})"
+        if self._text is not None and len(self._text) <= 64:
+            return f"BitString({self._text!r})"
         return f"BitString(runs={len(self.runs)}, length={self.length!r})"
 
 
@@ -277,11 +357,18 @@ class PrngTail:
 
 
 def tail_from_json(obj):
-    if obj["kind"] == "const":
-        return ConstTail(obj["bit"])
-    if obj["kind"] == "prng":
+    if not isinstance(obj, dict):
+        raise UsageError(f"a tail rule must be a JSON object, got {obj!r}")
+    if obj.get("kind") == "const":
+        bit = obj.get("bit")
+        if type(bit) is not int or bit not in (0, 1):
+            raise UsageError(f"const tail rule needs bit 0 or 1, got {bit!r}")
+        return ConstTail(bit)
+    if obj.get("kind") == "prng":
         if obj.get("algo", PrngTail.algo) != PrngTail.algo:
             raise UsageError(f"unknown prng algo {obj.get('algo')!r}")
+        if "seed" not in obj:
+            raise UsageError("prng tail rule has no 'seed'")
         return PrngTail(obj["seed"])
     raise UsageError(f"unknown tail rule {obj!r}")
 
@@ -292,9 +379,9 @@ class BitStream:
     def __init__(self, prefix: BitString = _EMPTY, tail=None):
         if not prefix.is_concrete:
             raise UsageError("stream prefixes must be concrete")
+        prefix.to01()  # past _MATERIALIZE_LIMIT this raises AmbiguousNat
         self.prefix_string = prefix
         self.tail = tail if tail is not None else ConstTail(0)
-        self._cached01 = prefix.to01()
 
     @classmethod
     def constant(cls, bit: int) -> "BitStream":
@@ -311,14 +398,14 @@ class BitStream:
         return cls(prefix, tail)
 
     def bit(self, i: int) -> int:
-        n = len(self._cached01)
-        if i < n:
-            return int(self._cached01[i])
+        text = self.prefix_string.to01()
+        if i < len(text):
+            return int(text[i])
         return self.tail.bit(i)
 
     def take01(self, n: int) -> str:
         """First n bits as text."""
-        base = self._cached01
+        base = self.prefix_string.to01()
         if n <= len(base):
             return base[:n]
         return base + "".join(str(self.tail.bit(i))
@@ -326,14 +413,14 @@ class BitStream:
 
     def take(self, n: int) -> BitString:
         """First n bits as a finite condition."""
-        return BitString.from01(self.take01(n))
+        return BitString._of_text(self.take01(n))
 
     def to_json(self):
         return {"prefix": self.prefix_string.to01(),
                 "tail_rule": self.tail.to_json()}
 
     def __repr__(self):
-        p = self._cached01
+        p = self.prefix_string.to01()
         shown = p if len(p) <= 48 else p[:45] + "..."
         return f"BitStream({shown!r}+{self.tail.kind})"
 
@@ -346,18 +433,14 @@ class PatchedStream(BitStream):
         self.patch = {int(k): int(v) for k, v in patch.items()}
         self.tail = base.tail
         cover = max(self.patch, default=-1) + 1
-        pref = max(cover, len(base._cached01))
+        pref = max(cover, base.prefix_string.length)
         self.prefix_string = BitString.from_bits(
             self.patch.get(i, base.bit(i)) for i in range(pref))
-        self._cached01 = self.prefix_string.to01()
 
     def bit(self, i: int) -> int:
         if i in self.patch:
             return self.patch[i]
         return self.base.bit(i)
-
-    def take(self, n: int) -> BitString:
-        return BitString.from_bits(self.bit(i) for i in range(n))
 
     def to_json(self):
         return {"kind": "patched",
@@ -369,9 +452,21 @@ class PatchedStream(BitStream):
 
 
 def stream_from_json(obj) -> BitStream:
+    if not isinstance(obj, dict):
+        raise UsageError(
+            f"a stream must be a JSON object, got {type(obj).__name__}")
     if obj.get("kind") == "patched":
+        patch = obj.get("patch")
+        if "base" not in obj or not isinstance(patch, dict):
+            raise UsageError(
+                "a patched stream needs a 'base' stream and a 'patch' object")
+        for k, v in patch.items():
+            if not str(k).isdecimal() or v not in (0, 1):
+                raise UsageError(f"bad patch entry {k!r}: {v!r}")
         return PatchedStream(stream_from_json(obj["base"]),
-                             {int(k): v for k, v in obj["patch"].items()})
+                             {int(k): v for k, v in patch.items()})
+    if not isinstance(obj.get("prefix"), str) or "tail_rule" not in obj:
+        raise UsageError("a stream needs a 'prefix' string and a 'tail_rule'")
     return BitStream(BitString.from01(obj["prefix"]),
                      tail_from_json(obj["tail_rule"]))
 

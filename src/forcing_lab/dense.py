@@ -35,7 +35,7 @@ import json
 from typing import Callable, List, Optional, Sequence
 
 from .bits import BitString, derive_seed, prng_bit
-from .errors import CheckFailure, UsageError
+from .errors import AmbiguousNat, CheckFailure, UsageError
 from .plane import PlaneCondition
 from .towers import (is_huge, nat_add, nat_equal, nat_le, nat_less,
                      nat_parity, nat_sub)
@@ -149,13 +149,22 @@ def checked_densify(dset: DenseSet, cond, leq: Callable) -> object:
 
 # --- structural word search (exact also on run-compressed huge strings) ---
 
+def _text(s: BitString) -> Optional[str]:
+    """The 0/1 text of s if s is stored as text, else None."""
+    try:
+        return s.to01()
+    except AmbiguousNat:
+        return None
+
+
 def contains_word_at_or_after(s: BitString, word: str, minpos: int) -> bool:
     """Does `word` occur in s starting at some index >= minpos?"""
     w = len(word)
     if w == 0:
         return True
-    if s.is_concrete and not nat_less(1 << 16, s.length):
-        return s.to01().find(word, minpos) != -1
+    text = _text(s)
+    if text is not None:
+        return text.find(word, minpos) != -1
     # Compress each run to at most w bits; occurrences survive compression
     # provided no interior run of the match was shortened, which is checked.
     blocks = []  # (bit, true_start, true_len, sprime_start, trunc_len)
@@ -201,6 +210,12 @@ def _block_at(starts, pos):
 
 def first_difference(a: BitString, b: BitString):
     """First position below both lengths where the strings disagree."""
+    ta, tb = _text(a), _text(b)
+    if ta is not None and tb is not None:
+        n = min(len(ta), len(tb))
+        if ta[:n] == tb[:n]:
+            return None
+        return n - (int(ta[:n], 2) ^ int(tb[:n], 2)).bit_length()
     ra, rb = list(a.runs), list(b.runs)
     i = j = 0
     la = ra[0][1] if ra else 0

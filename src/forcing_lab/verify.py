@@ -86,9 +86,18 @@ def _meets(filt, family, horizon):
 def _verify_many(trace: ManyTrace) -> VerifyReport:
     report = VerifyReport()
     family = family_from_spec(trace.family)
-    streams = [None] * trace.k
+    names = [str(i) for i in range(trace.k)]
+    by_name = {}
     for s in trace.streams:
-        streams[int(s["name"])] = stream_from_json(s)
+        name = s.get("name")
+        if name not in names or name in by_name:
+            raise UsageError(f"many trace stream name {name!r} is not one of "
+                             f"'0'..'{trace.k - 1}' used once")
+        by_name[name] = stream_from_json(s)
+    missing = [n for n in names if n not in by_name]
+    if missing:
+        raise UsageError(f"many trace has no stream named {missing[0]!r}")
+    streams = [by_name[n] for n in names]
     horizon = len(trace.conditions)
 
     def decode_matches():

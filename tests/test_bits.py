@@ -1,12 +1,17 @@
 """BitString order laws, stream tails, payload sources."""
 
+import itertools
+import json
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from forcing_lab import bits
 from forcing_lab.bits import (BitStream, BitString, ConstTail, PatchedStream,
                               PayloadSource, PrngTail, read_bit_file,
                               stream_from_json, write_bit_file)
-from forcing_lab.errors import PayloadExhausted, UsageError
+from forcing_lab.errors import AmbiguousNat, PayloadExhausted, UsageError
 from forcing_lab.towers import is_huge, nat_pow2
 
 bit_texts = st.text(alphabet="01", max_size=40)
@@ -86,6 +91,115 @@ def test_huge_runs_stay_structural():
     assert s.bit(0) == 0 and s.bit(1) == 1 and s.bit(2) == 0
     key1, key2 = s.stable_key(), s.stable_key()
     assert key1 == key2 and "runs" in key1
+
+
+# --- differential test against a plain str model --------------------------
+
+def _runs(text):
+    return tuple((int(b), len(list(g))) for b, g in itertools.groupby(text))
+
+
+def _run_json(text):
+    return json.dumps({"runs": [list(r) for r in _runs(text)], "nats": []},
+                      sort_keys=True, separators=(",", ":"))
+
+
+short_texts = st.text(alphabet="01", max_size=12)
+string_ops = st.lists(st.one_of(
+    st.tuples(st.just("append_run"), st.integers(0, 1), st.integers(0, 12)),
+    st.tuples(st.just("append01"), short_texts),
+    st.tuples(st.just("concat"), short_texts),
+    st.tuples(st.just("pad_zeros_to"), st.integers(0, 12)),
+    st.tuples(st.just("prefix"), st.integers(0, 99)),
+    st.tuples(st.just("strip_prefix"), st.integers(0, 99)),
+), max_size=12)
+
+
+def _apply(s, model, op):
+    name, *args = op
+    if name == "append_run":
+        bit, n = args
+        return s.append_run(bit, n), model + str(bit) * n
+    if name == "append01":
+        return s.append01(args[0]), model + args[0]
+    if name == "concat":          # an operand built from runs, not from text
+        return s.concat(BitString(_runs(args[0]))), model + args[0]
+    if name == "pad_zeros_to":
+        n = len(model) + args[0]
+        return s.pad_zeros_to(n), model.ljust(n, "0")
+    k = args[0] % (len(model) + 1)
+    if name == "prefix":
+        return s.prefix(k), model[:k]
+    return s.strip_prefix(BitString.from01(model[:k])), model[k:]
+
+
+def _assert_agrees(s, model, other, limit):
+    assert s.length == len(model) and s.is_concrete
+    if len(model) <= limit:
+        assert s.to01() == model
+    else:
+        with pytest.raises(AmbiguousNat):
+            s.to01()
+    assert s.runs == _runs(model)
+    assert [s.bit(i) for i in range(len(model))] == [int(c) for c in model]
+    with pytest.raises(IndexError):
+        s.bit(len(model))
+    assert s.ones() == model.count("1")
+    o = BitString.from01(other)
+    assert s.end_extends(o) == model.startswith(other)
+    assert s.compatible(o) == (model.startswith(other)
+                               or other.startswith(model))
+    assert (s.strip_prefix(o) is None) == (not model.startswith(other))
+    assert s.stable_key() == (model if len(model) <= min(limit, 4096)
+                              else _run_json(model))
+    for twin in (BitString.from01(model), BitString(_runs(model))):
+        assert s == twin and hash(s) == hash(twin)
+    assert (s == o) == (model == other)
+
+
+# The real limit keeps every string here as text; a limit of 8 makes most
+# of them run-backed, so each operation also meets mixed operands.
+@pytest.mark.parametrize("limit", [bits._MATERIALIZE_LIMIT, 8])
+@given(short_texts, string_ops, short_texts)
+def test_bitstring_agrees_with_str_model(limit, start, ops, other):
+    with mock.patch.object(bits, "_MATERIALIZE_LIMIT", limit):
+        s, model = BitString.from01(start), start
+        _assert_agrees(s, model, other, limit)
+        for op in ops:
+            s, model = _apply(s, model, op)
+            _assert_agrees(s, model, other, limit)
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5)), max_size=8))
+def test_pairs_and_text_build_equal_strings(pairs):
+    text = "".join(str(b) * n for b, n in pairs)
+    a, b = BitString(pairs), BitString.from01(text)
+    assert a == b and hash(a) == hash(b)
+    assert a.runs == b.runs == _runs(text)
+
+
+def test_text_backed_string_with_a_huge_run_strips_back():
+    big = nat_pow2(5000)
+    head = BitString.from01("0110")
+    s = head.concat(BitString.zeros(big))
+    rest = s.strip_prefix(head)
+    assert rest.runs[0][1] is big and rest == BitString.zeros(big)
+    assert s.prefix(4) == head and hash(s.prefix(4)) == hash(head)
+    assert s.end_extends(head) and not head.end_extends(s)
+    assert s.strip_prefix(BitString.from01("0111")) is None
+
+
+def test_long_concrete_string_is_run_backed():
+    n = bits._MATERIALIZE_LIMIT + 1
+    z = BitString.zeros(n)
+    assert z.is_concrete and z.runs == ((0, n),)
+    with pytest.raises(AmbiguousNat):
+        z.to01()
+    twin = BitString.from01("0" * n)
+    assert z == twin and hash(z) == hash(twin)
+    assert z.prefix(n - 1).to01() == "0" * (n - 1)
+    assert z.ones() == 0 and z.bit(n - 1) == 0
+    assert z.stable_key() == '{"nats":[],"runs":[[0,%d]]}' % n
 
 
 def test_stream_take_and_bits():

@@ -173,6 +173,16 @@ def _wide_trace(tmp_path, family):
     return out
 
 
+def _many_trace(tmp_path):
+    family = tmp_path / "product.json"
+    family.write_text(json.dumps(
+        {"carrier": "product", "arity": 2, "sets": [{"type": "min-length"}] * 4}))
+    out = tmp_path / "many.json"
+    assert main(["entangle-many", "--k", "3", "--family", str(family),
+                 "--payload", "hex:ff", "--stages", "3", "--out", str(out)]) == 0
+    return out
+
+
 def _edited(path, edit):
     obj = json.loads(path.read_text())
     edit(obj)
@@ -182,6 +192,35 @@ def _edited(path, edit):
 
 def _without_c(obj):
     obj["streams"] = [s for s in obj["streams"] if s["name"] != "c"]
+
+
+def _stream_c(edit):
+    """A trace edit that applies `edit` to the object of stream c."""
+    def apply(obj):
+        edit(next(s for s in obj["streams"] if s["name"] == "c"))
+    return apply
+
+
+def _as_patched(**parts):
+    """Turn a stream object into a patched stream made of `parts`; a part
+    given as ... is the stream as it was."""
+    def edit(stream):
+        base = {k: stream.pop(k) for k in ("prefix", "tail_rule")}
+        stream.update(kind="patched",
+                      **{k: base if v is ... else v for k, v in parts.items()})
+    return edit
+
+
+def _renamed(old, new):
+    def edit(obj):
+        for s in obj["streams"]:
+            if s["name"] == old:
+                s["name"] = new
+    return edit
+
+
+def _verify_edited(path, edit):
+    return ["verify", "--trace", _edited(path, edit)]
 
 
 def _case_pair_no_payload_bits(tmp_path, fam, plane):
@@ -223,10 +262,52 @@ def _case_bound_chain_from_pair(tmp_path, fam, plane):
             "--from-generics", str(_pair_trace(tmp_path, fam))]
 
 
+def _case_stream_no_prefix(tmp_path, fam, plane):
+    return _verify_edited(_pair_trace(tmp_path, fam),
+                          _stream_c(lambda s: s.pop("prefix")))
+
+
+def _case_stream_no_tail_rule(tmp_path, fam, plane):
+    return _verify_edited(_pair_trace(tmp_path, fam),
+                          _stream_c(lambda s: s.pop("tail_rule")))
+
+
+def _case_patched_no_base(tmp_path, fam, plane):
+    return _verify_edited(_pair_trace(tmp_path, fam),
+                          _stream_c(_as_patched(patch={})))
+
+
+def _case_patched_no_patch(tmp_path, fam, plane):
+    return _verify_edited(_pair_trace(tmp_path, fam),
+                          _stream_c(_as_patched(base=...)))
+
+
+def _case_patched_base_not_object(tmp_path, fam, plane):
+    return _verify_edited(_pair_trace(tmp_path, fam),
+                          _stream_c(_as_patched(base=5, patch={})))
+
+
+def _case_many_stream_named_7(tmp_path, fam, plane):
+    return _verify_edited(_many_trace(tmp_path), _renamed("0", "7"))
+
+
+def _case_many_stream_named_x(tmp_path, fam, plane):
+    return _verify_edited(_many_trace(tmp_path), _renamed("0", "x"))
+
+
+def _case_many_stream_missing(tmp_path, fam, plane):
+    return _verify_edited(_many_trace(tmp_path), lambda o: o.update(
+        streams=[s for s in o["streams"] if s["name"] != "1"]))
+
+
 @pytest.mark.parametrize("case", [
     _case_pair_no_payload_bits, _case_pair_no_stream_c, _case_family_of_ints,
     _case_pattern_without_word, _case_decode_wide_unknown_poset,
     _case_bound_chain_from_wide, _case_bound_chain_from_pair,
+    _case_stream_no_prefix, _case_stream_no_tail_rule, _case_patched_no_base,
+    _case_patched_no_patch, _case_patched_base_not_object,
+    _case_many_stream_named_7, _case_many_stream_named_x,
+    _case_many_stream_missing,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):

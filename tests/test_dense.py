@@ -98,6 +98,15 @@ def test_first_difference_matches_naive(a, b):
     assert first_difference(s, t) == naive
 
 
+def test_first_difference_on_huge_strings():
+    big = nat_pow2(5000)
+    s = BitString.from01("01").append_run(0, big).append_bit(1)
+    assert first_difference(s, BitString.from01("011")) == 2
+    assert first_difference(s, BitString.from01("0100")) is None
+    assert first_difference(s, s) is None
+    assert first_difference(BitString.from01("1").append_run(0, big), s) == 0
+
+
 def test_parity_sets_on_huge_strings():
     fam = family_from_spec([{"type": "parity", "parity": 0},
                             {"type": "parity", "parity": 1}])
