@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcing_lab.bits import BitStream, BitString
+from forcing_lab.bits import BitStream, BitString, PrngTail
 from forcing_lab.dense import family_from_spec, min_length_family
 from forcing_lab.errors import BadArity, BudgetExceeded, FamilyTooSmall
 from forcing_lab.generic import meets_family, mutual_genericity_check
@@ -100,3 +100,61 @@ def test_poset_chain_meets():
     assert rep.all_met
     # witnesses are chain elements themselves
     assert rep.witness(2) == chain[2]
+
+
+# --- finite conditions as filters: witnesses against a brute-force scan ----
+
+STRING_COHEN = family_from_spec(
+    [{"type": "min-length"}, {"type": "pattern", "word": "1"},
+     {"type": "parity", "parity": 1}, {"type": "pattern", "word": "011"},
+     {"type": "parity", "parity": 0}, {"type": "min-length"},
+     {"type": "pattern", "word": "10"}, {"type": "parity", "parity": 1}] * 2)
+STRING_PRODUCT = family_from_spec(
+    {"carrier": "product", "arity": 2,
+     "sets": [{"type": "separating"}, {"type": "min-length"},
+              {"type": "coord-min-length", "coord": 1}] * 3})
+texts01 = st.text(alphabet="01", max_size=40)
+budgets = st.one_of(st.none(), st.integers(1, 60))
+
+
+def _assert_shortest_witnesses(rep, family, cap, candidate):
+    """Each reported witness is the shortest member candidate(k), k <= cap,
+    and a set is missed exactly when no such candidate exists."""
+    for n in range(len(family)):
+        want = next((candidate(k) for k in range(cap + 1)
+                     if family[n].member(candidate(k))), None)
+        assert rep.met(n) == (want is not None)
+        assert rep.witness(n) == want
+
+
+@given(texts01, budgets)
+@settings(max_examples=60, deadline=None)
+def test_string_filter_witness_is_shortest_member_prefix(text, budget):
+    s = BitString.from01(text)
+    rep = meets_family(s, STRING_COHEN, len(STRING_COHEN), budget=budget)
+    cap = min(rep.budget, len(text))
+    _assert_shortest_witnesses(rep, STRING_COHEN, cap, s.prefix)
+
+
+@given(texts01, texts01, budgets)
+@settings(max_examples=60, deadline=None)
+def test_string_tuple_witness_is_shortest_member_prefix(a, b, budget):
+    pair = (BitString.from01(a), BitString.from01(b))
+    rep = meets_family(pair, STRING_PRODUCT, len(STRING_PRODUCT),
+                       budget=budget)
+    cap = min(rep.budget, len(a), len(b))
+    _assert_shortest_witnesses(rep, STRING_PRODUCT, cap,
+                               lambda k: (pair[0].prefix(k),
+                                          pair[1].prefix(k)))
+
+
+@given(st.text(alphabet="01", max_size=20), texts01, budgets)
+@settings(max_examples=40, deadline=None)
+def test_stream_and_string_tuple_witness(prefix, text, budget):
+    stream = BitStream.from_prefix(prefix, PrngTail(prefix))
+    s = BitString.from01(text)
+    rep = meets_family((stream, s), STRING_PRODUCT, len(STRING_PRODUCT),
+                       budget=budget)
+    cap = min(rep.budget, len(text))
+    _assert_shortest_witnesses(rep, STRING_PRODUCT, cap,
+                               lambda k: (stream.take(k), s.prefix(k)))
