@@ -22,9 +22,11 @@ from typing import Iterable, Optional
 
 from .errors import AmbiguousNat, PayloadExhausted, UsageError
 from .towers import (NatLike, NatTable, nat_add, nat_equal, nat_le,
-                     nat_less, nat_sub, nat_to_int)
+                     nat_less, nat_resolve, nat_sub, nat_to_int)
 
 _MATERIALIZE_LIMIT = 1 << 22
+# to_json (and so stable_key) writes strings up to this length as 0/1 text
+_JSON_TEXT_LIMIT = 4096
 _CLEAN01 = re.compile(r"[01]*")
 
 
@@ -278,17 +280,30 @@ class BitString:
             return self._text.count("1")
         return nat_add(*(l for b, l in self._runs if b == 1), 0)
 
+    def to_json(self, table: NatTable):
+        """The 0/1 text up to _JSON_TEXT_LIMIT bits, else {"runs": ...}
+        with each symbolic run length as a reference into `table`."""
+        text = self._text
+        if text is not None and len(text) <= _JSON_TEXT_LIMIT:
+            return text
+        return {"runs": [[b, l if type(l) is int else table.encode(l)]
+                         for b, l in self.runs]}
+
+    @classmethod
+    def from_json(cls, obj, built) -> "BitString":
+        """Inverse of to_json; `built` holds the decoded table nodes."""
+        if isinstance(obj, str):
+            return cls.from01(obj)
+        return cls((b, nat_resolve(l, built)) for b, l in obj["runs"])
+
     def stable_key(self) -> str:
-        """Deterministic, process-independent serialization for hashing."""
-        if self._text is not None and len(self._text) <= 4096:
-            return self._text
-        if self.is_concrete:
-            runs, nats = self.runs, []
-        else:
-            table = NatTable()
-            runs = [[b, table.encode(l)] for b, l in self._runs]
-            nats = table.to_list()
-        return json.dumps({"runs": runs, "nats": nats},
+        """Deterministic, process-independent serialization for hashing:
+        the compact dump of to_json with its own table."""
+        table = NatTable()
+        obj = self.to_json(table)
+        if isinstance(obj, str):
+            return obj
+        return json.dumps({**obj, "nats": table.to_list()},
                           sort_keys=True, separators=(",", ":"))
 
     def _eq_key(self):

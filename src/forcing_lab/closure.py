@@ -19,9 +19,9 @@ that surfaces honestly as RetryBudgetExceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .bits import BitStream, PatchedStream, derive_seed
+from .bits import BitStream, PatchedStream
 from .dense import CARRIER_PLANE, DenseFamily, checked_densify
 from .errors import (FamilyTooSmall, IncompatibleCommitment,
                      IncompatibleConditions, RetryBudgetExceeded, UsageError)
@@ -77,14 +77,6 @@ class BoundChainResult:
     patches: Dict[int, Dict[int, int]]
 
 
-def _row_base(n: int, b: Sequence[BitStream], fill_seed) -> BitStream:
-    if n < len(b):
-        return b[n]
-    if fill_seed is None:
-        return BitStream.constant(0)
-    return BitStream.seeded(derive_seed(fill_seed, "plane-fill", n))
-
-
 def bound_chain(b: Sequence[BitStream], family: DenseFamily,
                 retry_budget: int = 8, fill_seed=None
                 ) -> Tuple[BoundChainResult, ChainBoundTrace]:
@@ -109,6 +101,7 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
     patches: Dict[int, Dict[int, int]] = {}
     stage_records: List[dict] = []
     prev = PlaneCondition.empty()
+    fill = GenericPlane(fill_seed=fill_seed)
     for n in range(stages):
         reveal_to = 0
         retries = 0
@@ -141,7 +134,8 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
         row_patch = commit.row_cells(n)
         if n < m:
             patches[n] = row_patch
-        finalized[n] = PatchedStream(_row_base(n, b, fill_seed), row_patch)
+        base = b[n] if n < m else fill.row_stream(n)
+        finalized[n] = PatchedStream(base, row_patch)
         stage_records.append({"stage": n, "retries": retries,
                               "revealed_cols": reveal_to,
                               "committed_cells": len(commit),
@@ -157,14 +151,12 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
         stages=stage_records, conditions=chain, patches=patches,
         streams=[{"name": f"b{k}", **b[k].to_json()} for k in range(m)]
         + [{"name": f"d{k}", **result.d_rows[k].to_json()} for k in range(m)],
-        plane=plane.to_json())
+        plane=plane)
     return result, trace
 
 
 def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
-                 trace: ChainBoundTrace, family: DenseFamily,
-                 horizon: Optional[int] = None,
-                 col_window: Optional[int] = None) -> VerifyReport:
+                 trace: ChainBoundTrace, family: DenseFamily) -> VerifyReport:
     """Independently re-check a chain-bound run; reports, never raises.
 
     Checks: commitments in their sets, the commitment chain descending,
@@ -174,8 +166,7 @@ def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
     """
     report = VerifyReport()
     chain = trace.conditions
-    if horizon is None:
-        horizon = len(family)
+    horizon = len(family)
 
     def members():
         bad = [n for n in range(min(len(chain), len(family)))
@@ -192,11 +183,9 @@ def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
         return not bad, f"commitments not in the plane: {bad}" if bad else ""
 
     def rows_preserved():
-        window = col_window
-        if window is None:
-            window = max([horizon + 16]
-                         + [c + 1 for cols in trace.patches.values()
-                            for c in cols])
+        window = max([horizon + 16]
+                     + [c + 1 for cols in trace.patches.values()
+                        for c in cols])
         bad = []
         for k in range(trace.rows):
             patch = trace.patches.get(k, {})

@@ -27,7 +27,7 @@ from .dense import (CARRIER_COHEN, CARRIER_PLANE, CARRIER_POSET,
                     CARRIER_PRODUCT, DenseFamily)
 from .errors import BadArity, BudgetExceeded, FamilyTooSmall, UsageError
 from .plane import GenericPlane
-from .towers import nat_to_int
+from .towers import nat_le
 
 
 @dataclass
@@ -65,39 +65,6 @@ class GenericityReport:
                 f"{bad[:8]}{'...' if len(bad) > 8 else ''}")
 
 
-class _PrefixFilter:
-    """Uniform prefix access for streams and finite conditions."""
-
-    def __init__(self, obj):
-        if isinstance(obj, BitStream):
-            self.stream = obj
-            self.limit = None
-        elif isinstance(obj, BitString):
-            self.stream = None
-            self.string = obj
-            self.limit = nat_to_int(obj.length)
-        else:
-            raise UsageError(f"not a cohen filter representation: {obj!r}")
-
-    def cap(self, budget: int) -> int:
-        return budget if self.limit is None else min(budget, self.limit)
-
-    def take(self, k: int) -> BitString:
-        if self.stream is not None:
-            return self.stream.take(k)
-        return self.string.prefix(min(k, self.limit))
-
-    def take01(self, k: int) -> str:
-        if self.stream is not None:
-            return self.stream.take01(k)
-        return self.string.prefix(min(k, self.limit)).to01()
-
-    def bit(self, i: int) -> int:
-        if self.stream is not None:
-            return self.stream.bit(i)
-        return self.string.bit(i)
-
-
 def _search(dset, view, cap: int, candidate):
     """Fast witness re-checked with `member`, else a linear scan to cap.
 
@@ -115,25 +82,6 @@ def _search(dset, view, cap: int, candidate):
         if dset.member(cand):
             return cand
     return None
-
-
-def _prefix_view(filt, family: DenseFamily, budget: int):
-    """(witness-search view, scan cap, candidate(k)) for a prefix filter."""
-    if family.carrier == CARRIER_COHEN:
-        view = _PrefixFilter(filt)
-        return view, view.cap(budget), view.take
-    if family.carrier == CARRIER_PRODUCT:
-        filts = [_PrefixFilter(f) for f in filt]
-        if family.arity != len(filts):
-            raise BadArity(
-                f"family arity {family.arity} != {len(filts)} filters")
-        cap = min([budget] + [f.cap(budget) for f in filts])
-        return filts, cap, lambda k: tuple(f.take(k) for f in filts)
-    if family.carrier == CARRIER_PLANE:
-        if not isinstance(filt, GenericPlane):
-            raise UsageError("plane families need a GenericPlane filter")
-        return filt, budget, filt.restriction
-    raise UsageError(f"unknown carrier {family.carrier!r}")
 
 
 def _search_chain(dset, chain, poset, budget: int):
@@ -154,24 +102,67 @@ def _search_chain(dset, chain, poset, budget: int):
     return None
 
 
-def _default_budget(filt, family, horizon: int) -> int:
-    if family.carrier == CARRIER_COHEN and isinstance(filt, (list, tuple)):
-        # chain representation: budget counts chain elements and ancestors
-        return max(horizon + 16, 64, len(filt) + 1)
-    if family.carrier in (CARRIER_COHEN, CARRIER_PRODUCT):
-        parts = filt if isinstance(filt, (list, tuple)) else [filt]
-        top = horizon + 16
-        for p in parts:
+def _filter_search(filt, family: DenseFamily, horizon: int,
+                   budget: Optional[int], poset):
+    """(budget, search(dset)) for the filter's representation.
+
+    The one place that tells the representations apart. `budget` None
+    picks the default for the representation. A finite condition is read
+    as the stream of its own prefixes, cut at min(budget, its length).
+    """
+    carrier = family.carrier
+    if carrier == CARRIER_POSET or (carrier == CARRIER_COHEN
+                                    and isinstance(filt, (list, tuple))):
+        # a descending chain of conditions; the budget counts chain
+        # elements and ancestors
+        if poset is None and carrier == CARRIER_COHEN:
+            from .posets import cohen_poset
+            poset = cohen_poset()
+        chain = list(filt)
+        if budget is None:
+            budget = max(horizon + 16, 64, len(chain) + 1)
+        return budget, lambda dset: _search_chain(dset, chain, poset, budget)
+    if carrier == CARRIER_PLANE:
+        if not isinstance(filt, GenericPlane):
+            raise UsageError("plane families need a GenericPlane filter")
+        if budget is None:
+            extent = max(filt.commitments.max_row(),
+                         filt.commitments.max_col(), max(filt.rows, default=-1))
+            budget = max(horizon, extent + 1) + 2
+        return budget, lambda dset: _search(dset, filt, budget,
+                                            filt.restriction)
+    if carrier == CARRIER_COHEN:
+        coords = [filt]
+    elif carrier == CARRIER_PRODUCT:
+        coords = list(filt)
+        if family.arity != len(coords):
+            raise BadArity(
+                f"family arity {family.arity} != {len(coords)} filters")
+    else:
+        raise UsageError(f"unknown carrier {family.carrier!r}")
+    if not all(isinstance(p, (BitStream, BitString)) for p in coords):
+        raise UsageError(f"not a cohen filter representation: {filt!r}")
+    if budget is None:
+        budget = horizon + 16
+        for p in coords:
             if isinstance(p, BitStream):
-                top = max(top, len(p.prefix_string.to01()) + horizon + 16)
-            elif isinstance(p, BitString) and p.is_concrete:
-                top = max(top, min(nat_to_int(p.length), 1 << 20))
-        return top
-    if family.carrier == CARRIER_PLANE:
-        extent = max(filt.commitments.max_row(), filt.commitments.max_col(),
-                     max(filt.rows, default=-1))
-        return max(horizon, extent + 1) + 2
-    return max(horizon + 16, 64)
+                budget = max(budget, len(p.prefix_string.to01()) + horizon + 16)
+            elif p.is_concrete:
+                budget = max(budget, min(p.length, 1 << 20))
+    cap = budget
+    streams = []
+    for p in coords:
+        if isinstance(p, BitString):
+            own = budget if nat_le(budget, p.length) else p.length
+            cap = min(cap, own)
+            p = BitStream(p.prefix(own))
+        streams.append(p)
+    if carrier == CARRIER_COHEN:
+        view, candidate = streams[0], streams[0].take
+    else:
+        view = streams
+        candidate = lambda k: tuple(s.take(k) for s in streams)
+    return budget, lambda dset: _search(dset, view, cap, candidate)
 
 
 def meets_family(filt, family: DenseFamily, horizon: int,
@@ -181,23 +172,9 @@ def meets_family(filt, family: DenseFamily, horizon: int,
     if horizon > len(family):
         raise FamilyTooSmall(
             f"horizon {horizon} exceeds family size {len(family)}")
-    if budget is None:
-        budget = _default_budget(filt, family, horizon)
-    if budget < 1:
+    if budget is not None and budget < 1:
         raise UsageError("budget must be >= 1")
-
-    carrier = family.carrier
-    if carrier == CARRIER_POSET or (carrier == CARRIER_COHEN
-                                    and isinstance(filt, (list, tuple))):
-        # a descending chain of conditions is also a filter representation
-        if poset is None and carrier == CARRIER_COHEN:
-            from .posets import cohen_poset
-            poset = cohen_poset()
-        chain = list(filt)
-        search = lambda dset: _search_chain(dset, chain, poset, budget)
-    else:
-        view, cap, candidate = _prefix_view(filt, family, budget)
-        search = lambda dset: _search(dset, view, cap, candidate)
+    budget, search = _filter_search(filt, family, horizon, budget, poset)
 
     report = GenericityReport(horizon=horizon, budget=budget)
     for n in range(horizon):
@@ -222,8 +199,5 @@ def mutual_genericity_check(filters, family: DenseFamily, horizon: int,
         return GenericityReport(horizon=0, budget=budget or 1)
     if family.carrier != CARRIER_PRODUCT:
         raise BadArity("mutual genericity checks need a product family")
-    if family.arity != len(filters):
-        raise BadArity(
-            f"{len(filters)} filters against arity-{family.arity} family")
     return meets_family(tuple(filters), family, horizon,
                         budget=budget, strict=strict)

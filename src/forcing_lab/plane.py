@@ -13,7 +13,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Optional, Tuple
 
 from .bits import BitStream, BitString, ConstTail, PrngTail, derive_seed, prng_bit
-from .errors import IncompatibleConditions
+from .errors import IncompatibleConditions, UsageError
 
 Cell = Tuple[int, int]
 
@@ -181,6 +181,9 @@ class GenericPlane:
     @classmethod
     def from_json(cls, obj) -> "GenericPlane":
         from .bits import stream_from_json
-        rows = {int(r): stream_from_json(s) for r, s in obj.get("rows", {}).items()}
+        rows = obj.get("rows", {})
+        if not isinstance(rows, dict):
+            raise UsageError("a plane's rows must be a JSON object")
+        rows = {int(r): stream_from_json(s) for r, s in rows.items()}
         return cls(PlaneCondition.from_json(obj.get("commitments", [])),
                    rows=rows, fill_seed=obj.get("fill_seed"))

@@ -25,23 +25,6 @@ from .errors import CheckFailure, UsageError
 from .plane import GenericPlane, PlaneCondition
 from .towers import NatTable, nat_resolve
 
-_ASCII_LIMIT = 4096
-
-
-def encode_bitstring(s: BitString, table: Optional[NatTable] = None):
-    if s.is_concrete and (isinstance(s.length, int) and s.length <= _ASCII_LIMIT):
-        return s.to01()
-    if table is None:
-        raise UsageError("huge bitstring needs a nat table to serialize")
-    return {"runs": [[b, table.encode(l)] for b, l in s.runs]}
-
-
-def decode_bitstring(obj, built=None) -> BitString:
-    if isinstance(obj, str):
-        return BitString.from01(obj)
-    return BitString((b, nat_resolve(l, built or [])) for b, l in obj["runs"])
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -172,7 +155,7 @@ class WideTrace(Trace):
         obj["stages"] = [{**rec, **{key: table.encode(rec[key])
                                     for key in _STAGE_NATS}}
                          for rec in self.stages]
-        obj["conditions"] = {side: [encode_bitstring(s, table)
+        obj["conditions"] = {side: [s.to_json(table)
                                     for s in self.conditions[side]]
                              for side in ("g", "h")}
         obj["nats"] = table.to_list()
@@ -183,7 +166,7 @@ class WideTrace(Trace):
         values["stages"] = [{**rec, **{key: nat_resolve(rec[key], built)
                                        for key in _STAGE_NATS}}
                             for rec in values["stages"]]
-        values["conditions"] = {side: [decode_bitstring(s, built)
+        values["conditions"] = {side: [BitString.from_json(s, built)
                                        for s in values["conditions"][side]]
                                 for side in ("g", "h")}
 
@@ -210,21 +193,20 @@ class ChainBoundTrace(_PlaneTrace):
 
     kind = "chain-bound"
     patches: Dict[int, Dict[int, int]]
-    plane: dict                  # serialized GenericPlane
+    plane: GenericPlane
 
     def _encode(self, obj):
         super()._encode(obj)
         obj["patches"] = {str(r): {str(c): b for c, b in sorted(cols.items())}
                           for r, cols in sorted(self.patches.items())}
+        obj["plane"] = self.plane.to_json()
 
     @classmethod
     def _decode(cls, obj, values):
         super()._decode(obj, values)
         values["patches"] = {int(r): {int(c): b for c, b in cols.items()}
                              for r, cols in values["patches"].items()}
-
-    def rebuild_plane(self) -> GenericPlane:
-        return GenericPlane.from_json(self.plane)
+        values["plane"] = GenericPlane.from_json(values["plane"])
 
     def rebuild_bases(self):
         return [stream_from_json(s) for s in self.streams

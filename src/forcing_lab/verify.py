@@ -187,8 +187,7 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
 
 def _verify_chain(trace: ChainBoundTrace) -> VerifyReport:
     family = family_from_spec(trace.family)
-    bound = verify_bound(trace.rebuild_plane(), trace.rebuild_bases(), trace,
-                         family)
+    bound = verify_bound(trace.plane, trace.rebuild_bases(), trace, family)
     return VerifyReport([(f"chain-{name}", ok, detail)
                          for name, ok, detail in bound.items])
 

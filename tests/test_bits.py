@@ -12,7 +12,7 @@ from forcing_lab.bits import (BitStream, BitString, ConstTail, PatchedStream,
                               PayloadSource, PrngTail, read_bit_file,
                               stream_from_json, write_bit_file)
 from forcing_lab.errors import AmbiguousNat, PayloadExhausted, UsageError
-from forcing_lab.towers import is_huge, nat_pow2
+from forcing_lab.towers import NatTable, is_huge, nat_pow2
 
 bit_texts = st.text(alphabet="01", max_size=40)
 
@@ -91,6 +91,9 @@ def test_huge_runs_stay_structural():
     assert s.bit(0) == 0 and s.bit(1) == 1 and s.bit(2) == 0
     key1, key2 = s.stable_key(), s.stable_key()
     assert key1 == key2 and "runs" in key1
+    table = NatTable()
+    obj = s.to_json(table)
+    assert BitString.from_json(obj, NatTable.decode_all(table.to_list())) == s
 
 
 # --- differential test against a plain str model --------------------------
@@ -152,6 +155,7 @@ def _assert_agrees(s, model, other, limit):
     assert (s.strip_prefix(o) is None) == (not model.startswith(other))
     assert s.stable_key() == (model if len(model) <= min(limit, 4096)
                               else _run_json(model))
+    assert BitString.from_json(s.to_json(NatTable()), []) == s
     for twin in (BitString.from01(model), BitString(_runs(model))):
         assert s == twin and hash(s) == hash(twin)
     assert (s == o) == (model == other)

@@ -183,6 +183,13 @@ def _many_trace(tmp_path):
     return out
 
 
+def _chain_trace(tmp_path, plane):
+    out = tmp_path / "chain.json"
+    assert main(["bound-chain", "--family", plane, "--rows", "2",
+                 "--seed", "cb", "--out", str(out)]) == 0
+    return out
+
+
 def _edited(path, edit):
     obj = json.loads(path.read_text())
     edit(obj)
@@ -300,6 +307,27 @@ def _case_many_stream_missing(tmp_path, fam, plane):
         streams=[s for s in o["streams"] if s["name"] != "1"]))
 
 
+def _plane_edit(edit):
+    """A trace edit that applies `edit` to the trace's plane object."""
+    return lambda obj: edit(obj["plane"])
+
+
+def _case_chain_plane_row_key_x(tmp_path, fam, plane):
+    def edit(p):
+        p["rows"]["x"] = p["rows"].pop("0")
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(edit))
+
+
+def _case_chain_plane_commitment_pair(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(
+        lambda p: p.update(commitments=[[1, 2]])))
+
+
+def _case_chain_plane_rows_list(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(
+        lambda p: p.update(rows=[1])))
+
+
 @pytest.mark.parametrize("case", [
     _case_pair_no_payload_bits, _case_pair_no_stream_c, _case_family_of_ints,
     _case_pattern_without_word, _case_decode_wide_unknown_poset,
@@ -307,7 +335,8 @@ def _case_many_stream_missing(tmp_path, fam, plane):
     _case_stream_no_prefix, _case_stream_no_tail_rule, _case_patched_no_base,
     _case_patched_no_patch, _case_patched_base_not_object,
     _case_many_stream_named_7, _case_many_stream_named_x,
-    _case_many_stream_missing,
+    _case_many_stream_missing, _case_chain_plane_row_key_x,
+    _case_chain_plane_commitment_pair, _case_chain_plane_rows_list,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):
