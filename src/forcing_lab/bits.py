@@ -448,14 +448,10 @@ class PatchedStream(BitStream):
         self.patch = {int(k): int(v) for k, v in patch.items()}
         self.tail = base.tail
         cover = max(self.patch, default=-1) + 1
-        pref = max(cover, base.prefix_string.length)
-        self.prefix_string = BitString.from_bits(
-            self.patch.get(i, base.bit(i)) for i in range(pref))
-
-    def bit(self, i: int) -> int:
-        if i in self.patch:
-            return self.patch[i]
-        return self.base.bit(i)
+        text = list(base.take01(max(cover, base.prefix_string.length)))
+        for i, bit in self.patch.items():
+            text[i] = str(bit)
+        self.prefix_string = BitString.from01("".join(text))
 
     def to_json(self):
         return {"kind": "patched",

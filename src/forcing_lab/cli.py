@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .bits import BitStream, PayloadSource, read_bit_file, stream_from_json
+from .bits import BitStream, PayloadSource, read_bit_file
 from .closure import bound_chain, build_generics_run
 from .dense import load_family_file
 from .entangle import decode_many, decode_pair, entangle_many, entangle_pair
@@ -177,17 +177,9 @@ def _run(args) -> int:
         trace = load_trace(args.trace)
         if not isinstance(trace, WideTrace):
             raise UsageError(f"{args.trace} is not a wide trace")
-        from .dense import family_from_spec
-        family = family_from_spec(trace.family)
-        poset_factory = POSET_REGISTRY.get(trace.poset)
-        witness_factory = WITNESS_REGISTRY.get(trace.witness)
-        if poset_factory is None or witness_factory is None:
-            raise UsageError(f"unknown poset/witness {trace.poset!r}/"
-                             f"{trace.witness!r} in {args.trace}")
-        poset, witness = poset_factory(), witness_factory()
         count = args.count or len(trace.payload_bits)
-        triples = decode_wide(trace.g_chain, trace.h_chain, poset, witness,
-                              family, count, args.budget)
+        triples = decode_wide(trace.g_chain, trace.h_chain, trace.poset,
+                              trace.witness, trace.family, count, args.budget)
         bits = [z for _, _, z in triples]
         print(f"decoded z bits: {''.join(map(str, bits))}")
         return 0
@@ -206,14 +198,15 @@ def _run(args) -> int:
             if not isinstance(src, GenericsTrace):
                 raise UsageError(f"{args.from_generics} is a {src.kind} trace, "
                                  f"not a {GenericsTrace.kind} trace")
-            rows = [stream_from_json(s) for s in src.streams][:args.rows]
+            if not 0 <= args.rows <= src.rows:
+                raise UsageError(f"{args.from_generics} has {src.rows} rows")
+            rows = [src.streams[str(r)] for r in range(args.rows)]
         else:
             rows = build_generics_run(family, args.rows, len(family), seed)[0]
-        result, trace = bound_chain(rows, family,
-                                    retry_budget=args.retry_budget,
-                                    fill_seed=seed)
-        total_patch = sum(len(p) for p in result.patches.values())
-        print(f"bounded {len(rows)} rows through {len(result.commitments)} "
+        trace = bound_chain(rows, family, retry_budget=args.retry_budget,
+                            fill_seed=seed)
+        total_patch = sum(len(p) for p in trace.patches.values())
+        print(f"bounded {len(rows)} rows through {len(trace.conditions)} "
               f"stages; {total_patch} patched cells")
         _write(args, trace)
         return 0

@@ -18,7 +18,6 @@ that surfaces honestly as RetryBudgetExceeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .bits import BitStream, PatchedStream
@@ -62,29 +61,20 @@ def build_generics_run(family: DenseFamily, rows: int, horizon: int,
     plane = GenericPlane(commitments=cond, fill_seed=seed)
     streams = [plane.row_stream(r) for r in range(rows)]
     trace = GenericsTrace(
-        family=family.describe(), seed=seed, rows=rows, horizon=horizon,
+        family=family, seed=seed, rows=rows, horizon=horizon,
         conditions=[cond],
-        streams=[{"name": str(r), **streams[r].to_json()}
-                 for r in range(rows)])
+        streams={str(r): stream for r, stream in enumerate(streams)})
     return streams, plane, trace
 
 
-@dataclass
-class BoundChainResult:
-    d_rows: List[BitStream]          # patched versions of the inputs
-    plane: GenericPlane              # the bounding generic plane
-    commitments: List[PlaneCondition]
-    patches: Dict[int, Dict[int, int]]
-
-
 def bound_chain(b: Sequence[BitStream], family: DenseFamily,
-                retry_budget: int = 8, fill_seed=None
-                ) -> Tuple[BoundChainResult, ChainBoundTrace]:
+                retry_budget: int = 8, fill_seed=None) -> ChainBoundTrace:
     """Bound the rows b_0..b_{m-1} by a plane generic for the family.
 
     Runs one stage per family set. Stage n finds p_n <= p_{n-1} inside D_n
     agreeing with all finalized rows, then finalizes row n (b_n patched at
-    the committed row-n cells; fill-rule base beyond the inputs).
+    the committed row-n cells; fill-rule base beyond the inputs). The trace
+    holds the plane, the commitments (`conditions`), patches and rows.
     """
     if family.carrier != CARRIER_PLANE:
         raise UsageError("bound_chain needs a plane-carrier family")
@@ -142,17 +132,13 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
                               "attempts": transcript})
 
     top = chain[-1] if chain else PlaneCondition.empty()
-    plane = GenericPlane(commitments=top, rows=finalized, fill_seed=fill_seed)
-    result = BoundChainResult(
-        d_rows=[finalized[k] for k in range(m)], plane=plane,
-        commitments=chain, patches=patches)
-    trace = ChainBoundTrace(
-        family=family.describe(), seed=fill_seed, rows=m,
+    return ChainBoundTrace(
+        family=family, seed=fill_seed, rows=m,
         stages=stage_records, conditions=chain, patches=patches,
-        streams=[{"name": f"b{k}", **b[k].to_json()} for k in range(m)]
-        + [{"name": f"d{k}", **result.d_rows[k].to_json()} for k in range(m)],
-        plane=plane)
-    return result, trace
+        streams={**{f"b{k}": b[k] for k in range(m)},
+                 **{f"d{k}": finalized[k] for k in range(m)}},
+        plane=GenericPlane(commitments=top, rows=finalized,
+                           fill_seed=fill_seed))
 
 
 def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
@@ -161,8 +147,8 @@ def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
 
     Checks: commitments in their sets, the commitment chain descending,
     commitments contained in the plane, rows preserved outside the patches
-    (and equal to them on the patches, over a finite column window), and
-    the plane meeting the family.
+    (and equal to them on the patches, over a finite column window), the
+    trace's rows d_k being the plane's rows, and the plane meeting the family.
     """
     report = VerifyReport()
     chain = trace.conditions
@@ -187,7 +173,10 @@ def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
                      + [c + 1 for cols in trace.patches.values()
                         for c in cols])
         bad = []
+        d_rows = trace.row_streams("d")
         for k in range(trace.rows):
+            if d_rows[k].to_json() != plane.row_stream(k).to_json():
+                bad.append((k, "d"))
             patch = trace.patches.get(k, {})
             for col in range(window):
                 actual = plane.cell(k, col)

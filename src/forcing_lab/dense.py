@@ -106,34 +106,6 @@ class DenseFamily:
         spec["seed"] = seed
         return family_from_spec(spec)
 
-    def restrict_rows(self, rows: Sequence[int]) -> "DenseFamily":
-        """Project a catalog plane family onto a tuple of rows.
-
-        The result is a product family over streams indexed by `rows`: a
-        square set becomes per-coordinate min-length, a cell set constrains
-        the coordinate owning its row (or nothing, if the row was dropped).
-        """
-        if self.carrier != CARRIER_PLANE or self.entries is None:
-            raise UsageError("only catalog plane families can be row-restricted")
-        rows = list(rows)
-        sets = []
-        for i, entry in enumerate(self.entries):
-            kind = entry["type"]
-            if kind == "square":
-                sets.append(_product_min_length(i, len(rows), None))
-            elif kind == "cell":
-                try:
-                    coord = rows.index(entry["row"])
-                except ValueError:
-                    sets.append(DenseSet(i, lambda t: True, lambda t: t,
-                                         spec={"type": "trivial"}))
-                    continue
-                sets.append(_product_coord_min_length(i, len(rows), coord, None))
-            else:
-                raise UsageError(f"cannot row-restrict plane set type {kind!r}")
-        return DenseFamily(sets, CARRIER_PRODUCT, arity=len(rows),
-                           entries=[s.spec for s in sets])
-
 
 def checked_densify(dset: DenseSet, cond, leq: Callable) -> object:
     """Run a densifier and enforce its contract."""
@@ -278,7 +250,7 @@ def _cohen_min_length(i: int, seed) -> DenseSet:
 
 
 def _cohen_pattern(i: int, word: str, seed) -> DenseSet:
-    if not word or any(c not in "01" for c in word):
+    if not isinstance(word, str) or not word or word.strip("01"):
         raise UsageError(f"pattern word must be nonempty binary, got {word!r}")
     minpos = i + 1
 
@@ -303,6 +275,8 @@ def _cohen_pattern(i: int, word: str, seed) -> DenseSet:
 
 
 def _cohen_parity(i: int, target: int, seed) -> DenseSet:
+    if type(target) is not int:
+        raise UsageError(f"parity must be an integer, got {target!r}")
     need = i + 1
     target = target % 2
 
@@ -356,6 +330,8 @@ def _product_min_length(i: int, arity: int, seed) -> DenseSet:
 
 
 def _product_coord_min_length(i: int, arity: int, coord: int, seed) -> DenseSet:
+    if type(coord) is not int or not 0 <= coord < arity:
+        raise UsageError(f"coord {coord!r} is not in 0..{arity - 1}")
     need = i + 1
 
     def member(tup) -> bool:
@@ -443,6 +419,8 @@ def _plane_square(i: int, seed) -> DenseSet:
 
 
 def _plane_cell(i: int, row: int, seed) -> DenseSet:
+    if type(row) is not int or row < 0:
+        raise UsageError(f"row must be an integer >= 0, got {row!r}")
     col = i
 
     def member(p: PlaneCondition) -> bool:
@@ -504,6 +482,8 @@ def family_from_spec(obj) -> DenseFamily:
         raise UsageError("a family is an object with a list of sets, or a list")
     carrier = obj.get("carrier", CARRIER_COHEN)
     arity = obj.get("arity")
+    if carrier == CARRIER_PRODUCT and (type(arity) is not int or arity < 0):
+        raise UsageError(f"product arity must be an integer >= 0, got {arity!r}")
     seed = obj.get("seed")
     entries = obj.get("sets", [])
     sets = [build_set(i, e, carrier, arity, seed) for i, e in enumerate(entries)]

@@ -81,8 +81,9 @@ def entangle_pair(family: DenseFamily, payload, stages: int
         if nxt < prev + 2:
             raise InternalError(f"marker positions too close: {prev}, {nxt}")
 
+    c_stream, d_stream = BitStream(c, ConstTail(0)), BitStream(d, ConstTail(0))
     trace = PairTrace(
-        family=family.describe(), seed=family.seed,
+        family=family, seed=family.seed,
         payload_source=source.description, payload_bits=consumed,
         boundaries=boundaries,
         stages=[{"stage": n,
@@ -91,9 +92,8 @@ def entangle_pair(family: DenseFamily, payload, stages: int
                 for n in range(stages)],
         conditions=[{"c": c_stages[n].to01(), "d": d_stages[n].to01()}
                     for n in range(stages)],
-        streams=[{"name": "c", **BitStream(c, ConstTail(0)).to_json()},
-                 {"name": "d", **BitStream(d, ConstTail(0)).to_json()}])
-    return BitStream(c, ConstTail(0)), BitStream(d, ConstTail(0)), trace
+        streams={"c": c_stream, "d": d_stream})
+    return c_stream, d_stream, trace
 
 
 def _scan_for_one(stream, start: int, budget: int, step, name: str) -> int:
@@ -196,10 +196,10 @@ def entangle_many(k: int, family: DenseFamily, payload, stages: int
 
     streams = [BitStream(cur[i], ConstTail(0)) for i in range(k)]
     trace = ManyTrace(
-        k=k, family=family.describe(), seed=family.seed,
+        k=k, family=family, seed=family.seed,
         payload_source=source.description, payload_bits=consumed,
         boundaries=boundaries, stages=stage_records, conditions=conditions,
-        streams=[{"name": str(i), **streams[i].to_json()} for i in range(k)])
+        streams={str(i): stream for i, stream in enumerate(streams)})
     return streams, trace
 
 

@@ -259,6 +259,9 @@ class NatTable:
         built = []
         for obj in nodes or []:
             if obj["op"] == "add":
+                if not isinstance(obj["const"], int):
+                    raise UsageError(f"nat node {len(built)} has a "
+                                     f"non-integer const {obj['const']!r}")
                 val = nat_add(*[nat_resolve(a, built) for a in obj["args"]],
                               obj["const"])
             else:

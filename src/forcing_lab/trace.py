@@ -5,9 +5,10 @@ coding points, chosen conditions and payload bits, enough to replay and
 re-verify the run without re-running the construction. Every kind shares
 one envelope, the `Trace` fields {kind, family, seed, payload_source,
 payload_bits, boundaries, stages, conditions, streams}; a kind only adds
-keys of its own and converts the fields it keeps decoded. Serialization is
-deterministic (sorted keys, stable node ids), so identical runs give
-identical bytes.
+keys of its own and converts the fields it keeps decoded. A loaded trace
+holds decoded values only, its stream names checked, so no other module
+parses trace JSON. Serialization is deterministic (sorted keys, stable
+node ids), so identical runs give identical bytes.
 
 Bitstrings are stored as ASCII '0'/'1' when small; conditions from wide
 runs can be astronomically long, and are stored as run lists whose lengths
@@ -18,11 +19,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
-from .bits import BitString, stream_from_json
+from .bits import BitStream, BitString, stream_from_json
+from .dense import DenseFamily, family_from_spec
 from .errors import CheckFailure, UsageError
 from .plane import GenericPlane, PlaneCondition
+from .posets import (POSET_REGISTRY, WITNESS_REGISTRY, CountablePoset,
+                     WidenessWitness)
 from .towers import NatTable, nat_resolve
 
 def _dump(obj) -> str:
@@ -47,7 +52,7 @@ def load_trace(path):
 
 def trace_from_json(obj):
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    cls = _TRACE_KINDS.get(kind)
+    cls = _TRACE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise UsageError(f"unknown trace kind {kind!r}")
     return cls.from_json(obj)
@@ -76,27 +81,45 @@ def _json_field(obj: dict, kind: str, key: str):
     return value
 
 
+def _decode_streams(kind: str, objs: list, names: Iterable[str]
+                    ) -> Dict[str, BitStream]:
+    """Decode a trace's stream objects, which must carry `names` in order."""
+    names = list(islice(names, len(objs) + 1))
+    got = [s.get("name") if isinstance(s, dict) else s for s in objs]
+    if got != names:
+        raise UsageError(f"{kind} trace streams must be objects named "
+                         f"{names}, got {got}")
+    return {name: stream_from_json(s) for name, s in zip(names, objs)}
+
+
 @dataclass(kw_only=True)
 class Trace:
     """The envelope every trace kind shares.
 
-    Subclasses set `kind`, declare their own fields, and override
-    `_encode`/`_decode` only for fields they keep as decoded objects.
+    Subclasses set `kind`, declare their own fields, name their streams in
+    `_stream_names`, and override `_encode`/`_decode` only for fields they
+    keep as decoded objects.
     """
 
     kind: ClassVar[str]
-    family: dict
+    # the names of the streams, in order, given the trace's JSON fields
+    _stream_names: ClassVar[Callable[[dict], Iterable[str]]] = staticmethod(
+        lambda values: ())
+    family: DenseFamily
     seed: object = None
     payload_source: Optional[dict] = None
     payload_bits: List[int] = field(default_factory=list)
     boundaries: List[int] = field(default_factory=list)
     stages: List[dict] = field(default_factory=list)
     conditions: list = field(default_factory=list)
-    streams: List[dict] = field(default_factory=list)
+    streams: Dict[str, BitStream] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         obj = {f.name: getattr(self, f.name) for f in fields(self)}
         obj["kind"] = self.kind
+        obj["family"] = self.family.describe()
+        obj["streams"] = [{"name": name, **s.to_json()}
+                          for name, s in self.streams.items()]
         self._encode(obj)
         return obj
 
@@ -104,8 +127,9 @@ class Trace:
     def from_json(cls, obj: dict) -> "Trace":
         values = {f.name: _json_field(obj, cls.kind, f.name)
                   for f in fields(cls)}
-        if not all(isinstance(s, dict) for s in values["streams"]):
-            raise UsageError(f"{cls.kind} trace streams must be objects")
+        values["family"] = family_from_spec(values["family"])
+        values["streams"] = _decode_streams(cls.kind, values["streams"],
+                                            cls._stream_names(values))
         try:
             cls._decode(obj, values)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -122,12 +146,14 @@ class Trace:
 
 class PairTrace(Trace):
     kind = "pair"
+    _stream_names = staticmethod(lambda values: ("c", "d"))
 
 
 @dataclass(kw_only=True)
 class ManyTrace(Trace):
     kind = "many"
     k: int
+    _stream_names = staticmethod(lambda values: map(str, range(values["k"])))
 
 
 _STAGE_NATS = ("alpha", "j", "beta")
@@ -139,8 +165,8 @@ class WideTrace(Trace):
     hold the two descending chains as {"g": [...], "h": [...]}."""
 
     kind = "wide"
-    poset: str
-    witness: str
+    poset: CountablePoset
+    witness: WidenessWitness
 
     @property
     def g_chain(self) -> List[BitString]:
@@ -159,9 +185,12 @@ class WideTrace(Trace):
                                     for s in self.conditions[side]]
                              for side in ("g", "h")}
         obj["nats"] = table.to_list()
+        obj["poset"], obj["witness"] = self.poset.name, self.witness.name
 
     @classmethod
     def _decode(cls, obj, values):
+        values["poset"] = POSET_REGISTRY[values["poset"]]()
+        values["witness"] = WITNESS_REGISTRY[values["witness"]]()
         built = NatTable.decode_all(obj.get("nats", []))
         values["stages"] = [{**rec, **{key: nat_resolve(rec[key], built)
                                        for key in _STAGE_NATS}}
@@ -194,6 +223,12 @@ class ChainBoundTrace(_PlaneTrace):
     kind = "chain-bound"
     patches: Dict[int, Dict[int, int]]
     plane: GenericPlane
+    _stream_names = staticmethod(lambda values: (
+        f"{p}{k}" for p in "bd" for k in range(values["rows"])))
+
+    def row_streams(self, prefix: str) -> List[BitStream]:
+        """The inputs b0, b1, ... (prefix "b") or the patched rows d0, ..."""
+        return [self.streams[f"{prefix}{k}"] for k in range(self.rows)]
 
     def _encode(self, obj):
         super()._encode(obj)
@@ -204,13 +239,14 @@ class ChainBoundTrace(_PlaneTrace):
     @classmethod
     def _decode(cls, obj, values):
         super()._decode(obj, values)
+        for r, cols in values["patches"].items():
+            if not isinstance(cols, dict) or not all(
+                    c.isdecimal() and b in (0, 1) for c, b in cols.items()):
+                raise UsageError(f"chain-bound trace patch of row {r!r} must "
+                                 f"map decimal columns to bits 0/1")
         values["patches"] = {int(r): {int(c): b for c, b in cols.items()}
                              for r, cols in values["patches"].items()}
         values["plane"] = GenericPlane.from_json(values["plane"])
-
-    def rebuild_bases(self):
-        return [stream_from_json(s) for s in self.streams
-                if str(s.get("name", "")).startswith("b")]
 
 
 @dataclass(kw_only=True)
@@ -219,6 +255,7 @@ class GenericsTrace(_PlaneTrace):
 
     kind = "generic-plane"
     horizon: int
+    _stream_names = staticmethod(lambda values: map(str, range(values["rows"])))
 
     @classmethod
     def _decode(cls, obj, values):
@@ -241,9 +278,6 @@ class VerifyReport:
     def all_passed(self) -> bool:
         return all(ok for _, ok, _ in self.items)
 
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.items.append((name, ok, detail))
-
     def check(self, name: str, fn):
         try:
             out = fn()
@@ -252,7 +286,7 @@ class VerifyReport:
             ok, detail = False, str(exc)
         except Exception as exc:  # noqa: BLE001 - reports must not throw
             ok, detail = False, f"exception: {exc!r}"
-        self.add(name, ok, detail)
+        self.items.append((name, ok, detail))
 
     def summary(self) -> str:
         lines = []

@@ -10,14 +10,12 @@ construction itself.
 
 from __future__ import annotations
 
-from .bits import BitString, stream_from_json
+from .bits import BitString
 from .closure import verify_bound
-from .dense import family_from_spec
 from .entangle import decode_many, decode_pair
 from .errors import UsageError
 from .generic import meets_family, mutual_genericity_check
 from .plane import GenericPlane
-from .posets import POSET_REGISTRY, WITNESS_REGISTRY
 from .towers import nat_equal
 from .trace import (ChainBoundTrace, GenericsTrace, ManyTrace, PairTrace,
                     VerifyReport, WideTrace)
@@ -37,11 +35,7 @@ def verify_trace(trace) -> VerifyReport:
 
 def _verify_pair(trace: PairTrace) -> VerifyReport:
     report = VerifyReport()
-    family = family_from_spec(trace.family)
-    streams = {s.get("name"): s for s in trace.streams}
-    if "c" not in streams or "d" not in streams:
-        raise UsageError("pair trace needs streams named 'c' and 'd'")
-    c, d = stream_from_json(streams["c"]), stream_from_json(streams["d"])
+    c, d = trace.streams["c"], trace.streams["d"]
     horizon = len(trace.stages)
 
     def decode_matches():
@@ -64,7 +58,7 @@ def _verify_pair(trace: PairTrace) -> VerifyReport:
                 cond = BitString.from01(rec[name])
                 if stream.take(len(rec[name])) != cond:
                     return False, f"stage {n} {name} not a stream prefix"
-                if not family[n].member(cond):
+                if not trace.family[n].member(cond):
                     return False, f"stage {n} {name} not in D_{n}"
         return True, f"{len(trace.conditions)} stages"
 
@@ -72,9 +66,9 @@ def _verify_pair(trace: PairTrace) -> VerifyReport:
     report.check("pair-marker-spacing", marker_spacing)
     report.check("pair-stage-conditions", stage_conditions)
     report.check("pair-c-generic",
-                 lambda: _meets(c, family, horizon))
+                 lambda: _meets(c, trace.family, horizon))
     report.check("pair-d-generic",
-                 lambda: _meets(d, family, horizon))
+                 lambda: _meets(d, trace.family, horizon))
     return report
 
 
@@ -85,19 +79,7 @@ def _meets(filt, family, horizon):
 
 def _verify_many(trace: ManyTrace) -> VerifyReport:
     report = VerifyReport()
-    family = family_from_spec(trace.family)
-    names = [str(i) for i in range(trace.k)]
-    by_name = {}
-    for s in trace.streams:
-        name = s.get("name")
-        if name not in names or name in by_name:
-            raise UsageError(f"many trace stream name {name!r} is not one of "
-                             f"'0'..'{trace.k - 1}' used once")
-        by_name[name] = stream_from_json(s)
-    missing = [n for n in names if n not in by_name]
-    if missing:
-        raise UsageError(f"many trace has no stream named {missing[0]!r}")
-    streams = [by_name[n] for n in names]
+    streams = list(trace.streams.values())
     horizon = len(trace.conditions)
 
     def decode_matches():
@@ -128,7 +110,7 @@ def _verify_many(trace: ManyTrace) -> VerifyReport:
     def subtuples_generic():
         for i in range(trace.k):
             others = [streams[j] for j in range(trace.k) if j != i]
-            rep = mutual_genericity_check(others, family, horizon)
+            rep = mutual_genericity_check(others, trace.family, horizon)
             if not rep.all_met:
                 return False, f"subtuple omitting {i}: {rep.summary()}"
         return True, f"all {trace.k} subtuples generic to horizon {horizon}"
@@ -141,15 +123,7 @@ def _verify_many(trace: ManyTrace) -> VerifyReport:
 
 def _verify_wide(trace: WideTrace) -> VerifyReport:
     report = VerifyReport()
-    family = family_from_spec(trace.family)
-    poset_factory = POSET_REGISTRY.get(trace.poset)
-    witness_factory = WITNESS_REGISTRY.get(trace.witness)
-    if poset_factory is None or witness_factory is None:
-        report.add("wide-registry", False,
-                   f"unknown poset/witness {trace.poset!r}/{trace.witness!r}")
-        return report
-    poset = poset_factory()
-    witness = witness_factory()
+    family, poset, witness = trace.family, trace.poset, trace.witness
     g, h = trace.g_chain, trace.h_chain
     count = len(trace.payload_bits)
 
@@ -186,27 +160,25 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
 
 
 def _verify_chain(trace: ChainBoundTrace) -> VerifyReport:
-    family = family_from_spec(trace.family)
-    bound = verify_bound(trace.plane, trace.rebuild_bases(), trace, family)
+    bound = verify_bound(trace.plane, trace.row_streams("b"), trace,
+                         trace.family)
     return VerifyReport([(f"chain-{name}", ok, detail)
                          for name, ok, detail in bound.items])
 
 
 def _verify_generics(trace: GenericsTrace) -> VerifyReport:
     report = VerifyReport()
-    family = family_from_spec(trace.family)
     plane = GenericPlane(commitments=trace.conditions[0], fill_seed=trace.seed)
 
     report.check("generics-plane-meets-family",
-                 lambda: _meets(plane, family, trace.horizon))
+                 lambda: _meets(plane, trace.family, trace.horizon))
 
     def rows_are_slices():
-        for s in trace.streams:
-            r = int(s["name"])
-            rebuilt = stream_from_json(s)
-            width = len(rebuilt.prefix_string.to01()) + 8
+        for name, stream in trace.streams.items():
+            r = int(name)
+            width = len(stream.prefix_string.to01()) + 8
             for col in range(width):
-                if rebuilt.bit(col) != plane.cell(r, col):
+                if stream.bit(col) != plane.cell(r, col):
                     return False, f"row {r} differs from plane at col {col}"
         return True, f"{len(trace.streams)} row streams match the plane"
 

@@ -22,8 +22,9 @@ from typing import List, Tuple
 
 from .bits import PayloadSource
 from .dense import CARRIER_COHEN, CARRIER_POSET, DenseFamily, checked_densify
-from .errors import (ConsistencyFailure, EmptyFamily, FamilyTooSmall,
-                     NoAntichainHit, UsageError, WitnessViolation)
+from .errors import (AmbiguousNat, ConsistencyFailure, EmptyFamily,
+                     FamilyTooSmall, NoAntichainHit, UsageError,
+                     WitnessViolation)
 from .posets import CountablePoset, WidenessWitness
 from .towers import nat_add, nat_equal, nat_half, nat_mul_pow2, nat_parity
 from .trace import WideTrace
@@ -74,7 +75,7 @@ def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
                         "beta": beta})
 
     trace = WideTrace(
-        poset=poset.name, witness=witness.name, family=family.describe(),
+        poset=poset, witness=witness, family=family,
         seed=family.seed, payload_source=source.description,
         payload_bits=consumed, stages=records,
         conditions={"g": ps, "h": qs})
@@ -88,7 +89,10 @@ def _find_hit(chain, witness: WidenessWitness, base, poset: CountablePoset,
         for i, el in enumerate(chain):
             if i >= budget:
                 break
-            k = witness.locate(base, el)
+            try:
+                k = witness.locate(base, el)
+            except AmbiguousNat:
+                continue  # lengths unordered against the walk: not its chain
             if k is not None and poset.leq(el, witness.antichain(base, k)):
                 return k
         return None
@@ -142,17 +146,3 @@ def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
         p, q = p_next, q_next
     return out
 
-
-def antichain_hits(chain, witness: WidenessWitness, base,
-                   poset: CountablePoset, budget: int = 1024) -> List:
-    """All antichain indices below `base` hit by chain elements (deduplicated)."""
-    hits = []
-    if witness.locate is None:
-        return [j for j in range(budget)
-                if any(poset.leq(el, witness.antichain(base, j)) for el in chain)]
-    for el in chain:
-        k = witness.locate(base, el)
-        if k is not None and poset.leq(el, witness.antichain(base, k)):
-            if not any(nat_equal(k, seen) for seen in hits):
-                hits.append(k)
-    return hits

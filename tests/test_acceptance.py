@@ -117,15 +117,15 @@ def test_criterion_5_chain_bound():
     bound_fam = square_family(48)
     rows = build_mutually_generic_sequence(build_fam, 8, 48,
                                            seed="criterion5-fill")
-    result, trace = bound_chain(rows, bound_fam, retry_budget=8,
-                                fill_seed="criterion5-fill")
-    report_bound = verify_bound(result.plane, rows, trace, bound_fam)
+    trace = bound_chain(rows, bound_fam, retry_budget=8,
+                        fill_seed="criterion5-fill")
+    report_bound = verify_bound(trace.plane, rows, trace, bound_fam)
     assert report_bound.all_passed, report_bound.summary()
-    top = result.commitments[-1]
-    for row, patch in result.patches.items():
+    top = trace.conditions[-1]
+    for row, patch in trace.patches.items():
         assert len(patch) <= len(top.row_cells(row))
         assert len(patch) < 10 ** 6  # finite and explicitly bounded
-    assert meets_family(result.plane, bound_fam, 48).all_met
+    assert meets_family(trace.plane, bound_fam, 48).all_met
     retries = [rec["retries"] for rec in trace.stages]
     assert max(retries) <= 2, f"retries per stage: {retries}"
     elapsed = time.perf_counter() - t0
@@ -173,7 +173,7 @@ def test_criterion_7_determinism(tmp_path):
     def chain_run(path):
         fam = square_family(12, seed="d7c")
         rows = build_mutually_generic_sequence(fam, 3, 12, seed="d7f")
-        _, tr = bound_chain(rows, square_family(12), fill_seed="d7f")
+        tr = bound_chain(rows, square_family(12), fill_seed="d7f")
         write_trace(path, tr)
 
     for name, run in (("pair", pair_run), ("wide", wide_run),

@@ -190,6 +190,25 @@ def _chain_trace(tmp_path, plane):
     return out
 
 
+def _generics_trace(tmp_path, plane):
+    out = tmp_path / "generics.json"
+    assert main(["build-generics", "--family", plane, "--rows", "2",
+                 "--horizon", "4", "--seed", "gp", "--out", str(out)]) == 0
+    return out
+
+
+def test_tampered_d_row_fails_verify(tmp_path, plane_family, capsys):
+    def flip_d0_patch(obj):
+        d0 = next(s for s in obj["streams"] if s["name"] == "d0")
+        col = min(d0["patch"], key=int)
+        d0["patch"][col] ^= 1
+
+    path = _edited(_chain_trace(tmp_path, plane_family), flip_d0_patch)
+    capsys.readouterr()
+    assert main(["verify", "--trace", path]) == 1
+    assert "FAIL chain-rows-preserved-off-patches" in capsys.readouterr().out
+
+
 def _edited(path, edit):
     obj = json.loads(path.read_text())
     edit(obj)
@@ -269,6 +288,16 @@ def _case_bound_chain_from_pair(tmp_path, fam, plane):
             "--from-generics", str(_pair_trace(tmp_path, fam))]
 
 
+def _case_bound_chain_more_rows_than_generics(tmp_path, fam, plane):
+    return ["bound-chain", "--family", plane, "--rows", "3",
+            "--from-generics", str(_generics_trace(tmp_path, plane))]
+
+
+def _case_verify_wide_unknown_poset(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam),
+                          lambda o: o.update(poset="nope"))
+
+
 def _case_stream_no_prefix(tmp_path, fam, plane):
     return _verify_edited(_pair_trace(tmp_path, fam),
                           _stream_c(lambda s: s.pop("prefix")))
@@ -307,6 +336,15 @@ def _case_many_stream_missing(tmp_path, fam, plane):
         streams=[s for s in o["streams"] if s["name"] != "1"]))
 
 
+def _case_generics_stream_named_x(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane), _renamed("0", "x"))
+
+
+def _case_generics_streams_reordered(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          lambda o: o["streams"].reverse())
+
+
 def _plane_edit(edit):
     """A trace edit that applies `edit` to the trace's plane object."""
     return lambda obj: edit(obj["plane"])
@@ -328,15 +366,23 @@ def _case_chain_plane_rows_list(tmp_path, fam, plane):
         lambda p: p.update(rows=[1])))
 
 
+def _case_chain_patch_not_object(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane),
+                          lambda o: o.update(patches={"0": [1]}))
+
+
 @pytest.mark.parametrize("case", [
     _case_pair_no_payload_bits, _case_pair_no_stream_c, _case_family_of_ints,
     _case_pattern_without_word, _case_decode_wide_unknown_poset,
     _case_bound_chain_from_wide, _case_bound_chain_from_pair,
+    _case_bound_chain_more_rows_than_generics, _case_verify_wide_unknown_poset,
     _case_stream_no_prefix, _case_stream_no_tail_rule, _case_patched_no_base,
     _case_patched_no_patch, _case_patched_base_not_object,
     _case_many_stream_named_7, _case_many_stream_named_x,
-    _case_many_stream_missing, _case_chain_plane_row_key_x,
+    _case_many_stream_missing, _case_generics_stream_named_x,
+    _case_generics_streams_reordered, _case_chain_plane_row_key_x,
     _case_chain_plane_commitment_pair, _case_chain_plane_rows_list,
+    _case_chain_patch_not_object,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):

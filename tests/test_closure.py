@@ -10,6 +10,7 @@ from forcing_lab.dense import (DenseFamily, DenseSet, mixed_plane_family,
 from forcing_lab.errors import FamilyTooSmall, RetryBudgetExceeded, UsageError
 from forcing_lab.generic import meets_family, mutual_genericity_check
 from forcing_lab.plane import GenericPlane, PlaneCondition
+from test_dense import restrict_rows
 
 
 def test_frozen_sq_example():
@@ -17,24 +18,24 @@ def test_frozen_sq_example():
     fam = square_family(2)
     b0 = BitStream.constant(1)
     b1 = BitStream.from_prefix("10" * 10, ConstTail(0))
-    result, trace = bound_chain([b0, b1], fam)
-    assert result.commitments[0] == PlaneCondition({(0, 0): 0})
-    assert result.commitments[1] == PlaneCondition(
+    trace = bound_chain([b0, b1], fam)
+    assert trace.conditions[0] == PlaneCondition({(0, 0): 0})
+    assert trace.conditions[1] == PlaneCondition(
         {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 0})
-    d0, d1 = result.d_rows
+    d0, d1 = trace.row_streams("d")
     assert d0.take01(4) == "0111"
     assert d1.take01(4) == "0010"
-    assert result.patches == {0: {0: 0}, 1: {0: 0, 1: 0}}
+    assert trace.patches == {0: {0: 0}, 1: {0: 0, 1: 0}}
     assert trace.stages[1]["retries"] == 1  # revealed d_0(1) = 1 and retried
 
 
 def test_empty_chain_is_plain_fold():
     fam = square_family(3)
-    result, trace = bound_chain([], fam)
-    assert result.d_rows == [] and result.patches == {}
-    assert len(result.commitments) == 3
-    assert meets_family(result.plane, fam, 3).all_met
-    report = verify_bound(result.plane, [], trace, fam)
+    trace = bound_chain([], fam)
+    assert trace.row_streams("d") == [] and trace.patches == {}
+    assert len(trace.conditions) == 3
+    assert meets_family(trace.plane, fam, 3).all_met
+    report = verify_bound(trace.plane, [], trace, fam)
     assert report.all_passed, report.summary()
 
 
@@ -47,7 +48,7 @@ def test_built_rows_are_mutually_generic():
     rows = build_mutually_generic_sequence(fam, 3, 20, seed="fill")
     assert len(rows) == 3
     for subset in ([0, 1], [0, 2], [1, 2], [0, 1, 2]):
-        sub_fam = fam.restrict_rows(subset)
+        sub_fam = restrict_rows(fam, subset)
         streams = [rows[i] for i in subset]
         assert mutual_genericity_check(streams, sub_fam, 20).all_met
 
@@ -55,41 +56,41 @@ def test_built_rows_are_mutually_generic():
 def test_single_row_build_meets_row_restriction():
     fam = square_family(8)
     rows = build_mutually_generic_sequence(fam, 1, 8, seed="one")
-    rep = mutual_genericity_check(rows, fam.restrict_rows([0]), 8)
+    rep = mutual_genericity_check(rows, restrict_rows(fam, [0]), 8)
     assert rep.all_met
 
 
 def test_bound_chain_full_verification():
     fam = mixed_plane_family(16, seed=None)
     b = build_mutually_generic_sequence(fam, 4, 16, seed="rows")
-    result, trace = bound_chain(b, fam, fill_seed="rows")
-    report = verify_bound(result.plane, b, trace, fam)
+    trace = bound_chain(b, fam, fill_seed="rows")
+    report = verify_bound(trace.plane, b, trace, fam)
     assert report.all_passed, report.summary()
     # patch support never exceeds the committed cells of its row
-    top = result.commitments[-1]
-    for row, patch in result.patches.items():
+    top = trace.conditions[-1]
+    for row, patch in trace.patches.items():
         assert set(patch) <= set(top.row_cells(row))
     # every committed stage lies inside its dense set and the final plane
-    for n, p in enumerate(result.commitments):
+    for n, p in enumerate(trace.conditions):
         assert fam[n].member(p)
-        assert result.plane.contains(p)
+        assert trace.plane.contains(p)
 
 
 def test_mutation_outside_commitments_caught_by_patch_check():
     fam = square_family(6)
     b = build_mutually_generic_sequence(fam, 2, 6, seed="mut")
-    result, trace = bound_chain(b, fam, fill_seed="mut")
-    committed_cols = set(result.commitments[-1].row_cells(0))
+    trace = bound_chain(b, fam, fill_seed="mut")
+    committed_cols = set(trace.conditions[-1].row_cells(0))
     flip_col = max(committed_cols, default=-1) + 3
     # tamper with row 0 of the plane outside every commitment
-    d0 = result.plane.rows[0]
+    d0 = trace.plane.rows[0]
     patched = dict(d0.patch)
     patched[flip_col] = 1 - d0.bit(flip_col)
     from forcing_lab.bits import PatchedStream
-    rows = dict(result.plane.rows)
+    rows = dict(trace.plane.rows)
     rows[0] = PatchedStream(d0.base, patched)
-    tampered = GenericPlane(result.plane.commitments, rows,
-                            result.plane.fill_seed)
+    tampered = GenericPlane(trace.plane.commitments, rows,
+                            trace.plane.fill_seed)
     report = verify_bound(tampered, b, trace, fam)
     failed = {name for name, ok, _ in report.items if not ok}
     assert "rows-preserved-off-patches" in failed
@@ -131,19 +132,19 @@ def test_family_smaller_than_rows_rejected():
 def test_rows_beyond_inputs_get_fill_bases():
     fam = square_family(5)
     b = build_mutually_generic_sequence(fam, 2, 5, seed="fillrow")
-    result, _ = bound_chain(b, fam, fill_seed="fillrow")
+    trace = bound_chain(b, fam, fill_seed="fillrow")
     # rows 2..4 were finalized from the fill rule plus commitments
     for r in range(2, 5):
-        stream = result.plane.rows[r]
+        stream = trace.plane.rows[r]
         for c in range(8):
-            assert stream.bit(c) == result.plane.cell(r, c)
+            assert stream.bit(c) == trace.plane.cell(r, c)
 
 
 def test_verify_never_raises_on_garbage():
     fam = square_family(2)
     b = build_mutually_generic_sequence(fam, 1, 2)
-    result, trace = bound_chain(b, fam)
-    broken = GenericPlane(PlaneCondition({(0, 0): 1 - result.plane.cell(0, 0)}),
+    trace = bound_chain(b, fam)
+    broken = GenericPlane(PlaneCondition({(0, 0): 1 - trace.plane.cell(0, 0)}),
                           {}, None)
     report = verify_bound(broken, b, trace, fam)
     assert not report.all_passed  # reports, does not throw

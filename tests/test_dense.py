@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forcing_lab.bits import BitString
-from forcing_lab.dense import (contains_word_at_or_after, family_from_spec,
+from forcing_lab.dense import (DenseFamily, DenseSet, build_set,
+                               contains_word_at_or_after, family_from_spec,
                                first_difference, load_family_file,
                                min_length_family, mixed_cohen_family,
                                mixed_plane_family, square_family)
@@ -14,6 +15,28 @@ from forcing_lab.towers import nat_le, nat_pow2
 
 bit_texts = st.text(alphabet="01", max_size=30)
 seeds = st.one_of(st.none(), st.integers(0, 5).map(lambda i: f"seed{i}"))
+
+
+def restrict_rows(family, rows):
+    """Project a catalog plane family onto a tuple of rows.
+
+    The result is a product family over streams indexed by `rows`: a square
+    set becomes per-coordinate min-length, a cell set constrains the
+    coordinate owning its row (or nothing, if the row was dropped).
+    """
+    rows = list(rows)
+    sets = []
+    for i, entry in enumerate(family.entries):
+        if entry["type"] == "square":
+            spec = {"type": "min-length"}
+        elif entry["row"] in rows:
+            spec = {"type": "coord-min-length",
+                    "coord": rows.index(entry["row"])}
+        else:
+            sets.append(DenseSet(i, lambda t: True, lambda t: t))
+            continue
+        sets.append(build_set(i, spec, "product", len(rows), None))
+    return DenseFamily(sets, "product", arity=len(rows))
 
 
 def cohen_family(seed):
@@ -162,7 +185,7 @@ def test_builders_and_restriction():
     assert mixed_plane_family(48).carrier == "plane"
 
     plane_fam = mixed_plane_family(9)
-    prod = plane_fam.restrict_rows([0, 2])
+    prod = restrict_rows(plane_fam, [0, 2])
     assert prod.carrier == "product" and prod.arity == 2
     tup = (BitString.from01(""), BitString.from01(""))
     for dset in prod:

@@ -1,0 +1,167 @@
+"""Mutation fuzzing of the CLI's input boundary.
+
+Each example takes one valid input, either a CLI-written trace of each kind
+or a `docs/families/` file, makes one JSON edit to it and runs a command
+that reads it. The edit deletes a key or list item, swaps a value for one
+of another JSON type, renames a stream, or truncates or extends a list.
+Whatever the edit, the command must end with exit 0, 1 or 2 and at most
+one stderr line; it must never escape `cli.main` as an exception.
+"""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from forcing_lab.cli import main
+
+FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
+
+# One value of each JSON type: a swap puts one of another type in place.
+VALUES = (None, True, 7, 1.5, "x", [], {})
+STREAM_NAMES = ("x", "c", "d", "0", "1", "2", "b0", "b1", "d0", "d1")
+
+
+def _family(name):
+    return str(FAMILIES / f"{name}.json")
+
+
+# trace kind -> (command writing it, commands reading it); IN is the input
+TRACES = {
+    "pair": (["entangle-pair", "--family", _family("mixed12"),
+              "--payload", "hex:a5", "--stages", "4"],
+             [["verify", "--trace", "IN"]]),
+    "many": (["entangle-many", "--k", "4",
+              "--family", _family("product32-arity3"), "--payload", "hex:ff",
+              "--stages", "2"],
+             [["verify", "--trace", "IN"]]),
+    "wide": (["entangle-wide", "--family", _family("len8"),
+              "--payload", "bits:101", "--steps", "3"],
+             [["verify", "--trace", "IN"], ["decode-wide", "--trace", "IN"]]),
+    "generic-plane": (["build-generics", "--family", _family("plane-mixed12"),
+                       "--rows", "2", "--horizon", "6", "--seed", "g"],
+                      [["verify", "--trace", "IN"],
+                       ["bound-chain", "--family", _family("plane-mixed12"),
+                        "--rows", "2", "--from-generics", "IN", "--seed", "f"]]),
+    "chain-bound": (["bound-chain", "--family", _family("plane-mixed12"),
+                     "--rows", "2", "--seed", "f"],
+                    [["verify", "--trace", "IN"]]),
+}
+# docs/families file -> the command reading it
+FAMILY_COMMANDS = {
+    "len8": ["entangle-pair", "--family", "IN", "--payload", "hex:a5",
+             "--stages", "4"],
+    "len52": ["entangle-wide", "--family", "IN", "--payload", "bits:101",
+              "--steps", "3"],
+    "mixed12": ["entangle-pair", "--family", "IN", "--payload", "seed:3",
+                "--stages", "4"],
+    "plane-mixed12": ["bound-chain", "--family", "IN", "--rows", "2",
+                      "--seed", "f"],
+    "product32-arity3": ["entangle-many", "--k", "4", "--family", "IN",
+                         "--payload", "hex:ff", "--stages", "2"],
+    "squares48": ["build-generics", "--family", "IN", "--rows", "2",
+                  "--horizon", "4", "--seed", "q"],
+}
+
+
+def run_cli(argv):
+    """Run the CLI in-process; return (exit code, stderr text)."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    return rc, err.getvalue()
+
+
+def build_targets(tmp: Path):
+    """Every (label, valid JSON input, argv reading it) the fuzzer edits."""
+    targets = []
+    for kind, (write, reads) in TRACES.items():
+        path = tmp / f"{kind}.json"
+        rc, err = run_cli(write + ["--out", path])
+        assert rc == 0, err
+        obj = json.loads(path.read_text())
+        targets += [(kind, obj, argv) for argv in reads]
+    for name, argv in FAMILY_COMMANDS.items():
+        obj = json.loads(Path(_family(name)).read_text())
+        targets.append((name, obj, argv))
+    return targets
+
+
+def json_paths(obj, path=()):
+    """The key path of every value in a JSON document, the root included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def _json_type(value):
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+def mutate(obj, path, kind, pick):
+    """A copy of `obj` with one edit at `path`; `pick(seq)` chooses one
+    element of a nonempty sequence."""
+    obj = copy.deepcopy(obj)
+    if kind == "rename":
+        stream = pick([s for s in obj["streams"] if isinstance(s, dict)])
+        stream["name"] = pick(STREAM_NAMES)
+        return obj
+    if not path:
+        return pick([v for v in VALUES if _json_type(v) != _json_type(obj)])
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    node = parent[key]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "truncate":
+        del node[pick(range(len(node))):]
+    elif kind == "extend":
+        node.append(copy.deepcopy(pick(node + list(VALUES))))
+    else:
+        parent[key] = pick([v for v in VALUES
+                            if _json_type(v) != _json_type(node)])
+    return obj
+
+
+def mutation_kinds(obj, path):
+    """The edits that apply to the value at `path`."""
+    node = obj
+    for key in path:
+        node = node[key]
+    kinds = ["swap"]
+    if path:
+        kinds.append("delete")
+    if isinstance(node, list):
+        kinds += ["extend"] + (["truncate"] if node else [])
+    if not path and isinstance(node, dict) and any(
+            isinstance(s, dict) for s in node.get("streams", ())):
+        kinds.append("rename")
+    return kinds
+
+
+@pytest.fixture(scope="module")
+def targets(tmp_path_factory):
+    return build_targets(tmp_path_factory.mktemp("fuzz"))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_mutation_never_escapes_the_cli(targets, tmp_path_factory, data):
+    label, obj, argv = data.draw(st.sampled_from(targets), label="target")
+    path = data.draw(st.sampled_from(list(json_paths(obj))), label="path")
+    kind = data.draw(st.sampled_from(mutation_kinds(obj, path)), label="kind")
+    bad = mutate(obj, path, kind,
+                 lambda seq: data.draw(st.sampled_from(list(seq))))
+    mutated = tmp_path_factory.getbasetemp() / "mutated.json"
+    mutated.write_text(json.dumps(bad))
+    rc, err = run_cli([mutated if a == "IN" else a for a in argv])
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err and len(err.splitlines()) <= 1, err

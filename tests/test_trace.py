@@ -56,7 +56,7 @@ def test_wide_trace_roundtrip_and_verify(tmp_path):
 def test_chain_trace_roundtrip_and_verify(tmp_path):
     fam = mixed_plane_family(10)
     rows, _, _ = build_generics_run(fam, 3, 10, seed="ct")
-    _, trace = bound_chain(rows, fam, fill_seed="ct")
+    trace = bound_chain(rows, fam, fill_seed="ct")
     again = roundtrip(tmp_path, trace, "chain.json")
     assert again.patches == trace.patches
     assert verify_trace(again).all_passed

@@ -8,10 +8,21 @@ from forcing_lab.errors import (ConsistencyFailure, FamilyTooSmall,
                                 NoAntichainHit, UsageError)
 from forcing_lab.posets import cohen_poset, cohen_wide_witness
 from forcing_lab.towers import is_huge, nat_equal, nat_mul_pow2
-from forcing_lab.wide import antichain_hits, decode_wide, entangle_wide
+from forcing_lab.wide import decode_wide, entangle_wide
 
 POSET = cohen_poset()
 WITNESS = cohen_wide_witness()
+
+
+def antichain_hits(chain, witness, base, poset):
+    """All antichain indices below `base` hit by chain elements, each once."""
+    hits = []
+    for el in chain:
+        k = witness.locate(base, el)
+        if k is not None and poset.leq(el, witness.antichain(base, k)):
+            if not any(nat_equal(k, seen) for seen in hits):
+                hits.append(k)
+    return hits
 
 
 def test_worked_round_zero_and_one():
