@@ -11,8 +11,7 @@ families of dense-set oracles and audited through replayable traces.
 
 from .bits import (BitStream, BitString, ConstTail, PatchedStream,
                    PayloadSource, PrngTail, read_bit_file, write_bit_file)
-from .closure import (bound_chain, build_generics_run,
-                      build_mutually_generic_sequence, verify_bound)
+from .closure import bound_chain, build_generics_run, verify_bound
 from .dense import (DenseFamily, DenseSet, family_from_spec, load_family_file,
                     min_length_family, mixed_cohen_family, mixed_plane_family,
                     square_family)
@@ -38,8 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BitStream", "BitString", "ConstTail", "PatchedStream", "PayloadSource",
     "PrngTail", "read_bit_file", "write_bit_file",
-    "bound_chain", "build_generics_run",
-    "build_mutually_generic_sequence", "verify_bound",
+    "bound_chain", "build_generics_run", "verify_bound",
     "DenseFamily", "DenseSet", "family_from_spec", "load_family_file",
     "min_length_family", "mixed_cohen_family", "mixed_plane_family",
     "square_family",

@@ -135,8 +135,8 @@ def _run(args) -> int:
     cmd = args.command
     if cmd == "entangle-pair":
         family = _load_family(args)
-        c, d, trace = entangle_pair(family, _parse_payload(args.payload),
-                                    args.stages)
+        trace = entangle_pair(family, _parse_payload(args.payload),
+                              args.stages)
         print(f"entangled pair over {args.stages} stages; "
               f"boundaries {trace.boundaries}")
         _write(args, trace)
@@ -150,8 +150,8 @@ def _run(args) -> int:
         return 0
     if cmd == "entangle-many":
         family = _load_family(args)
-        streams, trace = entangle_many(args.k, family,
-                                       _parse_payload(args.payload), args.stages)
+        trace = entangle_many(args.k, family, _parse_payload(args.payload),
+                              args.stages)
         print(f"entangled {args.k}-tuple over {args.stages} stages; "
               f"{len(trace.payload_bits)} payload bits coded")
         _write(args, trace)
@@ -167,8 +167,8 @@ def _run(args) -> int:
         family = _load_family(args)
         poset = POSET_REGISTRY[args.poset]()
         witness = WITNESS_REGISTRY[args.witness]()
-        _, _, trace = entangle_wide(poset, witness, family,
-                                    _parse_payload(args.payload), args.steps)
+        trace = entangle_wide(poset, witness, family,
+                              _parse_payload(args.payload), args.steps)
         print(f"wide run of {args.steps} steps on {args.poset}; "
               f"payload {''.join(map(str, trace.payload_bits))}")
         _write(args, trace)
@@ -185,8 +185,8 @@ def _run(args) -> int:
         return 0
     if cmd == "build-generics":
         family = load_family_file(args.family)
-        streams, plane, trace = build_generics_run(
-            family, args.rows, args.horizon, _default_seed(args))
+        trace = build_generics_run(family, args.rows, args.horizon,
+                                   _default_seed(args))
         print(f"built {args.rows} generic rows to horizon {args.horizon}")
         _write(args, trace)
         return 0
@@ -200,9 +200,9 @@ def _run(args) -> int:
                                  f"not a {GenericsTrace.kind} trace")
             if not 0 <= args.rows <= src.rows:
                 raise UsageError(f"{args.from_generics} has {src.rows} rows")
-            rows = [src.streams[str(r)] for r in range(args.rows)]
         else:
-            rows = build_generics_run(family, args.rows, len(family), seed)[0]
+            src = build_generics_run(family, args.rows, len(family), seed)
+        rows = [src.streams[str(r)] for r in range(args.rows)]
         trace = bound_chain(rows, family, retry_budget=args.retry_budget,
                             fill_seed=seed)
         total_patch = sum(len(p) for p in trace.patches.values())

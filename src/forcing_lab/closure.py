@@ -18,7 +18,7 @@ that surfaces honestly as RetryBudgetExceeded.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .bits import BitStream, PatchedStream
 from .dense import CARRIER_PLANE, DenseFamily, checked_densify
@@ -33,21 +33,13 @@ def _plane_leq(a: PlaneCondition, b: PlaneCondition) -> bool:
     return a.leq(b)
 
 
-def build_mutually_generic_sequence(family: DenseFamily, rows: int,
-                                    horizon: int, seed=None
-                                    ) -> List[BitStream]:
+def build_generics_run(family: DenseFamily, rows: int, horizon: int,
+                       seed=None) -> GenericsTrace:
     """Fold the family's densifiers into one plane and slice out row streams.
 
-    Any finite subtuple of the result passes mutual_genericity_check
-    against the family's row restrictions up to the horizon.
+    Any finite subtuple of the rows passes mutual_genericity_check against
+    the family's row restrictions up to the horizon.
     """
-    streams, _, _ = build_generics_run(family, rows, horizon, seed)
-    return streams
-
-
-def build_generics_run(family: DenseFamily, rows: int, horizon: int,
-                       seed=None) -> Tuple[List[BitStream], GenericPlane,
-                                           GenericsTrace]:
     if family.carrier != CARRIER_PLANE:
         raise UsageError("generic planes need a plane-carrier family")
     if horizon > len(family):
@@ -58,13 +50,11 @@ def build_generics_run(family: DenseFamily, rows: int, horizon: int,
     cond = PlaneCondition.empty()
     for n in range(horizon):
         cond = checked_densify(family[n], cond, _plane_leq)
-    plane = GenericPlane(commitments=cond, fill_seed=seed)
-    streams = [plane.row_stream(r) for r in range(rows)]
-    trace = GenericsTrace(
-        family=family, seed=seed, rows=rows, horizon=horizon,
-        conditions=[cond],
-        streams={str(r): stream for r, stream in enumerate(streams)})
-    return streams, plane, trace
+    trace = GenericsTrace(family=family, seed=seed, rows=rows,
+                          horizon=horizon, conditions=[cond])
+    plane = trace.plane
+    trace.streams = {str(r): plane.row_stream(r) for r in range(rows)}
+    return trace
 
 
 def bound_chain(b: Sequence[BitStream], family: DenseFamily,
@@ -141,8 +131,7 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
                            fill_seed=fill_seed))
 
 
-def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
-                 trace: ChainBoundTrace, family: DenseFamily) -> VerifyReport:
+def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     """Independently re-check a chain-bound run; reports, never raises.
 
     Checks: commitments in their sets, the commitment chain descending,
@@ -151,6 +140,7 @@ def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
     trace's rows d_k being the plane's rows, and the plane meeting the family.
     """
     report = VerifyReport()
+    plane, b, family = trace.plane, trace.row_streams("b"), trace.family
     chain = trace.conditions
     horizon = len(family)
 
@@ -191,9 +181,9 @@ def verify_bound(plane: GenericPlane, b: Sequence[BitStream],
         rep = meets_family(plane, family, horizon)
         return rep.all_met, rep.summary()
 
-    report.check("commitments-in-sets", members)
-    report.check("chain-descending", descending)
-    report.check("commitments-in-plane", contained)
-    report.check("rows-preserved-off-patches", rows_preserved)
-    report.check("plane-meets-family", meets)
+    report.check("chain-commitments-in-sets", members)
+    report.check("chain-chain-descending", descending)
+    report.check("chain-commitments-in-plane", contained)
+    report.check("chain-rows-preserved-off-patches", rows_preserved)
+    report.check("chain-plane-meets-family", meets)
     return report

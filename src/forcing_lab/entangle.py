@@ -30,12 +30,11 @@ def _cohen_leq(a: BitString, b: BitString) -> bool:
     return a.end_extends(b)
 
 
-def entangle_pair(family: DenseFamily, payload, stages: int
-                  ) -> Tuple[BitStream, BitStream, PairTrace]:
+def entangle_pair(family: DenseFamily, payload, stages: int) -> PairTrace:
     """Build the entangled pair (c, d) through stages many dense sets.
 
-    Consumes 2*stages - 1 payload bits; the trace records every stage
-    string, marker position and consumed bit.
+    Consumes 2*stages - 1 payload bits; the trace holds the streams c and d
+    and records every stage string, marker position and consumed bit.
     """
     if len(family) == 0:
         raise EmptyFamily("entangle_pair needs at least one dense set")
@@ -81,8 +80,7 @@ def entangle_pair(family: DenseFamily, payload, stages: int
         if nxt < prev + 2:
             raise InternalError(f"marker positions too close: {prev}, {nxt}")
 
-    c_stream, d_stream = BitStream(c, ConstTail(0)), BitStream(d, ConstTail(0))
-    trace = PairTrace(
+    return PairTrace(
         family=family, seed=family.seed,
         payload_source=source.description, payload_bits=consumed,
         boundaries=boundaries,
@@ -90,10 +88,10 @@ def entangle_pair(family: DenseFamily, payload, stages: int
                  "c_len": nat_to_int(c_stages[n].length),
                  "d_len": nat_to_int(d_stages[n].length)}
                 for n in range(stages)],
-        conditions=[{"c": c_stages[n].to01(), "d": d_stages[n].to01()}
+        conditions=[{"c": c_stages[n], "d": d_stages[n]}
                     for n in range(stages)],
-        streams={"c": c_stream, "d": d_stream})
-    return c_stream, d_stream, trace
+        streams={"c": BitStream(c, ConstTail(0)),
+                 "d": BitStream(d, ConstTail(0))})
 
 
 def _scan_for_one(stream, start: int, budget: int, step, name: str) -> int:
@@ -136,7 +134,7 @@ def decode_pair(c, d, count: int, scan_budget: int = 4096
 
 
 def entangle_many(k: int, family: DenseFamily, payload, stages: int
-                  ) -> Tuple[List[BitStream], ManyTrace]:
+                  ) -> ManyTrace:
     """Build k streams, any k-1 of which are generic for the product family.
 
     Each stage runs k sub-rounds; sub-round i densifies the tuple omitting
@@ -192,15 +190,13 @@ def entangle_many(k: int, family: DenseFamily, payload, stages: int
             stage_records.append({"stage": s, "excluded": i, "marker": top,
                                   "payload_bit": zb,
                                   "lengths": [nat_to_int(x.length) for x in cur]})
-        conditions.append({str(i): cur[i].to01() for i in range(k)})
+        conditions.append({str(i): cur[i] for i in range(k)})
 
-    streams = [BitStream(cur[i], ConstTail(0)) for i in range(k)]
-    trace = ManyTrace(
+    return ManyTrace(
         k=k, family=family, seed=family.seed,
         payload_source=source.description, payload_bits=consumed,
         boundaries=boundaries, stages=stage_records, conditions=conditions,
-        streams={str(i): stream for i, stream in enumerate(streams)})
-    return streams, trace
+        streams={str(i): BitStream(cur[i], ConstTail(0)) for i in range(k)})
 
 
 def decode_many(streams: Sequence, k: int, count: int,

@@ -144,13 +144,31 @@ class Trace:
         """Turn this kind's JSON values into decoded fields."""
 
 
-class PairTrace(Trace):
+class _StringsTrace(Trace):
+    """Conditions are per-stage {stream name: BitString}, stored as 0/1 text."""
+
+    def _encode(self, obj):
+        obj["conditions"] = [{name: s.to01() for name, s in rec.items()}
+                             for rec in self.conditions]
+
+    @classmethod
+    def _decode(cls, obj, values):
+        conds, names = values["conditions"], set(values["streams"])
+        if not all(isinstance(rec, dict) and set(rec) == names
+                   for rec in conds):
+            raise UsageError(f"{cls.kind} trace conditions must be objects "
+                             f"keyed by the stream names")
+        values["conditions"] = [{name: BitString.from01(text)
+                                 for name, text in rec.items()} for rec in conds]
+
+
+class PairTrace(_StringsTrace):
     kind = "pair"
     _stream_names = staticmethod(lambda values: ("c", "d"))
 
 
 @dataclass(kw_only=True)
-class ManyTrace(Trace):
+class ManyTrace(_StringsTrace):
     kind = "many"
     k: int
     _stream_names = staticmethod(lambda values: map(str, range(values["k"])))
@@ -256,6 +274,10 @@ class GenericsTrace(_PlaneTrace):
     kind = "generic-plane"
     horizon: int
     _stream_names = staticmethod(lambda values: map(str, range(values["rows"])))
+
+    @property
+    def plane(self) -> GenericPlane:
+        return GenericPlane(commitments=self.conditions[0], fill_seed=self.seed)
 
     @classmethod
     def _decode(cls, obj, values):

@@ -10,12 +10,10 @@ construction itself.
 
 from __future__ import annotations
 
-from .bits import BitString
 from .closure import verify_bound
 from .entangle import decode_many, decode_pair
 from .errors import UsageError
 from .generic import meets_family, mutual_genericity_check
-from .plane import GenericPlane
 from .towers import nat_equal
 from .trace import (ChainBoundTrace, GenericsTrace, ManyTrace, PairTrace,
                     VerifyReport, WideTrace)
@@ -55,8 +53,8 @@ def _verify_pair(trace: PairTrace) -> VerifyReport:
     def stage_conditions():
         for n, rec in enumerate(trace.conditions):
             for name, stream in (("c", c), ("d", d)):
-                cond = BitString.from01(rec[name])
-                if stream.take(len(rec[name])) != cond:
+                cond = rec[name]
+                if stream.take(cond.length) != cond:
                     return False, f"stage {n} {name} not a stream prefix"
                 if not trace.family[n].member(cond):
                     return False, f"stage {n} {name} not in D_{n}"
@@ -160,15 +158,12 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
 
 
 def _verify_chain(trace: ChainBoundTrace) -> VerifyReport:
-    bound = verify_bound(trace.plane, trace.row_streams("b"), trace,
-                         trace.family)
-    return VerifyReport([(f"chain-{name}", ok, detail)
-                         for name, ok, detail in bound.items])
+    return verify_bound(trace)  # by name, so bench/layers.py can wrap it
 
 
 def _verify_generics(trace: GenericsTrace) -> VerifyReport:
     report = VerifyReport()
-    plane = GenericPlane(commitments=trace.conditions[0], fill_seed=trace.seed)
+    plane = trace.plane
 
     report.check("generics-plane-meets-family",
                  lambda: _meets(plane, trace.family, trace.horizon))

@@ -43,9 +43,8 @@ def _check_family(family: DenseFamily, needed: int):
 
 
 def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
-                  family: DenseFamily, payload, steps: int
-                  ) -> Tuple[List, List, WideTrace]:
-    """Build the coding chains; each meets D_0 .. D_steps."""
+                  family: DenseFamily, payload, steps: int) -> WideTrace:
+    """Build the coding chains g and h; each meets D_0 .. D_steps."""
     if steps < 1:
         raise UsageError("steps must be >= 1")
     _check_family(family, steps + 1)
@@ -74,12 +73,11 @@ def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
         records.append({"step": n, "z": z, "alpha": alpha, "j": j,
                         "beta": beta})
 
-    trace = WideTrace(
+    return WideTrace(
         poset=poset, witness=witness, family=family,
         seed=family.seed, payload_source=source.description,
         payload_bits=consumed, stages=records,
         conditions={"g": ps, "h": qs})
-    return ps, qs, trace
 
 
 def _find_hit(chain, witness: WidenessWitness, base, poset: CountablePoset,

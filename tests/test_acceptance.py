@@ -9,8 +9,7 @@ import time
 import pytest
 
 from forcing_lab.bits import BitStream, BitString, ConstTail, PayloadSource
-from forcing_lab.closure import (bound_chain, build_mutually_generic_sequence,
-                                 verify_bound)
+from forcing_lab.closure import bound_chain, build_generics_run, verify_bound
 from forcing_lab.dense import (family_from_spec, min_length_family,
                                mixed_cohen_family, square_family)
 from forcing_lab.entangle import (decode_many, decode_pair, entangle_many,
@@ -33,7 +32,8 @@ def test_criterion_1_pair_exhaustive_roundtrip():
     fam = min_length_family(8)
     for word in range(256):
         payload = BitStream.from_prefix(format(word, "08b"), ConstTail(0))
-        c, d, trace = entangle_pair(fam, payload, 8)
+        trace = entangle_pair(fam, payload, 8)
+        c, d = trace.streams["c"], trace.streams["d"]
         bits, bounds = decode_pair(c, d, 15, scan_budget=256)
         assert bits == trace.payload_bits, f"payload {word:08b}"
         assert bounds == trace.boundaries, f"payload {word:08b}"
@@ -49,7 +49,8 @@ def test_criterion_2_pair_genericity_randomized():
     for run in range(100):
         fam = mixed_cohen_family(64, seed=f"criterion2-{run}")
         payload_bits = BitStream.seeded(f"payload-{run}").take01(128)
-        c, d, trace = entangle_pair(fam, PayloadSource.from_bits(payload_bits), 64)
+        trace = entangle_pair(fam, PayloadSource.from_bits(payload_bits), 64)
+        c, d = trace.streams["c"], trace.streams["d"]
         bits, bounds = decode_pair(c, d, 127, scan_budget=8192)
         assert bits == trace.payload_bits
         assert bounds == trace.boundaries
@@ -64,7 +65,8 @@ def test_criterion_2_pair_genericity_randomized():
 def test_criterion_3_tuple_k4():
     """k=4, 32 stages: subtuple genericity, 128-bit decode, frontiers."""
     fam = min_length_family(32, carrier="product", arity=3)
-    streams, trace = entangle_many(4, fam, BitStream.seeded("criterion3"), 32)
+    trace = entangle_many(4, fam, BitStream.seeded("criterion3"), 32)
+    streams = list(trace.streams.values())
     for i in range(4):
         others = [streams[j] for j in range(4) if j != i]
         rep = mutual_genericity_check(others, fam, 32)
@@ -87,8 +89,9 @@ def test_criterion_4_wide_50_steps():
     poset, witness = cohen_poset(), cohen_wide_witness()
     fam = min_length_family(52)
     payload_bits = "1" + BitStream.seeded("criterion4").take01(63)
-    g, h, trace = entangle_wide(poset, witness, fam,
-                                PayloadSource.from_bits(payload_bits), 50)
+    trace = entangle_wide(poset, witness, fam,
+                          PayloadSource.from_bits(payload_bits), 50)
+    g, h = trace.g_chain, trace.h_chain
     assert len(g) == 51 and len(h) == 51
     for chain in (g, h):
         for n in range(50):
@@ -115,11 +118,11 @@ def test_criterion_5_chain_bound():
     t0 = time.perf_counter()
     build_fam = square_family(48, seed="criterion5-build")
     bound_fam = square_family(48)
-    rows = build_mutually_generic_sequence(build_fam, 8, 48,
-                                           seed="criterion5-fill")
+    rows = list(build_generics_run(build_fam, 8, 48,
+                                   seed="criterion5-fill").streams.values())
     trace = bound_chain(rows, bound_fam, retry_budget=8,
                         fill_seed="criterion5-fill")
-    report_bound = verify_bound(trace.plane, rows, trace, bound_fam)
+    report_bound = verify_bound(trace)
     assert report_bound.all_passed, report_bound.summary()
     top = trace.conditions[-1]
     for row, patch in trace.patches.items():
@@ -146,7 +149,8 @@ def test_criterion_6_negative_controls():
         decode_pair(zeros, zeros, 1, scan_budget=512)
 
     fam = min_length_family(8)
-    cs, ds, trace = entangle_pair(fam, BitStream.seeded("c6"), 8)
+    trace = entangle_pair(fam, BitStream.seeded("c6"), 8)
+    cs, ds = trace.streams["c"], trace.streams["d"]
     text = ds.prefix_string.to01()
     s0 = trace.boundaries[0]
     mutated = BitStream(BitString.from01("1" + text[1:]), ConstTail(0))
@@ -161,18 +165,18 @@ def test_criterion_7_determinism(tmp_path):
     """Same seeds, fresh runs: byte-identical trace files."""
     def pair_run(path):
         fam = mixed_cohen_family(16, seed="d7")
-        _, _, tr = entangle_pair(fam, PayloadSource.from_seed("d7"), 16)
+        tr = entangle_pair(fam, PayloadSource.from_seed("d7"), 16)
         write_trace(path, tr)
 
     def wide_run(path):
         fam = min_length_family(14)
-        _, _, tr = entangle_wide(cohen_poset(), cohen_wide_witness(), fam,
-                                 PayloadSource.from_seed("d7w"), 12)
+        tr = entangle_wide(cohen_poset(), cohen_wide_witness(), fam,
+                           PayloadSource.from_seed("d7w"), 12)
         write_trace(path, tr)
 
     def chain_run(path):
         fam = square_family(12, seed="d7c")
-        rows = build_mutually_generic_sequence(fam, 3, 12, seed="d7f")
+        rows = list(build_generics_run(fam, 3, 12, seed="d7f").streams.values())
         tr = bound_chain(rows, square_family(12), fill_seed="d7f")
         write_trace(path, tr)
 

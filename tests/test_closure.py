@@ -1,16 +1,21 @@
 """Chain bounding: worked SQ example, verification checks, mutations."""
 
+import dataclasses
+
 import pytest
 
 from forcing_lab.bits import BitStream, ConstTail
-from forcing_lab.closure import (bound_chain, build_mutually_generic_sequence,
-                                 verify_bound)
+from forcing_lab.closure import bound_chain, build_generics_run, verify_bound
 from forcing_lab.dense import (DenseFamily, DenseSet, mixed_plane_family,
                                square_family)
 from forcing_lab.errors import FamilyTooSmall, RetryBudgetExceeded, UsageError
 from forcing_lab.generic import meets_family, mutual_genericity_check
 from forcing_lab.plane import GenericPlane, PlaneCondition
 from test_dense import restrict_rows
+
+
+def generic_rows(family, rows, horizon, seed=None):
+    return list(build_generics_run(family, rows, horizon, seed).streams.values())
 
 
 def test_frozen_sq_example():
@@ -35,17 +40,17 @@ def test_empty_chain_is_plain_fold():
     assert trace.row_streams("d") == [] and trace.patches == {}
     assert len(trace.conditions) == 3
     assert meets_family(trace.plane, fam, 3).all_met
-    report = verify_bound(trace.plane, [], trace, fam)
+    report = verify_bound(trace)
     assert report.all_passed, report.summary()
 
 
 def test_zero_rows_build():
-    assert build_mutually_generic_sequence(square_family(2), 0, 2) == []
+    assert build_generics_run(square_family(2), 0, 2).streams == {}
 
 
 def test_built_rows_are_mutually_generic():
     fam = mixed_plane_family(20, seed="mg")
-    rows = build_mutually_generic_sequence(fam, 3, 20, seed="fill")
+    rows = generic_rows(fam, 3, 20, seed="fill")
     assert len(rows) == 3
     for subset in ([0, 1], [0, 2], [1, 2], [0, 1, 2]):
         sub_fam = restrict_rows(fam, subset)
@@ -55,16 +60,16 @@ def test_built_rows_are_mutually_generic():
 
 def test_single_row_build_meets_row_restriction():
     fam = square_family(8)
-    rows = build_mutually_generic_sequence(fam, 1, 8, seed="one")
+    rows = generic_rows(fam, 1, 8, seed="one")
     rep = mutual_genericity_check(rows, restrict_rows(fam, [0]), 8)
     assert rep.all_met
 
 
 def test_bound_chain_full_verification():
     fam = mixed_plane_family(16, seed=None)
-    b = build_mutually_generic_sequence(fam, 4, 16, seed="rows")
+    b = generic_rows(fam, 4, 16, seed="rows")
     trace = bound_chain(b, fam, fill_seed="rows")
-    report = verify_bound(trace.plane, b, trace, fam)
+    report = verify_bound(trace)
     assert report.all_passed, report.summary()
     # patch support never exceeds the committed cells of its row
     top = trace.conditions[-1]
@@ -78,7 +83,7 @@ def test_bound_chain_full_verification():
 
 def test_mutation_outside_commitments_caught_by_patch_check():
     fam = square_family(6)
-    b = build_mutually_generic_sequence(fam, 2, 6, seed="mut")
+    b = generic_rows(fam, 2, 6, seed="mut")
     trace = bound_chain(b, fam, fill_seed="mut")
     committed_cols = set(trace.conditions[-1].row_cells(0))
     flip_col = max(committed_cols, default=-1) + 3
@@ -91,12 +96,12 @@ def test_mutation_outside_commitments_caught_by_patch_check():
     rows[0] = PatchedStream(d0.base, patched)
     tampered = GenericPlane(trace.plane.commitments, rows,
                             trace.plane.fill_seed)
-    report = verify_bound(tampered, b, trace, fam)
+    report = verify_bound(dataclasses.replace(trace, plane=tampered))
     failed = {name for name, ok, _ in report.items if not ok}
-    assert "rows-preserved-off-patches" in failed
-    assert "commitments-in-sets" not in failed
-    assert "chain-descending" not in failed
-    assert "commitments-in-plane" not in failed
+    assert "chain-rows-preserved-off-patches" in failed
+    assert "chain-commitments-in-sets" not in failed
+    assert "chain-chain-descending" not in failed
+    assert "chain-commitments-in-plane" not in failed
 
 
 def test_retry_budget_exceeded_on_adversarial_family():
@@ -131,7 +136,7 @@ def test_family_smaller_than_rows_rejected():
 
 def test_rows_beyond_inputs_get_fill_bases():
     fam = square_family(5)
-    b = build_mutually_generic_sequence(fam, 2, 5, seed="fillrow")
+    b = generic_rows(fam, 2, 5, seed="fillrow")
     trace = bound_chain(b, fam, fill_seed="fillrow")
     # rows 2..4 were finalized from the fill rule plus commitments
     for r in range(2, 5):
@@ -142,9 +147,9 @@ def test_rows_beyond_inputs_get_fill_bases():
 
 def test_verify_never_raises_on_garbage():
     fam = square_family(2)
-    b = build_mutually_generic_sequence(fam, 1, 2)
+    b = generic_rows(fam, 1, 2)
     trace = bound_chain(b, fam)
     broken = GenericPlane(PlaneCondition({(0, 0): 1 - trace.plane.cell(0, 0)}),
                           {}, None)
-    report = verify_bound(broken, b, trace, fam)
+    report = verify_bound(dataclasses.replace(trace, plane=broken))
     assert not report.all_passed  # reports, does not throw

@@ -12,7 +12,8 @@ from forcing_lab.generic import mutual_genericity_check
 
 def test_frozen_stage_zero_k3():
     fam = min_length_family(4, carrier="product", arity=2)
-    streams, trace = entangle_many(3, fam, BitStream.constant(1), 1)
+    trace = entangle_many(3, fam, BitStream.constant(1), 1)
+    streams = list(trace.streams.values())
     assert [s.prefix_string.to01() for s in streams] == \
         ["01100", "00011", "0000011"]
     # after sub-round 0: streams 1,2 at length L=1, stream 0 at L+2 with c0[L]=1
@@ -24,7 +25,7 @@ def test_frozen_stage_zero_k3():
 
 def test_frontier_invariant_recorded():
     fam = min_length_family(8, carrier="product", arity=3)
-    _, trace = entangle_many(4, fam, BitStream.seeded("f"), 8)
+    trace = entangle_many(4, fam, BitStream.seeded("f"), 8)
     for rec in trace.stages:
         i = rec["excluded"]
         lengths = rec["lengths"]
@@ -36,7 +37,8 @@ def test_frontier_invariant_recorded():
 @settings(max_examples=40, deadline=None)
 def test_roundtrip(seed, k, stages):
     fam = min_length_family(stages, carrier="product", arity=k - 1)
-    streams, trace = entangle_many(k, fam, PayloadSource.from_seed(seed), stages)
+    trace = entangle_many(k, fam, PayloadSource.from_seed(seed), stages)
+    streams = list(trace.streams.values())
     bits, markers = decode_many(streams, k, k * stages, 4096)
     assert bits == trace.payload_bits
     assert markers == trace.boundaries
@@ -44,7 +46,8 @@ def test_roundtrip(seed, k, stages):
 
 def test_thirty_stage_roundtrip_k3():
     fam = min_length_family(30, carrier="product", arity=2)
-    streams, trace = entangle_many(3, fam, BitStream.seeded("z30"), 30)
+    trace = entangle_many(3, fam, BitStream.seeded("z30"), 30)
+    streams = list(trace.streams.values())
     bits, _ = decode_many(streams, 3, 90, 4096)
     assert bits == trace.payload_bits
 
@@ -52,7 +55,8 @@ def test_thirty_stage_roundtrip_k3():
 def test_every_two_subset_of_k3_is_mutually_generic():
     fam2 = min_length_family(12, carrier="product", arity=2)
     fam3 = min_length_family(12, carrier="product", arity=2)
-    streams, _ = entangle_many(3, fam3, BitStream.seeded("mg"), 12)
+    trace = entangle_many(3, fam3, BitStream.seeded("mg"), 12)
+    streams = list(trace.streams.values())
     for i in range(3):
         pair = [streams[j] for j in range(3) if j != i]
         assert mutual_genericity_check(pair, fam2, 12).all_met
@@ -60,7 +64,8 @@ def test_every_two_subset_of_k3_is_mutually_generic():
 
 def test_tampered_padding_bit_breaks_roundtrip():
     fam = min_length_family(6, carrier="product", arity=2)
-    streams, trace = entangle_many(3, fam, BitStream.seeded("tamper"), 6)
+    trace = entangle_many(3, fam, BitStream.seeded("tamper"), 6)
+    streams = list(trace.streams.values())
     # find a padding-region zero: a position below a marker of stream i,
     # at or after its previous frontier
     rec = trace.stages[4]
@@ -90,6 +95,7 @@ def test_bad_arity_guards():
 
 def test_zero_payload_markers_found():
     fam = min_length_family(5, carrier="product", arity=2)
-    streams, trace = entangle_many(3, fam, BitStream.constant(0), 5)
+    trace = entangle_many(3, fam, BitStream.constant(0), 5)
+    streams = list(trace.streams.values())
     bits, _ = decode_many(streams, 3, 15, 1024)
     assert bits == [0] * 15

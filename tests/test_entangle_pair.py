@@ -35,7 +35,8 @@ def reference_pair_len_family(payload_bits, stages):
 
 def test_frozen_worked_example():
     fam = min_length_family(4)
-    c, d, trace = entangle_pair(fam, BitStream.constant(1), 2)
+    trace = entangle_pair(fam, BitStream.constant(1), 2)
+    c, d = trace.streams["c"], trace.streams["d"]
     assert c.prefix_string.to01() == "00011"
     assert d.prefix_string.to01() == "0110011"
     assert trace.boundaries == [1, 3, 5]
@@ -48,7 +49,8 @@ def test_stage_zero_shape():
     """Before densification d_0 is 0^{|c_0|} followed by 1 and z(0)."""
     fam = min_length_family(4)
     for z0 in (0, 1):
-        _, d, trace = entangle_pair(fam, BitStream.constant(z0), 1)
+        trace = entangle_pair(fam, BitStream.constant(z0), 1)
+        d = trace.streams["d"]
         s0 = trace.boundaries[0]
         text = d.prefix_string.to01()
         assert text[:s0] == "0" * s0
@@ -61,7 +63,8 @@ def test_stage_zero_shape():
 @settings(max_examples=60)
 def test_matches_independent_oracle(payload, stages):
     fam = min_length_family(stages)
-    c, d, trace = entangle_pair(fam, PayloadSource.from_bits(payload), stages)
+    trace = entangle_pair(fam, PayloadSource.from_bits(payload), stages)
+    c, d = trace.streams["c"], trace.streams["d"]
     ref_c, ref_d, ref_bounds = reference_pair_len_family(payload, stages)
     assert c.prefix_string.to01() == ref_c
     assert d.prefix_string.to01() == ref_d
@@ -70,7 +73,8 @@ def test_matches_independent_oracle(payload, stages):
 
 def test_zero_payload_still_has_markers():
     fam = min_length_family(4)
-    c, d, trace = entangle_pair(fam, BitStream.constant(0), 4)
+    trace = entangle_pair(fam, BitStream.constant(0), 4)
+    c, d = trace.streams["c"], trace.streams["d"]
     bits, bounds = decode_pair(c, d, 7, 128)
     assert bits == [0] * 7
     assert bounds == trace.boundaries
@@ -85,7 +89,8 @@ def test_roundtrip_with_randomized_densifiers(seed, stages):
     """Decoding is exact despite densifier freedom."""
     fam = mixed_cohen_family(stages, seed=f"rand-{seed}")
     payload = PayloadSource.from_seed(seed)
-    c, d, trace = entangle_pair(fam, payload, stages)
+    trace = entangle_pair(fam, payload, stages)
+    c, d = trace.streams["c"], trace.streams["d"]
     bits, bounds = decode_pair(c, d, 2 * stages - 1, 4096)
     assert bits == trace.payload_bits
     assert bounds == trace.boundaries
@@ -93,14 +98,15 @@ def test_roundtrip_with_randomized_densifiers(seed, stages):
 
 def test_boundary_growth_invariant():
     fam = mixed_cohen_family(16, seed="growth")
-    _, _, trace = entangle_pair(fam, BitStream.seeded("g"), 16)
+    trace = entangle_pair(fam, BitStream.seeded("g"), 16)
     for a, b in zip(trace.boundaries, trace.boundaries[1:]):
         assert b >= a + 2
 
 
 def test_genericity_of_both_outputs():
     fam = mixed_cohen_family(12, seed="gen")
-    c, d, _ = entangle_pair(fam, BitStream.seeded("pz"), 12)
+    trace = entangle_pair(fam, BitStream.seeded("pz"), 12)
+    c, d = trace.streams["c"], trace.streams["d"]
     assert meets_family(c, fam, 12).all_met
     assert meets_family(d, fam, 12).all_met
 
@@ -125,7 +131,8 @@ def test_no_marker_on_all_zero_streams():
 
 def test_decode_stops_mid_stream():
     fam = min_length_family(3)
-    c, d, trace = entangle_pair(fam, BitStream.constant(1), 3)
+    trace = entangle_pair(fam, BitStream.constant(1), 3)
+    c, d = trace.streams["c"], trace.streams["d"]
     bits, bounds = decode_pair(c, d, 2, 256)
     assert bits == trace.payload_bits[:2]
     assert bounds == trace.boundaries[:2]

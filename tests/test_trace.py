@@ -25,7 +25,7 @@ def roundtrip(tmp_path, trace, name):
 
 def test_pair_trace_roundtrip_and_verify(tmp_path):
     fam = min_length_family(6, seed="tp")
-    _, _, trace = entangle_pair(fam, BitStream.seeded("pp"), 6)
+    trace = entangle_pair(fam, BitStream.seeded("pp"), 6)
     again = roundtrip(tmp_path, trace, "pair.json")
     assert again.payload_bits == trace.payload_bits
     assert again.boundaries == trace.boundaries
@@ -34,15 +34,16 @@ def test_pair_trace_roundtrip_and_verify(tmp_path):
 
 def test_many_trace_roundtrip_and_verify(tmp_path):
     fam = min_length_family(5, carrier="product", arity=2)
-    _, trace = entangle_many(3, fam, BitStream.seeded("mm"), 5)
+    trace = entangle_many(3, fam, BitStream.seeded("mm"), 5)
     again = roundtrip(tmp_path, trace, "many.json")
     assert verify_trace(again).all_passed
 
 
 def test_wide_trace_roundtrip_and_verify(tmp_path):
     fam = min_length_family(12)
-    g, h, trace = entangle_wide(cohen_poset(), cohen_wide_witness(), fam,
-                                BitStream.seeded("ww"), 8)
+    trace = entangle_wide(cohen_poset(), cohen_wide_witness(), fam,
+                          BitStream.seeded("ww"), 8)
+    g, h = trace.g_chain, trace.h_chain
     again = roundtrip(tmp_path, trace, "wide.json")
     # rebuilt chains intern back to equal conditions and nat values
     assert again.g_chain == g and again.h_chain == h
@@ -55,7 +56,7 @@ def test_wide_trace_roundtrip_and_verify(tmp_path):
 
 def test_chain_trace_roundtrip_and_verify(tmp_path):
     fam = mixed_plane_family(10)
-    rows, _, _ = build_generics_run(fam, 3, 10, seed="ct")
+    rows = list(build_generics_run(fam, 3, 10, seed="ct").streams.values())
     trace = bound_chain(rows, fam, fill_seed="ct")
     again = roundtrip(tmp_path, trace, "chain.json")
     assert again.patches == trace.patches
@@ -64,7 +65,7 @@ def test_chain_trace_roundtrip_and_verify(tmp_path):
 
 def test_generics_trace_roundtrip_and_verify(tmp_path):
     fam = mixed_plane_family(8)
-    _, _, trace = build_generics_run(fam, 2, 8, seed="gt")
+    trace = build_generics_run(fam, 2, 8, seed="gt")
     again = roundtrip(tmp_path, trace, "generics.json")
     assert verify_trace(again).all_passed
 
@@ -72,7 +73,7 @@ def test_generics_trace_roundtrip_and_verify(tmp_path):
 def test_identical_runs_identical_bytes(tmp_path):
     def run(path):
         fam = min_length_family(6, seed="det")
-        _, _, trace = entangle_pair(fam, PayloadSource.from_seed("det"), 6)
+        trace = entangle_pair(fam, PayloadSource.from_seed("det"), 6)
         write_trace(path, trace)
 
     run(tmp_path / "a.json")
@@ -82,7 +83,7 @@ def test_identical_runs_identical_bytes(tmp_path):
 
 def test_envelope_fields_present(tmp_path):
     fam = min_length_family(3)
-    _, _, trace = entangle_pair(fam, BitStream.constant(0), 3)
+    trace = entangle_pair(fam, BitStream.constant(0), 3)
     obj = json.loads(json.dumps(trace.to_json()))
     for key in ("kind", "family", "seed", "payload_source", "stages",
                 "streams", "boundaries", "conditions"):
@@ -94,8 +95,8 @@ def test_envelope_fields_present(tmp_path):
 def test_wide_trace_sizes_stay_bounded(tmp_path):
     """Shared-node encoding keeps 20-step tower traces small on disk."""
     fam = min_length_family(30)
-    _, _, trace = entangle_wide(cohen_poset(), cohen_wide_witness(), fam,
-                                BitStream.seeded("sz"), 20)
+    trace = entangle_wide(cohen_poset(), cohen_wide_witness(), fam,
+                          BitStream.seeded("sz"), 20)
     path = tmp_path / "w20.json"
     write_trace(path, trace)
     assert path.stat().st_size < 2_000_000

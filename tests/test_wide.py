@@ -27,8 +27,9 @@ def antichain_hits(chain, witness, base, poset):
 
 def test_worked_round_zero_and_one():
     fam = min_length_family(10)
-    g, h, trace = entangle_wide(POSET, WITNESS, fam,
-                                BitStream.from_prefix("110"), 3)
+    trace = entangle_wide(POSET, WITNESS, fam,
+                          BitStream.from_prefix("110"), 3)
+    g, h = trace.g_chain, trace.h_chain
     assert g[0].to01() == "0" and h[0].to01() == "0"
     step0 = trace.stages[0]
     assert step0["alpha"] == 1 and step0["j"] == 3 and step0["beta"] == 32
@@ -47,8 +48,8 @@ def test_worked_round_zero_and_one():
 
 def test_payload_parity_only_flips_antichain_index():
     fam = min_length_family(6)
-    _, _, t0 = entangle_wide(POSET, WITNESS, fam, BitStream.from_prefix("0"), 1)
-    _, _, t1 = entangle_wide(POSET, WITNESS, fam, BitStream.from_prefix("1"), 1)
+    t0 = entangle_wide(POSET, WITNESS, fam, BitStream.from_prefix("0"), 1)
+    t1 = entangle_wide(POSET, WITNESS, fam, BitStream.from_prefix("1"), 1)
     assert t0.stages[0]["j"] + 1 == t1.stages[0]["j"]
     assert nat_equal(t0.stages[0]["j"],
                      nat_mul_pow2(t0.stages[0]["alpha"], 1))
@@ -56,7 +57,8 @@ def test_payload_parity_only_flips_antichain_index():
 
 def test_chains_descend_and_meet_sets():
     fam = min_length_family(16)
-    g, h, _ = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("wd"), 12)
+    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("wd"), 12)
+    g, h = trace.g_chain, trace.h_chain
     for chain in (g, h):
         for n in range(12):
             assert chain[n + 1].proper_end_extends(chain[n])
@@ -67,7 +69,8 @@ def test_chains_descend_and_meet_sets():
 def test_decode_roundtrip_with_towers():
     fam = min_length_family(16)
     payload = PayloadSource.from_bits("101101001101")
-    g, h, trace = entangle_wide(POSET, WITNESS, fam, payload, 12)
+    trace = entangle_wide(POSET, WITNESS, fam, payload, 12)
+    g, h = trace.g_chain, trace.h_chain
     triples = decode_wide(g, h, POSET, WITNESS, fam, 12)
     assert [z for _, _, z in triples] == trace.payload_bits
     for n, (p, q, _) in enumerate(triples):
@@ -78,7 +81,8 @@ def test_decode_roundtrip_with_towers():
 def test_roundtrip_with_randomized_densifiers():
     """Seeded densifier freedom must be replayable by the decoder."""
     fam = min_length_family(12, seed="wide-free")
-    g, h, trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("wf"), 8)
+    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("wf"), 8)
+    g, h = trace.g_chain, trace.h_chain
     triples = decode_wide(g, h, POSET, WITNESS, fam, 8)
     assert [z for _, _, z in triples] == trace.payload_bits
     assert all(p == g[n] and q == h[n] for n, (p, q, _) in enumerate(triples))
@@ -86,7 +90,8 @@ def test_roundtrip_with_randomized_densifiers():
 
 def test_antichain_hit_uniqueness():
     fam = min_length_family(10)
-    g, h, _ = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("uniq"), 6)
+    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("uniq"), 6)
+    g, h = trace.g_chain, trace.h_chain
     for n in range(6):
         assert len(antichain_hits(g, WITNESS, g[n], POSET)) == 1
         assert len(antichain_hits(h, WITNESS, h[n], POSET)) == 1
@@ -94,14 +99,16 @@ def test_antichain_hit_uniqueness():
 
 def test_same_chain_on_both_sides_fails():
     fam = min_length_family(8)
-    g, _, _ = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("gg"), 4)
+    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("gg"), 4)
+    g = trace.g_chain
     with pytest.raises((ConsistencyFailure, NoAntichainHit)):
         decode_wide(g, g, POSET, WITNESS, fam, 4)
 
 
 def test_decoder_needs_both_chains_in_order():
     fam = min_length_family(8)
-    g, h, _ = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("swap"), 4)
+    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("swap"), 4)
+    g, h = trace.g_chain, trace.h_chain
     with pytest.raises((ConsistencyFailure, NoAntichainHit)):
         decode_wide(h, g, POSET, WITNESS, fam, 4)
 
@@ -117,8 +124,9 @@ def test_round_zero_against_closed_form_oracle():
     """Independent arithmetic for round 0 with identity densifiers."""
     fam = trivial_family(2)
     for z in (0, 1):
-        g, h, trace = entangle_wide(POSET, WITNESS, fam,
-                                    BitStream.from_prefix(str(z)), 1)
+        trace = entangle_wide(POSET, WITNESS, fam,
+                              BitStream.from_prefix(str(z)), 1)
+        g, h = trace.g_chain, trace.h_chain
         # independent: index(s) = 2^|s| - 1 + value(s), antichain = q 0^k 1
         p0 = ""
         alpha = (1 << len(p0)) - 1 + (int(p0, 2) if p0 else 0)
@@ -136,7 +144,8 @@ def test_round_zero_against_closed_form_oracle():
 def test_chain_filter_meets_family_to_horizon():
     from forcing_lab.generic import meets_family
     fam = min_length_family(52)
-    g, h, _ = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("mf"), 50)
+    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("mf"), 50)
+    g, h = trace.g_chain, trace.h_chain
     for chain in (g, h):
         rep = meets_family(chain, fam, 51, poset=POSET)
         assert rep.all_met
@@ -152,8 +161,9 @@ def test_brute_force_decode_without_locate():
     plain = WidenessWitness("no-locate", WITNESS.antichain, locate=None)
     fam = trivial_family(4)
     for bit in "01":
-        g, h, trace = entangle_wide(POSET, plain, fam,
-                                    BitStream.from_prefix(bit), 2)
+        trace = entangle_wide(POSET, plain, fam,
+                              BitStream.from_prefix(bit), 2)
+        g, h = trace.g_chain, trace.h_chain
         triples = decode_wide(g, h, POSET, plain, fam, 1, budget=64)
         [(p, q, z)] = triples
         assert z == trace.payload_bits[0]
@@ -164,7 +174,8 @@ def test_no_hit_within_budget():
     fam = trivial_family(4)
     from forcing_lab.posets import WidenessWitness
     plain = WidenessWitness("no-locate", WITNESS.antichain, locate=None)
-    g, h, _ = entangle_wide(POSET, plain, fam, BitStream.constant(1), 2)
+    trace = entangle_wide(POSET, plain, fam, BitStream.constant(1), 2)
+    g, h = trace.g_chain, trace.h_chain
     with pytest.raises(NoAntichainHit):
         decode_wide(g, h, POSET, plain, fam, 2, budget=2)
 
