@@ -335,13 +335,13 @@ _EMPTY = BitString()
 
 def prng_bit(seed, i: int) -> int:
     """Counter-based pseudo-random bit: sha256(seed ':' counter), low bit."""
-    h = hashlib.sha256(f"{seed}:{i}".encode("ascii")).digest()
+    h = hashlib.sha256(f"{seed}:{i}".encode("utf-8")).digest()
     return h[0] & 1
 
 
 def derive_seed(seed, *parts) -> str:
     """Stable derived seed for sub-generators (rows, sets, ...)."""
-    return hashlib.sha256(":".join(str(p) for p in (seed, *parts)).encode("ascii")).hexdigest()[:16]
+    return hashlib.sha256(":".join(str(p) for p in (seed, *parts)).encode("utf-8")).hexdigest()[:16]
 
 
 class ConstTail:
@@ -474,10 +474,16 @@ def stream_from_json(obj) -> BitStream:
         for k, v in patch.items():
             if not str(k).isdecimal() or v not in (0, 1):
                 raise UsageError(f"bad patch entry {k!r}: {v!r}")
+            if int(k) >= _MATERIALIZE_LIMIT:
+                raise UsageError(f"patch column {k} is not below "
+                                 f"{_MATERIALIZE_LIMIT}")
         return PatchedStream(stream_from_json(obj["base"]),
                              {int(k): v for k, v in patch.items()})
     if not isinstance(obj.get("prefix"), str) or "tail_rule" not in obj:
         raise UsageError("a stream needs a 'prefix' string and a 'tail_rule'")
+    if len(obj["prefix"]) > _MATERIALIZE_LIMIT:
+        raise UsageError(f"a stream prefix is longer than "
+                         f"{_MATERIALIZE_LIMIT} bits")
     return BitStream(BitString.from01(obj["prefix"]),
                      tail_from_json(obj["tail_rule"]))
 

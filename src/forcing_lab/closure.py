@@ -135,9 +135,10 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     """Independently re-check a chain-bound run; reports, never raises.
 
     Checks: commitments in their sets, the commitment chain descending,
-    commitments contained in the plane, rows preserved outside the patches
-    (and equal to them on the patches, over a finite column window), the
-    trace's rows d_k being the plane's rows, and the plane meeting the family.
+    commitments contained in the plane, every patch cell being a cell of
+    the last commitment, rows preserved outside the patches (and equal to
+    them on the patches, over a finite column window), the trace's rows d_k
+    being the plane's rows, and the plane meeting the family.
     """
     report = VerifyReport()
     plane, b, family = trace.plane, trace.row_streams("b"), trace.family
@@ -159,6 +160,12 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
         return not bad, f"commitments not in the plane: {bad}" if bad else ""
 
     def rows_preserved():
+        top = chain[-1] if chain else PlaneCondition.empty()
+        stray = [(k, col) for k, cols in sorted(trace.patches.items())
+                 for col, bit in sorted(cols.items())
+                 if top.get(k, col) != bit]
+        if stray:
+            return False, f"patch cells not in the last commitment: {stray[:6]}"
         window = max([horizon + 16]
                      + [c + 1 for cols in trace.patches.values()
                         for c in cols])

@@ -90,6 +90,16 @@ def _verify_many(trace: ManyTrace) -> VerifyReport:
         return True, f"{len(bits)} bits recovered"
 
     def frontier_invariant():
+        last = {rec["stage"]: rec for rec in trace.stages}
+        if sorted(last) != list(range(len(trace.conditions))):
+            return False, "stage records do not match the stage conditions"
+        for s, rec in enumerate(trace.conditions):
+            lengths = last[s]["lengths"]
+            for i, stream in enumerate(streams):
+                cond = rec[str(i)]
+                if cond.length != lengths[i] or stream.take(lengths[i]) != cond:
+                    return False, (f"stage {s} stream {i}: condition is not "
+                                   f"its {lengths[i]}-bit prefix")
         for rec in trace.stages:
             lengths = rec["lengths"]
             i = rec["excluded"]

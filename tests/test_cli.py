@@ -1,10 +1,14 @@
 """CLI behavior: subcommands, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from forcing_lab.bits import _MATERIALIZE_LIMIT
 from forcing_lab.cli import main
+
+FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
 
 
 @pytest.fixture()
@@ -209,6 +213,46 @@ def test_tampered_d_row_fails_verify(tmp_path, plane_family, capsys):
     assert "FAIL chain-rows-preserved-off-patches" in capsys.readouterr().out
 
 
+def test_tampered_many_condition_fails_verify(tmp_path, capsys):
+    out = tmp_path / "many.json"
+    assert main(["entangle-many", "--k", "4",
+                 "--family", str(FAMILIES / "product32-arity3.json"),
+                 "--payload", "seed:m", "--stages", "6",
+                 "--out", str(out)]) == 0
+
+    def flip_first_bit(obj):
+        cond = obj["conditions"][2]
+        cond["1"] = str(1 - int(cond["1"][0])) + cond["1"][1:]
+
+    path = _edited(out, flip_first_bit)
+    capsys.readouterr()
+    assert main(["verify", "--trace", path]) == 1
+    assert ("FAIL many-frontier-invariant: stage 2 stream 1"
+            in capsys.readouterr().out)
+
+
+def test_stray_chain_patch_is_named(tmp_path, plane_family, capsys):
+    def add_far_patch(obj):
+        obj["patches"]["0"]["3000000"] = 1
+
+    path = _edited(_chain_trace(tmp_path, plane_family), add_far_patch)
+    capsys.readouterr()
+    assert main(["verify", "--trace", path]) == 1
+    assert ("FAIL chain-rows-preserved-off-patches: patch cells not in the "
+            "last commitment: [(0, 3000000)]" in capsys.readouterr().out)
+
+
+def test_non_ascii_seeds(tmp_path, len_family, plane_family):
+    gen, pair = tmp_path / "gen.json", tmp_path / "pair.json"
+    assert main(["build-generics", "--family", plane_family, "--rows", "2",
+                 "--horizon", "4", "--seed", "é", "--out", str(gen)]) == 0
+    assert main(["entangle-pair", "--family", len_family,
+                 "--payload", "seed:é", "--stages", "4",
+                 "--out", str(pair)]) == 0
+    for out in (gen, pair):
+        assert main(["verify", "--trace", str(out)]) == 0
+
+
 def _edited(path, edit):
     obj = json.loads(path.read_text())
     edit(obj)
@@ -371,6 +415,28 @@ def _case_chain_patch_not_object(tmp_path, fam, plane):
                           lambda o: o.update(patches={"0": [1]}))
 
 
+def _case_stream_prefix_too_long(tmp_path, fam, plane):
+    return _verify_edited(_pair_trace(tmp_path, fam), _stream_c(
+        lambda s: s.update(prefix="0" * (_MATERIALIZE_LIMIT + 1))))
+
+
+def _case_patched_column_too_large(tmp_path, fam, plane):
+    return _verify_edited(_pair_trace(tmp_path, fam), _stream_c(
+        _as_patched(base=..., patch={str(_MATERIALIZE_LIMIT): 1})))
+
+
+def _case_pair_condition_not_binary(tmp_path, fam, plane):
+    def edit(obj):
+        obj["conditions"][0]["c"] = "012"
+    return _verify_edited(_pair_trace(tmp_path, fam), edit)
+
+
+def _case_many_condition_extra_stream(tmp_path, fam, plane):
+    def edit(obj):
+        obj["conditions"][0]["3"] = "0"
+    return _verify_edited(_many_trace(tmp_path), edit)
+
+
 @pytest.mark.parametrize("case", [
     _case_pair_no_payload_bits, _case_pair_no_stream_c, _case_family_of_ints,
     _case_pattern_without_word, _case_decode_wide_unknown_poset,
@@ -382,7 +448,9 @@ def _case_chain_patch_not_object(tmp_path, fam, plane):
     _case_many_stream_missing, _case_generics_stream_named_x,
     _case_generics_streams_reordered, _case_chain_plane_row_key_x,
     _case_chain_plane_commitment_pair, _case_chain_plane_rows_list,
-    _case_chain_patch_not_object,
+    _case_chain_patch_not_object, _case_stream_prefix_too_long,
+    _case_patched_column_too_large, _case_pair_condition_not_binary,
+    _case_many_condition_extra_stream,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):
