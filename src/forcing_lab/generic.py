@@ -13,8 +13,7 @@ horizon". The filter representations are concrete:
 Catalog sets may provide a fast witness search, but every witness reported
 here is re-verified with the set's own member predicate, and witnesses are
 drawn from the filter by construction. A search that finds nothing within
-its budget reports met=False; under strict=True it raises BudgetExceeded
-instead, since a bounded search cannot prove absence.
+its budget reports met=False.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import List, Optional
 from .bits import BitStream, BitString
 from .dense import (CARRIER_COHEN, CARRIER_PLANE, CARRIER_POSET,
                     CARRIER_PRODUCT, DenseFamily)
-from .errors import BadArity, BudgetExceeded, FamilyTooSmall, UsageError
+from .errors import BadArity, FamilyTooSmall, UsageError
 from .plane import GenericPlane
 from .towers import nat_le
 
@@ -166,8 +165,7 @@ def _filter_search(filt, family: DenseFamily, horizon: int,
 
 
 def meets_family(filt, family: DenseFamily, horizon: int,
-                 budget: Optional[int] = None, strict: bool = False,
-                 poset=None) -> GenericityReport:
+                 budget: Optional[int] = None, poset=None) -> GenericityReport:
     """Report, per n < horizon, whether the filter meets D_n, with witness."""
     if horizon > len(family):
         raise FamilyTooSmall(
@@ -182,22 +180,17 @@ def meets_family(filt, family: DenseFamily, horizon: int,
         if witness is not None:
             report.results.append(SetResult(n, True, witness))
         else:
-            if strict:
-                raise BudgetExceeded(
-                    f"D_{n} not met within budget {budget}")
             report.results.append(
                 SetResult(n, False, None, note=f"budget {budget} exhausted"))
     return report
 
 
 def mutual_genericity_check(filters, family: DenseFamily, horizon: int,
-                            budget: Optional[int] = None,
-                            strict: bool = False) -> GenericityReport:
+                            budget: Optional[int] = None) -> GenericityReport:
     """meets_family for a tuple of filters against a product family."""
     filters = list(filters)
     if not filters and len(family) == 0:
         return GenericityReport(horizon=0, budget=budget or 1)
     if family.carrier != CARRIER_PRODUCT:
         raise BadArity("mutual genericity checks need a product family")
-    return meets_family(tuple(filters), family, horizon,
-                        budget=budget, strict=strict)
+    return meets_family(tuple(filters), family, horizon, budget=budget)

@@ -1,8 +1,11 @@
 """The family catalog: densifier contracts, exact structural word search."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forcing_lab import bits
 from forcing_lab.bits import BitString
 from forcing_lab.dense import (DenseFamily, DenseSet, build_set,
                                contains_word_at_or_after, family_from_spec,
@@ -92,12 +95,19 @@ def test_plane_densifier_contract(cells, seed):
         assert dset.member(out)
 
 
+# At the real limit every string here is text-backed; at 8 most of them
+# are run-backed, so the run-compressed paths meet the same naive model.
+limits = pytest.mark.parametrize("limit", [bits._MATERIALIZE_LIMIT, 8])
+
+
+@limits
 @given(bit_texts, st.sampled_from(["1", "01", "101", "11", "000"]),
        st.integers(0, 8))
-def test_word_search_matches_naive(text, word, minpos):
-    s = BitString.from01(text)
-    assert contains_word_at_or_after(s, word, minpos) == \
-        (text.find(word, minpos) != -1)
+def test_word_search_matches_naive(limit, text, word, minpos):
+    with mock.patch.object(bits, "_MATERIALIZE_LIMIT", limit):
+        s = BitString.from01(text)
+        assert contains_word_at_or_after(s, word, minpos) == \
+            (text.find(word, minpos) != -1)
 
 
 def test_word_search_on_huge_strings():
@@ -114,11 +124,14 @@ def test_word_search_on_huge_strings():
     assert contains_word_at_or_after(t, "11", 0)
 
 
+@limits
 @given(bit_texts, bit_texts)
-def test_first_difference_matches_naive(a, b):
-    s, t = BitString.from01(a), BitString.from01(b)
-    naive = next((i for i in range(min(len(a), len(b))) if a[i] != b[i]), None)
-    assert first_difference(s, t) == naive
+def test_first_difference_matches_naive(limit, a, b):
+    with mock.patch.object(bits, "_MATERIALIZE_LIMIT", limit):
+        s, t = BitString.from01(a), BitString.from01(b)
+        naive = next((i for i in range(min(len(a), len(b))) if a[i] != b[i]),
+                     None)
+        assert first_difference(s, t) == naive
 
 
 def test_first_difference_on_huge_strings():
