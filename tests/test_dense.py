@@ -1,12 +1,13 @@
 """The family catalog: densifier contracts, exact structural word search."""
 
+import json
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from forcing_lab import bits
-from forcing_lab.bits import BitString
+from forcing_lab.bits import BitString, derive_seed, prng_bit
 from forcing_lab.dense import (DenseFamily, DenseSet, build_set,
                                contains_word_at_or_after, family_from_spec,
                                first_difference, load_family_file,
@@ -93,6 +94,41 @@ def test_plane_densifier_contract(cells, seed):
         out = dset.densify(p)
         assert out.leq(p)
         assert dset.member(out)
+
+
+plane_cells = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(0, 1),
+    max_size=16)
+fill_seeds = st.one_of(st.none(), st.integers(0, 3), st.sampled_from(
+    ["s", "fill-1", "é", "семя", "种子"]))
+
+
+def reference_fill_bit(seed, index, p, r, c):
+    """The plane fill rule written per cell, as a reference."""
+    if seed is None:
+        return 0
+    key = derive_seed(seed, "densify", index, json.dumps(p.to_json()))
+    return prng_bit(derive_seed(key, r), c)
+
+
+@given(plane_cells, st.integers(0, 6), st.integers(0, 6), fill_seeds)
+@settings(max_examples=80)
+def test_plane_fill_matches_per_cell_reference(cells, index, row, seed):
+    p = PlaneCondition(cells)
+    size = index + 1
+    square = dict(p.cells)
+    for r in range(size):
+        for c in range(size):
+            if (r, c) not in square:
+                square[(r, c)] = reference_fill_bit(seed, index, p, r, c)
+    dset = build_set(index, {"type": "square"}, "plane", None, seed)
+    assert dset.densify(p) == PlaneCondition(square)
+
+    cell = dict(p.cells)
+    if (row, index) not in cell:
+        cell[(row, index)] = reference_fill_bit(seed, index, p, row, index)
+    dset = build_set(index, {"type": "cell", "row": row}, "plane", None, seed)
+    assert dset.densify(p) == PlaneCondition(cell)
 
 
 # At the real limit every string here is text-backed; at 8 most of them
