@@ -239,6 +239,18 @@ def test_patched_stream():
     assert q.take01(16) == p.take01(16)
 
 
+tails = st.one_of(st.integers(0, 1).map(ConstTail),
+                  st.sampled_from(["t", "é", "7"]).map(PrngTail))
+patches = st.dictionaries(st.integers(0, 50), st.integers(0, 1), max_size=6)
+
+
+@given(bit_texts, tails, patches, st.integers(0, 80))
+def test_take01_matches_bit_by_bit(prefix, tail, patch, n):
+    plain = BitStream.from_prefix(prefix, tail)
+    for s in (plain, PatchedStream(plain, patch)):
+        assert s.take01(n) == "".join(str(s.bit(i)) for i in range(n))
+
+
 def test_payload_sources():
     fin = PayloadSource.from_bits("101")
     assert [fin.next_bit() for _ in range(3)] == [1, 0, 1]

@@ -4,18 +4,101 @@ import dataclasses
 
 import pytest
 
-from forcing_lab.bits import BitStream, ConstTail
+from forcing_lab.bits import BitStream, ConstTail, PatchedStream
 from forcing_lab.closure import bound_chain, build_generics_run, verify_bound
-from forcing_lab.dense import (DenseFamily, DenseSet, mixed_plane_family,
-                               square_family)
+from forcing_lab.dense import (DenseFamily, DenseSet, checked_densify,
+                               mixed_plane_family, square_family)
 from forcing_lab.errors import FamilyTooSmall, RetryBudgetExceeded, UsageError
 from forcing_lab.generic import meets_family, mutual_genericity_check
-from forcing_lab.plane import GenericPlane, PlaneCondition
+from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
 from test_dense import restrict_rows
 
 
 def generic_rows(family, rows, horizon, seed=None):
     return list(build_generics_run(family, rows, horizon, seed).streams.values())
+
+
+def hunting_family(skip=0):
+    """D_1 wants a 1 in row 0; its densifier guesses one `skip` columns
+    past the first column of row 0 that its input leaves open."""
+    def member(p):
+        return any(r == 0 and b == 1 for (r, _), b in p.cells.items())
+
+    def densify(p):
+        if member(p):
+            return p
+        free = 0
+        while (0, free) in p.cells:
+            free += 1
+        return p.with_cell(0, free + skip, 1)
+
+    return DenseFamily(
+        [DenseSet(0, lambda p: True, lambda p: p, spec={"type": "trivial"}),
+         DenseSet(1, member, densify, spec={"type": "hunt"})],
+        "plane", entries=[{"type": "trivial"}, {"type": "hunt"}])
+
+
+def reference_stages(b, family, retry_budget=8, fill_seed=None):
+    """bound_chain's stage loop as first written: every attempt rebuilds
+    the revealed rectangle from one bit() call per cell.
+
+    Returns the commitments, patches and stage records."""
+    finalized, chain, patches, records = {}, [], {}, []
+    prev = PlaneCondition.empty()
+    fill = GenericPlane(fill_seed=fill_seed)
+    for n in range(len(family)):
+        reveal_to, attempts = 0, []
+        while True:
+            revealed = PlaneCondition(
+                {(k, col): finalized[k].bit(col)
+                 for k in range(n) for col in range(reveal_to)})
+            cand = checked_densify(family[n], merge_conditions(prev, revealed),
+                                   lambda x, y: x.leq(y))
+            clashes = [(k, col) for (k, col), bit in cand.cells.items()
+                       if k < n and finalized[k].bit(col) != bit]
+            if not clashes:
+                break
+            attempts.append({"reveal_to": reveal_to,
+                             "clashes": sorted(clashes)})
+            if len(attempts) > retry_budget:
+                raise RetryBudgetExceeded(n, "reference")
+            reveal_to = max(reveal_to + 1,
+                            max(col for _, col in clashes) + 1)
+        chain.append(cand)
+        prev = cand
+        row_patch = cand.row_cells(n)
+        if n < len(b):
+            patches[n] = row_patch
+        base = b[n] if n < len(b) else fill.row_stream(n)
+        finalized[n] = PatchedStream(base, row_patch)
+        records.append({"stage": n, "retries": len(attempts),
+                        "revealed_cols": reveal_to,
+                        "committed_cells": len(cand), "attempts": attempts})
+    return chain, patches, records
+
+
+def retrying_runs():
+    yield [BitStream.from_prefix("0000", ConstTail(1))], hunting_family(), None
+    yield [BitStream.from_prefix("0" * 7, ConstTail(1))], hunting_family(2), None
+    yield [BitStream.constant(1),
+           BitStream.from_prefix("10" * 10, ConstTail(0))], square_family(2), None
+    for n, rows in ((12, 4), (20, 3)):
+        fam = mixed_plane_family(n, seed="mixed")
+        yield generic_rows(fam, rows, n, seed="rows"), fam, "other-fill"
+    rows = generic_rows(square_family(12, seed="g"), 5, 12, seed="sq")
+    yield rows, mixed_plane_family(12), "sq-other"
+
+
+def test_bound_chain_matches_rebuilt_rectangle_reference():
+    total_retries = 0
+    for b, fam, fill_seed in retrying_runs():
+        trace = bound_chain(b, fam, fill_seed=fill_seed)
+        chain, patches, records = reference_stages(b, fam, fill_seed=fill_seed)
+        assert trace.conditions == chain
+        assert trace.patches == patches
+        assert trace.stages == records
+        total_retries += sum(rec["retries"] for rec in records)
+    assert total_retries >= 4  # the runs above do exercise retries
 
 
 def test_frozen_sq_example():
@@ -106,25 +189,14 @@ def test_mutation_outside_commitments_caught_by_patch_check():
 
 def test_retry_budget_exceeded_on_adversarial_family():
     """A densifier that keeps inventing fresh wrong cells must give up."""
-    def member(p):
-        return any(r == 0 and b == 1 for (r, _), b in p.cells.items())
-
-    def densify(p):
-        if member(p):
-            return p
-        free = 0
-        while (0, free) in p.cells:
-            free += 1
-        return p.with_cell(0, free, 1)
-
-    evil = DenseFamily(
-        [DenseSet(0, lambda p: True, lambda p: p, spec={"type": "trivial"}),
-         DenseSet(1, member, densify, spec={"type": "evil"})],
-        "plane", entries=[{"type": "trivial"}, {"type": "evil"}])
+    evil = hunting_family()
     zeros = BitStream.constant(0)
     with pytest.raises(RetryBudgetExceeded) as err:
         bound_chain([zeros], evil, retry_budget=5)
     assert err.value.stage == 1
+    with pytest.raises(RetryBudgetExceeded) as ref:
+        reference_stages([zeros], evil, retry_budget=5)
+    assert ref.value.stage == err.value.stage
 
 
 def test_family_smaller_than_rows_rejected():

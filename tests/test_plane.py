@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from forcing_lab.bits import (BitStream, PatchedStream, PrngTail,
+                              derive_seed, prng_bit)
 from forcing_lab.errors import IncompatibleConditions
 from forcing_lab.plane import (GenericPlane, PlaneCondition, factor_plane,
                                merge_conditions)
@@ -83,6 +85,40 @@ def test_plane_cells_and_rows_agree():
         restr = plane.restriction(4)
         assert plane.contains(restr)
         assert plane.contains(commit)
+
+
+row_bases = st.dictionaries(
+    st.integers(0, 5),
+    st.tuples(st.text(alphabet="01", max_size=6),
+              st.dictionaries(st.integers(0, 9), st.integers(0, 1),
+                              max_size=3)),
+    max_size=3)
+
+
+@given(conditions, row_bases, st.sampled_from([None, "s1", "é"]),
+       st.lists(st.integers(0, 7), max_size=4))
+def test_plane_rows_cells_and_fill_agree(commit, bases, seed, warm_rows):
+    rows = {r: PatchedStream(BitStream.from_prefix(prefix, PrngTail(f"b{r}")),
+                             patch)
+            for r, (prefix, patch) in bases.items()}
+    plane = GenericPlane(commitments=commit, rows=rows, fill_seed=seed)
+    for r in warm_rows:  # fill other rows first; the bits must not move
+        plane.fill_bit(r, 0)
+    fresh = GenericPlane(fill_seed=seed)
+    for r in range(7):
+        stream = plane.row_stream(r)
+        for c in range(12):
+            assert stream.bit(c) == plane.cell(r, c)
+            assert fresh.fill_bit(r, c) == (
+                0 if seed is None
+                else prng_bit(derive_seed(seed, "plane-fill", r), c))
+            assert plane.fill_bit(r, c) == fresh.fill_bit(r, c)
+            if r in rows:
+                assert plane.cell(r, c) == rows[r].bit(c)
+            elif (r, c) in commit.cells:
+                assert plane.cell(r, c) == commit.cells[(r, c)]
+            else:
+                assert plane.cell(r, c) == fresh.fill_bit(r, c)
 
 
 def test_plane_json_roundtrip():
