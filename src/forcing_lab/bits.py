@@ -353,6 +353,10 @@ class ConstTail:
     def bit(self, i: int) -> int:
         return self.bit_value
 
+    def take01(self, start: int, stop: int) -> str:
+        """Bits start..stop-1 as text."""
+        return str(self.bit_value) * (stop - start)
+
     def to_json(self):
         return {"kind": "const", "bit": self.bit_value}
 
@@ -366,6 +370,10 @@ class PrngTail:
 
     def bit(self, i: int) -> int:
         return prng_bit(self.seed, i)
+
+    def take01(self, start: int, stop: int) -> str:
+        """Bits start..stop-1 as text, one sha256 each."""
+        return "".join(str(prng_bit(self.seed, i)) for i in range(start, stop))
 
     def to_json(self):
         return {"kind": "prng", "seed": self.seed, "algo": self.algo}
@@ -423,8 +431,7 @@ class BitStream:
         base = self.prefix_string.to01()
         if n <= len(base):
             return base[:n]
-        return base + "".join(str(self.tail.bit(i))
-                              for i in range(len(base), n))
+        return base + self.tail.take01(len(base), n)
 
     def take(self, n: int) -> BitString:
         """First n bits as a finite condition."""

@@ -77,26 +77,42 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
             f"{m} rows need a family of at least {m} sets, got {stages}")
 
     finalized: Dict[int, BitStream] = {}
+    texts: Dict[int, str] = {}   # each finalized row's first bits, as read
     chain: List[PlaneCondition] = []
     patches: Dict[int, Dict[int, int]] = {}
     stage_records: List[dict] = []
     prev = PlaneCondition.empty()
     fill = GenericPlane(fill_seed=fill_seed)
+
+    def row01(k: int, width: int) -> str:
+        text = texts.get(k, "")
+        if len(text) < width:
+            text = texts[k] = finalized[k].take01(width)
+        return text
+
     for n in range(stages):
         reveal_to = 0
         retries = 0
         transcript: List[dict] = []
+        merged, shown = prev, 0   # merged holds the columns below `shown`
         while True:
+            rows = [row01(k, reveal_to) for k in range(n)]
             revealed = PlaneCondition(
-                {(k, col): finalized[k].bit(col)
-                 for k in range(n) for col in range(reveal_to)})
+                {(k, col): int(rows[k][col])
+                 for k in range(n) for col in range(shown, reveal_to)})
             try:
-                merged = merge_conditions(prev, revealed)
+                merged = merge_conditions(merged, revealed)
             except IncompatibleConditions as exc:
                 raise IncompatibleCommitment(n, str(exc)) from exc
+            shown = reveal_to
             cand = checked_densify(family[n], merged, _plane_leq)
+            width: Dict[int, int] = {}
+            for k, col in cand.cells:
+                if k < n and col >= width.get(k, 0):
+                    width[k] = col + 1
+            rows = {k: row01(k, w) for k, w in width.items()}
             clashes = [(k, col) for (k, col), bit in cand.cells.items()
-                       if k < n and finalized[k].bit(col) != bit]
+                       if k < n and int(rows[k][col]) != bit]
             if not clashes:
                 commit = cand
                 break

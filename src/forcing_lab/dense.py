@@ -390,11 +390,24 @@ def _product_separating(i: int, arity: int, seed) -> DenseSet:
 
 # --- plane catalog ----------------------------------------------------------
 
-def _plane_fill_bit(seed, index: int, cond: PlaneCondition, r: int, c: int) -> int:
-    if seed is None:
-        return 0
+def _plane_fill(seed, index: int, cond: PlaneCondition, missing) -> dict:
+    """Fill-rule bits for the cells `missing` of cond, densifying D_index.
+
+    The seeded rule's key depends on (seed, index, cond) alone, so cond is
+    serialized once per call and each row's seed is derived once; one
+    sha256 per filled bit remains. An unseeded family fills 0.
+    """
+    if seed is None or not missing:
+        return dict.fromkeys(missing, 0)
     key = derive_seed(seed, "densify", index, json.dumps(cond.to_json()))
-    return prng_bit(derive_seed(key, r), c)
+    row_seeds = {}
+    out = {}
+    for r, c in missing:
+        row_seed = row_seeds.get(r)
+        if row_seed is None:
+            row_seed = row_seeds[r] = derive_seed(key, r)
+        out[(r, c)] = prng_bit(row_seed, c)
+    return out
 
 
 def _plane_square(i: int, seed) -> DenseSet:
@@ -404,12 +417,9 @@ def _plane_square(i: int, seed) -> DenseSet:
         return all((r, c) in p.cells for r in range(size) for c in range(size))
 
     def densify(p: PlaneCondition) -> PlaneCondition:
-        cells = dict(p.cells)
-        for r in range(size):
-            for c in range(size):
-                if (r, c) not in cells:
-                    cells[(r, c)] = _plane_fill_bit(seed, i, p, r, c)
-        return PlaneCondition(cells)
+        missing = [(r, c) for r in range(size) for c in range(size)
+                   if (r, c) not in p.cells]
+        return PlaneCondition({**p.cells, **_plane_fill(seed, i, p, missing)})
 
     def search(plane, budget):
         return size if size <= budget else None
@@ -429,7 +439,7 @@ def _plane_cell(i: int, row: int, seed) -> DenseSet:
     def densify(p: PlaneCondition) -> PlaneCondition:
         if (row, col) in p.cells:
             return p
-        return p.with_cell(row, col, _plane_fill_bit(seed, i, p, row, col))
+        return PlaneCondition({**p.cells, **_plane_fill(seed, i, p, [(row, col)])})
 
     def search(plane, budget):
         t = max(row, col) + 1

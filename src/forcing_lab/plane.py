@@ -135,11 +135,20 @@ class GenericPlane:
         self.commitments = commitments if commitments is not None else PlaneCondition.empty()
         self.rows = dict(rows or {})
         self.fill_seed = fill_seed
+        self._row_seeds: Dict[int, str] = {}
+
+    def _row_seed(self, row: int) -> str:
+        """Row `row`'s "plane-fill" seed, derived once per plane."""
+        seed = self._row_seeds.get(row)
+        if seed is None:
+            seed = self._row_seeds[row] = derive_seed(
+                self.fill_seed, "plane-fill", row)
+        return seed
 
     def fill_bit(self, row: int, col: int) -> int:
         if self.fill_seed is None:
             return 0
-        return prng_bit(derive_seed(self.fill_seed, "plane-fill", row), col)
+        return prng_bit(self._row_seed(row), col)
 
     def cell(self, row: int, col: int) -> int:
         stream = self.rows.get(row)
@@ -161,7 +170,7 @@ class GenericPlane:
         if self.fill_seed is None:
             tail = ConstTail(0)
         else:
-            tail = PrngTail(derive_seed(self.fill_seed, "plane-fill", row))
+            tail = PrngTail(self._row_seed(row))
         return BitStream(prefix, tail)
 
     def restriction(self, size: int) -> PlaneCondition:

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcing_lab import bits
+from forcing_lab import bits, dense
 from forcing_lab.bits import BitString, derive_seed, prng_bit
 from forcing_lab.dense import (DenseFamily, DenseSet, build_set,
                                contains_word_at_or_after, family_from_spec,
@@ -129,6 +129,28 @@ def test_plane_fill_matches_per_cell_reference(cells, index, row, seed):
         cell[(row, index)] = reference_fill_bit(seed, index, p, row, index)
     dset = build_set(index, {"type": "cell", "row": row}, "plane", None, seed)
     assert dset.densify(p) == PlaneCondition(cell)
+
+
+def test_plane_fill_serializes_once_per_densify(monkeypatch):
+    calls = {"dumps": 0, "derive_seed": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dense.json, "dumps", counted("dumps", json.dumps))
+    monkeypatch.setattr(dense, "derive_seed",
+                        counted("derive_seed", dense.derive_seed))
+    p = PlaneCondition({(0, 0): 1, (2, 1): 0})
+    size = 9
+    square_family(size, seed="count")[size - 1].densify(p)
+    assert calls["dumps"] == 1
+    assert calls["derive_seed"] <= size + 1
+    calls.update(dumps=0, derive_seed=0)
+    square_family(size)[size - 1].densify(p)
+    assert calls == {"dumps": 0, "derive_seed": 0}
 
 
 # At the real limit every string here is text-backed; at 8 most of them
