@@ -96,9 +96,8 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
         transcript: List[dict] = []
         merged, shown = prev, 0   # merged holds the columns below `shown`
         while True:
-            rows = [row01(k, reveal_to) for k in range(n)]
             revealed = PlaneCondition(
-                {(k, col): int(rows[k][col])
+                {(k, col): int(row01(k, reveal_to)[col])
                  for k in range(n) for col in range(shown, reveal_to)})
             try:
                 merged = merge_conditions(merged, revealed)
