@@ -6,7 +6,8 @@ recorded from an earlier release, so any change to trace encoding, the
 envelope layout or verify's report shows up here. The long pair case
 grows its stage strings past the 4096 bits where `BitString.stable_key`
 switches from the 0/1 text to run JSON; that key seeds densifier freedom,
-so both branches are pinned. The budgets that
+so both branches are pinned. The non-ASCII seed of the utf8 plane case
+pins how the trace writer escapes text. The budgets that
 `meets_family` picks by default decide verdicts, so they are pinned too,
 one per filter shape.
 """
@@ -59,8 +60,11 @@ GOLDEN = {
     "pair-long": (
         "d6ea688e50b41486374b844062abc1ef0eb6f31342ac664f9cf3cc212c5c901f",
         "0ba708321014ed54fa3e40112732160e9741e8f1a9436b0faf5c14e7c6f62423"),
+    "generic-plane-utf8": (
+        "9e6a54ddfcf1db96d27be9691d2e52085eaa765f8286783df14481f529475ded",
+        "8ac5d596de240e77502a69abc5b7286055df2822587369bc57b7772d22a7b958"),
 }
-KIND = {"pair-long": "pair"}
+KIND = {"pair-long": "pair", "generic-plane-utf8": "generic-plane"}
 
 
 def _sha(data: bytes) -> str:
@@ -89,6 +93,9 @@ def golden_runs(tmp_path_factory):
         ["build-generics", "--family", fams["plane"], "--rows", "3",
          "--horizon", "6", "--seed", "gold-rows",
          "--out", out["generic-plane"]],
+        ["build-generics", "--family", fams["plane"], "--rows", "3",
+         "--horizon", "6", "--seed", "é-ü",
+         "--out", out["generic-plane-utf8"]],
         ["bound-chain", "--family", fams["plane"], "--rows", "3",
          "--from-generics", out["generic-plane"], "--seed", "gold-fill",
          "--out", out["chain-bound"]],

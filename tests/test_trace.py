@@ -1,6 +1,10 @@
 """Trace persistence: round trips, determinism, verification hooks."""
 
 import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from forcing_lab.bits import BitStream, PayloadSource
 from forcing_lab.closure import bound_chain, build_generics_run
@@ -8,7 +12,7 @@ from forcing_lab.dense import min_length_family, mixed_plane_family
 from forcing_lab.entangle import entangle_many, entangle_pair
 from forcing_lab.posets import cohen_poset, cohen_wide_witness
 from forcing_lab.towers import nat_equal
-from forcing_lab.trace import load_trace, trace_from_json, write_trace
+from forcing_lab.trace import _dump, load_trace, trace_from_json, write_trace
 from forcing_lab.verify import verify_trace
 from forcing_lab.wide import entangle_wide
 
@@ -101,3 +105,50 @@ def test_wide_trace_sizes_stay_bounded(tmp_path):
     write_trace(path, trace)
     assert path.stat().st_size < 2_000_000
     assert verify_trace(load_trace(path)).all_passed
+
+
+def stdlib_dump(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# text heavy in what JSON must escape: quotes, backslashes, control
+# characters, DEL, line separators, non-ASCII, astral and lone surrogates
+_TEXT = st.text() | st.text(st.sampled_from(
+    '"\\/\x00\x1f\x7f\u2028\xe9\u00fc\ud800\udfff\U0001f600ab0'))
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-10 ** 300, max_value=10 ** 300)
+            | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+            | _TEXT)
+# lists of int lists, the shape of plane cells; some rows hold a bool
+_INT_ROWS = st.lists(st.lists(st.integers(), min_size=1, max_size=4)
+                     | st.lists(st.integers() | st.booleans(), max_size=4),
+                     max_size=6)
+_VALUES = st.recursive(
+    _SCALARS | _INT_ROWS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=5)
+                   | st.dictionaries(st.integers(), inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_dump_matches_stdlib_json(value):
+    assert _dump(value) == stdlib_dump(value)
+
+
+def test_dump_sorts_int_keys_numerically():
+    value = {"a": {10: [1], 2: {}}, "b": [[]]}
+    assert _dump(value) == stdlib_dump(value) == (
+        '{\n  "a": {\n    "2": {},\n    "10": [\n      1\n    ]\n  },\n'
+        '  "b": [\n    []\n  ]\n}\n')
+
+
+@pytest.mark.parametrize("value", [{1: 0, "a": 0}, [{"x": {"b": 1, 2: 0}}],
+                                   {"seed": {1, 2}}, [object()]])
+def test_dump_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        stdlib_dump(value)
+    with pytest.raises(TypeError):
+        _dump(value)
