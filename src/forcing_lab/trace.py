@@ -10,6 +10,12 @@ holds decoded values only, its stream names checked, so no other module
 parses trace JSON. Serialization is deterministic (sorted keys, stable
 node ids), so identical runs give identical bytes.
 
+On disk a trace is exactly the bytes of `json.dumps(obj, indent=2,
+sort_keys=True)` followed by a newline, where `obj` is `Trace.to_json()`:
+ASCII only, non-ASCII text escaped as `\\uXXXX`. `_dump` is the one writer
+of those bytes; it builds them itself, without the pure-Python encoder the
+stdlib falls back to when `indent` is set.
+
 Bitstrings are stored as ASCII '0'/'1' when small; conditions from wide
 runs can be astronomically long, and are stored as run lists whose lengths
 live in a shared table of lazy-natural nodes.
@@ -19,7 +25,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from .bits import BitStream, BitString, stream_from_json
@@ -31,12 +38,62 @@ from .posets import (POSET_REGISTRY, WITNESS_REGISTRY, CountablePoset,
 from .towers import NatTable, nat_resolve
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The trace file text of `obj`: `json.dumps(obj, indent=2,
+    sort_keys=True)` plus a newline, byte for byte.
+
+    With `indent` set the stdlib leaves its C encoder for generators that
+    yield one piece per value, so the shapes traces hold are written here
+    and any other value is handed to `json.dumps`.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, nl: str) -> str:
+    """JSON text of `obj` whose every line break is `nl`, a newline and the
+    current indent."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        elif kinds == {list} and all(obj) and set(
+                map(type, chain.from_iterable(obj))) == {int}:
+            # plane cells: non-empty rows of plain ints
+            deeper = inner + "  "
+            row_sep = "," + deeper
+            body = sep.join(["[" + deeper + row_sep.join(map(int.__repr__, row))
+                             + inner + "]" for row in obj])
+        else:
+            body = sep.join([_encode(v, inner) for v in obj])
+        return "[" + inner + body + nl + "]"
+    if t is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _encode(obj[k], inner)
+             for k in sorted(obj)]) + nl + "}"
+    # floats, other keys, other types: ASCII-escaped JSON holds no raw
+    # newline inside a string, so re-indenting by replacement is exact
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def write_trace(path, trace) -> None:
+    text = _dump(trace.to_json())
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_dump(trace.to_json()))
+        f.write(text)
 
 
 def load_trace(path):

@@ -1,7 +1,9 @@
-"""Trace persistence: round trips, determinism, verification hooks."""
+"""Trace persistence: round trips, determinism, verification hooks, and the
+writer's bytes against `json.dumps(indent=2, sort_keys=True)`."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +29,33 @@ def roundtrip(tmp_path, trace, name):
     return again
 
 
+def pair_trace():
+    return entangle_pair(min_length_family(6, seed="tp"),
+                         BitStream.seeded("pp"), 6)
+
+
+def many_trace():
+    fam = min_length_family(5, carrier="product", arity=2)
+    return entangle_many(3, fam, BitStream.seeded("mm"), 5)
+
+
+def wide_trace():
+    return entangle_wide(cohen_poset(), cohen_wide_witness(),
+                         min_length_family(12), BitStream.seeded("ww"), 8)
+
+
+def chain_trace():
+    fam = mixed_plane_family(10)
+    rows = list(build_generics_run(fam, 3, 10, seed="ct").streams.values())
+    return bound_chain(rows, fam, fill_seed="ct")
+
+
+def generics_trace():
+    return build_generics_run(mixed_plane_family(8), 2, 8, seed="gt")
+
+
 def test_pair_trace_roundtrip_and_verify(tmp_path):
-    fam = min_length_family(6, seed="tp")
-    trace = entangle_pair(fam, BitStream.seeded("pp"), 6)
+    trace = pair_trace()
     again = roundtrip(tmp_path, trace, "pair.json")
     assert again.payload_bits == trace.payload_bits
     assert again.boundaries == trace.boundaries
@@ -37,16 +63,12 @@ def test_pair_trace_roundtrip_and_verify(tmp_path):
 
 
 def test_many_trace_roundtrip_and_verify(tmp_path):
-    fam = min_length_family(5, carrier="product", arity=2)
-    trace = entangle_many(3, fam, BitStream.seeded("mm"), 5)
-    again = roundtrip(tmp_path, trace, "many.json")
+    again = roundtrip(tmp_path, many_trace(), "many.json")
     assert verify_trace(again).all_passed
 
 
 def test_wide_trace_roundtrip_and_verify(tmp_path):
-    fam = min_length_family(12)
-    trace = entangle_wide(cohen_poset(), cohen_wide_witness(), fam,
-                          BitStream.seeded("ww"), 8)
+    trace = wide_trace()
     g, h = trace.g_chain, trace.h_chain
     again = roundtrip(tmp_path, trace, "wide.json")
     # rebuilt chains intern back to equal conditions and nat values
@@ -59,18 +81,14 @@ def test_wide_trace_roundtrip_and_verify(tmp_path):
 
 
 def test_chain_trace_roundtrip_and_verify(tmp_path):
-    fam = mixed_plane_family(10)
-    rows = list(build_generics_run(fam, 3, 10, seed="ct").streams.values())
-    trace = bound_chain(rows, fam, fill_seed="ct")
+    trace = chain_trace()
     again = roundtrip(tmp_path, trace, "chain.json")
     assert again.patches == trace.patches
     assert verify_trace(again).all_passed
 
 
 def test_generics_trace_roundtrip_and_verify(tmp_path):
-    fam = mixed_plane_family(8)
-    trace = build_generics_run(fam, 2, 8, seed="gt")
-    again = roundtrip(tmp_path, trace, "generics.json")
+    again = roundtrip(tmp_path, generics_trace(), "generics.json")
     assert verify_trace(again).all_passed
 
 
@@ -152,3 +170,32 @@ def test_dump_rejects_what_json_rejects(value):
         stdlib_dump(value)
     with pytest.raises(TypeError):
         _dump(value)
+
+
+def test_dump_writes_every_trace_kind_itself(monkeypatch):
+    """The five kinds' JSON shapes never reach the json.dumps fallback."""
+    objs = [build().to_json() for build in (pair_trace, many_trace, wide_trace,
+                                            chain_trace, generics_trace)]
+    expected = [stdlib_dump(obj) for obj in objs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_dump fell back to json.dumps")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert [_dump(obj) for obj in objs] == expected
+
+
+def _raise_value_error():
+    raise ValueError("no JSON for this trace")
+
+
+@pytest.mark.parametrize("to_json, error", [
+    (_raise_value_error, ValueError), (lambda: {"seed": {1, 2}}, TypeError)],
+    ids=["to_json-raises", "unencodable-value"])
+def test_failed_write_keeps_the_previous_file(tmp_path, to_json, error):
+    path = tmp_path / "trace.json"
+    write_trace(path, pair_trace())
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write_trace(path, SimpleNamespace(to_json=to_json))
+    assert path.read_bytes() == before
