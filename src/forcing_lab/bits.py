@@ -306,21 +306,17 @@ class BitString:
         return json.dumps({**obj, "nats": table.to_list()},
                           sort_keys=True, separators=(",", ":"))
 
-    def _eq_key(self):
-        return tuple((b, l if isinstance(l, int) else id(l))
-                     for b, l in self._runs)
-
     def __eq__(self, other):
         if not isinstance(other, BitString):
             return NotImplemented
         if self._text is not None or other._text is not None:
             return self._text == other._text
-        return self._eq_key() == other._eq_key()
+        return self._runs == other._runs
 
     def __hash__(self):
         if self._text is not None:
             return hash(self._text)
-        return hash(self._eq_key())
+        return hash(self._runs)
 
     def __repr__(self):
         if self._text is not None and len(self._text) <= 64:

@@ -42,6 +42,8 @@ def build_generics_run(family: DenseFamily, rows: int, horizon: int,
     """
     if family.carrier != CARRIER_PLANE:
         raise UsageError("generic planes need a plane-carrier family")
+    if horizon < 0:
+        raise UsageError("horizon must be >= 0")
     if horizon > len(family):
         raise FamilyTooSmall(
             f"horizon {horizon} exceeds family size {len(family)}")

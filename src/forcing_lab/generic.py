@@ -167,6 +167,8 @@ def _filter_search(filt, family: DenseFamily, horizon: int,
 def meets_family(filt, family: DenseFamily, horizon: int,
                  budget: Optional[int] = None, poset=None) -> GenericityReport:
     """Report, per n < horizon, whether the filter meets D_n, with witness."""
+    if horizon < 0:
+        raise UsageError("horizon must be >= 0")
     if horizon > len(family):
         raise FamilyTooSmall(
             f"horizon {horizon} exceeds family size {len(family)}")

@@ -9,6 +9,7 @@ rule for everything never touched.
 
 from __future__ import annotations
 
+from itertools import chain
 from types import MappingProxyType
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -82,7 +83,22 @@ class PlaneCondition:
 
     @classmethod
     def from_json(cls, items) -> "PlaneCondition":
-        return cls.from_items((r, c, b) for r, c, b in items)
+        """Inverse of to_json: a list of distinct [row, col, bit] items.
+
+        Checked a column at a time, since traces hold thousands of cells."""
+        try:
+            rows, cols, bits = zip(*items, strict=True) if items else ((),) * 3
+        except (TypeError, ValueError):
+            rows = cols = bits = (None,)
+        ok = (isinstance(items, list)
+              and set(map(type, chain(rows, cols, bits))) <= {int}
+              and min(chain(rows, cols), default=0) >= 0
+              and set(bits) <= {0, 1})
+        cells = dict(zip(zip(rows, cols), bits)) if ok else {}
+        if not ok or len(cells) != len(items):
+            raise UsageError("plane cells must be distinct [row, col, bit] "
+                             "items with int row, col >= 0 and bit 0 or 1")
+        return cls(cells)
 
     def __eq__(self, other):
         if not isinstance(other, PlaneCondition):

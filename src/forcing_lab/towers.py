@@ -13,13 +13,16 @@ Only two node shapes are needed by the constructions:
                               always dominated) integer constant
     mul2(x, e)                x * 2**e
 
-Interning makes structural equality pointer equality, which is exactly the
-equality the decoders need: they recompute the encoder's quantities through
-the same helpers, on the same reconstructed conditions, so identical values
-arrive as identical nodes. No general comparison of two distinct symbolic
-values is ever attempted; the few subtractions and orderings the package
-performs are either concrete or structurally forced, and anything else
-raises AmbiguousNat rather than guessing.
+Interning makes structural equality pointer equality among live nodes. The
+table holds only live nodes: it is weak, keyed by the children themselves,
+and a node keeps its children alive, so two live nodes of one structure are
+one object. That is exactly the equality the decoders need: they recompute
+the encoder's quantities through the same helpers, on the same
+reconstructed conditions, so identical values arrive as identical nodes. No
+general comparison of two distinct symbolic values is ever attempted; the
+few subtractions and orderings the package performs are either concrete or
+structurally forced, and anything else raises AmbiguousNat rather than
+guessing.
 
 Soundness contract for mixed comparisons: a Nat always represents a value
 above 2**(LIMIT_BITS-64), and every site comparing an int against a Nat
@@ -28,6 +31,7 @@ supplies an int far below that (lengths, horizons, budgets).
 
 from __future__ import annotations
 
+import weakref
 from typing import Union
 
 from .errors import AmbiguousNat, UsageError
@@ -36,17 +40,13 @@ LIMIT_BITS = 4096
 
 NatLike = Union[int, "Nat"]
 
-_INTERN: dict = {}
-
-
-def _key_part(x):
-    return ("n", id(x)) if isinstance(x, Nat) else ("i", x)
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class Nat:
     """A too-large-to-materialize natural number; use the module functions."""
 
-    __slots__ = ("kind", "children", "const", "arg", "exp")
+    __slots__ = ("kind", "children", "const", "arg", "exp", "__weakref__")
 
     def __init__(self, kind, children=(), const=0, arg=None, exp=None):
         self.kind = kind
@@ -82,9 +82,7 @@ def _approx_log2(x):
 
 
 def _intern(kind, children=(), const=0, arg=None, exp=None):
-    key = (kind, tuple(_key_part(c) for c in children), const,
-           _key_part(arg) if arg is not None else None,
-           _key_part(exp) if exp is not None else None)
+    key = (kind, children, const, arg, exp)
     node = _INTERN.get(key)
     if node is None:
         node = Nat(kind, children=children, const=const, arg=arg, exp=exp)
@@ -235,7 +233,7 @@ class NatTable:
     def encode(self, x: NatLike):
         if isinstance(x, int):
             return x
-        nid = self._ids.get(id(x))
+        nid = self._ids.get(x)
         if nid is None:
             if x.kind == "add":
                 obj = {"op": "add",
@@ -247,7 +245,7 @@ class NatTable:
                        "exp": self.encode(x.exp)}
             self.nodes.append(obj)
             nid = len(self.nodes) - 1
-            self._ids[id(x)] = nid
+            self._ids[x] = nid
         return {"$nat": nid}
 
     def to_list(self):

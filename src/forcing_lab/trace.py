@@ -316,7 +316,8 @@ class ChainBoundTrace(_PlaneTrace):
         super()._decode(obj, values)
         for r, cols in values["patches"].items():
             if not isinstance(cols, dict) or not all(
-                    c.isdecimal() and b in (0, 1) for c, b in cols.items()):
+                    c.isdecimal() and type(b) is int and b in (0, 1)
+                    for c, b in cols.items()):
                 raise UsageError(f"chain-bound trace patch of row {r!r} must "
                                  f"map decimal columns to bits 0/1")
         values["patches"] = {int(r): {int(c): b for c, b in cols.items()}
@@ -341,6 +342,9 @@ class GenericsTrace(_PlaneTrace):
         super()._decode(obj, values)
         if len(values["conditions"]) != 1:
             raise UsageError("generic-plane trace needs exactly one condition")
+        if not 0 <= values["horizon"] <= len(values["family"]):
+            raise UsageError(f"generic-plane trace horizon {values['horizon']} "
+                             f"is outside 0..{len(values['family'])}")
 
 
 _TRACE_KINDS = {cls.kind: cls for cls in (PairTrace, ManyTrace, WideTrace,

@@ -180,11 +180,8 @@ def _verify_generics(trace: GenericsTrace) -> VerifyReport:
 
     def rows_are_slices():
         for name, stream in trace.streams.items():
-            r = int(name)
-            width = len(stream.prefix_string.to01()) + 8
-            for col in range(width):
-                if stream.bit(col) != plane.cell(r, col):
-                    return False, f"row {r} differs from plane at col {col}"
+            if stream.to_json() != plane.row_stream(int(name)).to_json():
+                return False, f"row {name} differs from the plane's row"
         return True, f"{len(trace.streams)} row streams match the plane"
 
     report.check("generics-rows-are-slices", rows_are_slices)

@@ -213,6 +213,23 @@ def test_tampered_d_row_fails_verify(tmp_path, plane_family, capsys):
     assert "FAIL chain-rows-preserved-off-patches" in capsys.readouterr().out
 
 
+def test_tampered_generics_row_tail_fails_verify(tmp_path, capsys):
+    fam = tmp_path / "square6.json"
+    fam.write_text(json.dumps({"carrier": "plane", "seed": "s",
+                               "sets": [{"type": "square"}] * 6}))
+    out = tmp_path / "gen.json"
+    assert main(["build-generics", "--family", str(fam), "--rows", "3",
+                 "--horizon", "6", "--seed", "g", "--out", str(out)]) == 0
+
+    def reseed_row0_tail(obj):
+        obj["streams"][0]["tail_rule"]["seed"] = "evil213"
+
+    path = _edited(out, reseed_row0_tail)
+    capsys.readouterr()
+    assert main(["verify", "--trace", path]) == 1
+    assert "FAIL generics-rows-are-slices: row 0" in capsys.readouterr().out
+
+
 def test_tampered_many_condition_fails_verify(tmp_path, capsys):
     out = tmp_path / "many.json"
     assert main(["entangle-many", "--k", "4",
@@ -415,6 +432,68 @@ def _case_chain_patch_not_object(tmp_path, fam, plane):
                           lambda o: o.update(patches={"0": [1]}))
 
 
+def _generics_cell(cell):
+    """A trace edit that adds `cell` to a generics trace's commitments."""
+    return lambda obj: obj["conditions"][0].append(cell)
+
+
+def _case_generics_cell_row_a(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          _generics_cell(["a", 0, 1]))
+
+
+def _case_generics_cell_bit_5(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          _generics_cell([0, 0, 5]))
+
+
+def _case_generics_cell_row_negative(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          _generics_cell([-1, 0, 1]))
+
+
+def _case_generics_cell_row_half(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          _generics_cell([0.5, 0, 1]))
+
+
+def _case_generics_cell_bit_true(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          _generics_cell([0, 0, True]))
+
+
+def _case_generics_cell_twice(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane), lambda o: (
+        o["conditions"][0].append(list(o["conditions"][0][0]))))
+
+
+def _case_chain_plane_cell_bit_true(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(
+        lambda p: p["commitments"].append([0, 0, True])))
+
+
+def _case_chain_patch_bit_true(tmp_path, fam, plane):
+    def edit(obj):
+        cols = obj["patches"]["0"]
+        cols[min(cols, key=int)] = True
+    return _verify_edited(_chain_trace(tmp_path, plane), edit)
+
+
+def _case_generics_horizon_past_family(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          lambda o: o.update(horizon=99))
+
+
+def _case_generics_horizon_negative(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          lambda o: o.update(horizon=-1))
+
+
+def _case_build_generics_horizon_negative(tmp_path, fam, plane):
+    return ["build-generics", "--family", plane, "--rows", "2",
+            "--horizon", "-3", "--out", str(tmp_path / "neg.json")]
+
+
 def _case_stream_prefix_too_long(tmp_path, fam, plane):
     return _verify_edited(_pair_trace(tmp_path, fam), _stream_c(
         lambda s: s.update(prefix="0" * (_MATERIALIZE_LIMIT + 1))))
@@ -450,7 +529,12 @@ def _case_many_condition_extra_stream(tmp_path, fam, plane):
     _case_chain_plane_commitment_pair, _case_chain_plane_rows_list,
     _case_chain_patch_not_object, _case_stream_prefix_too_long,
     _case_patched_column_too_large, _case_pair_condition_not_binary,
-    _case_many_condition_extra_stream,
+    _case_many_condition_extra_stream, _case_generics_cell_row_a,
+    _case_generics_cell_bit_5, _case_generics_cell_row_negative,
+    _case_generics_cell_row_half, _case_generics_cell_bit_true,
+    _case_generics_cell_twice, _case_chain_plane_cell_bit_true,
+    _case_chain_patch_bit_true, _case_generics_horizon_past_family,
+    _case_generics_horizon_negative, _case_build_generics_horizon_negative,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):

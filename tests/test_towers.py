@@ -1,8 +1,14 @@
 """Lazy tower naturals: int collapse, node algebra, serialization."""
 
+import gc
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+from forcing_lab import towers
+from forcing_lab.bits import BitString
+from forcing_lab.cli import main
 from forcing_lab.errors import AmbiguousNat, UsageError
 from forcing_lab.towers import (LIMIT_BITS, Nat, NatTable, is_huge, nat_add,
                                 nat_equal, nat_half, nat_le, nat_less,
@@ -111,3 +117,67 @@ def test_repr_is_safe_for_towers():
     for _ in range(4):
         x = nat_pow2(nat_add(x, 1))
     assert "Nat" in repr(x)
+
+
+def test_repeated_wide_runs_leave_the_intern_table_empty(tmp_path):
+    fam = tmp_path / "len16.json"
+    fam.write_text(json.dumps(
+        {"carrier": "cohen", "sets": [{"type": "min-length"}] * 16}))
+    out = tmp_path / "wide.json"
+    for payload in ("bits:101101010101", "bits:000011110000",
+                    "bits:" + "1" * 12):
+        assert main(["entangle-wide", "--family", str(fam), "--payload",
+                     payload, "--steps", "12", "--out", str(out)]) == 0
+        assert main(["verify", "--trace", str(out)]) == 0
+        assert json.loads(out.read_text())["nats"]  # the run made nodes
+        out.unlink()
+    gc.collect()
+    assert len(towers._INTERN) == 0
+
+
+# ("add", i, j, const) or ("mul", i, j): operands index the values so far
+_STEP = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 99), st.integers(0, 99),
+              st.integers(0, 3)),
+    st.tuples(st.just("mul"), st.integers(0, 99), st.integers(0, 99)))
+
+
+def _build(steps):
+    vals = [0, 1, 5, nat_pow2(LIMIT_BITS + 1), nat_pow2(LIMIT_BITS + 7)]
+    for op, i, j, *const in steps:
+        x, y = vals[i % len(vals)], vals[j % len(vals)]
+        vals.append(nat_add(x, y, *const) if op == "add"
+                    else nat_mul_pow2(x, y))
+    return vals
+
+
+def _structure(x):
+    """Canonical text of x's DAG, independent of which objects hold it."""
+    table = NatTable()
+    return json.dumps([table.encode(x), table.to_list()])
+
+
+@given(st.lists(_STEP, min_size=1, max_size=12),
+       st.lists(st.booleans(), min_size=17, max_size=17))
+def test_interning_survives_collection(steps, keep):
+    first = _build(steps)
+    kept = {i: v for i, v in enumerate(first) if keep[i]}
+    del first
+    gc.collect()
+    vals = _build(steps)
+    for i, v in kept.items():
+        assert vals[i] is v or (type(v) is int and vals[i] == v)
+    huge = [v for v in vals if isinstance(v, Nat)]
+    for a in huge:
+        for b in huge:
+            same = _structure(a) == _structure(b)
+            assert same == (a is b)
+            sa, sb = BitString(((0, a), (1, 3))), BitString(((0, b), (1, 3)))
+            assert (sa == sb) == same
+            if same:
+                assert hash(sa) == hash(sb)
+    table = NatTable()
+    refs = [table.encode(v) for v in vals]
+    built = NatTable.decode_all(table.to_list())
+    assert all(nat_resolve(r, built) is v for r, v in zip(refs, vals)
+               if isinstance(v, Nat))
