@@ -327,6 +327,11 @@ class BitString:
 _EMPTY = BitString()
 
 
+def _is_bit(value) -> bool:
+    """Whether a decoded JSON value is the bit 0 or 1; a bool is not."""
+    return type(value) is int and value in (0, 1)
+
+
 # --- tail rules -----------------------------------------------------------
 
 def prng_bit(seed, i: int) -> int:
@@ -346,9 +351,6 @@ class ConstTail:
     def __init__(self, bit: int):
         self.bit_value = bit
 
-    def bit(self, i: int) -> int:
-        return self.bit_value
-
     def take01(self, start: int, stop: int) -> str:
         """Bits start..stop-1 as text."""
         return str(self.bit_value) * (stop - start)
@@ -364,9 +366,6 @@ class PrngTail:
     def __init__(self, seed):
         self.seed = str(seed)
 
-    def bit(self, i: int) -> int:
-        return prng_bit(self.seed, i)
-
     def take01(self, start: int, stop: int) -> str:
         """Bits start..stop-1 as text, one sha256 each."""
         return "".join(str(prng_bit(self.seed, i)) for i in range(start, stop))
@@ -380,7 +379,7 @@ def tail_from_json(obj):
         raise UsageError(f"a tail rule must be a JSON object, got {obj!r}")
     if obj.get("kind") == "const":
         bit = obj.get("bit")
-        if type(bit) is not int or bit not in (0, 1):
+        if not _is_bit(bit):
             raise UsageError(f"const tail rule needs bit 0 or 1, got {bit!r}")
         return ConstTail(bit)
     if obj.get("kind") == "prng":
@@ -393,12 +392,15 @@ def tail_from_json(obj):
 
 
 class BitStream:
-    """Infinite binary sequence: finalized prefix + deterministic tail rule."""
+    """Infinite binary sequence: finalized prefix + deterministic tail rule.
+
+    Every read goes through the text of the bits read so far, so each tail
+    bit is generated once per stream."""
 
     def __init__(self, prefix: BitString = _EMPTY, tail=None):
         if not prefix.is_concrete:
             raise UsageError("stream prefixes must be concrete")
-        prefix.to01()  # past _MATERIALIZE_LIMIT this raises AmbiguousNat
+        self._text = prefix.to01()  # AmbiguousNat past _MATERIALIZE_LIMIT
         self.prefix_string = prefix
         self.tail = tail if tail is not None else ConstTail(0)
 
@@ -416,18 +418,19 @@ class BitStream:
             prefix = BitString.from01(prefix)
         return cls(prefix, tail)
 
+    def _read(self, n: int) -> str:
+        """The bits read so far, extended to at least the first n."""
+        text = self._text
+        if n > len(text):
+            text = self._text = text + self.tail.take01(len(text), n)
+        return text
+
     def bit(self, i: int) -> int:
-        text = self.prefix_string.to01()
-        if i < len(text):
-            return int(text[i])
-        return self.tail.bit(i)
+        return 1 if self._read(i + 1)[i] == "1" else 0
 
     def take01(self, n: int) -> str:
         """First n bits as text."""
-        base = self.prefix_string.to01()
-        if n <= len(base):
-            return base[:n]
-        return base + self.tail.take01(len(base), n)
+        return self._read(n)[:n]
 
     def take(self, n: int) -> BitString:
         """First n bits as a finite condition."""
@@ -449,12 +452,11 @@ class PatchedStream(BitStream):
     def __init__(self, base: BitStream, patch: dict):
         self.base = base
         self.patch = {int(k): int(v) for k, v in patch.items()}
-        self.tail = base.tail
         cover = max(self.patch, default=-1) + 1
         text = list(base.take01(max(cover, base.prefix_string.length)))
         for i, bit in self.patch.items():
             text[i] = str(bit)
-        self.prefix_string = BitString.from01("".join(text))
+        super().__init__(BitString.from01("".join(text)), base.tail)
 
     def to_json(self):
         return {"kind": "patched",
@@ -475,7 +477,7 @@ def stream_from_json(obj) -> BitStream:
             raise UsageError(
                 "a patched stream needs a 'base' stream and a 'patch' object")
         for k, v in patch.items():
-            if not str(k).isdecimal() or v not in (0, 1):
+            if not str(k).isdecimal() or not _is_bit(v):
                 raise UsageError(f"bad patch entry {k!r}: {v!r}")
             if int(k) >= _MATERIALIZE_LIMIT:
                 raise UsageError(f"patch column {k} is not below "
@@ -562,8 +564,12 @@ class PayloadSource:
 
 def read_bit_file(path) -> BitString:
     """ASCII '0'/'1' file, whitespace ignored, read as a finite prefix."""
-    with open(path, "r", encoding="ascii") as f:
-        return BitString.from01(f.read())
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read bit file {path}: {exc}") from exc
+    return BitString.from01(text)
 
 
 def write_bit_file(path, bits: BitString):

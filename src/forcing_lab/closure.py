@@ -5,11 +5,13 @@ construction walks the plane family stage by stage, committing a finite
 plane condition p_n in every D_n that is compatible with all rows already
 finalized. Finding p_n is the reveal-and-retry search: reveal a growing
 rectangle of finalized bits, merge it into the previous commitment,
-densify, and accept once the candidate agrees with the actual rows. Row n
-is then finalized as b_n patched at the committed row-n cells (rows beyond
-the input get the fill rule as their base), so the final plane extends
-every commitment and each b_n differs from its row only at the recorded
-patch.
+densify, and accept once the candidate agrees with the actual rows. An
+attempt reads each finalized row once, as text (`take01`), and the row's
+stream keeps what it has read, so a retry generates only the newly
+revealed bits. Row n is then finalized as b_n patched at the committed
+row-n cells (rows beyond the input get the fill rule as their base), so
+the final plane extends every commitment and each b_n differs from its
+row only at the recorded patch.
 
 The existence of a compatible extension is a genericity fact about the
 inputs, not of this code: with non-generic rows the search can stall, and
@@ -79,18 +81,11 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
             f"{m} rows need a family of at least {m} sets, got {stages}")
 
     finalized: Dict[int, BitStream] = {}
-    texts: Dict[int, str] = {}   # each finalized row's first bits, as read
     chain: List[PlaneCondition] = []
     patches: Dict[int, Dict[int, int]] = {}
     stage_records: List[dict] = []
     prev = PlaneCondition.empty()
     fill = GenericPlane(fill_seed=fill_seed)
-
-    def row01(k: int, width: int) -> str:
-        text = texts.get(k, "")
-        if len(text) < width:
-            text = texts[k] = finalized[k].take01(width)
-        return text
 
     for n in range(stages):
         reveal_to = 0
@@ -99,8 +94,8 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
         merged, shown = prev, 0   # merged holds the columns below `shown`
         while True:
             revealed = PlaneCondition(
-                {(k, col): int(row01(k, reveal_to)[col])
-                 for k in range(n) for col in range(shown, reveal_to)})
+                {(k, col): int(bit) for k in range(n) for col, bit in
+                 enumerate(finalized[k].take01(reveal_to)[shown:], shown)})
             try:
                 merged = merge_conditions(merged, revealed)
             except IncompatibleConditions as exc:
@@ -111,7 +106,7 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
             for k, col in cand.cells:
                 if k < n and col >= width.get(k, 0):
                     width[k] = col + 1
-            rows = {k: row01(k, w) for k, w in width.items()}
+            rows = {k: finalized[k].take01(w) for k, w in width.items()}
             clashes = [(k, col) for (k, col), bit in cand.cells.items()
                        if k < n and int(rows[k][col]) != bit]
             if not clashes:
@@ -189,14 +184,13 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
         bad = []
         d_rows = trace.row_streams("d")
         for k in range(trace.rows):
-            if d_rows[k].to_json() != plane.row_stream(k).to_json():
+            row = plane.row_stream(k)
+            if d_rows[k].to_json() != row.to_json():
                 bad.append((k, "d"))
             patch = trace.patches.get(k, {})
-            for col in range(window):
-                actual = plane.cell(k, col)
-                want = patch[col] if col in patch else b[k].bit(col)
-                if actual != want:
-                    bad.append((k, col))
+            actual, base = row.take01(window), b[k].take01(window)
+            bad += [(k, col) for col in range(window)
+                    if int(actual[col]) != patch.get(col, int(base[col]))]
         return (not bad,
                 f"row/patch mismatches (window {window}): {bad[:6]}" if bad
                 else f"window {window}")

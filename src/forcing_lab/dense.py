@@ -293,10 +293,10 @@ def _cohen_parity(i: int, target: int, seed) -> DenseSet:
 
     def search(stream, budget):
         ones = 0
-        for k in range(budget):
+        for k, bit in enumerate(stream.take01(budget)):
             if k >= need and ones % 2 == target:
                 return k
-            ones += stream.bit(k)
+            ones += bit == "1"
         return None
 
     return DenseSet(i, member, densify, spec={"type": "parity", "parity": target},
@@ -378,9 +378,9 @@ def _product_separating(i: int, arity: int, seed) -> DenseSet:
         return tuple(tup)
 
     def search(streams, budget):
-        for k in range(budget):
-            bits = [s.bit(k) for s in streams]
-            if any(b != bits[0] for b in bits[1:]):
+        columns = zip(*(s.take01(budget) for s in streams))
+        for k, column in enumerate(columns):
+            if len(set(column)) > 1:
                 return k + 1
         return None
 

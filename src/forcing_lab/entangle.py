@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .bits import BitStream, BitString, ConstTail, PayloadSource
+from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, ConstTail,
+                   PayloadSource)
 from .dense import (CARRIER_COHEN, CARRIER_PRODUCT, DenseFamily,
                     checked_densify)
 from .errors import (BadArity, EmptyFamily, FamilyTooSmall, InternalError,
@@ -94,21 +95,19 @@ def entangle_pair(family: DenseFamily, payload, stages: int) -> PairTrace:
                  "d": BitStream(d, ConstTail(0))})
 
 
+def _check_scan_budget(budget: int) -> None:
+    # a scan reads start + budget bits of its stream as text
+    if not 1 <= budget <= _MATERIALIZE_LIMIT:
+        raise UsageError(f"scan budget must be in 1..{_MATERIALIZE_LIMIT}, "
+                         f"got {budget}")
+
+
 def _scan_for_one(stream, start: int, budget: int, step, name: str) -> int:
-    for i in range(start, start + budget):
-        try:
-            if stream.bit(i) == 1:
-                return i
-        except IndexError:
-            break
-    raise NoMarker(step, stream=name, budget=budget)
-
-
-def _read_bit(stream, i: int, step, name: str) -> int:
-    try:
-        return stream.bit(i)
-    except IndexError:
-        raise NoMarker(step, stream=name) from None
+    """The first marker 1 at positions start .. start + budget - 1."""
+    hit = stream.take01(start + budget).find("1", start)
+    if hit == -1:
+        raise NoMarker(step, stream=name, budget=budget)
+    return hit
 
 
 def decode_pair(c, d, count: int, scan_budget: int = 4096
@@ -118,18 +117,19 @@ def decode_pair(c, d, count: int, scan_budget: int = 4096
     Markers alternate d, c, d, c, ...; each boundary is the position of the
     next marker at or after the previous one in the opposite stream.
     """
+    _check_scan_budget(scan_budget)
     if count < 1:
         return [], []
     bits: List[int] = []
     boundaries: List[int] = []
     s = _scan_for_one(d, 0, scan_budget, 0, "d")
     boundaries.append(s)
-    bits.append(_read_bit(d, s + 1, 0, "d"))
+    bits.append(d.bit(s + 1))
     for k in range(1, count):
         stream, name = (c, "c") if k % 2 == 1 else (d, "d")
         s = _scan_for_one(stream, s, scan_budget, k, name)
         boundaries.append(s)
-        bits.append(_read_bit(stream, s + 1, k, name))
+        bits.append(stream.bit(s + 1))
     return bits, boundaries
 
 
@@ -211,6 +211,7 @@ def decode_many(streams: Sequence, k: int, count: int,
         raise BadArity(f"expected {k} streams, got {len(streams)}")
     if k < 2:
         raise BadArity("decode_many needs k >= 2 streams")
+    _check_scan_budget(scan_budget)
     frontiers = [0] * k
     bits: List[int] = []
     markers: List[int] = []
@@ -219,7 +220,7 @@ def decode_many(streams: Sequence, k: int, count: int,
         i = step % k
         pos = _scan_for_one(streams[i], frontiers[i], scan_budget,
                             (step // k, i), str(i))
-        bits.append(_read_bit(streams[i], pos + 1, (step // k, i), str(i)))
+        bits.append(streams[i].bit(pos + 1))
         markers.append(pos)
         for j in range(k):
             frontiers[j] = pos if j != i else pos + 2

@@ -4,7 +4,8 @@ A PlaneCondition maps finitely many (row, col) cells to bits. Order is
 reverse inclusion of cell maps: p is stronger than q when p's cells extend
 q's. A GenericPlane is the filter-side object: a total assignment built
 from finitely many commitments, finalized row streams, and a default fill
-rule for everything never touched.
+rule for everything never touched. Each cell is read through its row's
+BitStream, so a fill bit is hashed at most once per plane.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Dict, Iterable, Optional, Tuple
 
-from .bits import BitStream, BitString, ConstTail, PrngTail, derive_seed, prng_bit
+from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, ConstTail,
+                   PrngTail, derive_seed)
 from .errors import IncompatibleConditions, UsageError
 
 Cell = Tuple[int, int]
@@ -83,7 +85,8 @@ class PlaneCondition:
 
     @classmethod
     def from_json(cls, items) -> "PlaneCondition":
-        """Inverse of to_json: a list of distinct [row, col, bit] items.
+        """Inverse of to_json: a list of distinct [row, col, bit] items,
+        row and col below _MATERIALIZE_LIMIT, as stream columns are.
 
         Checked a column at a time, since traces hold thousands of cells."""
         try:
@@ -93,11 +96,13 @@ class PlaneCondition:
         ok = (isinstance(items, list)
               and set(map(type, chain(rows, cols, bits))) <= {int}
               and min(chain(rows, cols), default=0) >= 0
+              and max(chain(rows, cols), default=0) < _MATERIALIZE_LIMIT
               and set(bits) <= {0, 1})
         cells = dict(zip(zip(rows, cols), bits)) if ok else {}
         if not ok or len(cells) != len(items):
-            raise UsageError("plane cells must be distinct [row, col, bit] "
-                             "items with int row, col >= 0 and bit 0 or 1")
+            raise UsageError(f"plane cells must be distinct [row, col, bit] "
+                             f"items with int row, col in "
+                             f"0..{_MATERIALIZE_LIMIT - 1} and bit 0 or 1")
         return cls(cells)
 
     def __eq__(self, other):
@@ -140,9 +145,9 @@ def factor_plane(p: PlaneCondition, n: int):
 class GenericPlane:
     """A total function on the grid standing in for a generic filter.
 
-    Rows present in `rows` are finalized streams; other cells come from the
-    accumulated commitments, and cells never touched by either default to
-    the fill rule (seeded pseudo-random bits, or 0 when seed is None).
+    Rows present in `rows` are finalized streams; every other row is its
+    commitments over the fill rule (seeded pseudo-random bits, or 0 when
+    seed is None), a stream built on first read and kept by the plane.
     """
 
     def __init__(self, commitments: PlaneCondition = None,
@@ -151,48 +156,32 @@ class GenericPlane:
         self.commitments = commitments if commitments is not None else PlaneCondition.empty()
         self.rows = dict(rows or {})
         self.fill_seed = fill_seed
-        self._row_seeds: Dict[int, str] = {}
-
-    def _row_seed(self, row: int) -> str:
-        """Row `row`'s "plane-fill" seed, derived once per plane."""
-        seed = self._row_seeds.get(row)
-        if seed is None:
-            seed = self._row_seeds[row] = derive_seed(
-                self.fill_seed, "plane-fill", row)
-        return seed
-
-    def fill_bit(self, row: int, col: int) -> int:
-        if self.fill_seed is None:
-            return 0
-        return prng_bit(self._row_seed(row), col)
+        self._built: Dict[int, BitStream] = {}
 
     def cell(self, row: int, col: int) -> int:
-        stream = self.rows.get(row)
-        if stream is not None:
-            return stream.bit(col)
-        committed = self.commitments.get(row, col)
-        if committed is not None:
-            return committed
-        return self.fill_bit(row, col)
+        return self.row_stream(row).bit(col)
 
     def row_stream(self, row: int) -> BitStream:
-        """The row as a stream; consistent with cell() everywhere."""
+        """The row as a stream; cell() reads every cell of the row from it."""
         stream = self.rows.get(row)
-        if stream is not None:
-            return stream
-        cols = self.commitments.row_cells(row)
-        width = max(cols, default=-1) + 1
-        prefix = BitString.from_bits(self.cell(row, c) for c in range(width))
-        if self.fill_seed is None:
-            tail = ConstTail(0)
-        else:
-            tail = PrngTail(self._row_seed(row))
-        return BitStream(prefix, tail)
+        if stream is None:
+            stream = self._built.get(row)
+        if stream is None:
+            cols = self.commitments.row_cells(row)
+            tail = (ConstTail(0) if self.fill_seed is None else
+                    PrngTail(derive_seed(self.fill_seed, "plane-fill", row)))
+            prefix = "".join(
+                str(cols[c]) if c in cols else tail.take01(c, c + 1)
+                for c in range(max(cols, default=-1) + 1))
+            stream = BitStream(BitString.from01(prefix), tail)
+            self._built[row] = stream
+        return stream
 
     def restriction(self, size: int) -> PlaneCondition:
         """The size x size corner of the plane as a finite condition."""
-        return PlaneCondition({(r, c): self.cell(r, c)
-                               for r in range(size) for c in range(size)})
+        return PlaneCondition(
+            {(r, c): int(bit) for r in range(size)
+             for c, bit in enumerate(self.row_stream(r).take01(size))})
 
     def contains(self, p: PlaneCondition) -> bool:
         """Whether p is a restriction of this plane (p is in its filter)."""

@@ -29,7 +29,7 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
-from .bits import BitStream, BitString, stream_from_json
+from .bits import BitStream, BitString, _is_bit, stream_from_json
 from .dense import DenseFamily, family_from_spec
 from .errors import CheckFailure, UsageError
 from .plane import GenericPlane, PlaneCondition
@@ -132,7 +132,8 @@ def _json_field(obj: dict, kind: str, key: str):
             return None
         raise UsageError(f"{kind} trace has no {key!r}")
     value = obj[key]
-    if not isinstance(value, _JSON_TYPES.get(key, object)):
+    want = _JSON_TYPES.get(key, object)
+    if not isinstance(value, want) or (want is int and type(value) is bool):
         raise UsageError(f"{kind} trace field {key!r} has the wrong type "
                          f"{type(value).__name__}")
     return value
@@ -286,6 +287,8 @@ class _PlaneTrace(Trace):
 
     @classmethod
     def _decode(cls, obj, values):
+        if values["rows"] < 0:
+            raise UsageError(f"{cls.kind} trace rows must be >= 0")
         values["conditions"] = [PlaneCondition.from_json(p)
                                 for p in values["conditions"]]
 
@@ -316,7 +319,7 @@ class ChainBoundTrace(_PlaneTrace):
         super()._decode(obj, values)
         for r, cols in values["patches"].items():
             if not isinstance(cols, dict) or not all(
-                    c.isdecimal() and type(b) is int and b in (0, 1)
+                    c.isdecimal() and _is_bit(b)
                     for c, b in cols.items()):
                 raise UsageError(f"chain-bound trace patch of row {r!r} must "
                                  f"map decimal columns to bits 0/1")

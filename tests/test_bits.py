@@ -251,6 +251,54 @@ def test_take01_matches_bit_by_bit(prefix, tail, patch, n):
         assert s.take01(n) == "".join(str(s.bit(i)) for i in range(n))
 
 
+def reference_bit(prefix, tail, patch, i):
+    """Bit i of the stream `prefix` + `tail` patched by `patch`, from the
+    tail rule's formula."""
+    if i in patch:
+        return patch[i]
+    if i < len(prefix):
+        return int(prefix[i])
+    if isinstance(tail, ConstTail):
+        return tail.bit_value
+    return bits.prng_bit(tail.seed, i)
+
+
+reads = st.lists(st.tuples(st.sampled_from(["bit", "take01", "take"]),
+                           st.integers(0, 80)), max_size=12)
+
+
+@given(bit_texts, tails, patches, reads)
+def test_cached_reads_agree_with_a_fresh_stream(prefix, tail, patch, reads):
+    for own_patch in ({}, patch):
+        def fresh():
+            plain = BitStream.from_prefix(prefix, tail)
+            return PatchedStream(plain, own_patch) if own_patch else plain
+
+        s = fresh()
+        before = s.to_json()
+        for op, n in reads:
+            if op == "bit":
+                assert s.bit(n) == fresh().bit(n)
+            elif op == "take01":
+                assert s.take01(n) == fresh().take01(n)
+            else:
+                assert s.take(n) == fresh().take(n)
+        top = max([n + 1 for _, n in reads] + [len(prefix) + 8])
+        assert s.take01(top) == "".join(
+            str(reference_bit(prefix, tail, own_patch, i)) for i in range(top))
+        assert s.to_json() == before
+
+
+def test_prng_tail_bits_are_hashed_once_per_stream():
+    s = BitStream.from_prefix("01", PrngTail("once"))
+    with mock.patch.object(bits, "prng_bit", wraps=bits.prng_bit) as spy:
+        s.take01(10)
+        s.bit(5)
+        s.take(12)
+        s.bit(11)
+    assert [c.args[1] for c in spy.call_args_list] == list(range(2, 12))
+
+
 def test_payload_sources():
     fin = PayloadSource.from_bits("101")
     assert [fin.next_bit() for _ in range(3)] == [1, 0, 1]

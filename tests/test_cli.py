@@ -516,6 +516,78 @@ def _case_many_condition_extra_stream(tmp_path, fam, plane):
     return _verify_edited(_many_trace(tmp_path), edit)
 
 
+def _case_d0_patch_bit_false(tmp_path, fam, plane):
+    def edit(obj):
+        d0 = next(s for s in obj["streams"] if s["name"] == "d0")
+        col = min(d0["patch"], key=int)
+        d0["patch"][col] = bool(d0["patch"][col])
+    return _verify_edited(_chain_trace(tmp_path, plane), edit)
+
+
+def _case_generics_rows_negative(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          lambda o: o.update(rows=-1, streams=[]))
+
+
+def _case_generics_rows_true(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane), lambda o: o.update(
+        rows=True, streams=o["streams"][:1]))
+
+
+def _case_generics_cell_column_at_limit(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          _generics_cell([0, _MATERIALIZE_LIMIT, 1]))
+
+
+def _case_chain_plane_cell_row_at_limit(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(
+        lambda p: p["commitments"].append([_MATERIALIZE_LIMIT, 0, 1])))
+
+
+def _bit_file(tmp_path, text="0101"):
+    path = tmp_path / "marked.bits"
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+def _case_decode_pair_scan_budget_negative(tmp_path, fam, plane):
+    path = _bit_file(tmp_path)
+    return ["decode-pair", "--c", path, "--d", path, "--count", "1",
+            "--scan-budget", "-5"]
+
+
+def _case_decode_many_scan_budget_zero(tmp_path, fam, plane):
+    path = _bit_file(tmp_path)
+    return ["decode-many", "--streams", path, path, "--count", "1",
+            "--scan-budget", "0"]
+
+
+def _case_decode_pair_scan_budget_past_limit(tmp_path, fam, plane):
+    path = _bit_file(tmp_path)
+    return ["decode-pair", "--c", path, "--d", path, "--count", "1",
+            "--scan-budget", str(_MATERIALIZE_LIMIT + 1)]
+
+
+def _case_decode_pair_missing_bit_file(tmp_path, fam, plane):
+    return ["decode-pair", "--c", str(tmp_path / "missing.bits"),
+            "--d", _bit_file(tmp_path), "--count", "1"]
+
+
+def _case_decode_pair_non_ascii_bit_file(tmp_path, fam, plane):
+    path = _bit_file(tmp_path, "01é")
+    return ["decode-pair", "--c", path, "--d", path, "--count", "1"]
+
+
+def _case_decode_many_missing_bit_file(tmp_path, fam, plane):
+    return ["decode-many", "--streams", _bit_file(tmp_path),
+            str(tmp_path / "missing.bits"), "--count", "1"]
+
+
+def _case_payload_file_missing(tmp_path, fam, plane):
+    return ["entangle-pair", "--family", fam, "--stages", "2",
+            "--payload", f"file:{tmp_path / 'missing.bits'}"]
+
+
 @pytest.mark.parametrize("case", [
     _case_pair_no_payload_bits, _case_pair_no_stream_c, _case_family_of_ints,
     _case_pattern_without_word, _case_decode_wide_unknown_poset,
@@ -535,6 +607,14 @@ def _case_many_condition_extra_stream(tmp_path, fam, plane):
     _case_generics_cell_twice, _case_chain_plane_cell_bit_true,
     _case_chain_patch_bit_true, _case_generics_horizon_past_family,
     _case_generics_horizon_negative, _case_build_generics_horizon_negative,
+    _case_d0_patch_bit_false, _case_generics_rows_negative,
+    _case_generics_rows_true, _case_generics_cell_column_at_limit,
+    _case_chain_plane_cell_row_at_limit,
+    _case_decode_pair_scan_budget_negative,
+    _case_decode_many_scan_budget_zero,
+    _case_decode_pair_scan_budget_past_limit,
+    _case_decode_pair_missing_bit_file, _case_decode_pair_non_ascii_bit_file,
+    _case_decode_many_missing_bit_file, _case_payload_file_missing,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forcing_lab import bits, dense
-from forcing_lab.bits import BitString, derive_seed, prng_bit
+from forcing_lab.bits import BitStream, BitString, PrngTail, derive_seed, prng_bit
 from forcing_lab.dense import (DenseFamily, DenseSet, build_set,
                                contains_word_at_or_after, family_from_spec,
                                first_difference, load_family_file,
@@ -151,6 +151,48 @@ def test_plane_fill_serializes_once_per_densify(monkeypatch):
     calls.update(dumps=0, derive_seed=0)
     square_family(size)[size - 1].densify(p)
     assert calls == {"dumps": 0, "derive_seed": 0}
+
+
+def bit_by_bit_parity_search(stream, budget, need, target):
+    """The parity witness search as one bit read per position."""
+    ones = 0
+    for k in range(budget):
+        if k >= need and ones % 2 == target:
+            return k
+        ones += stream.bit(k)
+    return None
+
+
+def bit_by_bit_separating_search(streams, budget):
+    """The separating witness search as one bit read per position."""
+    for k in range(budget):
+        column = [s.bit(k) for s in streams]
+        if any(b != column[0] for b in column[1:]):
+            return k + 1
+    return None
+
+
+stream_prefixes = st.text(alphabet="01", max_size=12)
+
+
+@given(stream_prefixes, st.integers(0, 8), st.integers(0, 1),
+       st.integers(0, 40))
+def test_parity_search_matches_bit_by_bit(prefix, index, target, budget):
+    stream = BitStream.from_prefix(prefix, PrngTail(prefix))
+    search = build_set(index, {"type": "parity", "parity": target},
+                       "cohen", None, None).witness_search
+    assert search(stream, budget) == bit_by_bit_parity_search(
+        stream, budget, index + 1, target)
+
+
+@given(st.lists(stream_prefixes, min_size=2, max_size=4), st.integers(0, 40))
+def test_separating_search_matches_bit_by_bit(prefixes, budget):
+    # equal tails, so prefixes that agree give streams that agree
+    streams = [BitStream.from_prefix(p, PrngTail("t")) for p in prefixes]
+    search = build_set(0, {"type": "separating"}, "product", len(streams),
+                       None).witness_search
+    assert search(streams, budget) == bit_by_bit_separating_search(
+        streams, budget)
 
 
 # At the real limit every string here is text-backed; at 8 most of them

@@ -6,6 +6,10 @@ that reads it. The edit deletes a key or list item, swaps a value for one
 of another JSON type, renames a stream, or truncates or extends a list.
 Whatever the edit, the command must end with exit 0, 1 or 2 and at most
 one stderr line; it must never escape `cli.main` as an exception.
+
+Bit files get the same test: one input of `decode-pair --c/--d`,
+`decode-many --streams` or a `file:` payload is deleted, emptied, or given
+a non-ASCII byte or a non-binary character.
 """
 
 import copy
@@ -163,5 +167,62 @@ def test_one_mutation_never_escapes_the_cli(targets, tmp_path_factory, data):
     mutated = tmp_path_factory.getbasetemp() / "mutated.json"
     mutated.write_text(json.dumps(bad))
     rc, err = run_cli([mutated if a == "IN" else a for a in argv])
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err and len(err.splitlines()) <= 1, err
+
+
+# bit-file readers: `IN` (or `file:IN`) is the edited file, BITS_<name> a
+# valid file holding stream <name> of the pair or many trace
+BIT_FILE_COMMANDS = [
+    ("pair-c", ["decode-pair", "--c", "IN", "--d", "BITS_pair-d",
+                "--count", "7"]),
+    ("pair-d", ["decode-pair", "--c", "BITS_pair-c", "--d", "IN",
+                "--count", "7"]),
+    *[(f"many-{j}", ["decode-many", "--streams",
+                     *["IN" if i == j else f"BITS_many-{i}" for i in range(4)],
+                     "--count", "8"]) for j in range(4)],
+    ("pair-c", ["entangle-pair", "--family", _family("mixed12"),
+                "--payload", "file:IN", "--stages", "4"]),
+]
+BIT_FILE_EDITS = ("delete", "empty", "non-ascii", "non-binary")
+
+
+@pytest.fixture(scope="module")
+def bit_files(tmp_path_factory):
+    """Stream name -> (its prefix as bit-file text, a valid file of it)."""
+    tmp = tmp_path_factory.mktemp("bits")
+    files = {}
+    for kind in ("pair", "many"):
+        path = tmp / f"{kind}.json"
+        rc, err = run_cli(TRACES[kind][0] + ["--out", path])
+        assert rc == 0, err
+        for stream in json.loads(path.read_text())["streams"]:
+            name = f"{kind}-{stream['name']}"
+            text = stream["prefix"] + "\n"
+            files[name] = (text, tmp / f"{name}.bits")
+            files[name][1].write_text(text)
+    return files
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_bit_file_edit_never_escapes_the_cli(bit_files, tmp_path_factory,
+                                                 data):
+    name, argv = data.draw(st.sampled_from(BIT_FILE_COMMANDS), label="target")
+    edit = data.draw(st.sampled_from(BIT_FILE_EDITS), label="edit")
+    raw = bit_files[name][0].encode("ascii")
+    mutated = tmp_path_factory.getbasetemp() / "mutated.bits"
+    mutated.unlink(missing_ok=True)
+    if edit == "empty":
+        mutated.write_bytes(b"")
+    elif edit != "delete":
+        added = (bytes([data.draw(st.integers(0x80, 0xFF))])
+                 if edit == "non-ascii"
+                 else data.draw(st.sampled_from("2x.-")).encode())
+        pos = data.draw(st.integers(0, len(raw)), label="pos")
+        mutated.write_bytes(raw[:pos] + added + raw[pos:])
+    paths = {f"BITS_{n}": path for n, (_, path) in bit_files.items()}
+    paths.update({"IN": mutated, "file:IN": f"file:{mutated}"})
+    rc, err = run_cli([paths.get(a, a) for a in argv])
     assert rc in (0, 1, 2), err
     assert "Traceback" not in err and len(err.splitlines()) <= 1, err

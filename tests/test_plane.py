@@ -96,29 +96,31 @@ row_bases = st.dictionaries(
 
 
 @given(conditions, row_bases, st.sampled_from([None, "s1", "é"]),
-       st.lists(st.integers(0, 7), max_size=4))
-def test_plane_rows_cells_and_fill_agree(commit, bases, seed, warm_rows):
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 14)), max_size=4))
+def test_plane_rows_cells_and_fill_agree(commit, bases, seed, warm_cells):
     rows = {r: PatchedStream(BitStream.from_prefix(prefix, PrngTail(f"b{r}")),
                              patch)
             for r, (prefix, patch) in bases.items()}
     plane = GenericPlane(commitments=commit, rows=rows, fill_seed=seed)
-    for r in warm_rows:  # fill other rows first; the bits must not move
-        plane.fill_bit(r, 0)
+    for r, c in warm_cells:  # read other cells first; the bits must not move
+        plane.cell(r, c)
     fresh = GenericPlane(fill_seed=seed)
+    corner = plane.restriction(7)
     for r in range(7):
         stream = plane.row_stream(r)
         for c in range(12):
+            fill = (0 if seed is None
+                    else prng_bit(derive_seed(seed, "plane-fill", r), c))
+            assert fresh.cell(r, c) == fill
             assert stream.bit(c) == plane.cell(r, c)
-            assert fresh.fill_bit(r, c) == (
-                0 if seed is None
-                else prng_bit(derive_seed(seed, "plane-fill", r), c))
-            assert plane.fill_bit(r, c) == fresh.fill_bit(r, c)
+            if c < 7:
+                assert corner.get(r, c) == plane.cell(r, c)
             if r in rows:
                 assert plane.cell(r, c) == rows[r].bit(c)
             elif (r, c) in commit.cells:
                 assert plane.cell(r, c) == commit.cells[(r, c)]
             else:
-                assert plane.cell(r, c) == fresh.fill_bit(r, c)
+                assert plane.cell(r, c) == fill
 
 
 def test_plane_json_roundtrip():
