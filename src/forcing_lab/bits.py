@@ -569,7 +569,11 @@ def read_bit_file(path) -> BitString:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read bit file {path}: {exc}") from exc
-    return BitString.from01(text)
+    clean = "".join(text.split())
+    if len(clean) > _MATERIALIZE_LIMIT:
+        raise UsageError(f"bit file {path} is longer than "
+                         f"{_MATERIALIZE_LIMIT} bits")
+    return BitString.from01(clean)
 
 
 def write_bit_file(path, bits: BitString):

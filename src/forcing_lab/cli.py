@@ -9,6 +9,7 @@ breach. Identical arguments and seeds produce byte-identical trace files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -218,9 +219,15 @@ def _run(args) -> int:
     raise UsageError(f"unknown command {cmd!r}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call. Parsing makes a new
+    Namespace each time, and the seed default is read at run time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except UsageError as exc:

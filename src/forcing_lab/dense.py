@@ -12,6 +12,7 @@ Catalog entry types (entry i of the JSON list defines D_i):
                                                       some index >= i+1
                     {"type": "parity", "parity": t}   length >= i+1 and the
                                                       number of 1s is t mod 2
+                                                      (t is 0 or 1)
   carrier "product" {"type": "min-length"}            every coordinate has
                                                       length >= i+1
                     {"type": "separating"}            two coordinates differ
@@ -275,10 +276,9 @@ def _cohen_pattern(i: int, word: str, seed) -> DenseSet:
 
 
 def _cohen_parity(i: int, target: int, seed) -> DenseSet:
-    if type(target) is not int:
-        raise UsageError(f"parity must be an integer, got {target!r}")
+    if type(target) is not int or target not in (0, 1):
+        raise UsageError(f"parity must be 0 or 1, got {target!r}")
     need = i + 1
-    target = target % 2
 
     def member(s: BitString) -> bool:
         return nat_le(need, s.length) and nat_parity(s.ones()) == target

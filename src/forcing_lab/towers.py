@@ -257,21 +257,24 @@ class NatTable:
         built = []
         for obj in nodes or []:
             if obj["op"] == "add":
-                if not isinstance(obj["const"], int):
+                if type(obj["const"]) is not int:
                     raise UsageError(f"nat node {len(built)} has a "
                                      f"non-integer const {obj['const']!r}")
                 val = nat_add(*[nat_resolve(a, built) for a in obj["args"]],
                               obj["const"])
-            else:
+            elif obj["op"] == "mul2":
                 val = nat_mul_pow2(nat_resolve(obj["arg"], built),
                                    nat_resolve(obj["exp"], built))
+            else:
+                raise UsageError(f"nat node {len(built)} has an unknown op "
+                                 f"{obj['op']!r}")
             built.append(val)
         return built
 
 
 def nat_resolve(ref, built):
     """Turn a serialized int-or-{"$nat": id} reference back into a value."""
-    if isinstance(ref, int):
+    if type(ref) is int:
         return ref
     nid = ref.get("$nat") if isinstance(ref, dict) else None
     if type(nid) is not int or not 0 <= nid < len(built):

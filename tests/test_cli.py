@@ -1,14 +1,19 @@
 """CLI behavior: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from forcing_lab import cli
 from forcing_lab.bits import _MATERIALIZE_LIMIT
-from forcing_lab.cli import main
+from forcing_lab.cli import ENV_SEED, main
 
 FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -129,6 +134,67 @@ def test_env_seed_default(tmp_path, plane_family, monkeypatch):
     assert main(["build-generics", "--family", plane_family, "--rows", "1",
                  "--horizon", "4", "--out", str(a)]) == 0
     assert json.loads(a.read_text())["seed"] == "env-seed"
+
+
+def _in_process(argv, capsys):
+    """stdout, stderr and exit code of `main(argv)` in this process."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def _fresh_process(argv):
+    """stdout, stderr and exit code of `python -m forcing_lab.cli argv`,
+    run in a new process with this process's environment."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-m", "forcing_lab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, len_family,
+                                                   monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
+    out = str(tmp_path / "pair.json")
+    no_stages = ["entangle-pair", "--family", len_family, "--payload", "hex:ff"]
+    runs = [no_stages, ["verify", "--help"],
+            [*no_stages, "--stages", "4", "--out", out], no_stages,
+            ["verify", "--trace", out]]
+    mine = [_in_process(argv, capsys) for argv in runs]
+    trace = Path(out).read_bytes()
+    assert [code for _, _, code in mine] == [2, 0, 0, 2, 0]
+    assert mine[0] == mine[3]
+    assert [_fresh_process(argv) for argv in runs] == mine
+    assert Path(out).read_bytes() == trace
+
+
+def test_env_seed_is_read_on_each_call(tmp_path, plane_family, monkeypatch):
+    argv = ["build-generics", "--family", plane_family, "--rows", "2",
+            "--horizon", "4"]
+    for seed in ("env-a", "env-b"):
+        monkeypatch.setenv(ENV_SEED, seed)
+        mine, fresh = tmp_path / f"{seed}.json", tmp_path / f"{seed}-new.json"
+        assert main([*argv, "--out", str(mine)]) == 0
+        assert _fresh_process([*argv, "--out", str(fresh)])[2] == 0
+        assert json.loads(mine.read_text())["seed"] == seed
+        assert mine.read_bytes() == fresh.read_bytes()
+
+
+def test_main_builds_its_parser_at_most_once(tmp_path, len_family,
+                                             monkeypatch):
+    trace = str(_pair_trace(tmp_path, len_family))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    for _ in range(10):
+        assert main(["verify", "--trace", trace]) == 0
+    assert len(built) <= 1
 
 
 def test_seed_flag_reseeds_unseeded_family(tmp_path, len_family):
@@ -588,6 +654,54 @@ def _case_payload_file_missing(tmp_path, fam, plane):
             "--payload", f"file:{tmp_path / 'missing.bits'}"]
 
 
+def _case_decode_pair_bit_file_too_long(tmp_path, fam, plane):
+    path = _bit_file(tmp_path, "0" * _MATERIALIZE_LIMIT + "1" * 8)
+    return ["decode-pair", "--c", path, "--d", path, "--count", "1"]
+
+
+def _case_decode_many_bit_file_too_long(tmp_path, fam, plane):
+    path = _bit_file(tmp_path, "0" * _MATERIALIZE_LIMIT + "1" * 8)
+    return ["decode-many", "--streams", path, path, "--count", "1"]
+
+
+def _nat_node(match, edit):
+    """A trace edit that applies `edit` to the first nat node holding every
+    item of `match`."""
+    def apply(obj):
+        edit(next(n for n in obj["nats"] if match.items() <= n.items()))
+    return apply
+
+
+def _case_wide_nat_op_unknown(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _nat_node(
+        {"op": "mul2"}, lambda n: n.update(op="mul2x")))
+
+
+def _case_wide_nat_const_true(tmp_path, fam, plane):
+    # const 1 -> true: a bool that equals the int it replaces
+    return _verify_edited(_wide_trace(tmp_path, fam), _nat_node(
+        {"op": "add", "const": 1}, lambda n: n.update(const=True)))
+
+
+def _case_wide_nat_arg_true(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _nat_node(
+        {"op": "mul2", "arg": 1}, lambda n: n.update(arg=True)))
+
+
+def _case_wide_stage_alpha_true(tmp_path, fam, plane):
+    def edit(obj):
+        next(s for s in obj["stages"] if s["alpha"] == 1)["alpha"] = True
+    return _verify_edited(_wide_trace(tmp_path, fam), edit)
+
+
+def _case_family_parity_3(tmp_path, fam, plane):
+    bad = tmp_path / "parity3.json"
+    bad.write_text(json.dumps(
+        [{"type": "min-length"}, {"type": "parity", "parity": 3}]))
+    return ["entangle-pair", "--family", str(bad), "--payload", "hex:ff",
+            "--stages", "2"]
+
+
 @pytest.mark.parametrize("case", [
     _case_pair_no_payload_bits, _case_pair_no_stream_c, _case_family_of_ints,
     _case_pattern_without_word, _case_decode_wide_unknown_poset,
@@ -615,6 +729,10 @@ def _case_payload_file_missing(tmp_path, fam, plane):
     _case_decode_pair_scan_budget_past_limit,
     _case_decode_pair_missing_bit_file, _case_decode_pair_non_ascii_bit_file,
     _case_decode_many_missing_bit_file, _case_payload_file_missing,
+    _case_decode_pair_bit_file_too_long, _case_decode_many_bit_file_too_long,
+    _case_wide_nat_op_unknown, _case_wide_nat_const_true,
+    _case_wide_nat_arg_true, _case_wide_stage_alpha_true,
+    _case_family_parity_3,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):
