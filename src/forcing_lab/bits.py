@@ -30,10 +30,15 @@ _JSON_TEXT_LIMIT = 4096
 _CLEAN01 = re.compile(r"[01]*")
 
 
+def _is_bit(value) -> bool:
+    """Whether a decoded JSON value is the bit 0 or 1; a bool is not."""
+    return type(value) is int and value in (0, 1)
+
+
 def _normalize_runs(pairs):
     runs = []
     for bit, length in pairs:
-        if bit not in (0, 1):
+        if not _is_bit(bit):
             raise UsageError(f"bit must be 0 or 1, got {bit!r}")
         if type(length) is int:
             if length < 0:
@@ -165,7 +170,7 @@ class BitString:
         raise IndexError("bit index beyond string length")
 
     def append_run(self, bit: int, length: NatLike) -> "BitString":
-        if bit not in (0, 1):
+        if not _is_bit(bit):
             raise UsageError(f"bit must be 0 or 1, got {bit!r}")
         if type(length) is int:
             if length <= 0:
@@ -325,11 +330,6 @@ class BitString:
 
 
 _EMPTY = BitString()
-
-
-def _is_bit(value) -> bool:
-    """Whether a decoded JSON value is the bit 0 or 1; a bool is not."""
-    return type(value) is int and value in (0, 1)
 
 
 # --- tail rules -----------------------------------------------------------

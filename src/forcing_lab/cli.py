@@ -60,13 +60,12 @@ def _load_family(args):
     return family
 
 
-def _add_common(p, payload=False, out=True):
+def _add_common(p, payload=False):
     p.add_argument("--family", required=True, help="family spec JSON file")
     if payload:
         p.add_argument("--payload", required=True,
                        help="hex:ff | bits:0101 | seed:42 | file:path")
-    if out:
-        p.add_argument("--out", help="trace output path (JSON)")
+    p.add_argument("--out", help="trace output path (JSON)")
     p.add_argument("--seed", help=f"run seed (default: ${ENV_SEED})")
 
 

@@ -215,12 +215,13 @@ def first_difference(a: BitString, b: BitString):
 
 # --- seeded densifier freedom ----------------------------------------------
 
-def _random_bits(seed, index: int, key: str, maxbits: int = 3) -> List[int]:
+def _random_bits(seed, index: int, key: str) -> List[int]:
+    """0 to 3 seeded bits: two prng bits give the count."""
     if seed is None:
         return []
     k = derive_seed(seed, "densify", index, key)
     count = 2 * prng_bit(k, 0) + prng_bit(k, 1)
-    return [prng_bit(k, 2 + i) for i in range(min(count, maxbits))]
+    return [prng_bit(k, 2 + i) for i in range(count)]
 
 
 def _pre_extend(seed, index: int, s: BitString) -> BitString:

@@ -63,7 +63,7 @@ def entangle_pair(family: DenseFamily, payload, stages: int) -> PairTrace:
         family[0],
         BitString.zeros(c.length).append_bit(1).append_bit(zbit()),
         _cohen_leq)
-    c_stages, d_stages = [c], [d]
+    conditions = [{"c": c, "d": d}]
     for n in range(1, stages):
         boundaries.append(nat_to_int(d.length))
         c = checked_densify(
@@ -75,8 +75,7 @@ def entangle_pair(family: DenseFamily, payload, stages: int) -> PairTrace:
             family[n],
             d.pad_zeros_to(c.length).append_bit(1).append_bit(zbit()),
             _cohen_leq)
-        c_stages.append(c)
-        d_stages.append(d)
+        conditions.append({"c": c, "d": d})
     for prev, nxt in zip(boundaries, boundaries[1:]):
         if nxt < prev + 2:
             raise InternalError(f"marker positions too close: {prev}, {nxt}")
@@ -84,15 +83,26 @@ def entangle_pair(family: DenseFamily, payload, stages: int) -> PairTrace:
     return PairTrace(
         family=family, seed=family.seed,
         payload_source=source.description, payload_bits=consumed,
-        boundaries=boundaries,
-        stages=[{"stage": n,
-                 "c_len": nat_to_int(c_stages[n].length),
-                 "d_len": nat_to_int(d_stages[n].length)}
-                for n in range(stages)],
-        conditions=[{"c": c_stages[n], "d": d_stages[n]}
-                    for n in range(stages)],
+        boundaries=boundaries, stages=pair_stages(conditions),
+        conditions=conditions,
         streams={"c": BitStream(c, ConstTail(0)),
                  "d": BitStream(d, ConstTail(0))})
+
+
+def pair_stages(conditions) -> List[dict]:
+    """The stage records of a pair run whose stage n ends at conditions[n]."""
+    return [{"stage": n, "c_len": nat_to_int(rec["c"].length),
+             "d_len": nat_to_int(rec["d"].length)}
+            for n, rec in enumerate(conditions)]
+
+
+def many_stages(k: int, markers, payload_bits) -> List[dict]:
+    """The sub-round records of a k-tuple run: round r leaves the stream it
+    excludes, r % k, marker + 2 bits long and every other one at the marker."""
+    return [{"stage": r // k, "excluded": r % k, "marker": m,
+             "payload_bit": z,
+             "lengths": [m + 2 if i == r % k else m for i in range(k)]}
+            for r, (m, z) in enumerate(zip(markers, payload_bits))]
 
 
 def _check_scan_budget(budget: int) -> None:
@@ -155,7 +165,6 @@ def entangle_many(k: int, family: DenseFamily, payload, stages: int
     source = PayloadSource.coerce(payload)
     consumed: List[int] = []
     cur: List[BitString] = [BitString.empty() for _ in range(k)]
-    stage_records: List[dict] = []
     boundaries: List[int] = []
     conditions: List[dict] = []
     prev_marker = None
@@ -187,15 +196,12 @@ def entangle_many(k: int, family: DenseFamily, payload, stages: int
             consumed.append(zb)
             cur[i] = cur[i].pad_zeros_to(top).append_bit(1).append_bit(zb)
             boundaries.append(top)
-            stage_records.append({"stage": s, "excluded": i, "marker": top,
-                                  "payload_bit": zb,
-                                  "lengths": [nat_to_int(x.length) for x in cur]})
         conditions.append({str(i): cur[i] for i in range(k)})
 
     return ManyTrace(
-        k=k, family=family, seed=family.seed,
+        k=k, family=family, seed=family.seed, conditions=conditions,
         payload_source=source.description, payload_bits=consumed,
-        boundaries=boundaries, stages=stage_records, conditions=conditions,
+        boundaries=boundaries, stages=many_stages(k, boundaries, consumed),
         streams={str(i): BitStream(cur[i], ConstTail(0)) for i in range(k)})
 
 

@@ -139,6 +139,20 @@ def _json_field(obj: dict, kind: str, key: str):
     return value
 
 
+def _ints_only(value) -> bool:
+    """Whether every scalar inside a JSON value is an int; a bool is not."""
+    todo = [value]
+    for v in todo:  # a breadth-first walk; `todo` grows as it is read
+        t = type(v)
+        if t is dict:
+            todo.extend(v.values())
+        elif t is list:
+            todo.extend(v)
+        elif t is not int:
+            return False
+    return True
+
+
 def _decode_streams(kind: str, objs: list, names: Iterable[str]
                     ) -> Dict[str, BitStream]:
     """Decode a trace's stream objects, which must carry `names` in order."""
@@ -185,6 +199,11 @@ class Trace:
     def from_json(cls, obj: dict) -> "Trace":
         values = {f.name: _json_field(obj, cls.kind, f.name)
                   for f in fields(cls)}
+        if not (all(map(_is_bit, values["payload_bits"]))
+                and all(type(b) is int for b in values["boundaries"])
+                and _ints_only(values["stages"])):
+            raise UsageError(f"{cls.kind} trace payload bits must be 0 or 1, "
+                             f"and boundaries and stages hold ints only")
         values["family"] = family_from_spec(values["family"])
         values["streams"] = _decode_streams(cls.kind, values["streams"],
                                             cls._stream_names(values))
@@ -289,6 +308,8 @@ class _PlaneTrace(Trace):
     def _decode(cls, obj, values):
         if values["rows"] < 0:
             raise UsageError(f"{cls.kind} trace rows must be >= 0")
+        if values["payload_bits"] or values["boundaries"]:
+            raise UsageError(f"{cls.kind} trace carries no payload")
         values["conditions"] = [PlaneCondition.from_json(p)
                                 for p in values["conditions"]]
 

@@ -11,17 +11,17 @@ construction itself.
 from __future__ import annotations
 
 from .closure import verify_bound
-from .entangle import decode_many, decode_pair
+from .entangle import decode_many, decode_pair, many_stages, pair_stages
 from .errors import UsageError
 from .generic import meets_family, mutual_genericity_check
-from .towers import nat_equal
+from .towers import nat_add, nat_equal, nat_mul_pow2
 from .trace import (ChainBoundTrace, GenericsTrace, ManyTrace, PairTrace,
                     VerifyReport, WideTrace)
 from .wide import decode_wide
 
 
-def _scan_budget_for(boundaries, default: int = 4096) -> int:
-    return max([default] + [b + 8 for b in boundaries])
+def _scan_budget_for(boundaries) -> int:
+    return max([4096] + [b + 8 for b in boundaries])
 
 
 def verify_trace(trace) -> VerifyReport:
@@ -34,7 +34,7 @@ def verify_trace(trace) -> VerifyReport:
 def _verify_pair(trace: PairTrace) -> VerifyReport:
     report = VerifyReport()
     c, d = trace.streams["c"], trace.streams["d"]
-    horizon = len(trace.stages)
+    horizon = len(trace.conditions)
 
     def decode_matches():
         bits, bounds = decode_pair(c, d, len(trace.payload_bits),
@@ -51,6 +51,9 @@ def _verify_pair(trace: PairTrace) -> VerifyReport:
         return not bad, f"markers too close at {bad}" if bad else ""
 
     def stage_conditions():
+        if (trace.stages != pair_stages(trace.conditions)
+                or len(trace.boundaries) != 2 * len(trace.conditions) - 1):
+            return False, "stage records do not match the stage conditions"
         for n, rec in enumerate(trace.conditions):
             for name, stream in (("c", c), ("d", d)):
                 cond = rec[name]
@@ -90,25 +93,17 @@ def _verify_many(trace: ManyTrace) -> VerifyReport:
         return True, f"{len(bits)} bits recovered"
 
     def frontier_invariant():
-        last = {rec["stage"]: rec for rec in trace.stages}
-        if sorted(last) != list(range(len(trace.conditions))):
-            return False, "stage records do not match the stage conditions"
+        records = many_stages(trace.k, trace.boundaries, trace.payload_bits)
+        if (len(records) != trace.k * len(trace.conditions)
+                or trace.stages != records):
+            return False, "stage records do not match the markers and payload"
         for s, rec in enumerate(trace.conditions):
-            lengths = last[s]["lengths"]
+            lengths = records[(s + 1) * trace.k - 1]["lengths"]
             for i, stream in enumerate(streams):
                 cond = rec[str(i)]
                 if cond.length != lengths[i] or stream.take(lengths[i]) != cond:
                     return False, (f"stage {s} stream {i}: condition is not "
                                    f"its {lengths[i]}-bit prefix")
-        for rec in trace.stages:
-            lengths = rec["lengths"]
-            i = rec["excluded"]
-            want = rec["marker"] + 2
-            if lengths[i] != want:
-                return False, f"stage {rec['stage']} round {i}: excluded length"
-            # every stream is padded to the marker before it grows again
-            if any(lengths[j] < rec["marker"] for j in range(trace.k) if j != i):
-                return False, f"stage {rec['stage']} round {i}: lagging stream"
         spaced = all(b >= a + 2 for a, b in zip(trace.boundaries,
                                                 trace.boundaries[1:]))
         if not spaced:
@@ -150,6 +145,8 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
         return True, "every chain condition lies in its dense set"
 
     def decode_matches():
+        if not len(trace.stages) == count == len(g) - 1 == len(h) - 1:
+            return False, "stage records, chains and payload differ in length"
         triples = decode_wide(g, h, poset, witness, family, count)
         for n, (p, q, z) in enumerate(triples):
             if z != trace.payload_bits[n]:
@@ -157,8 +154,12 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
             if p != g[n] or q != h[n]:
                 return False, f"conditions mismatch at step {n}"
             rec = trace.stages[n]
-            if not (nat_equal(rec["alpha"], poset.encode(q))):
-                return False, f"alpha mismatch at step {n}"
+            if not (rec["step"] == n and rec["z"] == z
+                    and nat_equal(rec["alpha"], poset.encode(q))
+                    and nat_equal(rec["j"],
+                                  nat_add(nat_mul_pow2(rec["alpha"], 1), z))
+                    and poset.leq(h[n + 1], witness.antichain(q, rec["beta"]))):
+                return False, f"stage record mismatch at step {n}"
         return True, f"{count} triples reproduced"
 
     report.check("wide-chains-descending", chains_descend)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from forcing_lab import cli
-from forcing_lab.bits import _MATERIALIZE_LIMIT
+from forcing_lab.bits import _MATERIALIZE_LIMIT, stream_from_json
 from forcing_lab.cli import ENV_SEED, main
 
 FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
@@ -277,6 +277,30 @@ def test_tampered_d_row_fails_verify(tmp_path, plane_family, capsys):
     capsys.readouterr()
     assert main(["verify", "--trace", path]) == 1
     assert "FAIL chain-rows-preserved-off-patches" in capsys.readouterr().out
+
+
+def test_d_row_base_swapped_past_the_window_fails_verify(tmp_path,
+                                                       plane_family, capsys):
+    """d0's base, in the stream and in the plane, becomes a plain stream
+    that agrees with b0 on the reported window and differs just past it."""
+    path = _chain_trace(tmp_path, plane_family)
+    capsys.readouterr()
+    assert main(["verify", "--trace", str(path)]) == 0
+    window = int(capsys.readouterr().out.split("window ")[1].split()[0])
+
+    def swap_d0_base(obj):
+        b0 = next(s for s in obj["streams"] if s["name"] == "b0")
+        text = stream_from_json(b0).take01(window + 1)
+        base = {"prefix": text[:window],
+                "tail_rule": {"kind": "const", "bit": 1 - int(text[window])}}
+        next(s for s in obj["streams"] if s["name"] == "d0")["base"] = base
+        obj["plane"]["rows"]["0"]["base"] = base
+
+    _edited(path, swap_d0_base)
+    assert main(["verify", "--trace", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL chain-rows-preserved-off-patches: rows not b_k patched" in out
+    assert out.count("FAIL") == 2, out
 
 
 def test_tampered_generics_row_tail_fails_verify(tmp_path, capsys):
@@ -702,6 +726,87 @@ def _case_family_parity_3(tmp_path, fam, plane):
             "--stages", "2"]
 
 
+def _wide_stage_edit(key, value):
+    def edit(obj):
+        obj["stages"][0][key] = value
+    return edit
+
+
+def _case_wide_stage_z_true(tmp_path, fam, plane):
+    # z 1 -> true: a bool that equals the int it replaces
+    return _verify_edited(_wide_trace(tmp_path, fam),
+                          _wide_stage_edit("z", True))
+
+
+def _case_wide_stage_step_false(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam),
+                          _wide_stage_edit("step", False))
+
+
+def _case_wide_stage_step_float(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam),
+                          _wide_stage_edit("step", 0.0))
+
+
+def _wide_run_bit(value):
+    """A trace edit that puts `value` in place of the first run bit 1."""
+    def edit(obj):
+        runs = next(s["runs"] for s in obj["conditions"]["g"]
+                    if isinstance(s, dict))
+        next(run for run in runs if run[0] == 1)[0] = value
+    return edit
+
+
+def _case_wide_run_bit_true(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _wide_run_bit(True))
+
+
+def _case_wide_run_bit_float(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _wide_run_bit(1.0))
+
+
+def _case_pair_payload_bit_2(tmp_path, fam, plane):
+    def edit(obj):
+        obj["payload_bits"][0] = 2
+    return _verify_edited(_pair_trace(tmp_path, fam), edit)
+
+
+def _case_pair_payload_bit_true(tmp_path, fam, plane):
+    def edit(obj):
+        obj["payload_bits"][obj["payload_bits"].index(1)] = True
+    return _verify_edited(_pair_trace(tmp_path, fam), edit)
+
+
+def _case_pair_boundary_float(tmp_path, fam, plane):
+    def edit(obj):
+        obj["boundaries"][0] = float(obj["boundaries"][0])
+    return _verify_edited(_pair_trace(tmp_path, fam), edit)
+
+
+def _case_pair_stage_c_len_true(tmp_path, fam, plane):
+    def edit(obj):
+        obj["stages"][0]["c_len"] = True
+    return _verify_edited(_pair_trace(tmp_path, fam), edit)
+
+
+def _case_many_stage_length_float(tmp_path, fam, plane):
+    def edit(obj):
+        obj["stages"][0]["lengths"][0] += 0.0
+    return _verify_edited(_many_trace(tmp_path), edit)
+
+
+def _case_chain_stage_retries_true(tmp_path, fam, plane):
+    def edit(obj):
+        obj["stages"][0]["retries"] = True
+    return _verify_edited(_chain_trace(tmp_path, plane), edit)
+
+
+def _case_chain_payload_bit(tmp_path, fam, plane):
+    def edit(obj):
+        obj["payload_bits"] = [1]
+    return _verify_edited(_chain_trace(tmp_path, plane), edit)
+
+
 @pytest.mark.parametrize("case", [
     _case_pair_no_payload_bits, _case_pair_no_stream_c, _case_family_of_ints,
     _case_pattern_without_word, _case_decode_wide_unknown_poset,
@@ -732,7 +837,13 @@ def _case_family_parity_3(tmp_path, fam, plane):
     _case_decode_pair_bit_file_too_long, _case_decode_many_bit_file_too_long,
     _case_wide_nat_op_unknown, _case_wide_nat_const_true,
     _case_wide_nat_arg_true, _case_wide_stage_alpha_true,
-    _case_family_parity_3,
+    _case_family_parity_3, _case_wide_stage_z_true,
+    _case_wide_stage_step_false, _case_wide_stage_step_float,
+    _case_wide_run_bit_true, _case_wide_run_bit_float,
+    _case_pair_payload_bit_2, _case_pair_payload_bit_true,
+    _case_pair_boundary_float, _case_pair_stage_c_len_true,
+    _case_many_stage_length_float, _case_chain_stage_retries_true,
+    _case_chain_payload_bit,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):

@@ -1,8 +1,10 @@
 """Chain bounding: worked SQ example, verification checks, mutations."""
 
 import dataclasses
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forcing_lab.bits import BitStream, ConstTail, PatchedStream
 from forcing_lab.closure import bound_chain, build_generics_run, verify_bound
@@ -12,6 +14,7 @@ from forcing_lab.errors import FamilyTooSmall, RetryBudgetExceeded, UsageError
 from forcing_lab.generic import meets_family, mutual_genericity_check
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
 from test_dense import restrict_rows
+from test_mutations import run_cli
 
 
 def generic_rows(family, rows, horizon, seed=None):
@@ -225,3 +228,38 @@ def test_verify_never_raises_on_garbage():
                           {}, None)
     report = verify_bound(dataclasses.replace(trace, plane=broken))
     assert not report.all_passed  # reports, does not throw
+
+
+PLANE_SETS = st.one_of(st.just({"type": "square"}),
+                       st.builds(lambda r: {"type": "cell", "row": r},
+                                 st.integers(0, 5)))
+SEEDS = st.one_of(st.none(), st.sampled_from(["a", "b7", "\u00e9"]))
+
+
+@given(sets=st.lists(PLANE_SETS, min_size=1, max_size=6),
+       family_seed=SEEDS, run_seed=SEEDS, rows=st.integers(1, 5),
+       generics=st.one_of(st.none(), st.integers(0, 6)))
+@settings(max_examples=30, deadline=None)
+def test_random_bound_chains_verify_or_are_too_small(
+        tmp_path_factory, sets, family_seed, run_seed, rows, generics):
+    tmp = tmp_path_factory.mktemp("bound")
+    family = tmp / "family.json"
+    family.write_text(json.dumps({"carrier": "plane", "seed": family_seed,
+                                  "sets": sets}))
+    seed = [] if run_seed is None else ["--seed", run_seed]
+    argv = ["bound-chain", "--family", family, "--rows", rows,
+            "--out", tmp / "chain.json", *seed]
+    if generics is not None:
+        horizon = min(generics, len(sets))
+        assert run_cli(["build-generics", "--family", family, "--rows", rows,
+                         "--horizon", horizon, "--out", tmp / "gen.json",
+                         *seed]) == (0, "")
+        argv += ["--from-generics", tmp / "gen.json"]
+    rc, err = run_cli(argv)
+    if rc == 2:
+        assert len(sets) < rows
+        assert err == (f"error: {rows} rows need a family of at least {rows} "
+                       f"sets, got {len(sets)}\n")
+    else:
+        assert (rc, err) == (0, "")
+        assert run_cli(["verify", "--trace", tmp / "chain.json"]) == (0, "")

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from forcing_lab.bits import BitStream, BitString, ConstTail, PayloadSource
 from forcing_lab.dense import min_length_family
-from forcing_lab.entangle import decode_many, entangle_many
+from forcing_lab.entangle import decode_many, entangle_many, many_stages
 from forcing_lab.errors import BadArity, NoMarker
 from forcing_lab.generic import mutual_genericity_check
 
@@ -99,3 +99,22 @@ def test_zero_payload_markers_found():
     streams = list(trace.streams.values())
     bits, _ = decode_many(streams, 3, 15, 1024)
     assert bits == [0] * 15
+
+
+@given(st.integers(0, 2 ** 10 - 1), st.integers(2, 4), st.integers(1, 6),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_many_stages_reproduce_the_records(seed, k, stages, seeded):
+    fam = min_length_family(stages, carrier="product", arity=k - 1,
+                            seed=seed if seeded else None)
+    trace = entangle_many(k, fam, PayloadSource.from_seed(seed), stages)
+    assert trace.stages == many_stages(k, trace.boundaries, trace.payload_bits)
+    assert len(trace.stages) == k * stages
+    streams = list(trace.streams.values())
+    for rec in trace.stages:
+        excluded, marker = streams[rec["excluded"]], rec["marker"]
+        assert excluded.bit(marker) == 1
+        assert excluded.bit(marker + 1) == rec["payload_bit"]
+    for s, cond in enumerate(trace.conditions):
+        assert [len(cond[str(i)].to01()) for i in range(k)] == \
+            trace.stages[(s + 1) * k - 1]["lengths"]

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from forcing_lab.bits import BitStream, PayloadSource
 from forcing_lab.dense import min_length_family, mixed_cohen_family
-from forcing_lab.entangle import decode_pair, entangle_pair
+from forcing_lab.entangle import decode_pair, entangle_pair, pair_stages
 from forcing_lab.errors import (EmptyFamily, FamilyTooSmall, NoMarker,
                                 PayloadExhausted, UsageError)
 from forcing_lab.generic import meets_family
@@ -136,3 +136,18 @@ def test_decode_stops_mid_stream():
     bits, bounds = decode_pair(c, d, 2, 256)
     assert bits == trace.payload_bits[:2]
     assert bounds == trace.boundaries[:2]
+
+
+@given(st.integers(0, 2 ** 10 - 1), st.integers(1, 12), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_pair_stages_reproduce_the_records(seed, stages, seeded):
+    fam = mixed_cohen_family(stages, seed=seed if seeded else None)
+    trace = entangle_pair(fam, PayloadSource.from_seed(seed), stages)
+    assert trace.stages == pair_stages(trace.conditions)
+    assert trace.stages == [
+        {"stage": n, "c_len": len(rec["c"].to01()),
+         "d_len": len(rec["d"].to01())}
+        for n, rec in enumerate(trace.conditions)]
+    # markers sit at the end of c_0, d_0, c_1, d_1, ..., c_last
+    assert trace.boundaries == [x for rec in trace.stages
+                                for x in (rec["c_len"], rec["d_len"])][:-1]

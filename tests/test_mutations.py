@@ -226,3 +226,50 @@ def test_one_bit_file_edit_never_escapes_the_cli(bit_files, tmp_path_factory,
     rc, err = run_cli([paths.get(a, a) for a in argv])
     assert rc in (0, 1, 2), err
     assert "Traceback" not in err and len(err.splitlines()) <= 1, err
+
+
+# Derived fields: what `verify` recomputes from the rest of a trace.
+DERIVED_KEYS = ("stages", "boundaries", "payload_bits")
+
+
+@pytest.fixture(scope="module")
+def derived_targets(tmp_path_factory):
+    """(kind, CLI-written trace, key path of each int inside a derived
+    field) for the kinds whose derived fields `verify` recomputes."""
+    tmp = tmp_path_factory.mktemp("derived")
+    out = []
+    for kind in ("pair", "many", "wide"):
+        path = tmp / f"{kind}.json"
+        rc, err = run_cli(TRACES[kind][0] + ["--out", path])
+        assert rc == 0, err
+        obj = json.loads(path.read_text())
+        ints = [p for key in DERIVED_KEYS
+                for p in json_paths(obj[key], (key,))
+                if type(_at(obj, p)) is int]
+        out.append((kind, obj, ints))
+    return out
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_one_derived_field_edit_fails_verify(derived_targets, tmp_path_factory,
+                                             data):
+    kind, obj, ints = data.draw(st.sampled_from(derived_targets), label="kind")
+    path = data.draw(st.sampled_from(ints), label="path")
+    value = _at(obj, path)
+    # +-1 flips a 0/1; a float or bool may equal the int it replaces
+    edits = [value + 1, value - 1, float(value), True, False]
+    bad = copy.deepcopy(obj)
+    _at(bad, path[:-1])[path[-1]] = data.draw(st.sampled_from(edits),
+                                              label="new value")
+    mutated = tmp_path_factory.getbasetemp() / "derived.json"
+    mutated.write_text(json.dumps(bad))
+    rc, err = run_cli(["verify", "--trace", mutated])
+    assert rc in (1, 2), (kind, path)
+    assert "Traceback" not in err and len(err.splitlines()) <= 1, err
