@@ -447,16 +447,41 @@ class BitStream:
 
 
 class PatchedStream(BitStream):
-    """A stream equal to a base stream except at finitely many positions."""
+    """A stream equal to a base stream except at finitely many positions.
+
+    Construction reads nothing: `bit` answers a patched column from the
+    patch and any other from the base, and the text the other reads share
+    is the base's, patched, generated only as far as a read asks."""
 
     def __init__(self, base: BitStream, patch: dict):
         self.base = base
         self.patch = {int(k): int(v) for k, v in patch.items()}
+        self.tail = base.tail
+        self._text = ""
+
+    @property
+    def prefix_string(self) -> BitString:
+        """The patched bits up to the last patch or base-prefix column."""
         cover = max(self.patch, default=-1) + 1
-        text = list(base.take01(max(cover, base.prefix_string.length)))
-        for i, bit in self.patch.items():
-            text[i] = str(bit)
-        super().__init__(BitString.from01("".join(text)), base.tail)
+        return self.take(max(cover, self.base.prefix_string.length))
+
+    def _read(self, n: int) -> str:
+        text = self._text
+        if n > len(text):
+            start = len(text)
+            new = self.base.take01(n)[start:]
+            cols = [c for c in self.patch if start <= c < n]
+            if cols:
+                chars = list(new)
+                for c in cols:
+                    chars[c - start] = str(self.patch[c])
+                new = "".join(chars)
+            text = self._text = text + new
+        return text
+
+    def bit(self, i: int) -> int:
+        bit = self.patch.get(i)
+        return self.base.bit(i) if bit is None else bit
 
     def to_json(self):
         return {"kind": "patched",
@@ -552,6 +577,38 @@ class PayloadSource:
             return cls.from_bits(list(payload))
         raise UsageError(f"cannot interpret payload {payload!r}")
 
+    @classmethod
+    def from_json(cls, obj) -> Optional["PayloadSource"]:
+        """A fresh source for a trace's `payload_source`, the description
+        one of the constructors above writes; None for no source and for a
+        `file` source, whose bits the trace does not hold. Any other value
+        is a usage error."""
+        if obj is None:
+            return None
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        fields = _SOURCE_FIELDS.get(kind) if isinstance(kind, str) else None
+        if (fields is None or set(obj) != {"kind", *fields}
+                or not all(isinstance(obj[k], t) for k, t in fields.items())):
+            raise UsageError(f"malformed payload source of kind {kind!r}")
+        if kind == "hex":
+            if len(obj["hex"]) > _MATERIALIZE_LIMIT // 4:
+                raise UsageError(f"a hex payload source is longer than "
+                                 f"{_MATERIALIZE_LIMIT} bits")
+            return cls.from_hex(obj["hex"])
+        if kind == "bits":
+            if obj["bits"].strip("01"):
+                raise UsageError(f"bits payload source {obj['bits']!r} is "
+                                 f"not binary")
+            return cls.from_bits(obj["bits"])
+        if kind == "seed":
+            if obj["algo"] != PrngTail.algo:
+                raise UsageError(f"unknown payload source algo "
+                                 f"{obj['algo']!r}")
+            return cls.from_seed(obj["seed"])
+        if kind == "stream":
+            return cls.from_stream(stream_from_json(obj["stream"]))
+        return None
+
     def next_bit(self) -> int:
         i = self._pos
         self._pos += 1
@@ -560,6 +617,12 @@ class PayloadSource:
         if i >= len(self._bits):
             raise PayloadExhausted(f"payload ran out after {len(self._bits)} bits")
         return self._bits[i]
+
+
+# payload source kind -> the JSON type of each field besides "kind"
+_SOURCE_FIELDS = {"hex": {"hex": str}, "bits": {"bits": str},
+                  "seed": {"seed": str, "algo": str},
+                  "stream": {"stream": dict}, "file": {"path": str}}
 
 
 def read_bit_file(path) -> BitString:

@@ -13,6 +13,12 @@ row-n cells (rows beyond the input get the fill rule as their base), so
 the final plane extends every commitment and each b_n differs from its
 row only at the recorded patch.
 
+The fresh-cell invariant: the previous commitment agrees with every
+finalized row (it was accepted only when the cells its densifier added
+did, and its own row is patched to its cells), and so do the revealed
+bits, so an attempt compares with the rows only the cells the densifier
+added to the merged condition.
+
 The existence of a compatible extension is a genericity fact about the
 inputs, not of this code: with non-generic rows the search can stall, and
 that surfaces honestly as RetryBudgetExceeded.
@@ -20,6 +26,7 @@ that surfaces honestly as RetryBudgetExceeded.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Dict, List, Sequence
 
 from .bits import BitStream, PatchedStream
@@ -93,22 +100,27 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
         transcript: List[dict] = []
         merged, shown = prev, 0   # merged holds the columns below `shown`
         while True:
-            revealed = PlaneCondition(
-                {(k, col): int(bit) for k in range(n) for col, bit in
-                 enumerate(finalized[k].take01(reveal_to)[shown:], shown)})
+            revealed = PlaneCondition.from_rows(
+                {k: finalized[k].take01(reveal_to)[shown:]
+                 for k in range(n)}, shown)
             try:
                 merged = merge_conditions(merged, revealed)
             except IncompatibleConditions as exc:
                 raise IncompatibleCommitment(n, str(exc)) from exc
             shown = reveal_to
             cand = checked_densify(family[n], merged, _plane_leq)
+            # merged agrees with every finalized row, so only the cells the
+            # densifier added can clash
+            fresh = [(k, col) for k, col in
+                     filterfalse(merged.cells.__contains__, cand.cells)
+                     if k < n]
             width: Dict[int, int] = {}
-            for k, col in cand.cells:
-                if k < n and col >= width.get(k, 0):
+            for k, col in fresh:
+                if col >= width.get(k, 0):
                     width[k] = col + 1
             rows = {k: finalized[k].take01(w) for k, w in width.items()}
-            clashes = [(k, col) for (k, col), bit in cand.cells.items()
-                       if k < n and int(rows[k][col]) != bit]
+            clashes = [(k, col) for k, col in fresh
+                       if int(rows[k][col]) != cand.cells[(k, col)]]
             if not clashes:
                 commit = cand
                 break

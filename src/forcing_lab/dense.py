@@ -33,6 +33,7 @@ tuples; that is complete because every catalog set is upward closed.
 from __future__ import annotations
 
 import json
+from itertools import filterfalse, product
 from typing import Callable, List, Optional, Sequence
 
 from .bits import BitString, derive_seed, prng_bit
@@ -400,7 +401,9 @@ def _plane_fill(seed, index: int, cond: PlaneCondition, missing) -> dict:
     """
     if seed is None or not missing:
         return dict.fromkeys(missing, 0)
-    key = derive_seed(seed, "densify", index, json.dumps(cond.to_json()))
+    # to_json builds fresh lists, so the cycle check has nothing to find
+    key = derive_seed(seed, "densify", index,
+                      json.dumps(cond.to_json(), check_circular=False))
     row_seeds = {}
     out = {}
     for r, c in missing:
@@ -414,13 +417,21 @@ def _plane_fill(seed, index: int, cond: PlaneCondition, missing) -> dict:
 def _plane_square(i: int, seed) -> DenseSet:
     size = i + 1
 
+    def square():
+        """The square's cells in row-major order, made as they are read:
+        as fast as a stored list, and no memory held per set."""
+        return product(range(size), repeat=2)
+
     def member(p: PlaneCondition) -> bool:
-        return all((r, c) in p.cells for r in range(size) for c in range(size))
+        return all(map(p.cells.__contains__, square()))
 
     def densify(p: PlaneCondition) -> PlaneCondition:
-        missing = [(r, c) for r in range(size) for c in range(size)
-                   if (r, c) not in p.cells]
-        return PlaneCondition({**p.cells, **_plane_fill(seed, i, p, missing)})
+        missing = list(filterfalse(p.cells.__contains__, square()))
+        if not missing:
+            return p
+        # the fill covers only missing cells, so it cannot clash with p
+        return PlaneCondition._of({**p.cells,
+                                   **_plane_fill(seed, i, p, missing)})
 
     def search(plane, budget):
         return size if size <= budget else None
@@ -440,7 +451,8 @@ def _plane_cell(i: int, row: int, seed) -> DenseSet:
     def densify(p: PlaneCondition) -> PlaneCondition:
         if (row, col) in p.cells:
             return p
-        return PlaneCondition({**p.cells, **_plane_fill(seed, i, p, [(row, col)])})
+        return PlaneCondition._of({**p.cells,
+                                   **_plane_fill(seed, i, p, [(row, col)])})
 
     def search(plane, budget):
         t = max(row, col) + 1

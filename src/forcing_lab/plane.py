@@ -6,13 +6,16 @@ q's. A GenericPlane is the filter-side object: a total assignment built
 from finitely many commitments, finalized row streams, and a default fill
 rule for everything never touched. Each cell is read through its row's
 BitStream, so a fill bit is hashed at most once per plane.
+
+Order, compatibility and merge compare cell maps through dict views, so
+their per-cell work runs inside the dict and set code, not in a Python loop.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, count, repeat
 from types import MappingProxyType
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, ConstTail,
                    PrngTail, derive_seed)
@@ -30,12 +33,28 @@ class PlaneCondition:
         self.cells = MappingProxyType(dict(cells or {}))
 
     @classmethod
+    def _of(cls, cells: Dict[Cell, int]) -> "PlaneCondition":
+        """Wrap a dict the caller has just built and keeps no reference to."""
+        p = cls.__new__(cls)
+        p.cells = MappingProxyType(cells)
+        return p
+
+    @classmethod
     def empty(cls) -> "PlaneCondition":
         return cls()
 
     @classmethod
     def from_items(cls, items: Iterable[Tuple[int, int, int]]) -> "PlaneCondition":
         return cls({(r, c): b for r, c, b in items})
+
+    @classmethod
+    def from_rows(cls, texts: Mapping[int, str], start: int = 0
+                  ) -> "PlaneCondition":
+        """The cells (r, start + i) set to bit i of row r's 0/1 text."""
+        cells = {}
+        for r, text in texts.items():
+            cells.update(zip(zip(repeat(r), count(start)), map(int, text)))
+        return cls._of(cells)
 
     @property
     def is_empty(self) -> bool:
@@ -53,23 +72,16 @@ class PlaneCondition:
         if old is not None and old != bit:
             raise IncompatibleConditions(
                 f"cell ({row},{col}) already set to {old}", cell=(row, col))
-        new = dict(self.cells)
-        new[(row, col)] = bit
-        return PlaneCondition(new)
+        return PlaneCondition._of({**self.cells, (row, col): bit})
 
     def leq(self, other: "PlaneCondition") -> bool:
         """Stronger-or-equal: self's cell map extends other's."""
-        for cell, bit in other.cells.items():
-            if self.cells.get(cell) != bit:
-                return False
-        return True
+        return self.cells.items() >= other.cells.items()
 
     def compatible(self, other: "PlaneCondition") -> bool:
-        for cell, bit in other.cells.items():
-            mine = self.cells.get(cell)
-            if mine is not None and mine != bit:
-                return False
-        return True
+        """Whether the two maps give every cell they share the same bit."""
+        a, b = self.cells, other.cells
+        return len(a.items() & b.items()) == len(a.keys() & b.keys())
 
     def row_cells(self, row: int) -> Dict[int, int]:
         return {c: b for (r, c), b in self.cells.items() if r == row}
@@ -103,7 +115,7 @@ class PlaneCondition:
             raise UsageError(f"plane cells must be distinct [row, col, bit] "
                              f"items with int row, col in "
                              f"0..{_MATERIALIZE_LIMIT - 1} and bit 0 or 1")
-        return cls(cells)
+        return cls._of(cells)
 
     def __eq__(self, other):
         if not isinstance(other, PlaneCondition):
@@ -124,22 +136,25 @@ class PlaneCondition:
 
 
 def merge_conditions(p: PlaneCondition, q: PlaneCondition) -> PlaneCondition:
-    """Union of the two cell maps; the greatest lower bound when compatible."""
-    merged = dict(p.cells)
-    for cell, bit in q.cells.items():
-        old = merged.get(cell)
-        if old is not None and old != bit:
-            raise IncompatibleConditions(
-                f"conditions disagree at cell {cell}", cell=cell)
-        merged[cell] = bit
-    return PlaneCondition(merged)
+    """Union of the two cell maps; the greatest lower bound when compatible.
+
+    Incompatible maps raise at the first cell of q, in q's order, that p
+    sets to the other bit."""
+    if not q.cells:
+        return p
+    if not p.compatible(q):
+        cell = next(c for c, bit in q.cells.items()
+                    if p.cells.get(c, bit) != bit)
+        raise IncompatibleConditions(
+            f"conditions disagree at cell {cell}", cell=cell)
+    return PlaneCondition._of({**p.cells, **q.cells})
 
 
 def factor_plane(p: PlaneCondition, n: int):
     """Split by row: cells with row < n, and cells with row >= n."""
     low = {cell: b for cell, b in p.cells.items() if cell[0] < n}
     high = {cell: b for cell, b in p.cells.items() if cell[0] >= n}
-    return PlaneCondition(low), PlaneCondition(high)
+    return PlaneCondition._of(low), PlaneCondition._of(high)
 
 
 class GenericPlane:
@@ -179,9 +194,8 @@ class GenericPlane:
 
     def restriction(self, size: int) -> PlaneCondition:
         """The size x size corner of the plane as a finite condition."""
-        return PlaneCondition(
-            {(r, c): int(bit) for r in range(size)
-             for c, bit in enumerate(self.row_stream(r).take01(size))})
+        return PlaneCondition.from_rows(
+            {r: self.row_stream(r).take01(size) for r in range(size)})
 
     def contains(self, p: PlaneCondition) -> bool:
         """Whether p is a restriction of this plane (p is in its filter)."""

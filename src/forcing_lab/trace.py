@@ -29,7 +29,8 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
-from .bits import BitStream, BitString, _is_bit, stream_from_json
+from .bits import (BitStream, BitString, PayloadSource, _is_bit,
+                   stream_from_json)
 from .dense import DenseFamily, family_from_spec
 from .errors import CheckFailure, UsageError
 from .plane import GenericPlane, PlaneCondition
@@ -68,13 +69,16 @@ def _encode(obj, nl: str) -> str:
         kinds = set(map(type, obj))
         if kinds == {int}:
             body = sep.join(map(int.__repr__, obj))
-        elif kinds == {list} and all(obj) and set(
+        elif kinds <= {list, tuple} and all(obj) and set(
                 map(type, chain.from_iterable(obj))) == {int}:
-            # plane cells: non-empty rows of plain ints
+            # plane cells and clash lists: non-empty rows of plain ints,
+            # written with one template per row length and one format
             deeper = inner + "  "
             row_sep = "," + deeper
-            body = sep.join(["[" + deeper + row_sep.join(map(int.__repr__, row))
-                             + inner + "]" for row in obj])
+            rows = {n: "[" + deeper + row_sep.join(["%d"] * n) + inner + "]"
+                    for n in set(map(len, obj))}
+            body = sep.join(map(rows.__getitem__, map(len, obj))) % tuple(
+                chain.from_iterable(obj))
         else:
             body = sep.join([_encode(v, inner) for v in obj])
         return "[" + inner + body + nl + "]"
@@ -204,6 +208,7 @@ class Trace:
                 and _ints_only(values["stages"])):
             raise UsageError(f"{cls.kind} trace payload bits must be 0 or 1, "
                              f"and boundaries and stages hold ints only")
+        PayloadSource.from_json(values["payload_source"])  # raises if bad
         values["family"] = family_from_spec(values["family"])
         values["streams"] = _decode_streams(cls.kind, values["streams"],
                                             cls._stream_names(values))
@@ -308,7 +313,8 @@ class _PlaneTrace(Trace):
     def _decode(cls, obj, values):
         if values["rows"] < 0:
             raise UsageError(f"{cls.kind} trace rows must be >= 0")
-        if values["payload_bits"] or values["boundaries"]:
+        if (values["payload_bits"] or values["boundaries"]
+                or values["payload_source"] is not None):
             raise UsageError(f"{cls.kind} trace carries no payload")
         values["conditions"] = [PlaneCondition.from_json(p)
                                 for p in values["conditions"]]

@@ -10,9 +10,10 @@ construction itself.
 
 from __future__ import annotations
 
+from .bits import PayloadSource
 from .closure import verify_bound
 from .entangle import decode_many, decode_pair, many_stages, pair_stages
-from .errors import UsageError
+from .errors import PayloadExhausted, UsageError
 from .generic import meets_family, mutual_genericity_check
 from .towers import nat_add, nat_equal, nat_mul_pow2
 from .trace import (ChainBoundTrace, GenericsTrace, ManyTrace, PairTrace,
@@ -22,6 +23,22 @@ from .wide import decode_wide
 
 def _scan_budget_for(boundaries) -> int:
     return max([4096] + [b + 8 for b in boundaries])
+
+
+_SOURCE_MISMATCH = "payload source does not yield the payload bits"
+
+
+def _source_yields(trace) -> bool:
+    """Whether the payload source, drawn again from its start, yields the
+    trace's payload bits; a `file` source, or none, is not checked."""
+    source = PayloadSource.from_json(trace.payload_source)
+    if source is None:
+        return True
+    try:
+        drawn = [source.next_bit() for _ in trace.payload_bits]
+    except PayloadExhausted:
+        return False
+    return drawn == trace.payload_bits
 
 
 def verify_trace(trace) -> VerifyReport:
@@ -43,6 +60,8 @@ def _verify_pair(trace: PairTrace) -> VerifyReport:
             return False, f"payload mismatch: {bits} != {trace.payload_bits}"
         if bounds != trace.boundaries:
             return False, f"boundary mismatch: {bounds} != {trace.boundaries}"
+        if not _source_yields(trace):
+            return False, _SOURCE_MISMATCH
         return True, f"{len(bits)} bits, boundaries {bounds[:6]}..."
 
     def marker_spacing():
@@ -90,6 +109,8 @@ def _verify_many(trace: ManyTrace) -> VerifyReport:
             return False, "payload mismatch"
         if markers != trace.boundaries:
             return False, "marker mismatch"
+        if not _source_yields(trace):
+            return False, _SOURCE_MISMATCH
         return True, f"{len(bits)} bits recovered"
 
     def frontier_invariant():
@@ -160,6 +181,8 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
                                   nat_add(nat_mul_pow2(rec["alpha"], 1), z))
                     and poset.leq(h[n + 1], witness.antichain(q, rec["beta"]))):
                 return False, f"stage record mismatch at step {n}"
+        if not _source_yields(trace):
+            return False, _SOURCE_MISMATCH
         return True, f"{count} triples reproduced"
 
     report.check("wide-chains-descending", chains_descend)

@@ -299,6 +299,42 @@ def test_prng_tail_bits_are_hashed_once_per_stream():
     assert [c.args[1] for c in spy.call_args_list] == list(range(2, 12))
 
 
+def test_patched_stream_reads_nothing_until_asked():
+    base = BitStream.from_prefix("01", PrngTail("lazy"))
+    far = 10 ** 6
+    with mock.patch.object(bits, "prng_bit", wraps=bits.prng_bit) as spy:
+        s = PatchedStream(base, {far: 1, 3: 0})
+        assert s.bit(far) == 1 and s.bit(3) == 0 and s.bit(1) == 1
+        assert s.to_json()["patch"] == {"3": 0, str(far): 1}
+    assert spy.call_count == 0
+    near = PatchedStream(base, {5: 1})
+    assert near.prefix_string.to01() == "".join(
+        str(reference_bit("01", base.tail, {5: 1}, i)) for i in range(6))
+
+
+def test_payload_source_descriptions_draw_the_same_bits(tmp_path):
+    path = tmp_path / "p.bits"
+    path.write_text("0110")
+    sources = [PayloadSource.from_bits("1101"), PayloadSource.from_hex("a5"),
+               PayloadSource.from_seed("s"),
+               PayloadSource.from_stream(PatchedStream(
+                   BitStream.from_prefix("01", PrngTail("t")), {4: 1}))]
+    for source in sources:
+        again = PayloadSource.from_json(source.description)
+        assert again.description == source.description
+        drawn = [source.next_bit() for _ in range(4)]
+        assert [again.next_bit() for _ in range(4)] == drawn
+    assert PayloadSource.from_json(
+        PayloadSource.from_file(path).description) is None
+    assert PayloadSource.from_json(None) is None
+    for bad in ({"kind": "bits", "bits": "12"}, {"kind": "hex", "hex": "g"},
+                {"kind": "seed", "seed": "s", "algo": "md5"},
+                {"kind": "seed", "seed": "s"}, {"kind": "file", "path": 1},
+                {"kind": ["hex"]}, ["hex", "a5"]):
+        with pytest.raises(UsageError):
+            PayloadSource.from_json(bad)
+
+
 def test_payload_sources():
     fin = PayloadSource.from_bits("101")
     assert [fin.next_bit() for _ in range(3)] == [1, 0, 1]

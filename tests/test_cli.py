@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from forcing_lab import cli
+from forcing_lab import bits, cli
 from forcing_lab.bits import _MATERIALIZE_LIMIT, stream_from_json
 from forcing_lab.cli import ENV_SEED, main
 
@@ -347,6 +348,37 @@ def test_stray_chain_patch_is_named(tmp_path, plane_family, capsys):
     assert main(["verify", "--trace", path]) == 1
     assert ("FAIL chain-rows-preserved-off-patches: patch cells not in the "
             "last commitment: [(0, 3000000)]" in capsys.readouterr().out)
+
+
+def test_far_matching_patch_loads_without_generating_bits(
+        tmp_path, plane_family, capsys, monkeypatch):
+    """One matching cell at column 3,000,000 in the last commitment, the
+    row-0 patch, d0 and plane row 0: a valid trace. Loading it reads the
+    patch bit and generates no base bit before it."""
+    far = 3_000_000
+    path = _chain_trace(tmp_path, plane_family)
+    capsys.readouterr()
+    assert main(["verify", "--trace", str(path)]) == 0
+    before = capsys.readouterr().out
+
+    def add_far_cell(obj):
+        obj["conditions"][-1].append([0, far, 1])
+        obj["patches"]["0"][str(far)] = 1
+        next(s for s in obj["streams"] if s["name"] == "d0")["patch"][
+            str(far)] = 1
+        obj["plane"]["rows"]["0"]["patch"][str(far)] = 1
+
+    _edited(path, add_far_cell)
+    hashes = []
+    monkeypatch.setattr(bits, "prng_bit",
+                        lambda seed, i, real=bits.prng_bit:
+                        hashes.append(i) or real(seed, i))
+    start = time.perf_counter()
+    assert main(["verify", "--trace", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert len(hashes) < 1000 and max(hashes, default=0) < 100
+    assert capsys.readouterr().out == before.replace(
+        before.split("window ")[1].split()[0], str(far + 1))
 
 
 def test_non_ascii_seeds(tmp_path, len_family, plane_family):

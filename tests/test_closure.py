@@ -6,10 +6,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcing_lab.bits import BitStream, ConstTail, PatchedStream
+from forcing_lab.bits import BitStream, ConstTail, PatchedStream, PrngTail
 from forcing_lab.closure import bound_chain, build_generics_run, verify_bound
 from forcing_lab.dense import (DenseFamily, DenseSet, checked_densify,
-                               mixed_plane_family, square_family)
+                               family_from_spec, mixed_plane_family,
+                               square_family)
 from forcing_lab.errors import FamilyTooSmall, RetryBudgetExceeded, UsageError
 from forcing_lab.generic import meets_family, mutual_genericity_check
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
@@ -263,3 +264,38 @@ def test_random_bound_chains_verify_or_are_too_small(
     else:
         assert (rc, err) == (0, "")
         assert run_cli(["verify", "--trace", tmp / "chain.json"]) == (0, "")
+
+
+STREAMS = st.builds(
+    lambda prefix, tail: BitStream.from_prefix(prefix, tail),
+    st.text(alphabet="01", max_size=8),
+    st.one_of(st.integers(0, 1).map(ConstTail),
+              st.sampled_from(["p", "q"]).map(PrngTail)))
+
+
+@given(sets=st.lists(PLANE_SETS, min_size=1, max_size=8),
+       family_seed=SEEDS, fill_seed=SEEDS, rows=st.integers(0, 5),
+       generic=st.booleans(), streams=st.lists(STREAMS, max_size=5),
+       retry_budget=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_random_bound_chains_match_the_full_scan_reference(
+        sets, family_seed, fill_seed, rows, generic, streams, retry_budget):
+    """bound_chain checks only the cells each densify adds; the reference
+    checks every cell of every candidate. On random families, with the
+    family's own generic rows or arbitrary streams, the two give the same
+    commitments, patches and stage records (attempt transcripts included),
+    or fail at the same stage."""
+    fam = family_from_spec({"carrier": "plane", "seed": family_seed,
+                            "sets": sets})
+    rows = min(rows, len(fam))
+    b = (generic_rows(fam, rows, len(fam), seed=fill_seed) if generic
+         else streams[:rows])
+    try:
+        want = reference_stages(b, fam, retry_budget, fill_seed)
+    except RetryBudgetExceeded as ref:
+        with pytest.raises(RetryBudgetExceeded) as err:
+            bound_chain(b, fam, retry_budget, fill_seed)
+        assert err.value.stage == ref.stage
+        return
+    trace = bound_chain(b, fam, retry_budget, fill_seed)
+    assert (trace.conditions, trace.patches, trace.stages) == want

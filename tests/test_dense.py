@@ -131,6 +131,30 @@ def test_plane_fill_matches_per_cell_reference(cells, index, row, seed):
     assert dset.densify(p) == PlaneCondition(cell)
 
 
+@given(plane_cells, st.integers(0, 6), st.integers(0, 6), fill_seeds)
+@settings(max_examples=80)
+def test_plane_members_match_per_cell_definitions(cells, index, row, seed):
+    """Square and cell `member` against their sets' definitions, before and
+    after `densify`; every set is asked twice, so a square's cell list is
+    reused."""
+    square = build_set(index, {"type": "square"}, "plane", None, seed)
+    cell = build_set(index, {"type": "cell", "row": row}, "plane", None, seed)
+    size = index + 1
+    for p in (PlaneCondition(cells), PlaneCondition.empty()):
+        for _ in range(2):
+            assert square.member(p) == all(
+                (r, c) in p.cells for r in range(size) for c in range(size))
+            assert cell.member(p) == ((row, index) in p.cells)
+        for dset in (square, cell):
+            out = dset.densify(p)
+            assert dset.member(out) and out.leq(p)
+            assert set(out.cells) - set(p.cells) == {
+                rc for rc in ({(r, c) for r in range(size)
+                               for c in range(size)}
+                              if dset is square else {(row, index)})
+                if rc not in p.cells}
+
+
 def test_plane_fill_serializes_once_per_densify(monkeypatch):
     calls = {"dumps": 0, "derive_seed": 0}
 

@@ -21,7 +21,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forcing_lab.bits import BitStream, PrngTail
 from forcing_lab.cli import main
+from forcing_lab.dense import load_family_file
+from forcing_lab.entangle import entangle_pair
+from forcing_lab.trace import write_trace
 
 FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
 
@@ -273,3 +277,107 @@ def test_one_derived_field_edit_fails_verify(derived_targets, tmp_path_factory,
     rc, err = run_cli(["verify", "--trace", mutated])
     assert rc in (1, 2), (kind, path)
     assert "Traceback" not in err and len(err.splitlines()) <= 1, err
+
+
+def _stream_payload_pair(path):
+    """A pair trace whose payload source is a stream, which only the
+    library writes."""
+    payload = BitStream.from_prefix("0110", PrngTail("s"))
+    write_trace(path, entangle_pair(load_family_file(_family("len8")),
+                                    payload, 4))
+
+
+def _source(edit):
+    def apply(obj):
+        edit(obj["payload_source"])
+    return apply
+
+
+def _set(**fields):
+    return _source(lambda source: source.update(fields))
+
+
+# (trace kind, edit of the trace JSON, exit code of `verify`)
+PAYLOAD_SOURCE_EDITS = {
+    "hex_a5_to_a4": ("pair", _set(hex="a4"), 1),
+    "hex_a5_to_25": ("pair", _set(hex="25"), 1),
+    # the same bits: a hex source is zero-extended
+    "hex_a5_to_a500": ("pair", _set(hex="a500"), 0),
+    "hex_not_hex": ("pair", _set(hex="a5x"), 2),
+    # more than 2^22 bits: past the longest prefix a stream holds
+    "hex_too_long": ("pair", _set(hex="a5" * (1 << 19) + "00"), 2),
+    "hex_as_int": ("pair", _set(hex=165), 2),
+    "hex_extra_key": ("pair", _set(extra=1), 2),
+    "kind_unknown": ("pair", _set(kind="hexx"), 2),
+    "kind_missing": ("pair", _source(lambda source: source.pop("kind")), 2),
+    "source_a_list": ("pair",
+                      lambda obj: obj.update(payload_source=["a5"]), 2),
+    "source_removed": ("pair", lambda obj: obj.pop("payload_source"), 0),
+    "bits_101_to_100": ("wide", _set(bits="100"), 1),
+    "bits_too_short": ("wide", _set(bits="10"), 1),
+    "bits_not_binary": ("wide", _set(bits="1x1"), 2),
+    "seed_changed": ("many-seed", _set(seed="4"), 1),
+    "seed_algo_unknown": ("many-seed", _set(algo="md5"), 2),
+    "seed_as_int": ("many-seed", _set(seed=3), 2),
+    "stream_prefix_changed": ("pair-stream", _source(
+        lambda source: source["stream"].update(prefix="0111")), 1),
+    "stream_tail_changed": ("pair-stream", _source(
+        lambda source: source["stream"]["tail_rule"].update(seed="t")), 1),
+    "stream_no_tail_rule": ("pair-stream", _source(
+        lambda source: source["stream"].pop("tail_rule")), 2),
+    "file_path_changed": ("pair-file", _set(path="elsewhere.bits"), 0),
+    "file_path_as_int": ("pair-file", _set(path=7), 2),
+    "plane_given_a_source": ("chain-bound", lambda obj: obj.update(
+        payload_source={"kind": "hex", "hex": "a5"}), 2),
+}
+
+
+@pytest.fixture(scope="module")
+def source_traces(tmp_path_factory):
+    """CLI-written traces with hex, bits, seed and file sources, and a
+    library-written one with a stream source."""
+    tmp = tmp_path_factory.mktemp("sources")
+    bits = tmp / "payload.bits"
+    bits.write_text("1011\n")
+    writers = {
+        # 5 stages draw 9 payload bits, so the last bit of a5 is used
+        "pair": ["entangle-pair", "--family", _family("mixed12"),
+                 "--payload", "hex:a5", "--stages", "5"],
+        "wide": TRACES["wide"][0],
+        "chain-bound": TRACES["chain-bound"][0],
+        "many-seed": ["entangle-many", "--k", "4",
+                      "--family", _family("product32-arity3"),
+                      "--payload", "seed:3", "--stages", "2"],
+        "pair-file": ["entangle-pair", "--family", _family("len8"),
+                      "--payload", f"file:{bits}", "--stages", "2"],
+    }
+    out = {}
+    for label, argv in writers.items():
+        path = tmp / f"{label}.json"
+        assert run_cli(argv + ["--out", path]) == (0, "")
+        out[label] = json.loads(path.read_text())
+    path = tmp / "pair-stream.json"
+    _stream_payload_pair(path)
+    out["pair-stream"] = json.loads(path.read_text())
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(PAYLOAD_SOURCE_EDITS))
+def test_payload_source_edits(source_traces, tmp_path, case):
+    """verify draws the payload again from a hex, bits, seed or stream
+    source: a source that yields other bits fails (exit 1), a malformed
+    one is a usage error (exit 2), and a file source is not checked."""
+    label, edit, code = PAYLOAD_SOURCE_EDITS[case]
+    path = tmp_path / "edited.json"
+    assert run_cli(["verify", "--trace", _write(path, source_traces[label])]
+                   ) == (0, "")
+    obj = copy.deepcopy(source_traces[label])
+    edit(obj)
+    rc, err = run_cli(["verify", "--trace", _write(path, obj)])
+    assert rc == code, err
+    assert len(err.splitlines()) == (code == 2), err
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return path

@@ -129,3 +129,62 @@ def test_plane_json_roundtrip():
     plane2 = GenericPlane.from_json(plane.to_json())
     assert all(plane.cell(r, c) == plane2.cell(r, c)
                for r in range(4) for c in range(4))
+
+
+@st.composite
+def condition_pairs(draw):
+    """(p, q) where q takes some of p's cells, flips some of those, and
+    adds cells of its own, so that q is often above, clashing with or
+    disjoint from p."""
+    p = draw(cells)
+    q = {}
+    for cell, bit in p.items():
+        use = draw(st.sampled_from(["keep", "flip", "drop", "drop"]))
+        if use != "drop":
+            q[cell] = bit if use == "keep" else 1 - bit
+    q.update(draw(cells))
+    order = draw(st.permutations(list(q)))
+    return PlaneCondition(p), PlaneCondition({c: q[c] for c in order})
+
+
+def per_cell_merge(p, q):
+    """merge_conditions as a loop over q's cells: the union, or the first
+    cell of q, in q's order, that p sets to the other bit."""
+    merged = dict(p.cells)
+    for cell, bit in q.cells.items():
+        if merged.get(cell, bit) != bit:
+            return cell
+        merged[cell] = bit
+    return PlaneCondition(merged)
+
+
+@given(condition_pairs())
+def test_view_kernels_match_per_cell_definitions(pq):
+    p, q = pq
+    for a, b in ((p, q), (q, p)):
+        assert a.leq(b) == all(a.cells.get(c) == bit
+                               for c, bit in b.cells.items())
+        assert a.compatible(b) == all(a.cells.get(c, bit) == bit
+                                      for c, bit in b.cells.items())
+        want = per_cell_merge(a, b)
+        if isinstance(want, PlaneCondition):
+            got = merge_conditions(a, b)
+            assert got == want and list(got.cells) == list(want.cells)
+        else:
+            with pytest.raises(IncompatibleConditions) as err:
+                merge_conditions(a, b)
+            assert err.value.cell == want
+            assert str(err.value) == f"conditions disagree at cell {want}"
+
+
+@given(cells, st.integers(0, 6), st.sampled_from([None, "s1"]))
+def test_restriction_and_row_cells_match_per_cell_definitions(commit, size,
+                                                               seed):
+    p = PlaneCondition(commit)
+    plane = GenericPlane(commitments=p, fill_seed=seed)
+    assert plane.restriction(size).cells == {
+        (r, c): plane.cell(r, c) for r in range(size) for c in range(size)}
+    for row in range(7):
+        assert p.row_cells(row) == {c: b for (r, c), b in commit.items()
+                                    if r == row}
+    assert PlaneCondition.from_json(p.to_json()) == p

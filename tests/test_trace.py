@@ -156,6 +156,25 @@ def test_dump_matches_stdlib_json(value):
     assert _dump(value) == stdlib_dump(value)
 
 
+# rows of 1-4 ints, as lists or tuples, mixed in one list (the templated
+# row path), and str -> int maps such as patches
+_CELL_ROWS = st.lists(st.lists(st.integers(), min_size=1, max_size=4)
+                      | st.tuples(st.integers(), st.integers())
+                      | st.tuples(st.integers(), st.integers(), st.integers()),
+                      min_size=1, max_size=12)
+_INT_MAPS = st.dictionaries(_TEXT, st.integers()
+                            | st.integers(min_value=-10 ** 300,
+                                          max_value=10 ** 300), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CELL_ROWS, _INT_MAPS)
+def test_dump_of_int_rows_and_int_maps_matches_stdlib_json(rows, patch):
+    for value in (rows, patch, {"conditions": [rows, rows[:1]],
+                                "patches": {"0": patch}}):
+        assert _dump(value) == stdlib_dump(value)
+
+
 def test_dump_sorts_int_keys_numerically():
     value = {"a": {10: [1], 2: {}}, "b": [[]]}
     assert _dump(value) == stdlib_dump(value) == (
