@@ -23,7 +23,7 @@ from .errors import (AmbiguousNat, BadArity, BudgetExceeded, CheckFailure,
                      NoMarker, PayloadExhausted, RetryBudgetExceeded,
                      UsageError, WitnessViolation)
 from .generic import GenericityReport, meets_family, mutual_genericity_check
-from .plane import GenericPlane, PlaneCondition, factor_plane, merge_conditions
+from .plane import GenericPlane, PlaneCondition, merge_conditions
 from .posets import (CountablePoset, WidenessWitness, cohen_element,
                      cohen_index, cohen_poset, cohen_wide_witness,
                      validate_wideness_witness)
@@ -48,7 +48,7 @@ __all__ = [
     "NoAntichainHit", "NoMarker", "PayloadExhausted", "RetryBudgetExceeded",
     "UsageError", "WitnessViolation",
     "GenericityReport", "meets_family", "mutual_genericity_check",
-    "GenericPlane", "PlaneCondition", "factor_plane", "merge_conditions",
+    "GenericPlane", "PlaneCondition", "merge_conditions",
     "CountablePoset", "WidenessWitness", "cohen_element", "cohen_index",
     "cohen_poset", "cohen_wide_witness", "validate_wideness_witness",
     "ChainBoundTrace", "GenericsTrace", "ManyTrace", "PairTrace", "WideTrace",

@@ -177,7 +177,7 @@ def _run(args) -> int:
         trace = load_trace(args.trace)
         if not isinstance(trace, WideTrace):
             raise UsageError(f"{args.trace} is not a wide trace")
-        count = args.count or len(trace.payload_bits)
+        count = len(trace.payload_bits) if args.count is None else args.count
         triples = decode_wide(trace.g_chain, trace.h_chain, trace.poset,
                               trace.witness, trace.family, count, args.budget)
         bits = [z for _, _, z in triples]

@@ -26,8 +26,13 @@ A family may carry a seed; then every densifier first makes a few seeded
 pseudo-random extension choices (a pure function of the input condition)
 before completing into the set, modelling densifier freedom.
 
-Product-carrier searches in the verifier enumerate equal-length prefix
-tuples; that is complete because every catalog set is upward closed.
+Each catalog set has a witness search: given what a filter reads (a
+stream, a tuple of streams or a plane) and a cap, it returns the least
+k <= cap whose k-th filter condition (k-bit prefix, tuple of k-bit
+prefixes, k x k corner) is a member, else None. Parity is not upward
+closed (appending a 1 flips it), so its search tries every k up to the
+cap; the product sets are upward closed, so reading a tuple filter as
+equal-length prefix tuples loses no witness.
 """
 
 from __future__ import annotations
@@ -231,6 +236,11 @@ def _pre_extend(seed, index: int, s: BitString) -> BitString:
     return s
 
 
+def _least_at(t: int) -> Callable:
+    """The witness search of a set first met by every filter at index t."""
+    return lambda view, cap: t if t <= cap else None
+
+
 # --- cohen catalog ----------------------------------------------------------
 
 def _cohen_min_length(i: int, seed) -> DenseSet:
@@ -245,11 +255,8 @@ def _cohen_min_length(i: int, seed) -> DenseSet:
             s = s.pad_zeros_to(need)
         return s
 
-    def search(stream, budget):
-        return need if need <= budget else None
-
     return DenseSet(i, member, densify, spec={"type": "min-length"},
-                    witness_search=search)
+                    witness_search=_least_at(need))
 
 
 def _cohen_pattern(i: int, word: str, seed) -> DenseSet:
@@ -294,12 +301,13 @@ def _cohen_parity(i: int, target: int, seed) -> DenseSet:
         return s
 
     def search(stream, budget):
-        ones = 0
-        for k, bit in enumerate(stream.take01(budget)):
-            if k >= need and ones % 2 == target:
-                return k
-            ones += bit == "1"
-        return None
+        text = stream.take01(budget)
+        if need > len(text):
+            return None
+        if text.count("1", 0, need) % 2 == target:
+            return need
+        flip = text.find("1", need)  # the next k where the parity changes
+        return flip + 1 if flip != -1 else None
 
     return DenseSet(i, member, densify, spec={"type": "parity", "parity": target},
                     witness_search=search)
@@ -324,11 +332,8 @@ def _product_min_length(i: int, arity: int, seed) -> DenseSet:
         return tuple(s.pad_zeros_to(need) if nat_less(s.length, need) else s
                      for s in tup)
 
-    def search(streams, budget):
-        return need if need <= budget else None
-
     return DenseSet(i, member, densify, spec={"type": "min-length"},
-                    witness_search=search)
+                    witness_search=_least_at(need))
 
 
 def _product_coord_min_length(i: int, arity: int, coord: int, seed) -> DenseSet:
@@ -345,12 +350,9 @@ def _product_coord_min_length(i: int, arity: int, coord: int, seed) -> DenseSet:
             tup[coord] = tup[coord].pad_zeros_to(need)
         return tuple(tup)
 
-    def search(streams, budget):
-        return need if need <= budget else None
-
     return DenseSet(i, member, densify,
                     spec={"type": "coord-min-length", "coord": coord},
-                    witness_search=search)
+                    witness_search=_least_at(need))
 
 
 def _product_separating(i: int, arity: int, seed) -> DenseSet:
@@ -433,11 +435,8 @@ def _plane_square(i: int, seed) -> DenseSet:
         return PlaneCondition._of({**p.cells,
                                    **_plane_fill(seed, i, p, missing)})
 
-    def search(plane, budget):
-        return size if size <= budget else None
-
     return DenseSet(i, member, densify, spec={"type": "square"},
-                    witness_search=search)
+                    witness_search=_least_at(size))
 
 
 def _plane_cell(i: int, row: int, seed) -> DenseSet:
@@ -454,12 +453,8 @@ def _plane_cell(i: int, row: int, seed) -> DenseSet:
         return PlaneCondition._of({**p.cells,
                                    **_plane_fill(seed, i, p, [(row, col)])})
 
-    def search(plane, budget):
-        t = max(row, col) + 1
-        return t if t <= budget else None
-
     return DenseSet(i, member, densify, spec={"type": "cell", "row": row},
-                    witness_search=search)
+                    witness_search=_least_at(max(row, col) + 1))
 
 
 # --- family construction ----------------------------------------------------

@@ -7,13 +7,14 @@ horizon". The filter representations are concrete:
            (filter = the prefixes of that one condition)
   product  a tuple of the above, one per coordinate
   plane    a GenericPlane (filter = its finite restrictions)
-  poset    a descending chain of conditions (filter = upward closure,
-           membership decided against the chain within a budget)
 
-Catalog sets may provide a fast witness search, but every witness reported
-here is re-verified with the set's own member predicate, and witnesses are
-drawn from the filter by construction. A search that finds nothing within
-its budget reports met=False.
+Each set is decided in one search over the filter's conditions up to the
+budget. Every catalog set has a witness search that returns the least
+index whose condition is a member; a set without one is scanned condition
+by condition. Every witness reported here is re-verified with the set's
+own member predicate, and witnesses are drawn from the filter by
+construction. A search that finds nothing within its budget reports
+met=False.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .bits import BitStream, BitString
-from .dense import (CARRIER_COHEN, CARRIER_PLANE, CARRIER_POSET,
-                    CARRIER_PRODUCT, DenseFamily)
+from .dense import CARRIER_COHEN, CARRIER_PLANE, CARRIER_PRODUCT, DenseFamily
 from .errors import BadArity, FamilyTooSmall, UsageError
 from .plane import GenericPlane
 from .towers import nat_le
@@ -65,44 +65,29 @@ class GenericityReport:
 
 
 def _search(dset, view, cap: int, candidate):
-    """Fast witness re-checked with `member`, else a linear scan to cap.
+    """The least member candidate(k), k <= cap, or None.
 
     `view` is what the set's witness search reads; `candidate(k)` is the
-    filter's k-th condition (prefix, prefix tuple or square corner).
+    filter's k-th condition (prefix, prefix tuple or square corner). The
+    search's k is re-checked with `member`, so a wrong search can only
+    miss, never report a non-member.
     """
-    if dset.witness_search is not None:
-        k = dset.witness_search(view, cap)
-        if k is not None and k <= cap:
+    if dset.witness_search is None:
+        for k in range(cap + 1):
             cand = candidate(k)
             if dset.member(cand):
                 return cand
-    for k in range(cap + 1):
+        return None
+    k = dset.witness_search(view, cap)
+    if k is not None and k <= cap:
         cand = candidate(k)
         if dset.member(cand):
             return cand
     return None
 
 
-def _search_chain(dset, chain, poset, budget: int):
-    for i, el in enumerate(chain):
-        if i >= budget:
-            break
-        if dset.member(el):
-            return el
-    if poset is not None and poset.ancestors is not None:
-        seen = 0
-        for el in chain:
-            for anc in poset.ancestors(el, budget):
-                seen += 1
-                if seen > budget:
-                    return None
-                if dset.member(anc):
-                    return anc
-    return None
-
-
 def _filter_search(filt, family: DenseFamily, horizon: int,
-                   budget: Optional[int], poset):
+                   budget: Optional[int]):
     """(budget, search(dset)) for the filter's representation.
 
     The one place that tells the representations apart. `budget` None
@@ -110,17 +95,6 @@ def _filter_search(filt, family: DenseFamily, horizon: int,
     as the stream of its own prefixes, cut at min(budget, its length).
     """
     carrier = family.carrier
-    if carrier == CARRIER_POSET or (carrier == CARRIER_COHEN
-                                    and isinstance(filt, (list, tuple))):
-        # a descending chain of conditions; the budget counts chain
-        # elements and ancestors
-        if poset is None and carrier == CARRIER_COHEN:
-            from .posets import cohen_poset
-            poset = cohen_poset()
-        chain = list(filt)
-        if budget is None:
-            budget = max(horizon + 16, 64, len(chain) + 1)
-        return budget, lambda dset: _search_chain(dset, chain, poset, budget)
     if carrier == CARRIER_PLANE:
         if not isinstance(filt, GenericPlane):
             raise UsageError("plane families need a GenericPlane filter")
@@ -138,7 +112,7 @@ def _filter_search(filt, family: DenseFamily, horizon: int,
             raise BadArity(
                 f"family arity {family.arity} != {len(coords)} filters")
     else:
-        raise UsageError(f"unknown carrier {family.carrier!r}")
+        raise UsageError(f"no filter shape for carrier {family.carrier!r}")
     if not all(isinstance(p, (BitStream, BitString)) for p in coords):
         raise UsageError(f"not a cohen filter representation: {filt!r}")
     if budget is None:
@@ -165,7 +139,7 @@ def _filter_search(filt, family: DenseFamily, horizon: int,
 
 
 def meets_family(filt, family: DenseFamily, horizon: int,
-                 budget: Optional[int] = None, poset=None) -> GenericityReport:
+                 budget: Optional[int] = None) -> GenericityReport:
     """Report, per n < horizon, whether the filter meets D_n, with witness."""
     if horizon < 0:
         raise UsageError("horizon must be >= 0")
@@ -174,7 +148,7 @@ def meets_family(filt, family: DenseFamily, horizon: int,
             f"horizon {horizon} exceeds family size {len(family)}")
     if budget is not None and budget < 1:
         raise UsageError("budget must be >= 1")
-    budget, search = _filter_search(filt, family, horizon, budget, poset)
+    budget, search = _filter_search(filt, family, horizon, budget)
 
     report = GenericityReport(horizon=horizon, budget=budget)
     for n in range(horizon):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import chain, count, repeat
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, ConstTail,
                    PrngTail, derive_seed)
@@ -44,10 +44,6 @@ class PlaneCondition:
         return cls()
 
     @classmethod
-    def from_items(cls, items: Iterable[Tuple[int, int, int]]) -> "PlaneCondition":
-        return cls({(r, c): b for r, c, b in items})
-
-    @classmethod
     def from_rows(cls, texts: Mapping[int, str], start: int = 0
                   ) -> "PlaneCondition":
         """The cells (r, start + i) set to bit i of row r's 0/1 text."""
@@ -60,19 +56,8 @@ class PlaneCondition:
     def is_empty(self) -> bool:
         return not self.cells
 
-    @property
-    def support(self):
-        return frozenset(self.cells)
-
     def get(self, row: int, col: int):
         return self.cells.get((row, col))
-
-    def with_cell(self, row: int, col: int, bit: int) -> "PlaneCondition":
-        old = self.cells.get((row, col))
-        if old is not None and old != bit:
-            raise IncompatibleConditions(
-                f"cell ({row},{col}) already set to {old}", cell=(row, col))
-        return PlaneCondition._of({**self.cells, (row, col): bit})
 
     def leq(self, other: "PlaneCondition") -> bool:
         """Stronger-or-equal: self's cell map extends other's."""
@@ -148,13 +133,6 @@ def merge_conditions(p: PlaneCondition, q: PlaneCondition) -> PlaneCondition:
         raise IncompatibleConditions(
             f"conditions disagree at cell {cell}", cell=cell)
     return PlaneCondition._of({**p.cells, **q.cells})
-
-
-def factor_plane(p: PlaneCondition, n: int):
-    """Split by row: cells with row < n, and cells with row >= n."""
-    low = {cell: b for cell, b in p.cells.items() if cell[0] < n}
-    high = {cell: b for cell, b in p.cells.items() if cell[0] >= n}
-    return PlaneCondition._of(low), PlaneCondition._of(high)
 
 
 class GenericPlane:

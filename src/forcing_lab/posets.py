@@ -54,15 +54,13 @@ class CountablePoset:
 
     def __init__(self, name: str, encode: Callable, decode: Callable,
                  leq: Callable, compat: Callable,
-                 extend: Optional[Callable] = None,
-                 ancestors: Optional[Callable] = None):
+                 extend: Optional[Callable] = None):
         self.name = name
         self.encode = encode
         self.decode = decode
         self.leq = leq
         self.compat = compat
         self.extend = extend
-        self.ancestors = ancestors
 
     def __repr__(self):
         return f"CountablePoset({self.name})"
@@ -70,12 +68,6 @@ class CountablePoset:
 
 def _cohen_extend(q: BitString, key: str) -> BitString:
     return q.concat(BitString.from_bits(prng_bit(key, i) for i in range(8)))
-
-
-def _cohen_ancestors(el: BitString, limit: int):
-    top = el.length if isinstance(el.length, int) else limit
-    for k in range(min(top, limit) + 1):
-        yield el.prefix(k)
 
 
 def cohen_poset() -> CountablePoset:
@@ -86,7 +78,6 @@ def cohen_poset() -> CountablePoset:
         leq=lambda a, b: a.end_extends(b),
         compat=lambda a, b: a.compatible(b),
         extend=_cohen_extend,
-        ancestors=_cohen_ancestors,
     )
 
 

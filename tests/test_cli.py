@@ -105,6 +105,20 @@ def test_wide_build_verify_decode(tmp_path, len_family, capsys):
     assert "101101010101" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count, want", [([], "1011"), (["--count", "2"], "10"),
+                                         (["--count", "0"], "")])
+def test_decode_wide_count(tmp_path, len_family, capsys, count, want):
+    """--count 0 decodes nothing, as in decode-pair and decode-many; an
+    omitted --count decodes the whole payload."""
+    out = tmp_path / "wide.json"
+    assert main(["entangle-wide", "--family", len_family,
+                 "--payload", "bits:1011", "--steps", "4",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["decode-wide", "--trace", str(out), *count]) == 0
+    assert capsys.readouterr().out == f"decoded z bits: {want}\n"
+
+
 def test_generics_and_bound_chain(tmp_path, plane_family, capsys):
     gen = tmp_path / "gen.json"
     assert main(["build-generics", "--family", plane_family, "--rows", "3",

@@ -34,7 +34,7 @@ def hunting_family(skip=0):
         free = 0
         while (0, free) in p.cells:
             free += 1
-        return p.with_cell(0, free + skip, 1)
+        return PlaneCondition({**p.cells, (0, free + skip): 1})
 
     return DenseFamily(
         [DenseSet(0, lambda p: True, lambda p: p, spec={"type": "trivial"}),

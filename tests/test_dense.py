@@ -178,9 +178,9 @@ def test_plane_fill_serializes_once_per_densify(monkeypatch):
 
 
 def bit_by_bit_parity_search(stream, budget, need, target):
-    """The parity witness search as one bit read per position."""
+    """The parity witness search as one bit read per position, k = 0..budget."""
     ones = 0
-    for k in range(budget):
+    for k in range(budget + 1):
         if k >= need and ones % 2 == target:
             return k
         ones += stream.bit(k)

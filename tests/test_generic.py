@@ -1,10 +1,11 @@
 """meets_family / mutual_genericity_check semantics."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from forcing_lab.bits import BitStream, BitString, PrngTail
-from forcing_lab.dense import family_from_spec, min_length_family
+from forcing_lab.dense import (DenseFamily, DenseSet, family_from_spec,
+                               min_length_family)
 from forcing_lab.errors import BadArity, FamilyTooSmall
 from forcing_lab.generic import meets_family, mutual_genericity_check
 from forcing_lab.plane import GenericPlane, PlaneCondition
@@ -90,16 +91,6 @@ def test_plane_meets():
     assert all(plane.contains(rep.witness(n)) for n in range(3))
 
 
-def test_poset_chain_meets():
-    fam = min_length_family(4, carrier="poset")
-    chain = [BitString.from01("0" * (n + 1)) for n in range(4)]
-    from forcing_lab.posets import cohen_poset
-    rep = meets_family(chain, fam, 4, poset=cohen_poset())
-    assert rep.all_met
-    # witnesses are chain elements themselves
-    assert rep.witness(2) == chain[2]
-
-
 # --- finite conditions as filters: witnesses against a brute-force scan ----
 
 STRING_COHEN = family_from_spec(
@@ -126,6 +117,8 @@ def _assert_shortest_witnesses(rep, family, cap, candidate):
 
 
 @given(texts01, budgets)
+@example("111", None)      # parity 1 (D_2) first met by the whole string
+@example("1100000", 5)     # parity 0 (D_4) first met at k = budget
 @settings(max_examples=60, deadline=None)
 def test_string_filter_witness_is_shortest_member_prefix(text, budget):
     s = BitString.from01(text)
@@ -156,3 +149,45 @@ def test_stream_and_string_tuple_witness(prefix, text, budget):
     cap = min(rep.budget, len(text))
     _assert_shortest_witnesses(rep, STRING_PRODUCT, cap,
                                lambda k: (stream.take(k), s.prefix(k)))
+
+
+# --- streams and planes as filters: witnesses against a brute-force scan ---
+
+@given(st.text(alphabet="01", max_size=20), budgets)
+@settings(max_examples=40, deadline=None)
+def test_stream_filter_witness_is_shortest_member_prefix(prefix, budget):
+    stream = BitStream.from_prefix(prefix, PrngTail(prefix))
+    rep = meets_family(stream, STRING_COHEN, len(STRING_COHEN), budget=budget)
+    _assert_shortest_witnesses(rep, STRING_COHEN, rep.budget, stream.take)
+
+
+plane_entries = st.lists(
+    st.one_of(st.just({"type": "square"}),
+              st.builds(lambda r: {"type": "cell", "row": r},
+                        st.integers(0, 9))),
+    min_size=1, max_size=8)
+plane_commits = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 1),
+    max_size=20)
+plane_rows = st.dictionaries(st.integers(0, 9),
+                             st.text(alphabet="01", max_size=12), max_size=3)
+
+
+@given(plane_entries, plane_commits, plane_rows,
+       st.sampled_from([None, "f"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_plane_filter_witness_is_least_member_corner(entries, commit, rows,
+                                                     seed, data):
+    """Square and cell sets, and a set with no witness search (some cell
+    is 1), against budgets below and above the largest square."""
+    fam = family_from_spec({"carrier": "plane", "sets": entries})
+    has_a_one = DenseSet(len(fam), lambda p: 1 in p.cells.values(),
+                         lambda p: p)
+    fam = DenseFamily(fam.sets + [has_a_one], "plane")
+    plane = GenericPlane(
+        PlaneCondition(commit), fill_seed=seed,
+        rows={r: BitStream.from_prefix(t, PrngTail(t))
+              for r, t in rows.items()})
+    budget = data.draw(st.one_of(st.none(), st.integers(1, len(fam) + 2)))
+    rep = meets_family(plane, fam, len(fam), budget=budget)
+    _assert_shortest_witnesses(rep, fam, rep.budget, plane.restriction)

@@ -22,7 +22,6 @@ from forcing_lab.cli import main
 from forcing_lab.dense import family_from_spec, min_length_family
 from forcing_lab.generic import meets_family
 from forcing_lab.plane import GenericPlane, PlaneCondition
-from forcing_lab.posets import cohen_poset
 
 COHEN = {"carrier": "cohen", "seed": "gold-fam",
          "sets": [{"type": "min-length"}, {"type": "pattern", "word": "101"},
@@ -130,13 +129,6 @@ def test_default_budgets_per_filter_shape():
     plane_fam = family_from_spec({"carrier": "plane",
                                   "sets": [{"type": "square"}] * 8})
     plane = GenericPlane(
-        commitments=PlaneCondition.from_items([(1, 9, 1), (4, 2, 0)]),
+        commitments=PlaneCondition({(1, 9): 1, (4, 2): 0}),
         rows={11: BitStream.constant(1)}, fill_seed="p")
     assert meets_family(plane, plane_fam, 6).budget == 14
-
-    chain = [BitString.from01("0" * k) for k in range(1, 80)]
-    assert meets_family(chain, cohen, 5).budget == 80
-    poset_fam = family_from_spec({"carrier": "poset",
-                                  "sets": [{"type": "min-length"}] * 6})
-    assert meets_family(chain[:10], poset_fam, 6,
-                        poset=cohen_poset()).budget == 64

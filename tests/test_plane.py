@@ -1,4 +1,4 @@
-"""Plane conditions: merge as greatest lower bound, factoring, planes."""
+"""Plane conditions: merge as greatest lower bound, order, planes."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from forcing_lab.bits import (BitStream, PatchedStream, PrngTail,
                               derive_seed, prng_bit)
 from forcing_lab.errors import IncompatibleConditions
-from forcing_lab.plane import (GenericPlane, PlaneCondition, factor_plane,
-                               merge_conditions)
+from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
 
 cells = st.dictionaries(
     st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(0, 1),
@@ -46,24 +45,6 @@ def test_merge_is_greatest_lower_bound(p, q):
     # any common strengthening r of p and q is also below m
     r = PlaneCondition({**p.cells, **q.cells, (9, 9): 1})
     assert r.leq(m)
-
-
-def test_factor_examples():
-    p = PlaneCondition({(0, 0): 1, (2, 3): 0})
-    low, high = factor_plane(p, 1)
-    assert low == PlaneCondition({(0, 0): 1})
-    assert high == PlaneCondition({(2, 3): 0})
-    assert factor_plane(p, 0) == (PlaneCondition.empty(), p)
-    assert factor_plane(p, 7) == (p, PlaneCondition.empty())
-
-
-@given(conditions, st.integers(0, 6))
-def test_factor_partitions_support(p, n):
-    low, high = factor_plane(p, n)
-    assert merge_conditions(low, high) == p
-    assert low.support.isdisjoint(high.support)
-    assert all(r < n for r, _ in low.support)
-    assert all(r >= n for r, _ in high.support)
 
 
 @given(conditions, conditions)
