@@ -16,17 +16,16 @@ from .dense import (DenseFamily, DenseSet, family_from_spec, load_family_file,
                     min_length_family, mixed_cohen_family, mixed_plane_family,
                     square_family)
 from .entangle import decode_many, decode_pair, entangle_many, entangle_pair
-from .errors import (AmbiguousNat, BadArity, BudgetExceeded, CheckFailure,
-                     ConsistencyFailure, EmptyFamily, FamilyTooSmall,
-                     ForcingLabError, IncompatibleCommitment,
-                     IncompatibleConditions, InternalError, NoAntichainHit,
-                     NoMarker, PayloadExhausted, RetryBudgetExceeded,
-                     UsageError, WitnessViolation)
+from .errors import (AmbiguousNat, BadArity, CheckFailure, ConsistencyFailure,
+                     EmptyFamily, FamilyTooSmall, ForcingLabError,
+                     IncompatibleCommitment, IncompatibleConditions,
+                     InternalError, NoAntichainHit, NoMarker,
+                     PayloadExhausted, RetryBudgetExceeded, UsageError,
+                     WitnessViolation)
 from .generic import GenericityReport, meets_family, mutual_genericity_check
 from .plane import GenericPlane, PlaneCondition, merge_conditions
 from .posets import (CountablePoset, WidenessWitness, cohen_element,
-                     cohen_index, cohen_poset, cohen_wide_witness,
-                     validate_wideness_witness)
+                     cohen_index, cohen_poset, cohen_wide_witness)
 from .trace import (ChainBoundTrace, GenericsTrace, ManyTrace, PairTrace,
                     WideTrace, load_trace, write_trace)
 from .verify import verify_trace
@@ -42,15 +41,15 @@ __all__ = [
     "min_length_family", "mixed_cohen_family", "mixed_plane_family",
     "square_family",
     "decode_many", "decode_pair", "entangle_many", "entangle_pair",
-    "AmbiguousNat", "BadArity", "BudgetExceeded", "CheckFailure",
-    "ConsistencyFailure", "EmptyFamily", "FamilyTooSmall", "ForcingLabError",
+    "AmbiguousNat", "BadArity", "CheckFailure", "ConsistencyFailure",
+    "EmptyFamily", "FamilyTooSmall", "ForcingLabError",
     "IncompatibleCommitment", "IncompatibleConditions", "InternalError",
     "NoAntichainHit", "NoMarker", "PayloadExhausted", "RetryBudgetExceeded",
     "UsageError", "WitnessViolation",
     "GenericityReport", "meets_family", "mutual_genericity_check",
     "GenericPlane", "PlaneCondition", "merge_conditions",
     "CountablePoset", "WidenessWitness", "cohen_element", "cohen_index",
-    "cohen_poset", "cohen_wide_witness", "validate_wideness_witness",
+    "cohen_poset", "cohen_wide_witness",
     "ChainBoundTrace", "GenericsTrace", "ManyTrace", "PairTrace", "WideTrace",
     "load_trace", "write_trace", "verify_trace",
     "decode_wide", "entangle_wide",

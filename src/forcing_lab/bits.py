@@ -277,9 +277,6 @@ class BitString:
         rest = self.strip_prefix(other)
         return rest is not None and not rest.is_empty
 
-    def compatible(self, other: "BitString") -> bool:
-        return self.end_extends(other) or other.end_extends(self)
-
     def ones(self) -> NatLike:
         if self._text is not None:
             return self._text.count("1")

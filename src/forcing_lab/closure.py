@@ -158,7 +158,9 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
 def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     """Independently re-check a chain-bound run; reports, never raises.
 
-    Checks: commitments in their sets, the commitment chain descending,
+    Checks: one commitment per set and per stage record, each record's
+    stage number, cell count and retry count matching its commitment and
+    attempts, commitments in their sets, the commitment chain descending,
     the last (so every) commitment contained in the plane, every patch
     cell being a cell of the last commitment, each row d_k being the
     plane's row k and b_k patched at exactly its recorded patch (so the
@@ -171,8 +173,14 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     horizon = len(family)
 
     def members():
-        bad = [n for n in range(min(len(chain), len(family)))
-               if not family[n].member(chain[n])]
+        if not len(chain) == len(family) == len(trace.stages):
+            return False, "commitments, sets and stage records differ in number"
+        bad = [n for n, (rec, cond) in enumerate(zip(trace.stages, chain))
+               if rec["stage"] != n or rec["committed_cells"] != len(cond)
+               or rec["retries"] != len(rec["attempts"])]
+        if bad:
+            return False, f"stage records disagree with the chain at: {bad}"
+        bad = [n for n in range(len(chain)) if not family[n].member(chain[n])]
         return not bad, f"commitments outside their sets: {bad}" if bad else ""
 
     def descending():

@@ -85,10 +85,6 @@ class WitnessViolation(CheckFailure):
         self.detail = detail
 
 
-class BudgetExceeded(CheckFailure):
-    """A bounded search hit its budget before deciding."""
-
-
 class RetryBudgetExceeded(CheckFailure):
     """The reveal-and-retry search for a stage commitment gave up.
 

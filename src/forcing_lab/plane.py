@@ -52,10 +52,6 @@ class PlaneCondition:
             cells.update(zip(zip(repeat(r), count(start)), map(int, text)))
         return cls._of(cells)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.cells
-
     def get(self, row: int, col: int):
         return self.cells.get((row, col))
 
@@ -106,9 +102,6 @@ class PlaneCondition:
         if not isinstance(other, PlaneCondition):
             return NotImplemented
         return self.cells == other.cells
-
-    def __hash__(self):
-        return hash(frozenset(self.cells.items()))
 
     def __len__(self):
         return len(self.cells)

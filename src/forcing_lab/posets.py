@@ -15,11 +15,10 @@ what makes decoding feasible when k is astronomically large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
-from .bits import BitString, derive_seed, prng_bit
-from .errors import BudgetExceeded, UsageError, WitnessViolation
+from .bits import BitString
+from .errors import UsageError
 from .towers import (NatLike, nat_add, nat_mul_pow2, nat_pow2, nat_sub,
                      nat_to_int)
 
@@ -53,21 +52,14 @@ class CountablePoset:
     """An order with a bijective enumeration of order type omega."""
 
     def __init__(self, name: str, encode: Callable, decode: Callable,
-                 leq: Callable, compat: Callable,
-                 extend: Optional[Callable] = None):
+                 leq: Callable):
         self.name = name
         self.encode = encode
         self.decode = decode
         self.leq = leq
-        self.compat = compat
-        self.extend = extend
 
     def __repr__(self):
         return f"CountablePoset({self.name})"
-
-
-def _cohen_extend(q: BitString, key: str) -> BitString:
-    return q.concat(BitString.from_bits(prng_bit(key, i) for i in range(8)))
 
 
 def cohen_poset() -> CountablePoset:
@@ -76,8 +68,6 @@ def cohen_poset() -> CountablePoset:
         encode=cohen_index,
         decode=cohen_element,
         leq=lambda a, b: a.end_extends(b),
-        compat=lambda a, b: a.compatible(b),
-        extend=_cohen_extend,
     )
 
 
@@ -117,56 +107,3 @@ def cohen_wide_witness() -> WidenessWitness:
 
 POSET_REGISTRY = {"cohen-lenlex": cohen_poset}
 WITNESS_REGISTRY = {"cohen-canonical": cohen_wide_witness}
-
-
-@dataclass
-class WitnessReport:
-    condition: object
-    members_checked: int
-    samples_checked: int
-    notes: List[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        return (f"witness ok below {self.condition!r}: {self.members_checked} members, "
-                f"{self.samples_checked} maximality samples")
-
-
-def validate_wideness_witness(poset: CountablePoset, witness: WidenessWitness,
-                              q, m: int, samples: int, seed,
-                              search_limit: Optional[int] = None) -> WitnessReport:
-    """Check an antichain witness below q; spot-check maximality.
-
-    Raises WitnessViolation on a failed structural check and BudgetExceeded
-    when the bounded maximality search cannot find a compatible member for
-    a sampled extension (which is inconclusive, not a disproof).
-    """
-    if m < 1 or samples < 1:
-        raise UsageError("m and samples must be >= 1")
-    limit = search_limit if search_limit is not None else max(m, 64)
-    members = []
-    for k in range(m):
-        a = witness.antichain(q, k)
-        if not poset.leq(a, q):
-            raise WitnessViolation(f"A_q({k}) is not below q")
-        for j, other in enumerate(members):
-            if a == other:
-                raise WitnessViolation(f"injectivity: A_q({j}) = A_q({k})")
-            if poset.compat(other, a):
-                raise WitnessViolation(f"A_q({j}) compatible with A_q({k})")
-        members.append(a)
-    notes = []
-    if poset.extend is None:
-        raise UsageError(f"poset {poset.name} cannot sample extensions")
-    for t in range(samples):
-        r = poset.extend(q, derive_seed(seed, "wideness-sample", t))
-        if not poset.leq(r, q):
-            raise WitnessViolation("sampler produced a non-extension")
-        for k in range(limit):
-            if poset.compat(r, witness.antichain(q, k)):
-                notes.append(f"sample {t} compatible with A_q({k})")
-                break
-        else:
-            raise BudgetExceeded(
-                f"maximality spot-check: sample {t} met no A_q(k), k < {limit}")
-    return WitnessReport(condition=q, members_checked=m,
-                         samples_checked=samples, notes=notes)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .bits import PayloadSource
 from .closure import verify_bound
+from .dense import checked_densify
 from .entangle import decode_many, decode_pair, many_stages, pair_stages
 from .errors import PayloadExhausted, UsageError
 from .generic import meets_family, mutual_genericity_check
@@ -166,8 +167,9 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
         return True, "every chain condition lies in its dense set"
 
     def decode_matches():
-        if not len(trace.stages) == count == len(g) - 1 == len(h) - 1:
-            return False, "stage records, chains and payload differ in length"
+        if not 0 < len(trace.stages) == count == len(g) - 1 == len(h) - 1:
+            return False, ("stage records, chains and payload differ in "
+                           "length or hold no step")
         triples = decode_wide(g, h, poset, witness, family, count)
         for n, (p, q, z) in enumerate(triples):
             if z != trace.payload_bits[n]:
@@ -181,6 +183,14 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
                                   nat_add(nat_mul_pow2(rec["alpha"], 1), z))
                     and poset.leq(h[n + 1], witness.antichain(q, rec["beta"]))):
                 return False, f"stage record mismatch at step {n}"
+        # the loop compares pairs 0..count-1; the last pair is densified
+        # from the last recorded branch points
+        last = trace.stages[-1]
+        for chain, key in ((g, "j"), (h, "beta")):
+            branch = witness.antichain(chain[count - 1], last[key])
+            if chain[count] != checked_densify(family[count], branch,
+                                               poset.leq):
+                return False, f"conditions mismatch at step {count}"
         if not _source_yields(trace):
             return False, _SOURCE_MISMATCH
         return True, f"{count} triples reproduced"

@@ -48,7 +48,6 @@ def test_concat_and_strip(a, b):
 def test_end_extension_is_prefix_order(a, b):
     sa, sb = BitString.from01(a), BitString.from01(b)
     assert sa.end_extends(sb) == a.startswith(b)
-    assert sa.compatible(sb) == (a.startswith(b) or b.startswith(a))
 
 
 @given(bit_texts)
@@ -150,8 +149,6 @@ def _assert_agrees(s, model, other, limit):
     assert s.ones() == model.count("1")
     o = BitString.from01(other)
     assert s.end_extends(o) == model.startswith(other)
-    assert s.compatible(o) == (model.startswith(other)
-                               or other.startswith(model))
     assert (s.strip_prefix(o) is None) == (not model.startswith(other))
     assert s.stable_key() == (model if len(model) <= min(limit, 4096)
                               else _run_json(model))

@@ -366,9 +366,9 @@ def test_stray_chain_patch_is_named(tmp_path, plane_family, capsys):
 
 def test_far_matching_patch_loads_without_generating_bits(
         tmp_path, plane_family, capsys, monkeypatch):
-    """One matching cell at column 3,000,000 in the last commitment, the
-    row-0 patch, d0 and plane row 0: a valid trace. Loading it reads the
-    patch bit and generates no base bit before it."""
+    """One matching cell at column 3,000,000 in the last commitment (and
+    its cell count), the row-0 patch, d0 and plane row 0: a valid trace.
+    Loading it reads the patch bit and generates no base bit before it."""
     far = 3_000_000
     path = _chain_trace(tmp_path, plane_family)
     capsys.readouterr()
@@ -377,6 +377,7 @@ def test_far_matching_patch_loads_without_generating_bits(
 
     def add_far_cell(obj):
         obj["conditions"][-1].append([0, far, 1])
+        obj["stages"][-1]["committed_cells"] += 1
         obj["patches"]["0"][str(far)] = 1
         next(s for s in obj["streams"] if s["name"] == "d0")["patch"][
             str(far)] = 1

@@ -10,6 +10,10 @@ one stderr line; it must never escape `cli.main` as an exception.
 Bit files get the same test: one input of `decode-pair --c/--d`,
 `decode-many --streams` or a `file:` payload is deleted, emptied, or given
 a non-ASCII byte or a non-binary character.
+
+Recorded edits pin the other direction: edits to derived fields must fail
+`verify`, and for each `verify` item that one edit can fail alone, one
+such edit makes that item the only FAIL.
 """
 
 import copy
@@ -234,6 +238,9 @@ def test_one_bit_file_edit_never_escapes_the_cli(bit_files, tmp_path_factory,
 
 # Derived fields: what `verify` recomputes from the rest of a trace.
 DERIVED_KEYS = ("stages", "boundaries", "payload_bits")
+# the chain-bound stage fields `verify` checks by structure; revealed_cols
+# and the attempts would need a replay of the retry search
+CHAIN_DERIVED = ("stage", "retries", "committed_cells")
 
 
 @pytest.fixture(scope="module")
@@ -242,14 +249,15 @@ def derived_targets(tmp_path_factory):
     field) for the kinds whose derived fields `verify` recomputes."""
     tmp = tmp_path_factory.mktemp("derived")
     out = []
-    for kind in ("pair", "many", "wide"):
+    for kind in ("pair", "many", "wide", "chain-bound"):
         path = tmp / f"{kind}.json"
         rc, err = run_cli(TRACES[kind][0] + ["--out", path])
         assert rc == 0, err
         obj = json.loads(path.read_text())
         ints = [p for key in DERIVED_KEYS
                 for p in json_paths(obj[key], (key,))
-                if type(_at(obj, p)) is int]
+                if type(_at(obj, p)) is int
+                and (kind != "chain-bound" or p[-1] in CHAIN_DERIVED)]
         out.append((kind, obj, ints))
     return out
 
@@ -381,3 +389,114 @@ def test_payload_source_edits(source_traces, tmp_path, case):
 def _write(path, obj):
     path.write_text(json.dumps(obj))
     return path
+
+
+# A family whose last set asks for a cell in row 20: a plane that drops its
+# commitments there misses the set, though every other check still holds.
+FAR_CELL_FAMILY = {"carrier": "plane", "sets": [
+    {"type": "square"}, {"type": "square"}, {"type": "cell", "row": 20}]}
+
+
+def _drop_last(*path):
+    return lambda obj: _at(obj, path).pop()
+
+
+def _flip(*path):
+    def apply(obj):
+        _at(obj, path[:-1])[path[-1]] ^= 1
+    return apply
+
+
+def _keep_rows_below(limit, *path):
+    def apply(obj):
+        cells = _at(obj, path)
+        cells[:] = [cell for cell in cells if cell[0] < limit]
+    return apply
+
+
+def _lengthen_last_run(side):
+    def apply(obj):
+        obj["conditions"][side][-1]["runs"][-1] = [1, 2]
+    return apply
+
+
+def _no_steps(obj):
+    obj.update(payload_bits=[], stages=[])
+    for side in ("g", "h"):
+        del obj["conditions"][side][1:]
+
+
+# case -> (trace label, edit of the trace JSON): the edit makes the item
+# named before any "/" the only one to FAIL. Labels are TRACES kinds or the
+# far-cell traces. A case named by its item alone is the edit README
+# "Traces" lists for it; the others verified PASS before their item
+# checked the structure they break.
+ITEM_EDITS = {
+    "pair-decode-roundtrip": ("pair",
+                              lambda obj: obj["boundaries"].__setitem__(0, 2)),
+    "pair-stage-conditions": ("pair", _drop_last("conditions")),
+    "many-frontier-invariant": ("many", _drop_last("conditions")),
+    "many-subtuples-generic": ("many",
+                               lambda obj: obj["family"].update(arity=4)),
+    "wide-decode-roundtrip": ("wide", _drop_last("conditions", "g")),
+    "wide-decode-roundtrip/last-g-run-lengthened": ("wide",
+                                                    _lengthen_last_run("g")),
+    "wide-decode-roundtrip/last-h-run-lengthened": ("wide",
+                                                    _lengthen_last_run("h")),
+    "wide-decode-roundtrip/no-steps": ("wide", _no_steps),
+    "generics-rows-are-slices": ("generic-plane",
+                                 _flip("conditions", 0, 0, 2)),
+    "generics-plane-meets-family": ("far-generic-plane",
+                                    _keep_rows_below(2, "conditions", 0)),
+    "chain-commitments-in-sets": ("chain-bound", _drop_last("conditions", 0)),
+    "chain-commitments-in-sets/first-commitment-dropped": (
+        "chain-bound", lambda obj: obj["conditions"].pop(0)),
+    "chain-commitments-in-sets/last-commitment-dropped": (
+        "chain-bound", _drop_last("conditions")),
+    "chain-chain-descending": ("chain-bound", _flip("conditions", 0, 0, 2)),
+    "chain-commitments-in-plane": ("chain-bound",
+                                   _flip("conditions", 11, 11, 2)),
+    "chain-rows-preserved-off-patches": ("chain-bound",
+                                         _flip("patches", "0", "0")),
+    "chain-plane-meets-family": ("far-chain-bound", _keep_rows_below(
+        2, "plane", "commitments")),
+}
+
+
+@pytest.fixture(scope="module")
+def item_traces(tmp_path_factory):
+    """The CLI-written traces ITEM_EDITS edit, by label."""
+    tmp = tmp_path_factory.mktemp("items")
+    family = tmp / "far-cell.json"
+    family.write_text(json.dumps(FAR_CELL_FAMILY))
+    writers = {kind: write for kind, (write, _) in TRACES.items()}
+    writers["far-generic-plane"] = ["build-generics", "--family", family,
+                                    "--rows", "2", "--horizon", "3"]
+    writers["far-chain-bound"] = ["bound-chain", "--family", family,
+                                  "--rows", "2"]
+    out = {}
+    for label, argv in writers.items():
+        path = tmp / f"{label}.json"
+        assert run_cli(argv + ["--out", path]) == (0, "")
+        out[label] = json.loads(path.read_text())
+    return out
+
+
+def _verify_items(path):
+    """(exit code, names of the FAIL items) of `verify` on a trace file."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(["verify", "--trace", str(path)])
+    return rc, [line.split()[1].rstrip(":")
+                for line in out.getvalue().splitlines()
+                if line.startswith("FAIL ")]
+
+
+@pytest.mark.parametrize("case", sorted(ITEM_EDITS))
+def test_each_verify_item_fails_alone(item_traces, tmp_path, case):
+    label, edit = ITEM_EDITS[case]
+    path = tmp_path / "edited.json"
+    assert _verify_items(_write(path, item_traces[label])) == (0, [])
+    obj = copy.deepcopy(item_traces[label])
+    edit(obj)
+    assert _verify_items(_write(path, obj)) == (1, [case.split("/")[0]])

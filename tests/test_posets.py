@@ -1,12 +1,8 @@
 """The length-lex Cohen poset and antichain witnesses."""
 
-import pytest
-
 from forcing_lab.bits import BitString
-from forcing_lab.errors import BudgetExceeded, UsageError, WitnessViolation
-from forcing_lab.posets import (WidenessWitness, bitstring_value,
-                                cohen_element, cohen_index, cohen_poset,
-                                cohen_wide_witness, validate_wideness_witness)
+from forcing_lab.posets import (bitstring_value, cohen_element, cohen_index,
+                                cohen_poset, cohen_wide_witness)
 from forcing_lab.towers import is_huge, nat_equal, nat_pow2
 
 
@@ -45,8 +41,6 @@ def test_cohen_order_and_compat():
     poset = cohen_poset()
     a, b = BitString.from01("010"), BitString.from01("01")
     assert poset.leq(a, b) and not poset.leq(b, a)
-    assert poset.compat(a, b)
-    assert not poset.compat(BitString.from01("00"), BitString.from01("01"))
     assert poset.decode(0) == BitString.empty()
 
 
@@ -55,31 +49,16 @@ def test_canonical_witness_members():
     q = BitString.empty()
     members = [wit.antichain(q, k).to01() for k in range(4)]
     assert members == ["1", "01", "001", "0001"]
-    report = validate_wideness_witness(cohen_poset(), wit, q, m=4,
-                                       samples=8, seed="t")
-    assert report.members_checked == 4
 
 
 def test_extension_hits_canonical_antichain():
-    # r = "0001" below q = "" is compatible with A_q(3) = "0001" itself
+    # r = "0001" below q = "" extends A_q(3) = "0001" itself and no other
     wit = cohen_wide_witness()
-    poset = cohen_poset()
     r = BitString.from01("0001")
-    hits = [k for k in range(8) if poset.compat(r, wit.antichain(BitString.empty(), k))]
+    hits = [k for k in range(8)
+            if r.end_extends(wit.antichain(BitString.empty(), k))]
     assert hits == [3]
     assert BitString.from01("00011").end_extends(wit.antichain(BitString.empty(), 3))
-
-
-def test_compat_agrees_with_bounded_search():
-    """compat(p, q) iff some element below both exists (searched exactly)."""
-    poset = cohen_poset()
-    universe = [cohen_element(i) for i in range(63)]  # all strings, length <= 5
-    short = [s for s in universe if isinstance(s.length, int) and s.length <= 2]
-    for p in short:
-        for q in short:
-            witnessed = any(poset.leq(r, p) and poset.leq(r, q)
-                            for r in universe)
-            assert poset.compat(p, q) == witnessed
 
 
 def test_witness_locate_roundtrip():
@@ -96,39 +75,3 @@ def test_witness_locate_roundtrip():
     assert wit.locate(q, q.append_run(0, 12)) is None  # padding, no marker
     assert wit.locate(q, BitString.from01("1")) is None
 
-
-def test_witness_injectivity_violation():
-    wit = WidenessWitness("dup", lambda q, k: q.append01("1"))
-    with pytest.raises(WitnessViolation, match="injectivity"):
-        validate_wideness_witness(cohen_poset(), wit, BitString.empty(),
-                                  m=2, samples=1, seed="t")
-
-
-def test_witness_below_violation():
-    wit = WidenessWitness("off", lambda q, k: BitString.from01("1" * (k + 1)))
-    with pytest.raises(WitnessViolation, match="below"):
-        validate_wideness_witness(cohen_poset(), wit, BitString.from01("0"),
-                                  m=2, samples=1, seed="t")
-
-
-def test_witness_compat_violation():
-    wit = WidenessWitness("comp", lambda q, k: q.append_run(1, k + 1))
-    with pytest.raises(WitnessViolation, match="compatible"):
-        validate_wideness_witness(cohen_poset(), wit, BitString.empty(),
-                                  m=3, samples=1, seed="t")
-
-
-def test_maximality_budget_exceeded():
-    # members all start with 1 below q, so a sample extending q with 0 never
-    # meets any of them within the search limit
-    wit = WidenessWitness(
-        "onesided", lambda q, k: q.append01("1").append_run(0, k).append_bit(1))
-    with pytest.raises(BudgetExceeded):
-        validate_wideness_witness(cohen_poset(), wit, BitString.empty(),
-                                  m=3, samples=32, seed="t", search_limit=16)
-
-
-def test_validate_args():
-    with pytest.raises(UsageError):
-        validate_wideness_witness(cohen_poset(), cohen_wide_witness(),
-                                  BitString.empty(), m=0, samples=1, seed="t")

@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and every
+name the package exports exists."""
 
 import ast
 import re
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import forcing_lab
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "forcing_lab"
@@ -32,3 +35,10 @@ def test_package_imports_only_stdlib(path):
 def test_declared_dependencies_are_empty():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.M)
+
+
+def test_public_names_resolve_once():
+    names = forcing_lab.__all__
+    assert len(set(names)) == len(names), "a name is listed twice in __all__"
+    missing = [name for name in names if not hasattr(forcing_lab, name)]
+    assert not missing, f"__all__ lists names the package lacks: {missing}"
