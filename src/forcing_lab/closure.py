@@ -17,7 +17,9 @@ The fresh-cell invariant: the previous commitment agrees with every
 finalized row (it was accepted only when the cells its densifier added
 did, and its own row is patched to its cells), and so do the revealed
 bits, so an attempt compares with the rows only the cells the densifier
-added to the merged condition.
+added to the merged condition. For the same reason a stage whose previous
+commitment covers the n x n corner counts those columns as already
+revealed, and a retry merges only the columns past them.
 
 The existence of a compatible extension is a genericity fact about the
 inputs, not of this code: with non-generic rows the search can stall, and
@@ -26,7 +28,6 @@ that surfaces honestly as RetryBudgetExceeded.
 
 from __future__ import annotations
 
-from itertools import filterfalse
 from typing import Dict, List, Sequence
 
 from .bits import BitStream, PatchedStream
@@ -98,22 +99,23 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
         reveal_to = 0
         retries = 0
         transcript: List[dict] = []
-        merged, shown = prev, 0   # merged holds the columns below `shown`
+        # merged holds the columns below `shown` of every finalized row
+        merged, shown = prev, 0 if prev.square_gaps(n) else n
         while True:
-            revealed = PlaneCondition.from_rows(
-                {k: finalized[k].take01(reveal_to)[shown:]
-                 for k in range(n)}, shown)
-            try:
-                merged = merge_conditions(merged, revealed)
-            except IncompatibleConditions as exc:
-                raise IncompatibleCommitment(n, str(exc)) from exc
-            shown = reveal_to
+            if reveal_to > shown:
+                revealed = PlaneCondition.from_rows(
+                    {k: finalized[k].take01(reveal_to)[shown:]
+                     for k in range(n)}, shown)
+                try:
+                    merged = merge_conditions(merged, revealed)
+                except IncompatibleConditions as exc:
+                    raise IncompatibleCommitment(n, str(exc)) from exc
+                shown = reveal_to
             cand = checked_densify(family[n], merged, _plane_leq)
             # merged agrees with every finalized row, so only the cells the
             # densifier added can clash
             fresh = [(k, col) for k, col in
-                     filterfalse(merged.cells.__contains__, cand.cells)
-                     if k < n]
+                     cand.cells.keys() - merged.cells.keys() if k < n]
             width: Dict[int, int] = {}
             for k, col in fresh:
                 if col >= width.get(k, 0):

@@ -38,7 +38,6 @@ equal-length prefix tuples loses no witness.
 from __future__ import annotations
 
 import json
-from itertools import filterfalse, product
 from typing import Callable, List, Optional, Sequence
 
 from .bits import BitString, derive_seed, prng_bit
@@ -397,15 +396,14 @@ def _product_separating(i: int, arity: int, seed) -> DenseSet:
 def _plane_fill(seed, index: int, cond: PlaneCondition, missing) -> dict:
     """Fill-rule bits for the cells `missing` of cond, densifying D_index.
 
-    The seeded rule's key depends on (seed, index, cond) alone, so cond is
-    serialized once per call and each row's seed is derived once; one
-    sha256 per filled bit remains. An unseeded family fills 0.
+    The seeded rule's key depends on (seed, index, cond) alone: it hashes
+    the text of `json.dumps(cond.to_json())`, which cond joins from the
+    row segments it keeps (see plane.py), and each row's seed is derived
+    once; one sha256 per filled bit remains. An unseeded family fills 0.
     """
     if seed is None or not missing:
         return dict.fromkeys(missing, 0)
-    # to_json builds fresh lists, so the cycle check has nothing to find
-    key = derive_seed(seed, "densify", index,
-                      json.dumps(cond.to_json(), check_circular=False))
+    key = derive_seed(seed, "densify", index, cond.key_text())
     row_seeds = {}
     out = {}
     for r, c in missing:
@@ -419,21 +417,16 @@ def _plane_fill(seed, index: int, cond: PlaneCondition, missing) -> dict:
 def _plane_square(i: int, seed) -> DenseSet:
     size = i + 1
 
-    def square():
-        """The square's cells in row-major order, made as they are read:
-        as fast as a stored list, and no memory held per set."""
-        return product(range(size), repeat=2)
-
     def member(p: PlaneCondition) -> bool:
-        return all(map(p.cells.__contains__, square()))
+        return not p.square_gaps(size)
 
     def densify(p: PlaneCondition) -> PlaneCondition:
-        missing = list(filterfalse(p.cells.__contains__, square()))
+        missing = p.square_gaps(size)
         if not missing:
             return p
         # the fill covers only missing cells, so it cannot clash with p
-        return PlaneCondition._of({**p.cells,
-                                   **_plane_fill(seed, i, p, missing)})
+        fill = _plane_fill(seed, i, p, missing)
+        return PlaneCondition._of({**p.cells, **fill}, p, fill, size)
 
     return DenseSet(i, member, densify, spec={"type": "square"},
                     witness_search=_least_at(size))
@@ -450,8 +443,8 @@ def _plane_cell(i: int, row: int, seed) -> DenseSet:
     def densify(p: PlaneCondition) -> PlaneCondition:
         if (row, col) in p.cells:
             return p
-        return PlaneCondition._of({**p.cells,
-                                   **_plane_fill(seed, i, p, [(row, col)])})
+        fill = _plane_fill(seed, i, p, [(row, col)])
+        return PlaneCondition._of({**p.cells, **fill}, p, fill)
 
     return DenseSet(i, member, densify, spec={"type": "cell", "row": row},
                     witness_search=_least_at(max(row, col) + 1))

@@ -102,8 +102,8 @@ def _filter_search(filt, family: DenseFamily, horizon: int,
             extent = max(filt.commitments.max_row(),
                          filt.commitments.max_col(), max(filt.rows, default=-1))
             budget = max(horizon, extent + 1) + 2
-        return budget, lambda dset: _search(dset, filt, budget,
-                                            filt.restriction)
+        corner = filt.corners()
+        return budget, lambda dset: _search(dset, filt, budget, corner)
     if carrier == CARRIER_COHEN:
         coords = [filt]
     elif carrier == CARRIER_PRODUCT:

@@ -9,13 +9,32 @@ BitStream, so a fill bit is hashed at most once per plane.
 
 Order, compatibility and merge compare cell maps through dict views, so
 their per-cell work runs inside the dict and set code, not in a Python loop.
+
+A condition made from another by adding cells (a densifier's `p ∪ fill`, a
+merge) carries three caches, so that each step of a plane build pays for
+the cells it adds rather than for the cells it holds:
+
+  _side  a side s whose s x s corner the condition is known to cover; the
+         square checks read only the border past it
+  _base  a weak reference to the condition it was made from, so `leq`
+         against that one is an identity test (a strong one would keep
+         every intermediate condition of a build alive)
+  _rows  once the seeded fill key is asked for, each row's last column and
+         segment of `json.dumps(to_json())`; the key is their join, and a
+         derived condition appends its new cells to the rows they end,
+         rebuilding a row only when a cell lands inside it
+
+None of them is part of the condition's value: a condition from
+`PlaneCondition(...)` or `from_json` starts without them and learns them.
 """
 
 from __future__ import annotations
 
-from itertools import chain, count, repeat
+import weakref
+from itertools import chain, count, filterfalse, product, repeat
+from operator import eq
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, ConstTail,
                    PrngTail, derive_seed)
@@ -24,19 +43,52 @@ from .errors import IncompatibleConditions, UsageError
 Cell = Tuple[int, int]
 
 
-class PlaneCondition:
-    """Immutable finite partial function (row, col) -> bit."""
+def _grow_rows(rows: dict, cells: Mapping[Cell, int],
+               added: Mapping[Cell, int]) -> dict:
+    """`rows` (row -> (last col, key segment)) with the cells `added`, which
+    they do not hold yet, put in; `cells` is the whole new map. A row that
+    gains a cell left of its last one is rebuilt from `cells`."""
+    rows = dict(rows)
+    new_by_row: Dict[int, list] = {}
+    for (r, c), b in added.items():
+        new_by_row.setdefault(r, []).append((c, b))
+    for r, new in new_by_row.items():
+        new.sort()
+        last, segment = rows.get(r, (-1, ""))
+        if new[0][0] < last:
+            new = sorted((c, b) for (r2, c), b in cells.items() if r2 == r)
+            segment = ""
+        text = ", ".join([f"[{r}, {c}, {b}]" for c, b in new])
+        rows[r] = (new[-1][0], segment + ", " + text if segment else text)
+    return rows
 
-    __slots__ = ("cells",)
+
+class PlaneCondition:
+    """Immutable finite partial function (row, col) -> bit, carrying the
+    caches of the module docstring."""
+
+    __slots__ = ("cells", "_side", "_base", "_rows", "__weakref__")
 
     def __init__(self, cells: Optional[Dict[Cell, int]] = None):
         self.cells = MappingProxyType(dict(cells or {}))
+        self._side, self._base, self._rows = 0, None, None
 
     @classmethod
-    def _of(cls, cells: Dict[Cell, int]) -> "PlaneCondition":
-        """Wrap a dict the caller has just built and keeps no reference to."""
+    def _of(cls, cells: Dict[Cell, int], base: "PlaneCondition" = None,
+            added: Mapping[Cell, int] = None, side: int = 0
+            ) -> "PlaneCondition":
+        """Wrap a dict the caller has just built and keeps no reference to:
+        `base`'s cells plus `added`, the cells base lacks (read only when
+        base has row segments), covering at least the side x side corner."""
         p = cls.__new__(cls)
         p.cells = MappingProxyType(cells)
+        if base is None:
+            p._side, p._base, p._rows = side, None, None
+        else:
+            p._side = max(base._side, side)
+            p._base = weakref.ref(base)
+            p._rows = (None if base._rows is None
+                       else _grow_rows(base._rows, cells, added))
         return p
 
     @classmethod
@@ -56,13 +108,41 @@ class PlaneCondition:
         return self.cells.get((row, col))
 
     def leq(self, other: "PlaneCondition") -> bool:
-        """Stronger-or-equal: self's cell map extends other's."""
+        """Stronger-or-equal: self's cell map extends other's; at once when
+        other is self or the condition self was made from."""
+        if other is self or (self._base is not None
+                             and self._base() is other):
+            return True
         return self.cells.items() >= other.cells.items()
 
     def compatible(self, other: "PlaneCondition") -> bool:
-        """Whether the two maps give every cell they share the same bit."""
+        """Whether the two maps give every cell they share the same bit;
+        walks the smaller map."""
         a, b = self.cells, other.cells
-        return len(a.items() & b.items()) == len(a.keys() & b.keys())
+        if len(a) > len(b):
+            a, b = b, a
+        return all(map(eq, map(b.get, a.keys(), a.values()), a.values()))
+
+    def square_gaps(self, size: int) -> list:
+        """The undefined cells of the size x size corner, row-major. Only
+        the border past the known side is read, and a corner found whole
+        becomes the known side."""
+        side = self._side
+        if side >= size:
+            return []
+        gaps = list(filterfalse(self.cells.__contains__, chain(
+            product(range(side), range(side, size)),
+            product(range(side, size), range(size)))))
+        if not gaps:
+            self._side = size
+        return gaps
+
+    def key_text(self) -> str:
+        """`json.dumps(self.to_json())`, joined from the row segments."""
+        if self._rows is None:
+            self._rows = _grow_rows({}, self.cells, self.cells)
+        return "[" + ", ".join([segment for _, (_, segment)
+                                in sorted(self._rows.items())]) + "]"
 
     def row_cells(self, row: int) -> Dict[int, int]:
         return {c: b for (r, c), b in self.cells.items() if r == row}
@@ -125,7 +205,9 @@ def merge_conditions(p: PlaneCondition, q: PlaneCondition) -> PlaneCondition:
                     if p.cells.get(c, bit) != bit)
         raise IncompatibleConditions(
             f"conditions disagree at cell {cell}", cell=cell)
-    return PlaneCondition._of({**p.cells, **q.cells})
+    added = (None if p._rows is None else
+             {c: bit for c, bit in q.cells.items() if c not in p.cells})
+    return PlaneCondition._of({**p.cells, **q.cells}, p, added, q._side)
 
 
 class GenericPlane:
@@ -168,12 +250,37 @@ class GenericPlane:
         return PlaneCondition.from_rows(
             {r: self.row_stream(r).take01(size) for r in range(size)})
 
+    def corners(self) -> Callable[[int], PlaneCondition]:
+        """A function k -> restriction(k) for reading many corners.
+
+        A corner larger than the last one it made copies that one's cells
+        and reads only its border from the rows; a smaller one is built
+        afresh, and the same k gives the same object."""
+        last, last_k = PlaneCondition.empty(), 0
+
+        def corner(k: int) -> PlaneCondition:
+            nonlocal last, last_k
+            if k < last_k:
+                return self.restriction(k)
+            if k > last_k:
+                cells = dict(last.cells)
+                for r in range(k):
+                    start = last_k if r < last_k else 0
+                    text = self.row_stream(r).take01(k)[start:]
+                    cells.update(zip(zip(repeat(r), count(start)),
+                                     map(int, text)))
+                last, last_k = PlaneCondition._of(cells, side=k), k
+            return last
+
+        return corner
+
     def contains(self, p: PlaneCondition) -> bool:
         """Whether p is a restriction of this plane (p is in its filter)."""
         return all(self.cell(r, c) == b for (r, c), b in p.cells.items())
 
-    def to_json(self):
-        return {"commitments": self.commitments.to_json(),
+    def to_json(self, condition: Callable = PlaneCondition.to_json):
+        """The plane's JSON value, its commitments as `condition(p)`."""
+        return {"commitments": condition(self.commitments),
                 "rows": {str(r): self.rows[r].to_json() for r in sorted(self.rows)},
                 "fill_seed": self.fill_seed}
 

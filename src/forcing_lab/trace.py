@@ -14,7 +14,9 @@ On disk a trace is exactly the bytes of `json.dumps(obj, indent=2,
 sort_keys=True)` followed by a newline, where `obj` is `Trace.to_json()`:
 ASCII only, non-ASCII text escaped as `\\uXXXX`. `_dump` is the one writer
 of those bytes; it builds them itself, without the pure-Python encoder the
-stdlib falls back to when `indent` is set.
+stdlib falls back to when `indent` is set. `write_trace` hands it
+`Trace.write_json()`, which keeps plane conditions as objects so that the
+writer reads their cells directly instead of as built `[r, c, b]` lists.
 
 Bitstrings are stored as ASCII '0'/'1' when small; conditions from wide
 runs can be astronomically long, and are stored as run lists whose lengths
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
@@ -40,18 +42,22 @@ from .towers import NatTable, nat_resolve
 
 def _dump(obj) -> str:
     """The trace file text of `obj`: `json.dumps(obj, indent=2,
-    sort_keys=True)` plus a newline, byte for byte.
+    sort_keys=True)` plus a newline, byte for byte, where a PlaneCondition
+    inside `obj` stands for its `to_json()` list.
 
     With `indent` set the stdlib leaves its C encoder for generators that
     yield one piece per value, so the shapes traces hold are written here
-    and any other value is handed to `json.dumps`.
+    and any other value is handed to `json.dumps`. A plane condition's
+    cells are written from the condition itself: each distinct cell's text
+    is made once per indent and reused for the rest of the write, since
+    the conditions of a chain-bound trace share most of their cells.
     """
-    return _encode(obj, "\n") + "\n"
+    return _encode(obj, "\n", {}) + "\n"
 
 
-def _encode(obj, nl: str) -> str:
+def _encode(obj, nl: str, cell_texts: dict) -> str:
     """JSON text of `obj` whose every line break is `nl`, a newline and the
-    current indent."""
+    current indent; `cell_texts` maps an indent to its cells' texts."""
     t = type(obj)
     if t is str:
         return encode_basestring_ascii(obj)
@@ -71,8 +77,8 @@ def _encode(obj, nl: str) -> str:
             body = sep.join(map(int.__repr__, obj))
         elif kinds <= {list, tuple} and all(obj) and set(
                 map(type, chain.from_iterable(obj))) == {int}:
-            # plane cells and clash lists: non-empty rows of plain ints,
-            # written with one template per row length and one format
+            # clash lists and other lists of non-empty int rows, written
+            # with one template per row length and one format
             deeper = inner + "  "
             row_sep = "," + deeper
             rows = {n: "[" + deeper + row_sep.join(["%d"] * n) + inner + "]"
@@ -80,22 +86,57 @@ def _encode(obj, nl: str) -> str:
             body = sep.join(map(rows.__getitem__, map(len, obj))) % tuple(
                 chain.from_iterable(obj))
         else:
-            body = sep.join([_encode(v, inner) for v in obj])
+            body = sep.join([_encode(v, inner, cell_texts) for v in obj])
         return "[" + inner + body + nl + "]"
     if t is dict and all(type(k) is str for k in obj):
         if not obj:
             return "{}"
         inner = nl + "  "
         return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _encode(obj[k], inner)
-             for k in sorted(obj)]) + nl + "}"
+            [encode_basestring_ascii(k) + ": "
+             + _encode(obj[k], inner, cell_texts) for k in sorted(obj)]
+        ) + nl + "}"
+    if t is PlaneCondition:
+        return _cells(obj, nl, cell_texts)
     # floats, other keys, other types: ASCII-escaped JSON holds no raw
     # newline inside a string, so re-indenting by replacement is exact
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
+def _cells(p: PlaneCondition, nl: str, cell_texts: dict) -> str:
+    """The JSON text of `p.to_json()` whose line breaks are `nl`.
+
+    `cell_texts[nl]` holds, for one write, the bit and the text of each
+    cell seen at this indent, and those cells in sorted order. A condition
+    holding every cell seen so far, as each commitment of a chain does, is
+    written in that order with no sort of its own; one giving a seen cell
+    the other bit is written from its `to_json()`."""
+    if not p.cells:
+        return "[]"
+    bits, texts, order = (cell_texts.get(nl)
+                          or cell_texts.setdefault(nl, ({}, {}, [])))
+    cells = p.cells
+    inner = nl + "  "
+    new = sorted(filterfalse(bits.__contains__, cells))
+    if new:
+        deeper = inner + "  "
+        template = "[" + deeper + ("%d," + deeper) * 2 + "%d" + inner + "]"
+        new_bits = list(map(cells.__getitem__, new))
+        bits.update(zip(new, new_bits))
+        # one format for all the new cells; no cell text holds a NUL
+        texts.update(zip(new, ("\0".join([template] * len(new)) % tuple(
+            chain.from_iterable(map(chain, new, zip(new_bits))))).split("\0")))
+        order += new
+        order.sort()
+    if not cells.items() <= bits.items():
+        return _encode(p.to_json(), nl, cell_texts)
+    keys = order if len(order) == len(cells) else sorted(cells)
+    return "[" + inner + ("," + inner).join(map(texts.__getitem__, keys)) \
+        + nl + "]"
+
+
 def write_trace(path, trace) -> None:
-    text = _dump(trace.to_json())
+    text = _dump(trace.write_json())
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
@@ -117,6 +158,10 @@ def trace_from_json(obj):
     if cls is None:
         raise UsageError(f"unknown trace kind {kind!r}")
     return cls.from_json(obj)
+
+
+def _as_is(value):
+    return value
 
 
 # JSON type of every stored field; `seed` may hold any JSON value.
@@ -191,12 +236,22 @@ class Trace:
     streams: Dict[str, BitStream] = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        """The trace as plain JSON values."""
+        return self._json(PlaneCondition.to_json)
+
+    def write_json(self) -> dict:
+        """What `write_trace` writes: `to_json()` with each plane condition
+        left as itself, which `_dump` writes as its cell list."""
+        return self._json(_as_is)
+
+    def _json(self, condition: Callable) -> dict:
+        """The trace's JSON value, each plane condition as `condition(p)`."""
         obj = {f.name: getattr(self, f.name) for f in fields(self)}
         obj["kind"] = self.kind
         obj["family"] = self.family.describe()
         obj["streams"] = [{"name": name, **s.to_json()}
                           for name, s in self.streams.items()]
-        self._encode(obj)
+        self._encode(obj, condition)
         return obj
 
     @classmethod
@@ -218,8 +273,9 @@ class Trace:
             raise UsageError(f"malformed {cls.kind} trace: {exc!r}") from exc
         return cls(**values)
 
-    def _encode(self, obj: dict) -> None:
-        """Turn this kind's decoded fields in `obj` into JSON values."""
+    def _encode(self, obj: dict, condition: Callable) -> None:
+        """Turn this kind's decoded fields in `obj` into JSON values, each
+        plane condition into `condition(p)`."""
 
     @classmethod
     def _decode(cls, obj: dict, values: dict) -> None:
@@ -229,7 +285,7 @@ class Trace:
 class _StringsTrace(Trace):
     """Conditions are per-stage {stream name: BitString}, stored as 0/1 text."""
 
-    def _encode(self, obj):
+    def _encode(self, obj, condition):
         obj["conditions"] = [{name: s.to01() for name, s in rec.items()}
                              for rec in self.conditions]
 
@@ -276,7 +332,7 @@ class WideTrace(Trace):
     def h_chain(self) -> List[BitString]:
         return self.conditions["h"]
 
-    def _encode(self, obj):
+    def _encode(self, obj, condition):
         table = NatTable()
         obj["stages"] = [{**rec, **{key: table.encode(rec[key])
                                     for key in _STAGE_NATS}}
@@ -306,8 +362,8 @@ class _PlaneTrace(Trace):
 
     rows: int
 
-    def _encode(self, obj):
-        obj["conditions"] = [p.to_json() for p in self.conditions]
+    def _encode(self, obj, condition):
+        obj["conditions"] = list(map(condition, self.conditions))
 
     @classmethod
     def _decode(cls, obj, values):
@@ -335,11 +391,11 @@ class ChainBoundTrace(_PlaneTrace):
         """The inputs b0, b1, ... (prefix "b") or the patched rows d0, ..."""
         return [self.streams[f"{prefix}{k}"] for k in range(self.rows)]
 
-    def _encode(self, obj):
-        super()._encode(obj)
+    def _encode(self, obj, condition):
+        super()._encode(obj, condition)
         obj["patches"] = {str(r): {str(c): b for c, b in sorted(cols.items())}
                           for r, cols in sorted(self.patches.items())}
-        obj["plane"] = self.plane.to_json()
+        obj["plane"] = self.plane.to_json(condition)
 
     @classmethod
     def _decode(cls, obj, values):

@@ -1,5 +1,6 @@
 """The family catalog: densifier contracts, exact structural word search."""
 
+import gc
 import json
 from unittest import mock
 
@@ -14,7 +15,7 @@ from forcing_lab.dense import (DenseFamily, DenseSet, build_set,
                                min_length_family, mixed_cohen_family,
                                mixed_plane_family, square_family)
 from forcing_lab.errors import UsageError
-from forcing_lab.plane import PlaneCondition
+from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
 from forcing_lab.towers import nat_le, nat_pow2
 
 bit_texts = st.text(alphabet="01", max_size=30)
@@ -155,8 +156,13 @@ def test_plane_members_match_per_cell_definitions(cells, index, row, seed):
                 if rc not in p.cells}
 
 
-def test_plane_fill_serializes_once_per_densify(monkeypatch):
-    calls = {"dumps": 0, "derive_seed": 0}
+def test_plane_fill_key_serializes_no_condition(monkeypatch):
+    """A seeded densify joins its key from the condition's row segments: no
+    json.dumps or to_json of the condition, one derive_seed for the key and
+    one per filled row. Unseeded, it derives nothing. The input conditions
+    start without segments (PlaneCondition(...), from_json) or carry them
+    from the densify that made them."""
+    calls = {"dumps": 0, "to_json": 0, "derive_seed": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -165,16 +171,113 @@ def test_plane_fill_serializes_once_per_densify(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(dense.json, "dumps", counted("dumps", json.dumps))
+    monkeypatch.setattr(PlaneCondition, "to_json",
+                        counted("to_json", PlaneCondition.to_json))
     monkeypatch.setattr(dense, "derive_seed",
                         counted("derive_seed", dense.derive_seed))
-    p = PlaneCondition({(0, 0): 1, (2, 1): 0})
     size = 9
-    square_family(size, seed="count")[size - 1].densify(p)
-    assert calls["dumps"] == 1
-    assert calls["derive_seed"] <= size + 1
-    calls.update(dumps=0, derive_seed=0)
-    square_family(size)[size - 1].densify(p)
-    assert calls == {"dumps": 0, "derive_seed": 0}
+    seeded, unseeded = square_family(size, seed="count"), square_family(size)
+    cells = [[0, 0, 1], [2, 1, 0], [2, 7, 1]]
+    made = PlaneCondition.from_json(cells)
+    for p in (PlaneCondition({(r, c): b for r, c, b in cells}), made):
+        for dset in (seeded[size - 2], seeded[size - 1]):
+            out = dset.densify(p)
+            assert calls["dumps"] == calls["to_json"] == 0
+            rows = len({r for r, _ in out.cells.keys() - p.cells.keys()})
+            assert 0 < calls["derive_seed"] <= rows + 1
+            calls.update(derive_seed=0)
+            p = out
+    for dset in unseeded:
+        dset.densify(made)
+    assert calls == {"dumps": 0, "to_json": 0, "derive_seed": 0}
+
+
+@st.composite
+def derivations(draw, seeds=fill_seeds):
+    """A random plane condition made by a random sequence of square and
+    cell densifies (seeded or not), merges of compatible cells, merged
+    reveals of a plane's rows (`from_rows`), and `from_json` reloads;
+    returns every condition of the sequence. Each step may ask for the fill
+    key, so segments are sometimes built from scratch, sometimes grown."""
+    seed = draw(seeds)
+    conds = [PlaneCondition(draw(plane_cells))]
+    for _ in range(draw(st.integers(0, 8))):
+        p = conds[-1]
+        kind = draw(st.sampled_from(["square", "cell", "merge", "reveal",
+                                     "reload"]))
+        if kind == "square":
+            p = build_set(draw(st.integers(0, 7)), {"type": "square"},
+                          "plane", None, seed).densify(p)
+        elif kind == "cell":
+            p = build_set(draw(st.integers(0, 9)),
+                          {"type": "cell", "row": draw(st.integers(0, 9))},
+                          "plane", None, seed).densify(p)
+        elif kind == "merge":
+            q = draw(plane_cells)
+            p = merge_conditions(p, PlaneCondition(
+                {c: p.cells.get(c, b) for c, b in q.items()}))
+        elif kind == "reveal":
+            plane = GenericPlane(commitments=p, fill_seed=seed)
+            start = draw(st.integers(0, 4))
+            stop = start + draw(st.integers(0, 6))
+            p = merge_conditions(p, PlaneCondition.from_rows(
+                {r: plane.row_stream(r).take01(stop)[start:]
+                 for r in draw(st.sets(st.integers(0, 8), max_size=4))},
+                start))
+        else:
+            p = PlaneCondition.from_json(p.to_json())
+        if draw(st.booleans()):
+            p.key_text()
+        conds.append(p)
+    return conds
+
+
+@given(derivations())
+@settings(max_examples=150, deadline=None)
+def test_plane_key_text_is_the_json_of_the_condition(conds):
+    for p in conds:
+        assert p.key_text() == json.dumps(p.to_json())
+
+
+@given(derivations(), st.integers(1, 9))
+@settings(max_examples=150, deadline=None)
+def test_square_cache_matches_the_full_square_scan(conds, size):
+    """Square `member` and `densify`, which read only the border past the
+    corner a condition is known to cover, against a scan of the whole
+    square: the same answer, and the missing cells added in row-major
+    order after the input's own. Each set is asked twice."""
+    square = build_set(size - 1, {"type": "square"}, "plane", None, "sq")
+    for p in conds:
+        gaps = [(r, c) for r in range(size) for c in range(size)
+                if (r, c) not in p.cells]
+        for _ in range(2):
+            assert square.member(p) == (not gaps)
+            out = square.densify(p)
+            assert list(out.cells) == list(p.cells) + gaps
+            assert square.member(out) and out.leq(p)
+            assert (out is p) == (not gaps)
+
+
+@given(derivations())
+@settings(max_examples=150, deadline=None)
+def test_leq_matches_the_view_compare_on_every_pair(conds):
+    for a in conds:
+        for b in conds:
+            assert a.leq(b) == (a.cells.items() >= b.cells.items())
+
+
+def test_a_dead_base_never_answers_leq():
+    """A condition made from a base that has since been freed compares by
+    its cells, even against new conditions, one of which may reuse the
+    base's memory."""
+    base = PlaneCondition({(0, 0): 1})
+    made = build_set(3, {"type": "square"}, "plane", None, "d").densify(base)
+    assert made.leq(base)
+    del base
+    gc.collect()
+    assert made._base() is None
+    assert not any(map(made.leq, [PlaneCondition({(9, 9): 1})
+                                  for _ in range(200)]))
 
 
 def bit_by_bit_parity_search(stream, budget, need, target):

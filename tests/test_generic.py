@@ -179,7 +179,9 @@ plane_rows = st.dictionaries(st.integers(0, 9),
 def test_plane_filter_witness_is_least_member_corner(entries, commit, rows,
                                                      seed, data):
     """Square and cell sets, and a set with no witness search (some cell
-    is 1), against budgets below and above the largest square."""
+    is 1), against budgets below and above the largest square. The plane's
+    corners grow from the last one (`corners`), and must equal fresh
+    restrictions whatever order they are asked in."""
     fam = family_from_spec({"carrier": "plane", "sets": entries})
     has_a_one = DenseSet(len(fam), lambda p: 1 in p.cells.values(),
                          lambda p: p)
@@ -191,3 +193,7 @@ def test_plane_filter_witness_is_least_member_corner(entries, commit, rows,
     budget = data.draw(st.one_of(st.none(), st.integers(1, len(fam) + 2)))
     rep = meets_family(plane, fam, len(fam), budget=budget)
     _assert_shortest_witnesses(rep, fam, rep.budget, plane.restriction)
+    corner = plane.corners()
+    for k in data.draw(st.lists(st.integers(0, 12), max_size=6)):
+        assert corner(k) == plane.restriction(k)
+

@@ -1,8 +1,10 @@
 """Trace persistence: round trips, determinism, verification hooks, and the
 writer's bytes against `json.dumps(indent=2, sort_keys=True)`."""
 
+import dataclasses
 import json
 import math
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +14,7 @@ from forcing_lab.bits import BitStream, PayloadSource
 from forcing_lab.closure import bound_chain, build_generics_run
 from forcing_lab.dense import min_length_family, mixed_plane_family
 from forcing_lab.entangle import entangle_many, entangle_pair
+from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
 from forcing_lab.posets import cohen_poset, cohen_wide_witness
 from forcing_lab.towers import nat_equal
 from forcing_lab.trace import _dump, load_trace, trace_from_json, write_trace
@@ -192,10 +195,13 @@ def test_dump_rejects_what_json_rejects(value):
 
 
 def test_dump_writes_every_trace_kind_itself(monkeypatch):
-    """The five kinds' JSON shapes never reach the json.dumps fallback."""
-    objs = [build().to_json() for build in (pair_trace, many_trace, wide_trace,
-                                            chain_trace, generics_trace)]
-    expected = [stdlib_dump(obj) for obj in objs]
+    """The five kinds' JSON shapes, and the plane kinds' writer values
+    holding PlaneCondition objects, never reach the json.dumps fallback."""
+    traces = [build() for build in (pair_trace, many_trace, wide_trace,
+                                    chain_trace, generics_trace)]
+    objs = ([trace.to_json() for trace in traces]
+            + [trace.write_json() for trace in traces])
+    expected = [stdlib_dump(trace.to_json()) for trace in traces] * 2
 
     def refuse(*args, **kwargs):
         raise AssertionError("_dump fell back to json.dumps")
@@ -204,17 +210,51 @@ def test_dump_writes_every_trace_kind_itself(monkeypatch):
     assert [_dump(obj) for obj in objs] == expected
 
 
+# cells from a small grid with some wide columns, so that conditions share
+# cells, sometimes with the other bit
+_PLANE_CELLS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 2, 9, 10, 123456])),
+    st.integers(0, 1), max_size=6).map(PlaneCondition)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_PLANE_CELLS, max_size=5), _PLANE_CELLS, st.data())
+def test_plane_writer_bytes_match_stdlib_json(conditions, commitments, data):
+    """The writer's plane path on random chain-bound and generic-plane
+    traces: built ones, and ones whose conditions are replaced by empty,
+    one-cell and overlapping conditions, and a descending chain of them."""
+    chain_bound = chain_trace()
+    generics = generics_trace()
+    descending = list(accumulate(
+        conditions, lambda p, q: merge_conditions(
+            p, PlaneCondition({c: p.cells.get(c, b)
+                               for c, b in q.cells.items()}))))
+    traces = [
+        chain_bound, generics,
+        dataclasses.replace(chain_bound, conditions=conditions,
+                            plane=GenericPlane(commitments=commitments)),
+        dataclasses.replace(chain_bound, conditions=descending,
+                            plane=GenericPlane(commitments=(
+                                descending or [commitments])[-1])),
+        dataclasses.replace(generics, conditions=[data.draw(_PLANE_CELLS)])]
+    for trace in traces:
+        assert _dump(trace.write_json()) == stdlib_dump(trace.to_json())
+
+
 def _raise_value_error():
     raise ValueError("no JSON for this trace")
 
 
-@pytest.mark.parametrize("to_json, error", [
+@pytest.mark.parametrize("write_json, error", [
     (_raise_value_error, ValueError), (lambda: {"seed": {1, 2}}, TypeError)],
     ids=["to_json-raises", "unencodable-value"])
-def test_failed_write_keeps_the_previous_file(tmp_path, to_json, error):
+def test_failed_write_keeps_the_previous_file(tmp_path, write_json, error):
+    """`write_trace` writes a trace's `write_json()`; a stand-in whose hook
+    raises, or returns a value JSON cannot hold, leaves the file as it
+    was."""
     path = tmp_path / "trace.json"
     write_trace(path, pair_trace())
     before = path.read_bytes()
     with pytest.raises(error):
-        write_trace(path, SimpleNamespace(to_json=to_json))
+        write_trace(path, SimpleNamespace(write_json=write_json))
     assert path.read_bytes() == before

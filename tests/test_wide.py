@@ -1,8 +1,16 @@
 """Wide-poset coding: worked tower values, round trips, consistency traps."""
 
+import io
+import json
+import os
+from contextlib import redirect_stdout
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forcing_lab.bits import BitStream, BitString, PayloadSource
+from forcing_lab.cli import ENV_SEED, main
 from forcing_lab.dense import DenseFamily, DenseSet, min_length_family
 from forcing_lab.errors import (ConsistencyFailure, FamilyTooSmall,
                                 NoAntichainHit, UsageError)
@@ -185,3 +193,36 @@ def test_family_size_guards():
     with pytest.raises(UsageError):
         entangle_wide(POSET, WITNESS, min_length_family(3),
                       BitStream.constant(0), 0)
+
+
+COHEN_SETS = st.one_of(
+    st.just({"type": "min-length"}),
+    st.builds(lambda w: {"type": "pattern", "word": w},
+              st.text(alphabet="01", min_size=1, max_size=3)),
+    st.builds(lambda t: {"type": "parity", "parity": t}, st.integers(0, 1)))
+
+
+@given(steps=st.integers(1, 6), data=st.data(),
+       seed=st.one_of(st.none(), st.sampled_from(["w", "s7", "é"])))
+@settings(max_examples=12, deadline=None)
+def test_random_wide_families_verify_and_decode_through_the_cli(
+        tmp_path_factory, steps, data, seed):
+    """entangle-wide on random min-length, pattern and parity families,
+    seeded or not, with a random payload: the trace verifies and
+    decode-wide returns the payload."""
+    sets = data.draw(st.lists(COHEN_SETS, min_size=steps + 1,
+                              max_size=steps + 3))
+    payload = data.draw(st.text(alphabet="01", min_size=steps,
+                                max_size=steps))
+    tmp = tmp_path_factory.mktemp("wide")
+    family, out = tmp / "family.json", str(tmp / "wide.json")
+    family.write_text(json.dumps({"carrier": "cohen", "seed": seed,
+                                  "sets": sets}))
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()) as text:
+        os.environ.pop(ENV_SEED, None)
+        assert main(["entangle-wide", "--family", str(family),
+                     "--payload", "bits:" + payload, "--steps", str(steps),
+                     "--out", out]) == 0
+        assert main(["verify", "--trace", out]) == 0
+        assert main(["decode-wide", "--trace", out]) == 0
+    assert text.getvalue().splitlines()[-1] == f"decoded z bits: {payload}"
