@@ -240,37 +240,39 @@ class BitString:
         return self.strip_prefix(other) is not None
 
     def strip_prefix(self, other: "BitString") -> Optional["BitString"]:
-        """Bits of self after the prefix other, or None if not a prefix."""
+        """Bits of self after the prefix other, or None if not a prefix.
+
+        On a run-backed self, every run of other but its last must equal
+        the run of self in its place, so they are compared as one tuple
+        slice: lazy naturals are interned and compare by node identity, so
+        two distinct symbolic lengths in that slice are unequal (None), not
+        ambiguous. Only other's last run, which self's run may outlast, is
+        compared by value and may raise AmbiguousNat."""
         a, b = self._text, other._text
         if a is not None:
             # a run-backed other is longer than any text-backed string
             if b is None or not a.startswith(b):
                 return None
             return BitString._of_text(a[len(b):])
-        mine = list(self._runs)
-        i = 0
-        for b, want in other.runs:
-            if i >= len(mine):
+        mine, theirs = self._runs, other.runs
+        if not theirs:
+            return self
+        k = len(theirs) - 1
+        if len(mine) <= k or mine[:k] != theirs[:k]:
+            return None
+        (mb, ml), (b, want) = mine[k], theirs[k]
+        if mb != b:
+            return None
+        if type(want) is int and type(ml) is int:
+            if want > ml:
                 return None
-            mb, ml = mine[i]
-            if mb != b:
-                return None
-            if type(want) is int and type(ml) is int:
-                if want > ml:
-                    return None
-                if want == ml:
-                    i += 1
-                else:
-                    mine[i] = (mb, ml - want)
-            elif nat_le(want, ml):
-                rest = nat_sub(ml, want)
-                if nat_equal(rest, 0):
-                    i += 1
-                else:
-                    mine[i] = (mb, rest)
-            else:
-                return None
-        left = tuple(mine[i:])
+            rest = ml - want
+        elif nat_le(want, ml):
+            rest = nat_sub(ml, want)
+        else:
+            return None
+        left = mine[k + 1:] if nat_equal(rest, 0) else (
+            ((mb, rest),) + mine[k + 1:])
         return BitString._make(left, nat_add(*(l for _, l in left), 0))
 
     def proper_end_extends(self, other: "BitString") -> bool:

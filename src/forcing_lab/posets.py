@@ -11,6 +11,14 @@ incompatible family A_q(0), A_q(1), ... below q. Witnesses may provide a
 structural `locate` inverse (given r <= A_q(k), recover k); the canonical
 Cohen witness A_q(k) = q + 0^k + 1 reads k off the run structure, which is
 what makes decoding feasible when k is astronomically large.
+
+Each poset that `cohen_poset()` builds folds through its own memo of run
+prefixes: a chain element extends the one before it, so an encode folds
+only the runs past the longest prefix already folded. The memo lives as
+long as its poset. The CLI and `load_trace` build one poset per run or
+trace, so no lazy natural outlives the op that folded it; a caller that
+keeps one poset across runs keeps its memo too. Every encode still goes
+through the module-level `cohen_index`.
 """
 
 from __future__ import annotations
@@ -23,19 +31,34 @@ from .towers import (NatLike, nat_add, nat_mul_pow2, nat_pow2, nat_sub,
                      nat_to_int)
 
 
-def bitstring_value(s: BitString) -> NatLike:
-    """Big-endian integer value of a finite binary string."""
+def bitstring_value(s: BitString, memo: Optional[dict] = None) -> NatLike:
+    """Big-endian integer value of a finite binary string.
+
+    `memo` is a trie of run prefixes, run -> (fold so far, subtrie): the
+    runs it already holds are not folded again. Interning makes the fold
+    read from it the very node the plain fold would build."""
     v = 0
-    for bit, length in s.runs:
+    node = memo
+    for run in s.runs:
+        if node is not None:
+            hit = node.get(run)
+            if hit is not None:
+                v, node = hit
+                continue
+        bit, length = run
         v = nat_mul_pow2(v, length)
         if bit:
             v = nat_add(v, nat_sub(nat_pow2(length), 1))
+        if node is not None:
+            child: dict = {}
+            node[run] = (v, child)
+            node = child
     return v
 
 
-def cohen_index(s: BitString) -> NatLike:
+def cohen_index(s: BitString, memo: Optional[dict] = None) -> NatLike:
     """Length-lexicographic position: 2^|s| - 1 + value(s)."""
-    return nat_add(nat_sub(nat_pow2(s.length), 1), bitstring_value(s))
+    return nat_add(nat_sub(nat_pow2(s.length), 1), bitstring_value(s, memo))
 
 
 def cohen_element(i: int) -> BitString:
@@ -63,9 +86,10 @@ class CountablePoset:
 
 
 def cohen_poset() -> CountablePoset:
+    memo: dict = {}
     return CountablePoset(
         name="cohen-lenlex",
-        encode=cohen_index,
+        encode=lambda s: cohen_index(s, memo),
         decode=cohen_element,
         leq=lambda a, b: a.end_extends(b),
     )

@@ -147,6 +147,24 @@ def _verify_many(trace: ManyTrace) -> VerifyReport:
 
 
 def _verify_wide(trace: WideTrace) -> VerifyReport:
+    """The three wide items. The first two pass wherever the third does,
+    so no edit fails either of them alone:
+
+    wide-decode-roundtrip passing means both chains hold steps + 1 >= 2
+    conditions, the family at least as many sets, and every condition is,
+    as a value, `checked_densify(D_n, c)`: c is the poset's first element
+    at n = 0, and at n >= 1 the registered witness's A(x, k) = x 0^k 1
+    below the chain's condition x at n - 1 (the last pair through the
+    walk, or densified again from the record). `checked_densify` accepts
+    only outputs that lie in D_n and end-extend c, and c properly
+    end-extends x. So every condition lies in its set
+    (wide-chain-membership, which reads each set's member on the same
+    values), and each chain strictly descends (wide-chains-descending).
+    Its prefix tests raise no AmbiguousNat: the symbolic runs of a walk
+    condition are 0^k blocks, each ended by the marker bit 1, and the
+    densifiers append a few concrete bits, so x's last run has a small
+    int length.
+    """
     report = VerifyReport()
     family, poset, witness = trace.family, trace.poset, trace.witness
     g, h = trace.g_chain, trace.h_chain
@@ -170,7 +188,8 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
         if not 0 < len(trace.stages) == count == len(g) - 1 == len(h) - 1:
             return False, ("stage records, chains and payload differ in "
                            "length or hold no step")
-        triples = decode_wide(g, h, poset, witness, family, count)
+        triples, (j, m, g_last, h_last) = decode_wide(
+            g, h, poset, witness, family, count, with_last=True)
         for n, (p, q, z) in enumerate(triples):
             if z != trace.payload_bits[n]:
                 return False, f"z({n}) mismatch"
@@ -183,13 +202,17 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
                                   nat_add(nat_mul_pow2(rec["alpha"], 1), z))
                     and poset.leq(h[n + 1], witness.antichain(q, rec["beta"]))):
                 return False, f"stage record mismatch at step {n}"
-        # the loop compares pairs 0..count-1; the last pair is densified
-        # from the last recorded branch points
+        # the loop compares pairs 0..count-1; the last pair must be densified
+        # from the last recorded branch points. The walk densified it from
+        # the pair the loop found equal to the chains', at its own hits, so
+        # where the record names the hit's node the walk's pair stands in
         last = trace.stages[-1]
-        for chain, key in ((g, "j"), (h, "beta")):
-            branch = witness.antichain(chain[count - 1], last[key])
-            if chain[count] != checked_densify(family[count], branch,
-                                               poset.leq):
+        for chain, key, hit, walked in ((g, "j", j, g_last),
+                                        (h, "beta", m, h_last)):
+            if not nat_equal(last[key], hit):
+                branch = witness.antichain(chain[count - 1], last[key])
+                walked = checked_densify(family[count], branch, poset.leq)
+            if chain[count] != walked:
                 return False, f"conditions mismatch at step {count}"
         if not _source_yields(trace):
             return False, _SOURCE_MISMATCH

@@ -102,17 +102,21 @@ def _find_hit(chain, witness: WidenessWitness, base, poset: CountablePoset,
 
 
 def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
-                family: DenseFamily, count: int, budget: int = 1024
-                ) -> List[Tuple[object, object, int]]:
+                family: DenseFamily, count: int, budget: int = 1024, *,
+                with_last: bool = False):
     """Recover the walk n -> (p_n, q_n, z(n)) from the two chains.
 
     The decoder recomputes the canonical start itself, reads z(n) and
     alpha off the antichain index hit by g, cross-checks alpha against the
     enumeration index of its reconstructed q_n, and reconstructs p_{n+1}
     through the (pure) densifier, cross-checking against the h-side hit.
+
+    With `with_last`, the result is `(triples, last)`, where `last` is
+    `(j, m, p_count, q_count)`: the g- and h-side hits of the last step
+    and the pair the walk densified from them (None when count < 1).
     """
     if count < 1:
-        return []
+        return ([], None) if with_last else []
     _check_family(family, count + 1)
     g = list(g)
     h = list(h)
@@ -142,5 +146,5 @@ def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
                                  poset.leq)
         out.append((p, q, z))
         p, q = p_next, q_next
-    return out
+    return (out, (j, m, p, q)) if with_last else out
 

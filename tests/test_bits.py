@@ -5,14 +5,15 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from forcing_lab import bits
 from forcing_lab.bits import (BitStream, BitString, ConstTail, PatchedStream,
                               PayloadSource, PrngTail, read_bit_file,
                               stream_from_json, write_bit_file)
 from forcing_lab.errors import AmbiguousNat, PayloadExhausted, UsageError
-from forcing_lab.towers import NatTable, is_huge, nat_pow2
+from forcing_lab.towers import (NatTable, is_huge, nat_add, nat_equal, nat_le,
+                                nat_mul_pow2, nat_pow2, nat_sub)
 
 bit_texts = st.text(alphabet="01", max_size=40)
 
@@ -177,6 +178,106 @@ def test_pairs_and_text_build_equal_strings(pairs):
     a, b = BitString(pairs), BitString.from01(text)
     assert a == b and hash(a) == hash(b)
     assert a.runs == b.runs == _runs(text)
+
+
+def _walk_strip_prefix(s, other):
+    """strip_prefix as a walk over other's runs, as it was before run
+    prefixes were compared as tuples: (the rest or None, None), or (None,
+    the index of other's run at which it raised AmbiguousNat)."""
+    mine = list(s.runs)
+    i = 0
+    for r, (b, want) in enumerate(other.runs):
+        if i >= len(mine):
+            return None, None
+        mb, ml = mine[i]
+        if mb != b:
+            return None, None
+        try:
+            if type(want) is int and type(ml) is int:
+                if want > ml:
+                    return None, None
+                if want == ml:
+                    i += 1
+                else:
+                    mine[i] = (mb, ml - want)
+            elif nat_le(want, ml):
+                rest = nat_sub(ml, want)
+                if nat_equal(rest, 0):
+                    i += 1
+                else:
+                    mine[i] = (mb, rest)
+            else:
+                return None, None
+        except AmbiguousNat:
+            return None, r
+    left = tuple(mine[i:])
+    return BitString._make(left, nat_add(*(l for _, l in left), 0)), None
+
+
+def _length_pool():
+    """Run lengths: small ints, an int just past the bound below which an
+    int compares with a Nat, and distinct interned Nats, two of them sums
+    holding another as a child. Built per example, so no node outlives the
+    test."""
+    a, b = nat_pow2(5000), nat_pow2(5001)
+    return (1, 2, 3, 5, 1 << 4050, a, b, nat_add(a, 3), nat_add(a, b),
+            nat_mul_pow2(3, 5000))
+
+
+run_specs = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9)),
+                     min_size=1, max_size=8)
+prefix_edits = st.lists(st.one_of(
+    st.tuples(st.just("length"), st.integers(0, 99), st.integers(0, 9)),
+    st.tuples(st.just("flip"), st.integers(0, 99)),
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+    st.tuples(st.just("add"), st.integers(0, 1), st.integers(0, 9)),
+), max_size=2)
+
+
+@given(run_specs, st.integers(0, 99), st.integers(0, 9), prefix_edits)
+@example([(0, 1), (1, 0)], 1, 0, [])  # the cut ends inside the last run
+def test_run_prefix_compare_matches_the_run_walk(specs, cut, part, edits):
+    """A prefix is cut from a run-backed string (whole runs, then part of
+    one: a smaller int or another pool length), then edited. strip_prefix
+    agrees with the walk, except that where the walk raised AmbiguousNat
+    before other's last run, the tuple compare finds the runs unequal."""
+    pool = _length_pool()
+    s = BitString([(b, pool[i]) for b, i in specs] + [(1, pool[5])])
+    assert s._runs is not None
+    runs = list(s.runs)
+    cut %= len(runs) + 1
+    head = runs[:cut]
+    if cut < len(runs):
+        bit, length = runs[cut]
+        if type(length) is int:
+            head.append((bit, 1 + part % length if length > 1 else 1))
+        else:
+            head.append((bit, pool[part]))
+    for edit in edits:
+        if edit[0] == "add":
+            head.append((edit[1], pool[edit[2]]))
+        elif head:
+            at = edit[1] % len(head)
+            bit, length = head[at]
+            if edit[0] == "length":
+                head[at] = (bit, pool[edit[2]])
+            elif edit[0] == "flip":
+                head[at] = (1 - bit, length)
+            else:
+                del head[at]
+    other = BitString(head)
+    want, raised_at = _walk_strip_prefix(s, other)
+    if raised_at is not None and raised_at < len(other.runs) - 1:
+        assert s.strip_prefix(other) is None
+    elif raised_at is not None:
+        with pytest.raises(AmbiguousNat):
+            s.strip_prefix(other)
+    else:
+        got = s.strip_prefix(other)
+        assert got == want
+        if got is not None:
+            assert nat_equal(got.length, want.length)
+            assert s.end_extends(other)
 
 
 def test_text_backed_string_with_a_huge_run_strips_back():

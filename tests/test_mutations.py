@@ -21,15 +21,19 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from forcing_lab.bits import BitStream, PrngTail
 from forcing_lab.cli import main
-from forcing_lab.dense import load_family_file
+from forcing_lab.dense import DenseSet, checked_densify, load_family_file
 from forcing_lab.entangle import entangle_pair
+from forcing_lab.posets import cohen_poset, cohen_wide_witness
+from forcing_lab.towers import nat_add, nat_half, nat_mul_pow2, nat_parity
 from forcing_lab.trace import write_trace
+from forcing_lab.wide import entangle_wide
 
 FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
 
@@ -420,6 +424,13 @@ def _lengthen_last_run(side):
     return apply
 
 
+def _last_stage(key, other):
+    def apply(obj):
+        last = obj["stages"][-1]
+        last[key] = last[other]
+    return apply
+
+
 def _no_steps(obj):
     obj.update(payload_bits=[], stages=[])
     for side in ("g", "h"):
@@ -444,6 +455,9 @@ ITEM_EDITS = {
     "wide-decode-roundtrip/last-h-run-lengthened": ("wide",
                                                     _lengthen_last_run("h")),
     "wide-decode-roundtrip/no-steps": ("wide", _no_steps),
+    "wide-decode-roundtrip/last-j-edited": ("wide", _last_stage("j", "beta")),
+    "wide-decode-roundtrip/last-beta-edited": ("wide",
+                                               _last_stage("beta", "j")),
     "generics-rows-are-slices": ("generic-plane",
                                  _flip("conditions", 0, 0, 2)),
     "generics-plane-meets-family": ("far-generic-plane",
@@ -500,3 +514,61 @@ def test_each_verify_item_fails_alone(item_traces, tmp_path, case):
     obj = copy.deepcopy(item_traces[label])
     edit(obj)
     assert _verify_items(_write(path, obj)) == (1, [case.split("/")[0]])
+
+
+def test_last_g_hit_of_another_node_is_densified_again(tmp_path):
+    """The last g condition branches at 2 alpha + z written as another node
+    than the recorded j, the same value with alpha's children doubled one
+    by one, and h[steps] and the last beta follow it. The walk accepts that
+    index, so the trace decodes. verify compares nodes, not values: the
+    recorded j is not the walk's hit, so the last g condition is densified
+    again from the record, one densify past the walk's 2 * steps + 1, and
+    the result differs from the chain's, as it did before verify reused
+    the walk's last pair."""
+    fam = load_family_file(_family("len8"))
+    trace = entangle_wide(cohen_poset(), cohen_wide_witness(), fam, "101", 3)
+    poset, witness, last = trace.poset, trace.witness, trace.stages[-1]
+    g, h, alpha = trace.g_chain, trace.h_chain, last["alpha"]
+    j = nat_add(*(nat_mul_pow2(c, 1) for c in alpha.children),
+                2 * alpha.const + last["z"])
+    assert nat_half(j) is alpha and nat_parity(j) == last["z"]
+    assert j is not last["j"]
+    g[3] = checked_densify(fam[3], witness.antichain(g[2], j), poset.leq)
+    last["beta"] = poset.encode(g[3])
+    h[3] = checked_densify(fam[3], witness.antichain(h[2], last["beta"]),
+                           poset.leq)
+    path = tmp_path / "edited.json"
+    write_trace(path, trace)
+    assert run_cli(["decode-wide", "--trace", path]) == (0, "")
+    with mock.patch.object(DenseSet, "densify", autospec=True,
+                           side_effect=DenseSet.densify) as densify:
+        assert _verify_items(path) == (1, ["wide-decode-roundtrip"])
+    assert densify.call_count == 2 * 3 + 2
+
+
+WIDE_SETS = ([{"type": "min-length"}]
+             + [{"type": "parity", "parity": t} for t in (0, 1)]
+             + [{"type": "pattern", "word": w} for w in ("0", "1", "01", "11")])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_wide_roundtrip_implies_descent_and_membership(item_traces,
+                                                       tmp_path_factory, data):
+    """wide-chains-descending and wide-chain-membership fail under no edit
+    alone: wherever wide-decode-roundtrip passes, both pass (the proof is
+    in `verify._verify_wide`). An edit moves an int of the trace one up or
+    down, or replaces a set of the family by a catalog set."""
+    obj = copy.deepcopy(item_traces["wide"])
+    if data.draw(st.booleans(), label="family edit"):
+        sets = obj["family"]["sets"]
+        at = data.draw(st.integers(0, len(sets) - 1), label="set")
+        sets[at] = data.draw(st.sampled_from(WIDE_SETS), label="new set")
+    else:
+        ints = [p for p in json_paths(obj) if type(_at(obj, p)) is int]
+        path = data.draw(st.sampled_from(ints), label="path")
+        _at(obj, path[:-1])[path[-1]] += data.draw(st.sampled_from((1, -1)))
+    rc, fails = _verify_items(
+        _write(tmp_path_factory.getbasetemp() / "implied.json", obj))
+    if rc != 2 and "wide-decode-roundtrip" not in fails:
+        assert fails == []

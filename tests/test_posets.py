@@ -1,9 +1,18 @@
 """The length-lex Cohen poset and antichain witnesses."""
 
+import json
+
+import pytest
+from hypothesis import given, strategies as st
+
 from forcing_lab.bits import BitString
-from forcing_lab.posets import (bitstring_value, cohen_element, cohen_index,
-                                cohen_poset, cohen_wide_witness)
-from forcing_lab.towers import is_huge, nat_equal, nat_pow2
+from forcing_lab.dense import min_length_family
+from forcing_lab.posets import (CountablePoset, bitstring_value,
+                                cohen_element, cohen_index, cohen_poset,
+                                cohen_wide_witness)
+from forcing_lab.towers import is_huge, nat_add, nat_equal, nat_pow2
+from forcing_lab.trace import write_trace
+from forcing_lab.wide import entangle_wide
 
 
 def lenlex_oracle(max_len):
@@ -75,3 +84,39 @@ def test_witness_locate_roundtrip():
     assert wit.locate(q, q.append_run(0, 12)) is None  # padding, no marker
     assert wit.locate(q, BitString.from01("1")) is None
 
+
+# (index of the string to extend, bit, run length: an index into the pool)
+appends = st.lists(st.tuples(st.integers(0, 99), st.integers(0, 1),
+                             st.integers(0, 6)), min_size=1, max_size=16)
+
+
+@given(appends)
+def test_fold_memo_returns_the_plain_folds_nodes(steps):
+    """Strings built by append_run from earlier ones, folded through one
+    memo in build order and again in reverse, give the very values (the
+    same node, for a symbolic one) the plain fold gives."""
+    a = nat_pow2(5000)
+    pool = (1, 2, 7, 4096, a, nat_pow2(a), nat_add(a, 5))
+    strings = [BitString.empty()]
+    for base, bit, i in steps:
+        strings.append(strings[base % len(strings)].append_run(bit, pool[i]))
+    memo = {}
+    for s in strings + strings[::-1]:
+        got, want = cohen_index(s, memo), cohen_index(s)
+        assert got is want if is_huge(want) else got == want
+        got, want = bitstring_value(s, memo), bitstring_value(s)
+        assert got is want if is_huge(want) else got == want
+
+
+@pytest.mark.parametrize("seed", [None, "memo"])
+def test_memoized_encode_writes_the_plain_encodes_trace(tmp_path, seed):
+    fam = min_length_family(13, seed=seed)
+    plain = CountablePoset("cohen-lenlex", cohen_index, cohen_element,
+                           cohen_poset().leq)
+    paths = []
+    for poset in (cohen_poset(), plain):
+        paths.append(tmp_path / f"{len(paths)}.json")
+        write_trace(paths[-1], entangle_wide(poset, cohen_wide_witness(), fam,
+                                             "101101001101", 12))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert json.loads(paths[0].read_text())["nats"]

@@ -4,6 +4,7 @@ import io
 import json
 import os
 from contextlib import redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,8 +19,8 @@ from forcing_lab.posets import cohen_poset, cohen_wide_witness
 from forcing_lab.towers import is_huge, nat_equal, nat_mul_pow2
 from forcing_lab.wide import decode_wide, entangle_wide
 
-POSET = cohen_poset()
 WITNESS = cohen_wide_witness()
+FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
 
 
 def antichain_hits(chain, witness, base, poset):
@@ -35,7 +36,7 @@ def antichain_hits(chain, witness, base, poset):
 
 def test_worked_round_zero_and_one():
     fam = min_length_family(10)
-    trace = entangle_wide(POSET, WITNESS, fam,
+    trace = entangle_wide(cohen_poset(), WITNESS, fam,
                           BitStream.from_prefix("110"), 3)
     g, h = trace.g_chain, trace.h_chain
     assert g[0].to01() == "0" and h[0].to01() == "0"
@@ -56,8 +57,10 @@ def test_worked_round_zero_and_one():
 
 def test_payload_parity_only_flips_antichain_index():
     fam = min_length_family(6)
-    t0 = entangle_wide(POSET, WITNESS, fam, BitStream.from_prefix("0"), 1)
-    t1 = entangle_wide(POSET, WITNESS, fam, BitStream.from_prefix("1"), 1)
+    t0 = entangle_wide(cohen_poset(), WITNESS, fam,
+                       BitStream.from_prefix("0"), 1)
+    t1 = entangle_wide(cohen_poset(), WITNESS, fam,
+                       BitStream.from_prefix("1"), 1)
     assert t0.stages[0]["j"] + 1 == t1.stages[0]["j"]
     assert nat_equal(t0.stages[0]["j"],
                      nat_mul_pow2(t0.stages[0]["alpha"], 1))
@@ -65,7 +68,8 @@ def test_payload_parity_only_flips_antichain_index():
 
 def test_chains_descend_and_meet_sets():
     fam = min_length_family(16)
-    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("wd"), 12)
+    trace = entangle_wide(cohen_poset(), WITNESS, fam,
+                          BitStream.seeded("wd"), 12)
     g, h = trace.g_chain, trace.h_chain
     for chain in (g, h):
         for n in range(12):
@@ -77,9 +81,9 @@ def test_chains_descend_and_meet_sets():
 def test_decode_roundtrip_with_towers():
     fam = min_length_family(16)
     payload = PayloadSource.from_bits("101101001101")
-    trace = entangle_wide(POSET, WITNESS, fam, payload, 12)
+    trace = entangle_wide(cohen_poset(), WITNESS, fam, payload, 12)
     g, h = trace.g_chain, trace.h_chain
-    triples = decode_wide(g, h, POSET, WITNESS, fam, 12)
+    triples = decode_wide(g, h, cohen_poset(), WITNESS, fam, 12)
     assert [z for _, _, z in triples] == trace.payload_bits
     for n, (p, q, _) in enumerate(triples):
         assert p == g[n]
@@ -89,36 +93,40 @@ def test_decode_roundtrip_with_towers():
 def test_roundtrip_with_randomized_densifiers():
     """Seeded densifier freedom must be replayable by the decoder."""
     fam = min_length_family(12, seed="wide-free")
-    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("wf"), 8)
+    trace = entangle_wide(cohen_poset(), WITNESS, fam,
+                          BitStream.seeded("wf"), 8)
     g, h = trace.g_chain, trace.h_chain
-    triples = decode_wide(g, h, POSET, WITNESS, fam, 8)
+    triples = decode_wide(g, h, cohen_poset(), WITNESS, fam, 8)
     assert [z for _, _, z in triples] == trace.payload_bits
     assert all(p == g[n] and q == h[n] for n, (p, q, _) in enumerate(triples))
 
 
 def test_antichain_hit_uniqueness():
     fam = min_length_family(10)
-    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("uniq"), 6)
+    trace = entangle_wide(cohen_poset(), WITNESS, fam,
+                          BitStream.seeded("uniq"), 6)
     g, h = trace.g_chain, trace.h_chain
     for n in range(6):
-        assert len(antichain_hits(g, WITNESS, g[n], POSET)) == 1
-        assert len(antichain_hits(h, WITNESS, h[n], POSET)) == 1
+        assert len(antichain_hits(g, WITNESS, g[n], cohen_poset())) == 1
+        assert len(antichain_hits(h, WITNESS, h[n], cohen_poset())) == 1
 
 
 def test_same_chain_on_both_sides_fails():
     fam = min_length_family(8)
-    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("gg"), 4)
+    trace = entangle_wide(cohen_poset(), WITNESS, fam,
+                          BitStream.seeded("gg"), 4)
     g = trace.g_chain
     with pytest.raises((ConsistencyFailure, NoAntichainHit)):
-        decode_wide(g, g, POSET, WITNESS, fam, 4)
+        decode_wide(g, g, cohen_poset(), WITNESS, fam, 4)
 
 
 def test_decoder_needs_both_chains_in_order():
     fam = min_length_family(8)
-    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("swap"), 4)
+    trace = entangle_wide(cohen_poset(), WITNESS, fam,
+                          BitStream.seeded("swap"), 4)
     g, h = trace.g_chain, trace.h_chain
     with pytest.raises((ConsistencyFailure, NoAntichainHit)):
-        decode_wide(h, g, POSET, WITNESS, fam, 4)
+        decode_wide(h, g, cohen_poset(), WITNESS, fam, 4)
 
 
 def trivial_family(count):
@@ -132,7 +140,7 @@ def test_round_zero_against_closed_form_oracle():
     """Independent arithmetic for round 0 with identity densifiers."""
     fam = trivial_family(2)
     for z in (0, 1):
-        trace = entangle_wide(POSET, WITNESS, fam,
+        trace = entangle_wide(cohen_poset(), WITNESS, fam,
                               BitStream.from_prefix(str(z)), 1)
         g, h = trace.g_chain, trace.h_chain
         # independent: index(s) = 2^|s| - 1 + value(s), antichain = q 0^k 1
@@ -152,7 +160,8 @@ def test_round_zero_against_closed_form_oracle():
 def test_chain_filter_meets_family_to_horizon():
     """Each chain meets D_n at its own n-th element, n <= 50."""
     fam = min_length_family(52)
-    trace = entangle_wide(POSET, WITNESS, fam, BitStream.seeded("mf"), 50)
+    trace = entangle_wide(cohen_poset(), WITNESS, fam,
+                          BitStream.seeded("mf"), 50)
     for chain in (trace.g_chain, trace.h_chain):
         assert all(fam[n].member(chain[n]) for n in range(51))
 
@@ -167,10 +176,10 @@ def test_brute_force_decode_without_locate():
     plain = WidenessWitness("no-locate", WITNESS.antichain, locate=None)
     fam = trivial_family(4)
     for bit in "01":
-        trace = entangle_wide(POSET, plain, fam,
+        trace = entangle_wide(cohen_poset(), plain, fam,
                               BitStream.from_prefix(bit), 2)
         g, h = trace.g_chain, trace.h_chain
-        triples = decode_wide(g, h, POSET, plain, fam, 1, budget=64)
+        triples = decode_wide(g, h, cohen_poset(), plain, fam, 1, budget=64)
         [(p, q, z)] = triples
         assert z == trace.payload_bits[0]
         assert p == g[0] and q == h[0]
@@ -180,18 +189,18 @@ def test_no_hit_within_budget():
     fam = trivial_family(4)
     from forcing_lab.posets import WidenessWitness
     plain = WidenessWitness("no-locate", WITNESS.antichain, locate=None)
-    trace = entangle_wide(POSET, plain, fam, BitStream.constant(1), 2)
+    trace = entangle_wide(cohen_poset(), plain, fam, BitStream.constant(1), 2)
     g, h = trace.g_chain, trace.h_chain
     with pytest.raises(NoAntichainHit):
-        decode_wide(g, h, POSET, plain, fam, 2, budget=2)
+        decode_wide(g, h, cohen_poset(), plain, fam, 2, budget=2)
 
 
 def test_family_size_guards():
     with pytest.raises(FamilyTooSmall):
-        entangle_wide(POSET, WITNESS, min_length_family(3),
+        entangle_wide(cohen_poset(), WITNESS, min_length_family(3),
                       BitStream.constant(0), 3)
     with pytest.raises(UsageError):
-        entangle_wide(POSET, WITNESS, min_length_family(3),
+        entangle_wide(cohen_poset(), WITNESS, min_length_family(3),
                       BitStream.constant(0), 0)
 
 
@@ -226,3 +235,22 @@ def test_random_wide_families_verify_and_decode_through_the_cli(
         assert main(["verify", "--trace", out]) == 0
         assert main(["decode-wide", "--trace", out]) == 0
     assert text.getvalue().splitlines()[-1] == f"decoded z bits: {payload}"
+
+
+@pytest.mark.parametrize("name, steps, seed", [("len8", 1, None),
+                                              ("len8", 7, "s"),
+                                              ("len52", 12, None)])
+def test_verify_densifies_each_step_once(tmp_path, name, steps, seed):
+    """verify of an n-step CLI-written wide trace densifies 2n + 1 times:
+    the start, then each step's two branches in the decoder's walk. The
+    chains' last pair is compared with the walk's, not densified again."""
+    family, out = FAMILIES / f"{name}.json", str(tmp_path / "wide.json")
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()):
+        os.environ.pop(ENV_SEED, None)
+        assert main(["entangle-wide", "--family", str(family),
+                     "--payload", "seed:5", "--steps", str(steps),
+                     "--out", out] + (["--seed", seed] if seed else [])) == 0
+        with mock.patch.object(DenseSet, "densify", autospec=True,
+                               side_effect=DenseSet.densify) as densify:
+            assert main(["verify", "--trace", out]) == 0
+    assert densify.call_count == 2 * steps + 1
