@@ -157,17 +157,40 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
                            fill_seed=fill_seed))
 
 
+def _reveals_follow_clashes(n: int, rec: dict) -> bool:
+    """Whether stage n's record holds reveal columns `bound_chain` could
+    have written, checked on its ints alone, with no replay.
+
+    Attempt 0 reveals from column 0, and each retry reveals to
+    max(r + 1, largest clash column + 1) after an attempt at r; a stage's
+    `revealed_cols` is the value after its last attempt (0 with none). An
+    attempt's clashes are distinct [row, col] cells, sorted, in rows below
+    n and at or past its `reveal_to`, since the merged condition holds
+    those rows' columns below it."""
+    reveal = 0
+    for attempt in rec["attempts"]:
+        clashes = attempt["clashes"]
+        if (attempt["reveal_to"] != reveal or not clashes
+                or any(len(cell) != 2 or not 0 <= cell[0] < n
+                       or cell[1] < reveal for cell in clashes)
+                or any(a >= b for a, b in zip(clashes, clashes[1:]))):
+            return False
+        reveal = max(reveal + 1, max(col for _, col in clashes) + 1)
+    return rec["revealed_cols"] == reveal
+
+
 def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     """Independently re-check a chain-bound run; reports, never raises.
 
     Checks: one commitment per set and per stage record, each record's
     stage number, cell count and retry count matching its commitment and
-    attempts, commitments in their sets, the commitment chain descending,
-    the last (so every) commitment contained in the plane, every patch
-    cell being a cell of the last commitment, each row d_k being the
-    plane's row k and b_k patched at exactly its recorded patch (so the
-    plane's row equals b_k off the patch at every column), and the plane
-    meeting the family.
+    attempts and its reveal columns following the retry rule
+    (`_reveals_follow_clashes`), commitments in their sets, the commitment
+    chain descending, the last (so every) commitment contained in the
+    plane, every patch cell being a cell of the last commitment, each row
+    d_k being the plane's row k and b_k patched at exactly its recorded
+    patch (so the plane's row equals b_k off the patch at every column),
+    and the plane meeting the family.
     """
     report = VerifyReport()
     plane, b, family = trace.plane, trace.row_streams("b"), trace.family
@@ -179,7 +202,8 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
             return False, "commitments, sets and stage records differ in number"
         bad = [n for n, (rec, cond) in enumerate(zip(trace.stages, chain))
                if rec["stage"] != n or rec["committed_cells"] != len(cond)
-               or rec["retries"] != len(rec["attempts"])]
+               or rec["retries"] != len(rec["attempts"])
+               or not _reveals_follow_clashes(n, rec)]
         if bad:
             return False, f"stage records disagree with the chain at: {bad}"
         bad = [n for n in range(len(chain)) if not family[n].member(chain[n])]

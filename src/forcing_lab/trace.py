@@ -14,7 +14,9 @@ On disk a trace is exactly the bytes of `json.dumps(obj, indent=2,
 sort_keys=True)` followed by a newline, where `obj` is `Trace.to_json()`:
 ASCII only, non-ASCII text escaped as `\\uXXXX`. `_dump` is the one writer
 of those bytes; it builds them itself, without the pure-Python encoder the
-stdlib falls back to when `indent` is set. `write_trace` hands it
+stdlib falls back to when `indent` is set, and writes each list from
+templates, not item by item: int rows, rows of ints and nat references,
+and records (dicts with str keys). `write_trace` hands it
 `Trace.write_json()`, which keeps plane conditions as objects so that the
 writer reads their cells directly instead of as built `[r, c, b]` lists.
 
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from itertools import chain, filterfalse, islice
+from itertools import chain, compress, filterfalse, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from .bits import (BitStream, BitString, PayloadSource, _is_bit,
@@ -47,7 +50,15 @@ def _dump(obj) -> str:
 
     With `indent` set the stdlib leaves its C encoder for generators that
     yield one piece per value, so the shapes traces hold are written here
-    and any other value is handed to `json.dumps`. A plane condition's
+    and any other value is handed to `json.dumps`. Each list is written
+    from templates with one `%`, not item by item:
+    - rows, such as int rows (clash lists) and run rows of ints and nat
+      references `{"$nat": id}`: one template per row length;
+    - records, dicts with str keys (stage records, conditions, family
+      sets, stream objects, nat nodes, nat references): one template per
+      sorted key tuple.
+    The values a list holds are written kind by kind, so the lists and
+    records among them are again written as one list. A plane condition's
     cells are written from the condition itself: each distinct cell's text
     is made once per indent and reused for the rest of the write, since
     the conditions of a chain-bound trace share most of their cells.
@@ -59,10 +70,6 @@ def _encode(obj, nl: str, cell_texts: dict) -> str:
     """JSON text of `obj` whose every line break is `nl`, a newline and the
     current indent; `cell_texts` maps an indent to its cells' texts."""
     t = type(obj)
-    if t is str:
-        return encode_basestring_ascii(obj)
-    if t is int:
-        return int.__repr__(obj)
     if obj is None:
         return "null"
     if t is bool:
@@ -71,36 +78,93 @@ def _encode(obj, nl: str, cell_texts: dict) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        sep = "," + inner
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            body = sep.join(map(int.__repr__, obj))
-        elif kinds <= {list, tuple} and all(obj) and set(
-                map(type, chain.from_iterable(obj))) == {int}:
-            # clash lists and other lists of non-empty int rows, written
-            # with one template per row length and one format
-            deeper = inner + "  "
-            row_sep = "," + deeper
-            rows = {n: "[" + deeper + row_sep.join(["%d"] * n) + inner + "]"
-                    for n in set(map(len, obj))}
-            body = sep.join(map(rows.__getitem__, map(len, obj))) % tuple(
-                chain.from_iterable(obj))
-        else:
-            body = sep.join([_encode(v, inner, cell_texts) for v in obj])
-        return "[" + inner + body + nl + "]"
+        return "[" + inner + _items(obj, inner, cell_texts, "," + inner) \
+            + nl + "]"
     if t is dict and all(type(k) is str for k in obj):
-        if not obj:
-            return "{}"
+        keys = sorted(obj)
         inner = nl + "  "
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": "
-             + _encode(obj[k], inner, cell_texts) for k in sorted(obj)]
-        ) + nl + "}"
+        return _record_template(keys, inner, nl) % tuple(
+            _texts(list(map(obj.__getitem__, keys)), inner, cell_texts))
     if t is PlaneCondition:
         return _cells(obj, nl, cell_texts)
     # floats, other keys, other types: ASCII-escaped JSON holds no raw
     # newline inside a string, so re-indenting by replacement is exact
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+
+
+def _items(items: list, inner: str, cell_texts: dict, sep: str) -> str:
+    """The JSON texts of the non-empty `items`, each starting on line
+    `inner`, joined by `sep`.
+
+    Records (all items dicts with str keys) are filled with one `%` into
+    one template per sorted key tuple, and rows (all items lists or tuples)
+    into one template per length; the values they hold, and the items of
+    any other list, are written by `_texts`."""
+    deeper = inner + "  "
+    kinds = set(map(type, items))
+    if kinds == {dict} and set(map(type, chain.from_iterable(items))) <= {str}:
+        shapes = list(map(tuple, map(sorted, items)))
+        templates = {keys: _record_template(keys, deeper, inner)
+                     for keys in set(shapes)}
+        values = [item[k] for item, keys in zip(items, shapes) for k in keys]
+    elif kinds <= {list, tuple}:
+        shapes = list(map(len, items))
+        templates = {n: "[" + deeper + ("," + deeper).join(["%s"] * n) + inner
+                     + "]" if n else "[]" for n in set(shapes)}
+        values = list(chain.from_iterable(items))
+    else:
+        return sep.join(["%s"] * len(items)) % tuple(
+            _texts(items, inner, cell_texts))
+    return sep.join(map(templates.__getitem__, shapes)) % tuple(
+        _texts(values, deeper, cell_texts))
+
+
+def _record_template(keys, inner: str, nl: str) -> str:
+    """The `%` template of a dict with the sorted str `keys`, one `%s` per
+    value, whose keys start on line `inner` and closing brace on `nl`."""
+    if not keys:
+        return "{}"
+    return "{" + inner + ("," + inner).join(
+        [encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+         for k in keys]) + nl + "}"
+
+
+# Below this many values (a small dict's), writing each on its own costs
+# less than writing them kind by kind; measured on the benchmark's traces.
+_FEW = 8
+
+
+def _texts(values: list, nl: str, cell_texts: dict) -> list:
+    """The JSON text of each of `values`, whose line breaks are `nl`, for
+    a `%s` slot: where all are ints, the ints themselves (`%s` writes an
+    int as `int.__repr__` does); where all are strings, one map; fewer
+    than `_FEW` values each on its own; else kind by kind, two or more
+    lists, or records, of a kind written by one `_items` call whose texts
+    are split apart at NULs (no JSON text here holds one)."""
+    types = list(map(type, values))
+    kinds = dict.fromkeys(types)
+    if kinds.keys() == {int}:
+        return values
+    if kinds.keys() == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if len(values) < _FEW:
+        return [int.__repr__(v) if type(v) is int
+                else encode_basestring_ascii(v) if type(v) is str
+                else _encode(v, nl, cell_texts) for v in values]
+    if len(kinds) > 1:
+        # each kind written on its own, kinds in order of first appearance
+        # (a chain-bound trace's first key, `boundaries`, is a list, so its
+        # `conditions` are written before its `plane`, in chain order as
+        # `_cells` expects), the texts then put back in order
+        texts = {t: iter(_texts(list(compress(values, map(is_, types,
+                                                          repeat(t)))),
+                                nl, cell_texts)) for t in kinds}
+        return list(map(next, map(texts.__getitem__, types)))
+    if list in kinds or tuple in kinds or (
+            dict in kinds
+            and set(map(type, chain.from_iterable(values))) <= {str}):
+        return _items(values, nl, cell_texts, "\0").split("\0")
+    return [_encode(v, nl, cell_texts) for v in values]
 
 
 def _cells(p: PlaneCondition, nl: str, cell_texts: dict) -> str:

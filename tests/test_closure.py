@@ -105,6 +105,47 @@ def test_bound_chain_matches_rebuilt_rectangle_reference():
     assert total_retries >= 4  # the runs above do exercise retries
 
 
+def _reveal_edits(rec, n):
+    """(name, edit of stage record `rec` of stage n, which has two or more
+    attempts), each breaking the retry rule in one place."""
+    first = rec["attempts"][0]["clashes"]
+    second = rec["attempts"][1]["reveal_to"]
+    return [
+        ("revealed-cols", lambda r: r.update(revealed_cols=r["revealed_cols"]
+                                             + 1)),
+        ("first-reveal", lambda r: r["attempts"][0].update(reveal_to=1)),
+        ("later-reveal", lambda r: r["attempts"][1].update(
+            reveal_to=second - 1)),
+        ("no-clashes", lambda r: r["attempts"][0].update(clashes=[])),
+        ("clash-twice", lambda r: r["attempts"][0].update(
+            clashes=first + first[-1:])),
+        ("clash-row-past-stage", lambda r: r["attempts"][0].update(
+            clashes=first + [[n, 0]])),
+        ("clash-col-below-reveal", lambda r: r["attempts"][1].update(
+            clashes=[[0, second - 1]])),
+    ]
+
+
+def test_reveal_columns_follow_the_retry_rule():
+    """Every retrying run's stage records pass `chain-commitments-in-sets`;
+    one edit of a multi-attempt stage's reveal columns or clashes fails
+    it, with no replay of the search."""
+    traces = [bound_chain(b, fam, fill_seed=fill_seed)
+              for b, fam, fill_seed in retrying_runs()]
+    for trace in traces:
+        assert verify_bound(trace).items[0][1]
+    trace = traces[0]  # its stage 1 took 4 attempts
+    n = next(n for n, rec in enumerate(trace.stages)
+             if len(rec["attempts"]) >= 2)
+    for name, edit in _reveal_edits(trace.stages[n], n):
+        stages = json.loads(json.dumps(trace.stages))
+        edit(stages[n])
+        item, ok, detail = verify_bound(
+            dataclasses.replace(trace, stages=stages)).items[0]
+        assert (item, ok) == ("chain-commitments-in-sets", False), name
+        assert detail.startswith("stage records disagree"), (name, detail)
+
+
 def test_frozen_sq_example():
     """m=2, square family, b0 = 1111..., b1 = 1010...."""
     fam = square_family(2)

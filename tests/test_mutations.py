@@ -242,9 +242,10 @@ def test_one_bit_file_edit_never_escapes_the_cli(bit_files, tmp_path_factory,
 
 # Derived fields: what `verify` recomputes from the rest of a trace.
 DERIVED_KEYS = ("stages", "boundaries", "payload_bits")
-# the chain-bound stage fields `verify` checks by structure; revealed_cols
-# and the attempts would need a replay of the retry search
-CHAIN_DERIVED = ("stage", "retries", "committed_cells")
+# the chain-bound stage fields `verify` checks by structure; only which
+# clash cells an attempt found would need a replay of the retry search
+CHAIN_DERIVED = ("stage", "retries", "committed_cells", "revealed_cols",
+                 "reveal_to")
 
 
 @pytest.fixture(scope="module")
@@ -431,6 +432,23 @@ def _last_stage(key, other):
     return apply
 
 
+def _marker_at_first_boundary(obj):
+    """Set stream c's bit at the first marker, in the stream and in every
+    c condition that holds it, and record what `decode_pair` then reads:
+    a len8 trace of payload 10110 decodes five markers at column 1."""
+    at = obj["boundaries"][0]
+
+    def set_bit(text):
+        return text[:at] + "1" + text[at + 1:] if len(text) > at else text
+
+    c = obj["streams"][0]
+    c["prefix"] = set_bit(c["prefix"])
+    for cond in obj["conditions"]:
+        cond["c"] = set_bit(cond["c"])
+    obj.update(boundaries=[1] * 5, payload_bits=[1, 0, 1, 0, 1])
+    del obj["payload_source"]
+
+
 def _no_steps(obj):
     obj.update(payload_bits=[], stages=[])
     for side in ("g", "h"):
@@ -438,13 +456,14 @@ def _no_steps(obj):
 
 
 # case -> (trace label, edit of the trace JSON): the edit makes the item
-# named before any "/" the only one to FAIL. Labels are TRACES kinds or the
-# far-cell traces. A case named by its item alone is the edit README
-# "Traces" lists for it; the others verified PASS before their item
-# checked the structure they break.
+# named before any "/" the only one to FAIL. Labels are TRACES kinds, the
+# far-cell traces or the len8 pair trace. A case named by its item alone
+# is the edit README "Traces" lists for it; the others verified PASS
+# before their item checked the structure they break.
 ITEM_EDITS = {
     "pair-decode-roundtrip": ("pair",
                               lambda obj: obj["boundaries"].__setitem__(0, 2)),
+    "pair-marker-spacing": ("len8-pair", _marker_at_first_boundary),
     "pair-stage-conditions": ("pair", _drop_last("conditions")),
     "many-frontier-invariant": ("many", _drop_last("conditions")),
     "many-subtuples-generic": ("many",
@@ -488,6 +507,8 @@ def item_traces(tmp_path_factory):
                                     "--rows", "2", "--horizon", "3"]
     writers["far-chain-bound"] = ["bound-chain", "--family", family,
                                   "--rows", "2"]
+    writers["len8-pair"] = ["entangle-pair", "--family", _family("len8"),
+                            "--payload", "bits:10110", "--stages", "3"]
     out = {}
     for label, argv in writers.items():
         path = tmp / f"{label}.json"

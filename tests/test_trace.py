@@ -4,15 +4,18 @@ writer's bytes against `json.dumps(indent=2, sort_keys=True)`."""
 import dataclasses
 import json
 import math
+import sys
 from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forcing_lab import trace as trace_module
 from forcing_lab.bits import BitStream, PayloadSource
 from forcing_lab.closure import bound_chain, build_generics_run
-from forcing_lab.dense import min_length_family, mixed_plane_family
+from forcing_lab.dense import (min_length_family, mixed_cohen_family,
+                               mixed_plane_family)
 from forcing_lab.entangle import entangle_many, entangle_pair
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
 from forcing_lab.posets import cohen_poset, cohen_wide_witness
@@ -183,6 +186,70 @@ def test_dump_sorts_int_keys_numerically():
     assert _dump(value) == stdlib_dump(value) == (
         '{\n  "a": {\n    "2": {},\n    "10": [\n      1\n    ]\n  },\n'
         '  "b": [\n    []\n  ]\n}\n')
+
+
+# keys a record template must escape (quotes, backslashes, `%`), from a
+# small set so that one list holds several key tuples
+_KEYS = st.sampled_from(["a", "b", "op", "$nat", "%", "%s", "100%%", '"',
+                         "\\", "\xe9", "\u2028", "\U0001f600"]) | _TEXT
+# nat references, and dicts that only look like one
+_NAT_REFS = (st.builds(lambda n: {"$nat": n}, st.integers(0, 2 ** 70))
+             | st.sampled_from([{"$nat": True}, {"$nat": 1, "x": 2},
+                                {"$nat": None}, {"$nat": 1.0}, {}]))
+_INT_KEYED = st.dictionaries(st.integers(), _SCALARS, max_size=3)
+# lists of records: several key tuples, empty dicts, every JSON scalar,
+# nat references and nested values; records with int keys, sorted
+# numerically
+_RECORDS = st.lists(st.dictionaries(_KEYS, _SCALARS | _NAT_REFS | _VALUES,
+                                    max_size=4), min_size=1, max_size=8)
+_INT_KEYED_RECORDS = st.lists(_INT_KEYED, min_size=1, max_size=4)
+# run rows: ints and nat references, or dicts that only look like one
+_RUN_ROWS = st.lists(st.lists(st.integers(-2 ** 70, 2 ** 70) | _NAT_REFS,
+                              min_size=1, max_size=4), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RECORDS, _INT_KEYED_RECORDS, _RUN_ROWS, st.integers(0, 8))
+def test_dump_of_records_and_run_rows_matches_stdlib_json(records, int_keyed,
+                                                          runs, at):
+    for value in (records, int_keyed, runs, records + int_keyed,
+                  {"conditions": {"g": ["0", {"runs": runs}]},
+                   "nats": records, "stages": [records, runs]}):
+        assert _dump(value) == stdlib_dump(value)
+    # a record or run row item with int and str keys raises as json does
+    mixed = {"a": 0, 1: 0}
+    for value in (records[:at] + [mixed] + records[at:],
+                  runs + [[1, mixed]]):
+        with pytest.raises(TypeError):
+            stdlib_dump(value)
+        with pytest.raises(TypeError):
+            _dump(value)
+
+
+def test_dump_of_a_pair_trace_makes_as_many_calls_at_8_stages_as_at_64():
+    """Each list of records is written from templates: one `_dump` of a
+    pair trace over a seeded mixed Cohen family makes as many Python calls
+    into the trace module at 64 stages as at 8, not some per record."""
+    counts = []
+    for stages in (8, 64):
+        trace = entangle_pair(mixed_cohen_family(stages, seed="calls"),
+                              PayloadSource.from_seed("calls"), stages)
+        obj = trace.write_json()
+        calls = []
+
+        def count(frame, event, arg):
+            if (event == "call"
+                    and frame.f_code.co_filename == trace_module.__file__):
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(count)
+        try:
+            text = _dump(obj)
+        finally:
+            sys.setprofile(None)
+        assert text == stdlib_dump(trace.to_json())
+        counts.append(len(calls))
+    assert counts[0] == counts[1], (counts, calls)
 
 
 @pytest.mark.parametrize("value", [{1: 0, "a": 0}, [{"x": {"b": 1, 2: 0}}],
