@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import AmbiguousNat, PayloadExhausted, UsageError
 from .towers import (NatLike, NatTable, nat_add, nat_equal, nat_le,
@@ -125,10 +125,6 @@ class BitString:
     @classmethod
     def zeros(cls, n: NatLike) -> "BitString":
         return cls(((0, n),))
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        return cls.from01("".join(map(str, bits)))
 
     @property
     def runs(self):

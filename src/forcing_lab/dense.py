@@ -37,6 +37,7 @@ equal-length prefix tuples loses no witness.
 
 from __future__ import annotations
 
+import bisect
 import json
 from typing import Callable, List, Optional, Sequence
 
@@ -182,7 +183,6 @@ def contains_word_at_or_after(s: BitString, word: str, minpos: int) -> bool:
 
 
 def _block_at(starts, pos):
-    import bisect
     return bisect.bisect_right(starts, pos) - 1
 
 

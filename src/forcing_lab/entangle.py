@@ -8,8 +8,10 @@ protocol does the same for k streams with sub-rounds that exclude one
 stream at a time, so every proper subtuple is generic for the product
 family, yet all k streams together replay the construction history.
 
-The decoders are pure state machines over the streams: they never look at
-a trace, only at marker positions, which is exactly what makes the
+Both decoders are one walk over the streams taken in turn (d, c for the
+pair, 0 .. k-1 for the tuple): each marker is the first 1 of the next
+stream at or after the marker before it. The walk never looks at a
+trace, only at marker positions, which is exactly what makes the
 round-trip tests meaningful.
 """
 
@@ -112,12 +114,26 @@ def _check_scan_budget(budget: int) -> None:
                          f"got {budget}")
 
 
-def _scan_for_one(stream, start: int, budget: int, step, name: str) -> int:
-    """The first marker 1 at positions start .. start + budget - 1."""
-    hit = stream.take01(start + budget).find("1", start)
-    if hit == -1:
-        raise NoMarker(step, stream=name, budget=budget)
-    return hit
+def _walk(streams: Sequence, count: int, budget: int
+          ) -> Tuple[List[int], List[int]]:
+    """The payload bits and markers of the first `count` steps.
+
+    Marker t is the first 1 of streams[t % k] at or after marker t - 1
+    (position 0 for t = 0), read within `budget` bits of that start; its
+    payload bit follows it. The walk stops at the first marker missing, so
+    fewer than `count` markers mean step len(markers) found none.
+    """
+    bits: List[int] = []
+    markers: List[int] = []
+    pos = 0
+    for t in range(count):
+        stream = streams[t % len(streams)]
+        pos = stream.take01(pos + budget).find("1", pos)
+        if pos == -1:
+            break
+        markers.append(pos)
+        bits.append(stream.bit(pos + 1))
+    return bits, markers
 
 
 def decode_pair(c, d, count: int, scan_budget: int = 4096
@@ -128,18 +144,10 @@ def decode_pair(c, d, count: int, scan_budget: int = 4096
     next marker at or after the previous one in the opposite stream.
     """
     _check_scan_budget(scan_budget)
-    if count < 1:
-        return [], []
-    bits: List[int] = []
-    boundaries: List[int] = []
-    s = _scan_for_one(d, 0, scan_budget, 0, "d")
-    boundaries.append(s)
-    bits.append(d.bit(s + 1))
-    for k in range(1, count):
-        stream, name = (c, "c") if k % 2 == 1 else (d, "d")
-        s = _scan_for_one(stream, s, scan_budget, k, name)
-        boundaries.append(s)
-        bits.append(stream.bit(s + 1))
+    bits, boundaries = _walk((d, c), count, scan_budget)
+    if len(boundaries) < count:
+        step = len(boundaries)
+        raise NoMarker(step, stream="dc"[step % 2], budget=scan_budget)
     return bits, boundaries
 
 
@@ -209,26 +217,19 @@ def decode_many(streams: Sequence, k: int, count: int,
                 scan_budget: int = 4096) -> Tuple[List[int], List[int]]:
     """Recover payload bits (and marker positions) from the k streams.
 
-    Sub-rounds are decoded in construction order; per excluded stream the
-    marker is the first 1 at or after its frontier, after which every other
-    frontier advances to the marker and the excluded one past the payload.
+    Sub-rounds are decoded in construction order: the marker of sub-round
+    t is the first 1 of stream t % k at or after the marker before it,
+    since each sub-round leaves every stream it does not exclude at its
+    marker (k >= 2, so the next excluded stream is one of them).
     """
     if len(streams) != k:
         raise BadArity(f"expected {k} streams, got {len(streams)}")
     if k < 2:
         raise BadArity("decode_many needs k >= 2 streams")
     _check_scan_budget(scan_budget)
-    frontiers = [0] * k
-    bits: List[int] = []
-    markers: List[int] = []
-    step = 0
-    while len(bits) < count:
-        i = step % k
-        pos = _scan_for_one(streams[i], frontiers[i], scan_budget,
-                            (step // k, i), str(i))
-        bits.append(streams[i].bit(pos + 1))
-        markers.append(pos)
-        for j in range(k):
-            frontiers[j] = pos if j != i else pos + 2
-        step += 1
+    bits, markers = _walk(streams, count, scan_budget)
+    if len(markers) < count:
+        step = len(markers)
+        raise NoMarker((step // k, step % k), stream=str(step % k),
+                       budget=scan_budget)
     return bits, markers

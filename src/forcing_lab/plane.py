@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, ConstTail,
-                   PrngTail, derive_seed)
+                   PrngTail, derive_seed, stream_from_json)
 from .errors import IncompatibleConditions, UsageError
 
 Cell = Tuple[int, int]
@@ -278,15 +278,14 @@ class GenericPlane:
         """Whether p is a restriction of this plane (p is in its filter)."""
         return all(self.cell(r, c) == b for (r, c), b in p.cells.items())
 
-    def to_json(self, condition: Callable = PlaneCondition.to_json):
-        """The plane's JSON value, its commitments as `condition(p)`."""
-        return {"commitments": condition(self.commitments),
+    def to_json(self):
+        """The plane's JSON value, its commitments left as the condition."""
+        return {"commitments": self.commitments,
                 "rows": {str(r): self.rows[r].to_json() for r in sorted(self.rows)},
                 "fill_seed": self.fill_seed}
 
     @classmethod
     def from_json(cls, obj) -> "GenericPlane":
-        from .bits import stream_from_json
         rows = obj.get("rows", {})
         if not isinstance(rows, dict):
             raise UsageError("a plane's rows must be a JSON object")

@@ -7,8 +7,8 @@ Indices of long strings are therefore towers of exponents, which is why
 encode returns a lazy natural rather than forcing an int.
 
 A WidenessWitness assigns to every condition q an injective, pairwise
-incompatible family A_q(0), A_q(1), ... below q. Witnesses may provide a
-structural `locate` inverse (given r <= A_q(k), recover k); the canonical
+incompatible family A_q(0), A_q(1), ... below q, and its structural
+`locate` inverse (given r <= A_q(k), recover k); the canonical
 Cohen witness A_q(k) = q + 0^k + 1 reads k off the run structure, which is
 what makes decoding feasible when k is astronomically large.
 
@@ -96,10 +96,10 @@ def cohen_poset() -> CountablePoset:
 
 
 class WidenessWitness:
-    """Indexed antichain below every condition: k -> A_q(k)."""
+    """Indexed antichain below every condition, k -> A_q(k), with its
+    inverse: locate(q, r) is the k with r <= A_q(k), or None."""
 
-    def __init__(self, name: str, antichain: Callable,
-                 locate: Optional[Callable] = None):
+    def __init__(self, name: str, antichain: Callable, locate: Callable):
         self.name = name
         self.antichain = antichain
         self.locate = locate

@@ -10,15 +10,17 @@ holds decoded values only, its stream names checked, so no other module
 parses trace JSON. Serialization is deterministic (sorted keys, stable
 node ids), so identical runs give identical bytes.
 
-On disk a trace is exactly the bytes of `json.dumps(obj, indent=2,
-sort_keys=True)` followed by a newline, where `obj` is `Trace.to_json()`:
-ASCII only, non-ASCII text escaped as `\\uXXXX`. `_dump` is the one writer
-of those bytes; it builds them itself, without the pure-Python encoder the
-stdlib falls back to when `indent` is set, and writes each list from
-templates, not item by item: int rows, rows of ints and nat references,
-and records (dicts with str keys). `write_trace` hands it
-`Trace.write_json()`, which keeps plane conditions as objects so that the
-writer reads their cells directly instead of as built `[r, c, b]` lists.
+A trace's JSON value is `Trace.to_json()`, which leaves each plane
+condition as the object: the writer reads its cells directly instead of
+as built `[r, c, b]` lists. On disk a trace is exactly the bytes of
+`json.dumps(trace.to_json(), indent=2, sort_keys=True, default=_plane_cells)`
+followed by a newline, where the hook `_plane_cells` writes a
+PlaneCondition as its `to_json()` list: ASCII only, non-ASCII text
+escaped as `\\uXXXX`. `_dump` is the one writer of those bytes; it builds
+them itself, without the pure-Python encoder the stdlib falls back to when
+`indent` is set, and writes each list from templates, not item by item:
+int rows, rows of ints and nat references, and records (dicts with str
+keys).
 
 Bitstrings are stored as ASCII '0'/'1' when small; conditions from wide
 runs can be astronomically long, and are stored as run lists whose lengths
@@ -45,8 +47,7 @@ from .towers import NatTable, nat_resolve
 
 def _dump(obj) -> str:
     """The trace file text of `obj`: `json.dumps(obj, indent=2,
-    sort_keys=True)` plus a newline, byte for byte, where a PlaneCondition
-    inside `obj` stands for its `to_json()` list.
+    sort_keys=True, default=_plane_cells)` plus a newline, byte for byte.
 
     With `indent` set the stdlib leaves its C encoder for generators that
     yield one piece per value, so the shapes traces hold are written here
@@ -89,7 +90,17 @@ def _encode(obj, nl: str, cell_texts: dict) -> str:
         return _cells(obj, nl, cell_texts)
     # floats, other keys, other types: ASCII-escaped JSON holds no raw
     # newline inside a string, so re-indenting by replacement is exact
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=_plane_cells).replace("\n", nl)
+
+
+def _plane_cells(obj) -> list:
+    """json's `default` hook for a trace value: a PlaneCondition is its
+    `to_json()` list, and anything else is not JSON, as json says."""
+    if type(obj) is PlaneCondition:
+        return obj.to_json()
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
 
 
 def _items(items: list, inner: str, cell_texts: dict, sep: str) -> str:
@@ -200,7 +211,7 @@ def _cells(p: PlaneCondition, nl: str, cell_texts: dict) -> str:
 
 
 def write_trace(path, trace) -> None:
-    text = _dump(trace.write_json())
+    text = _dump(trace.to_json())
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
@@ -222,10 +233,6 @@ def trace_from_json(obj):
     if cls is None:
         raise UsageError(f"unknown trace kind {kind!r}")
     return cls.from_json(obj)
-
-
-def _as_is(value):
-    return value
 
 
 # JSON type of every stored field; `seed` may hold any JSON value.
@@ -300,22 +307,14 @@ class Trace:
     streams: Dict[str, BitStream] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        """The trace as plain JSON values."""
-        return self._json(PlaneCondition.to_json)
-
-    def write_json(self) -> dict:
-        """What `write_trace` writes: `to_json()` with each plane condition
-        left as itself, which `_dump` writes as its cell list."""
-        return self._json(_as_is)
-
-    def _json(self, condition: Callable) -> dict:
-        """The trace's JSON value, each plane condition as `condition(p)`."""
+        """The trace as JSON values, each plane condition left as itself,
+        which `_dump` writes as its cell list."""
         obj = {f.name: getattr(self, f.name) for f in fields(self)}
         obj["kind"] = self.kind
         obj["family"] = self.family.describe()
         obj["streams"] = [{"name": name, **s.to_json()}
                           for name, s in self.streams.items()]
-        self._encode(obj, condition)
+        self._encode(obj)
         return obj
 
     @classmethod
@@ -337,9 +336,8 @@ class Trace:
             raise UsageError(f"malformed {cls.kind} trace: {exc!r}") from exc
         return cls(**values)
 
-    def _encode(self, obj: dict, condition: Callable) -> None:
-        """Turn this kind's decoded fields in `obj` into JSON values, each
-        plane condition into `condition(p)`."""
+    def _encode(self, obj: dict) -> None:
+        """Turn this kind's decoded fields in `obj` into JSON values."""
 
     @classmethod
     def _decode(cls, obj: dict, values: dict) -> None:
@@ -349,7 +347,7 @@ class Trace:
 class _StringsTrace(Trace):
     """Conditions are per-stage {stream name: BitString}, stored as 0/1 text."""
 
-    def _encode(self, obj, condition):
+    def _encode(self, obj):
         obj["conditions"] = [{name: s.to01() for name, s in rec.items()}
                              for rec in self.conditions]
 
@@ -396,7 +394,7 @@ class WideTrace(Trace):
     def h_chain(self) -> List[BitString]:
         return self.conditions["h"]
 
-    def _encode(self, obj, condition):
+    def _encode(self, obj):
         table = NatTable()
         obj["stages"] = [{**rec, **{key: table.encode(rec[key])
                                     for key in _STAGE_NATS}}
@@ -426,9 +424,6 @@ class _PlaneTrace(Trace):
 
     rows: int
 
-    def _encode(self, obj, condition):
-        obj["conditions"] = list(map(condition, self.conditions))
-
     @classmethod
     def _decode(cls, obj, values):
         if values["rows"] < 0:
@@ -455,11 +450,10 @@ class ChainBoundTrace(_PlaneTrace):
         """The inputs b0, b1, ... (prefix "b") or the patched rows d0, ..."""
         return [self.streams[f"{prefix}{k}"] for k in range(self.rows)]
 
-    def _encode(self, obj, condition):
-        super()._encode(obj, condition)
+    def _encode(self, obj):
         obj["patches"] = {str(r): {str(c): b for c, b in sorted(cols.items())}
                           for r, cols in sorted(self.patches.items())}
-        obj["plane"] = self.plane.to_json(condition)
+        obj["plane"] = self.plane.to_json()
 
     @classmethod
     def _decode(cls, obj, values):

@@ -11,9 +11,8 @@ replay the whole walk.
 
 Indices here are lazy naturals: on the canonical Cohen poset the step-1
 antichain position is already ~2^35 and step 2 is beyond physical memory
-as a concrete integer, so the decoder finds hits structurally (via the
-witness's locate) rather than by scanning j = 0, 1, 2, ...; the literal
-bounded scan remains as the fallback for witnesses without locate.
+as a concrete integer, so the decoder finds hits structurally, through
+the witness's `locate`, and never by scanning j = 0, 1, 2, ...
 """
 
 from __future__ import annotations
@@ -82,22 +81,16 @@ def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
 
 def _find_hit(chain, witness: WidenessWitness, base, poset: CountablePoset,
               budget: int):
-    """The unique antichain index below `base` hit by the chain's filter."""
-    if witness.locate is not None:
-        for i, el in enumerate(chain):
-            if i >= budget:
-                break
-            try:
-                k = witness.locate(base, el)
-            except AmbiguousNat:
-                continue  # lengths unordered against the walk: not its chain
-            if k is not None and poset.leq(el, witness.antichain(base, k)):
-                return k
-        return None
-    for j in range(budget):
-        branch = witness.antichain(base, j)
-        if any(poset.leq(el, branch) for el in chain):
-            return j
+    """The unique antichain index below `base` hit by the chain's filter:
+    the first `witness.locate` answer, among the chain's first `budget`
+    elements, whose antichain member lies above its element."""
+    for el in chain[:budget]:
+        try:
+            k = witness.locate(base, el)
+        except AmbiguousNat:
+            continue  # lengths unordered against the walk: not its chain
+        if k is not None and poset.leq(el, witness.antichain(base, k)):
+            return k
     return None
 
 
@@ -115,6 +108,8 @@ def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
     `(j, m, p_count, q_count)`: the g- and h-side hits of the last step
     and the pair the walk densified from them (None when count < 1).
     """
+    if budget < 1:
+        raise UsageError(f"budget must be >= 1, got {budget}")
     if count < 1:
         return ([], None) if with_last else []
     _check_family(family, count + 1)

@@ -476,6 +476,16 @@ def _case_decode_wide_unknown_poset(tmp_path, fam, plane):
     return ["decode-wide", "--trace", path]
 
 
+def _case_decode_wide_budget_zero(tmp_path, fam, plane):
+    return ["decode-wide", "--trace", str(_wide_trace(tmp_path, fam)),
+            "--budget", "0"]
+
+
+def _case_decode_wide_budget_negative(tmp_path, fam, plane):
+    return ["decode-wide", "--trace", str(_wide_trace(tmp_path, fam)),
+            "--budget", "-3"]
+
+
 def _case_bound_chain_from_wide(tmp_path, fam, plane):
     return ["bound-chain", "--family", plane, "--rows", "1",
             "--from-generics", str(_wide_trace(tmp_path, fam))]
@@ -857,6 +867,7 @@ def _case_chain_payload_bit(tmp_path, fam, plane):
 @pytest.mark.parametrize("case", [
     _case_pair_no_payload_bits, _case_pair_no_stream_c, _case_family_of_ints,
     _case_pattern_without_word, _case_decode_wide_unknown_poset,
+    _case_decode_wide_budget_zero, _case_decode_wide_budget_negative,
     _case_bound_chain_from_wide, _case_bound_chain_from_pair,
     _case_bound_chain_more_rows_than_generics, _case_verify_wide_unknown_poset,
     _case_stream_no_prefix, _case_stream_no_tail_rule, _case_patched_no_base,

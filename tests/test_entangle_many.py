@@ -1,11 +1,13 @@
-"""Tuple protocol: sub-round frontiers, subtuple genericity, tampering."""
+"""Tuple protocol: sub-round frontiers, subtuple genericity, tampering, and
+the marker walk both decoders share."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from forcing_lab.bits import BitStream, BitString, ConstTail, PayloadSource
 from forcing_lab.dense import min_length_family
-from forcing_lab.entangle import decode_many, entangle_many, many_stages
+from forcing_lab.entangle import (decode_many, decode_pair, entangle_many,
+                                  entangle_pair, many_stages)
 from forcing_lab.errors import BadArity, NoMarker
 from forcing_lab.generic import mutual_genericity_check
 
@@ -118,3 +120,86 @@ def test_many_stages_reproduce_the_records(seed, k, stages, seeded):
     for s, cond in enumerate(trace.conditions):
         assert [len(cond[str(i)].to01()) for i in range(k)] == \
             trace.stages[(s + 1) * k - 1]["lengths"]
+
+
+# The decoders as they were before they shared one walk: a scan from a
+# frontier per stream, kept here as the references the walk must match.
+
+def _scan_for_one(stream, start, budget, step, name):
+    hit = stream.take01(start + budget).find("1", start)
+    if hit == -1:
+        raise NoMarker(step, stream=name, budget=budget)
+    return hit
+
+
+def reference_decode_pair(c, d, count, scan_budget):
+    if count < 1:
+        return [], []
+    bits, boundaries = [], []
+    s = _scan_for_one(d, 0, scan_budget, 0, "d")
+    boundaries.append(s)
+    bits.append(d.bit(s + 1))
+    for k in range(1, count):
+        stream, name = (c, "c") if k % 2 == 1 else (d, "d")
+        s = _scan_for_one(stream, s, scan_budget, k, name)
+        boundaries.append(s)
+        bits.append(stream.bit(s + 1))
+    return bits, boundaries
+
+
+def reference_decode_many(streams, k, count, scan_budget):
+    frontiers = [0] * k
+    bits, markers = [], []
+    step = 0
+    while len(bits) < count:
+        i = step % k
+        pos = _scan_for_one(streams[i], frontiers[i], scan_budget,
+                            (step // k, i), str(i))
+        bits.append(streams[i].bit(pos + 1))
+        markers.append(pos)
+        for j in range(k):
+            frontiers[j] = pos if j != i else pos + 2
+        step += 1
+    return bits, markers
+
+
+def _outcome(decode, *args):
+    """(bits, markers), or the step, stream and text of the NoMarker."""
+    try:
+        return decode(*args)
+    except NoMarker as exc:
+        return exc.step, exc.stream, str(exc)
+
+
+@given(k=st.integers(1, 5), stages=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 10 - 1), seeded=st.booleans(),
+       swap=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 1)),
+       past=st.sampled_from([None, 0, 1, 2, 3]),
+       budget=st.integers(1, 30) | st.just(4096))
+@settings(max_examples=200, deadline=None)
+def test_shared_walk_decodes_as_the_reference_decoders(k, stages, seed, seeded,
+                                                       swap, past, budget):
+    """k = 1 stands for a pair (c, d); k >= 2 for a k-tuple. One stream may
+    be a constant one; the count is 0, the payload length, or past it."""
+    fam_seed = seed if seeded else None
+    if k == 1:
+        trace = entangle_pair(min_length_family(stages, seed=fam_seed),
+                              PayloadSource.from_seed(seed), stages)
+    else:
+        trace = entangle_many(k, min_length_family(
+            stages, carrier="product", arity=k - 1, seed=fam_seed),
+            PayloadSource.from_seed(seed), stages)
+    streams = list(trace.streams.values())
+    if swap is not None:
+        streams[swap[0] % len(streams)] = BitStream.constant(swap[1])
+    count = 0 if past is None else len(trace.payload_bits) + past
+    if k == 1:
+        c, d = streams
+        got = _outcome(decode_pair, c, d, count, budget)
+        want = _outcome(reference_decode_pair, c, d, count, budget)
+    else:
+        got = _outcome(decode_many, streams, k, count, budget)
+        want = _outcome(reference_decode_many, streams, k, count, budget)
+    assert got == want
+    if swap is None and budget == 4096 and past == 0:
+        assert got == (trace.payload_bits, trace.boundaries)

@@ -465,6 +465,8 @@ ITEM_EDITS = {
                               lambda obj: obj["boundaries"].__setitem__(0, 2)),
     "pair-marker-spacing": ("len8-pair", _marker_at_first_boundary),
     "pair-stage-conditions": ("pair", _drop_last("conditions")),
+    "many-decode-roundtrip": ("many", lambda obj: obj["payload_source"]
+                              .update(hex="fe")),
     "many-frontier-invariant": ("many", _drop_last("conditions")),
     "many-subtuples-generic": ("many",
                                lambda obj: obj["family"].update(arity=4)),

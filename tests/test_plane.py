@@ -1,5 +1,7 @@
 """Plane conditions: merge as greatest lower bound, order, planes."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -107,7 +109,9 @@ def test_plane_rows_cells_and_fill_agree(commit, bases, seed, warm_cells):
 def test_plane_json_roundtrip():
     commit = PlaneCondition({(1, 1): 1})
     plane = GenericPlane(commitments=commit, fill_seed="xyz")
-    plane2 = GenericPlane.from_json(plane.to_json())
+    plane2 = GenericPlane.from_json(json.loads(
+        json.dumps(plane.to_json(), default=PlaneCondition.to_json)))
+    assert plane2.commitments == commit
     assert all(plane.cell(r, c) == plane2.cell(r, c)
                for r in range(4) for c in range(4))
 

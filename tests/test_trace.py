@@ -131,8 +131,17 @@ def test_wide_trace_sizes_stay_bounded(tmp_path):
     assert verify_trace(load_trace(path)).all_passed
 
 
+def plane_cells(value) -> list:
+    """The `default` hook of the trace file definition: a plane condition
+    is its cell list, and anything else raises as json does."""
+    if type(value) is PlaneCondition:
+        return value.to_json()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def stdlib_dump(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    return json.dumps(value, indent=2, sort_keys=True,
+                      default=plane_cells) + "\n"
 
 
 # text heavy in what JSON must escape: quotes, backslashes, control
@@ -179,6 +188,15 @@ def test_dump_of_int_rows_and_int_maps_matches_stdlib_json(rows, patch):
     for value in (rows, patch, {"conditions": [rows, rows[:1]],
                                 "patches": {"0": patch}}):
         assert _dump(value) == stdlib_dump(value)
+
+
+def test_dump_hands_plane_conditions_to_the_hook_in_any_value():
+    """A plane condition the writer meets inside a value it leaves to
+    json.dumps, such as a dict with int keys, is still its cell list."""
+    p = PlaneCondition({(0, 2): 1, (0, 1): 0})
+    value = {"a": {2: p, 1: [p]}, "b": [p, {"c": p}]}
+    assert _dump(value) == stdlib_dump(value)
+    assert json.loads(_dump(value))["a"]["2"] == [[0, 1, 0], [0, 2, 1]]
 
 
 def test_dump_sorts_int_keys_numerically():
@@ -234,7 +252,7 @@ def test_dump_of_a_pair_trace_makes_as_many_calls_at_8_stages_as_at_64():
     for stages in (8, 64):
         trace = entangle_pair(mixed_cohen_family(stages, seed="calls"),
                               PayloadSource.from_seed("calls"), stages)
-        obj = trace.write_json()
+        obj = trace.to_json()
         calls = []
 
         def count(frame, event, arg):
@@ -247,7 +265,7 @@ def test_dump_of_a_pair_trace_makes_as_many_calls_at_8_stages_as_at_64():
             text = _dump(obj)
         finally:
             sys.setprofile(None)
-        assert text == stdlib_dump(trace.to_json())
+        assert text == stdlib_dump(obj)
         counts.append(len(calls))
     assert counts[0] == counts[1], (counts, calls)
 
@@ -262,13 +280,12 @@ def test_dump_rejects_what_json_rejects(value):
 
 
 def test_dump_writes_every_trace_kind_itself(monkeypatch):
-    """The five kinds' JSON shapes, and the plane kinds' writer values
-    holding PlaneCondition objects, never reach the json.dumps fallback."""
-    traces = [build() for build in (pair_trace, many_trace, wide_trace,
-                                    chain_trace, generics_trace)]
-    objs = ([trace.to_json() for trace in traces]
-            + [trace.write_json() for trace in traces])
-    expected = [stdlib_dump(trace.to_json()) for trace in traces] * 2
+    """The five kinds' JSON values, the plane kinds' holding PlaneCondition
+    objects, never reach the json.dumps fallback."""
+    objs = [build().to_json() for build in (pair_trace, many_trace,
+                                            wide_trace, chain_trace,
+                                            generics_trace)]
+    expected = list(map(stdlib_dump, objs))
 
     def refuse(*args, **kwargs):
         raise AssertionError("_dump fell back to json.dumps")
@@ -305,23 +322,24 @@ def test_plane_writer_bytes_match_stdlib_json(conditions, commitments, data):
                                 descending or [commitments])[-1])),
         dataclasses.replace(generics, conditions=[data.draw(_PLANE_CELLS)])]
     for trace in traces:
-        assert _dump(trace.write_json()) == stdlib_dump(trace.to_json())
+        obj = trace.to_json()
+        assert _dump(obj) == stdlib_dump(obj)
 
 
 def _raise_value_error():
     raise ValueError("no JSON for this trace")
 
 
-@pytest.mark.parametrize("write_json, error", [
+@pytest.mark.parametrize("to_json, error", [
     (_raise_value_error, ValueError), (lambda: {"seed": {1, 2}}, TypeError)],
     ids=["to_json-raises", "unencodable-value"])
-def test_failed_write_keeps_the_previous_file(tmp_path, write_json, error):
-    """`write_trace` writes a trace's `write_json()`; a stand-in whose hook
+def test_failed_write_keeps_the_previous_file(tmp_path, to_json, error):
+    """`write_trace` writes a trace's `to_json()`; a stand-in whose hook
     raises, or returns a value JSON cannot hold, leaves the file as it
     was."""
     path = tmp_path / "trace.json"
     write_trace(path, pair_trace())
     before = path.read_bytes()
     with pytest.raises(error):
-        write_trace(path, SimpleNamespace(write_json=write_json))
+        write_trace(path, SimpleNamespace(to_json=to_json))
     assert path.read_bytes() == before

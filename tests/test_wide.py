@@ -166,33 +166,16 @@ def test_chain_filter_meets_family_to_horizon():
         assert all(fam[n].member(chain[n]) for n in range(51))
 
 
-def test_brute_force_decode_without_locate():
-    """The literal bounded j-scan works while indices stay below the budget.
-
-    On the Cohen poset that is only round 0 (the h-side index is already
-    the enumeration position of p_1's densification at round 1).
-    """
-    from forcing_lab.posets import WidenessWitness
-    plain = WidenessWitness("no-locate", WITNESS.antichain, locate=None)
-    fam = trivial_family(4)
-    for bit in "01":
-        trace = entangle_wide(cohen_poset(), plain, fam,
-                              BitStream.from_prefix(bit), 2)
-        g, h = trace.g_chain, trace.h_chain
-        triples = decode_wide(g, h, cohen_poset(), plain, fam, 1, budget=64)
-        [(p, q, z)] = triples
-        assert z == trace.payload_bits[0]
-        assert p == g[0] and q == h[0]
-
-
 def test_no_hit_within_budget():
+    """A budget of one reads only the chain's first element, the start,
+    which no antichain member below the start lies above; step n hits at
+    element n + 1, so two steps need a budget of three."""
     fam = trivial_family(4)
-    from forcing_lab.posets import WidenessWitness
-    plain = WidenessWitness("no-locate", WITNESS.antichain, locate=None)
-    trace = entangle_wide(cohen_poset(), plain, fam, BitStream.constant(1), 2)
+    trace = entangle_wide(cohen_poset(), WITNESS, fam, BitStream.constant(1), 2)
     g, h = trace.g_chain, trace.h_chain
     with pytest.raises(NoAntichainHit):
-        decode_wide(g, h, cohen_poset(), plain, fam, 2, budget=2)
+        decode_wide(g, h, cohen_poset(), WITNESS, fam, 2, budget=1)
+    assert decode_wide(g, h, cohen_poset(), WITNESS, fam, 2, budget=3)
 
 
 def test_family_size_guards():
