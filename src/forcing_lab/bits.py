@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from typing import Optional
+from typing import List, Optional
 
 from .errors import AmbiguousNat, PayloadExhausted, UsageError
 from .towers import (NatLike, NatTable, nat_add, nat_equal, nat_le,
@@ -114,13 +114,10 @@ class BitString:
 
     @classmethod
     def from01(cls, text: str) -> "BitString":
-        clean = text
         if not _CLEAN01.fullmatch(text):
-            clean = "".join(ch for ch in text if not ch.isspace())
-            if any(ch not in "01" for ch in clean):
-                bad = next(ch for ch in clean if ch not in "01")
-                raise UsageError(f"invalid bitstring character {bad!r}")
-        return cls._of_text(clean)
+            bad = next(ch for ch in text if ch not in "01")
+            raise UsageError(f"invalid bitstring character {bad!r}")
+        return cls._of_text(text)
 
     @classmethod
     def zeros(cls, n: NatLike) -> "BitString":
@@ -303,7 +300,7 @@ class BitString:
         obj = self.to_json(table)
         if isinstance(obj, str):
             return obj
-        return json.dumps({**obj, "nats": table.to_list()},
+        return json.dumps({**obj, "nats": table.nodes},
                           sort_keys=True, separators=(",", ":"))
 
     def __eq__(self, other):
@@ -519,14 +516,15 @@ class PayloadSource:
     """One-shot supplier of payload bits z(0), z(1), ...
 
     Finite sources raise PayloadExhausted when they run out; stream-backed
-    sources never do.
+    sources never do. `drawn` is the ledger of the bits handed out so far,
+    in order: a construction's payload bits are a copy of it.
     """
 
     def __init__(self, description, bits=None, stream=None):
         self.description = description
         self._bits = list(bits) if bits is not None else None
         self._stream = stream
-        self._pos = 0
+        self.drawn: List[int] = []
 
     @classmethod
     def from_bits(cls, bits) -> "PayloadSource":
@@ -562,7 +560,12 @@ class PayloadSource:
 
     @classmethod
     def coerce(cls, payload) -> "PayloadSource":
+        """A source drawing from its start: a `description` names where its
+        bits start, so a source that has handed out bits is a usage error."""
         if isinstance(payload, PayloadSource):
+            if payload.drawn:
+                raise UsageError(f"payload source has already handed out "
+                                 f"{len(payload.drawn)} bits")
             return payload
         if isinstance(payload, BitStream):
             return cls.from_stream(payload)
@@ -605,13 +608,15 @@ class PayloadSource:
         return None
 
     def next_bit(self) -> int:
-        i = self._pos
-        self._pos += 1
+        i = len(self.drawn)
         if self._stream is not None:
-            return self._stream.bit(i)
-        if i >= len(self._bits):
+            bit = self._stream.bit(i)
+        elif i < len(self._bits):
+            bit = self._bits[i]
+        else:
             raise PayloadExhausted(f"payload ran out after {len(self._bits)} bits")
-        return self._bits[i]
+        self.drawn.append(bit)
+        return bit
 
 
 # payload source kind -> the JSON type of each field besides "kind"

@@ -39,10 +39,6 @@ from .plane import GenericPlane, PlaneCondition, merge_conditions
 from .trace import ChainBoundTrace, GenericsTrace, VerifyReport
 
 
-def _plane_leq(a: PlaneCondition, b: PlaneCondition) -> bool:
-    return a.leq(b)
-
-
 def build_generics_run(family: DenseFamily, rows: int, horizon: int,
                        seed=None) -> GenericsTrace:
     """Fold the family's densifiers into one plane and slice out row streams.
@@ -61,7 +57,7 @@ def build_generics_run(family: DenseFamily, rows: int, horizon: int,
         raise UsageError("rows must be >= 0")
     cond = PlaneCondition.empty()
     for n in range(horizon):
-        cond = checked_densify(family[n], cond, _plane_leq)
+        cond = checked_densify(family[n], cond, PlaneCondition.leq)
     trace = GenericsTrace(family=family, seed=seed, rows=rows,
                           horizon=horizon, conditions=[cond])
     plane = trace.plane
@@ -111,7 +107,7 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
                 except IncompatibleConditions as exc:
                     raise IncompatibleCommitment(n, str(exc)) from exc
                 shown = reveal_to
-            cand = checked_densify(family[n], merged, _plane_leq)
+            cand = checked_densify(family[n], merged, PlaneCondition.leq)
             # merged agrees with every finalized row, so only the cells the
             # densifier added can clash
             fresh = [(k, col) for k, col in

@@ -29,10 +29,6 @@ from .towers import nat_le, nat_to_int
 from .trace import ManyTrace, PairTrace
 
 
-def _cohen_leq(a: BitString, b: BitString) -> bool:
-    return a.end_extends(b)
-
-
 def entangle_pair(family: DenseFamily, payload, stages: int) -> PairTrace:
     """Build the entangled pair (c, d) through stages many dense sets.
 
@@ -49,34 +45,27 @@ def entangle_pair(family: DenseFamily, payload, stages: int) -> PairTrace:
         raise FamilyTooSmall(f"{stages} stages need {stages} sets, "
                              f"family has {len(family)}")
     source = PayloadSource.coerce(payload)
-    consumed: List[int] = []
-
-    def zbit() -> int:
-        b = source.next_bit()
-        consumed.append(b)
-        return b
-
-    c = checked_densify(family[0], BitString.empty(), _cohen_leq)
+    leq, next_bit = BitString.end_extends, source.next_bit
+    c = checked_densify(family[0], BitString.empty(), leq)
     if c.is_empty:
         # the decoder needs the first marker at index >= 1
-        c = checked_densify(family[0], BitString.from01("0"), _cohen_leq)
+        c = checked_densify(family[0], BitString.from01("0"), leq)
     boundaries = [nat_to_int(c.length)]
     d = checked_densify(
         family[0],
-        BitString.zeros(c.length).append_bit(1).append_bit(zbit()),
-        _cohen_leq)
+        BitString.zeros(c.length).append_bit(1).append_bit(next_bit()), leq)
     conditions = [{"c": c, "d": d}]
     for n in range(1, stages):
         boundaries.append(nat_to_int(d.length))
         c = checked_densify(
             family[n],
-            c.pad_zeros_to(d.length).append_bit(1).append_bit(zbit()),
-            _cohen_leq)
+            c.pad_zeros_to(d.length).append_bit(1).append_bit(next_bit()),
+            leq)
         boundaries.append(nat_to_int(c.length))
         d = checked_densify(
             family[n],
-            d.pad_zeros_to(c.length).append_bit(1).append_bit(zbit()),
-            _cohen_leq)
+            d.pad_zeros_to(c.length).append_bit(1).append_bit(next_bit()),
+            leq)
         conditions.append({"c": c, "d": d})
     for prev, nxt in zip(boundaries, boundaries[1:]):
         if nxt < prev + 2:
@@ -84,7 +73,7 @@ def entangle_pair(family: DenseFamily, payload, stages: int) -> PairTrace:
 
     return PairTrace(
         family=family, seed=family.seed,
-        payload_source=source.description, payload_bits=consumed,
+        payload_source=source.description, payload_bits=list(source.drawn),
         boundaries=boundaries, stages=pair_stages(conditions),
         conditions=conditions,
         streams={"c": BitStream(c, ConstTail(0)),
@@ -171,7 +160,6 @@ def entangle_many(k: int, family: DenseFamily, payload, stages: int
         raise FamilyTooSmall(f"{stages} stages need {stages} sets, "
                              f"family has {len(family)}")
     source = PayloadSource.coerce(payload)
-    consumed: List[int] = []
     cur: List[BitString] = [BitString.empty() for _ in range(k)]
     boundaries: List[int] = []
     conditions: List[dict] = []
@@ -200,16 +188,16 @@ def entangle_many(k: int, family: DenseFamily, payload, stages: int
                 raise InternalError(
                     f"marker positions too close: {prev_marker}, {top}")
             prev_marker = top
-            zb = source.next_bit()
-            consumed.append(zb)
-            cur[i] = cur[i].pad_zeros_to(top).append_bit(1).append_bit(zb)
+            cur[i] = (cur[i].pad_zeros_to(top).append_bit(1)
+                      .append_bit(source.next_bit()))
             boundaries.append(top)
         conditions.append({str(i): cur[i] for i in range(k)})
 
+    bits = list(source.drawn)
     return ManyTrace(
         k=k, family=family, seed=family.seed, conditions=conditions,
-        payload_source=source.description, payload_bits=consumed,
-        boundaries=boundaries, stages=many_stages(k, boundaries, consumed),
+        payload_source=source.description, payload_bits=bits,
+        boundaries=boundaries, stages=many_stages(k, boundaries, bits),
         streams={str(i): BitStream(cur[i], ConstTail(0)) for i in range(k)})
 
 

@@ -34,7 +34,6 @@ class SetResult:
     index: int
     met: bool
     witness: object = None
-    note: str = ""
 
 
 @dataclass
@@ -153,11 +152,7 @@ def meets_family(filt, family: DenseFamily, horizon: int,
     report = GenericityReport(horizon=horizon, budget=budget)
     for n in range(horizon):
         witness = search(family[n])
-        if witness is not None:
-            report.results.append(SetResult(n, True, witness))
-        else:
-            report.results.append(
-                SetResult(n, False, None, note=f"budget {budget} exhausted"))
+        report.results.append(SetResult(n, witness is not None, witness))
     return report
 
 

@@ -91,7 +91,7 @@ def cohen_poset() -> CountablePoset:
         name="cohen-lenlex",
         encode=lambda s: cohen_index(s, memo),
         decode=cohen_element,
-        leq=lambda a, b: a.end_extends(b),
+        leq=BitString.end_extends,
     )
 
 

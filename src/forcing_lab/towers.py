@@ -223,7 +223,7 @@ class NatTable:
 
     Node ids are assigned in first-use order during encoding, so a
     deterministic run serializes byte-identically. References inside the
-    table only point backwards.
+    table only point backwards; `nodes` is the table as a trace writes it.
     """
 
     def __init__(self):
@@ -247,9 +247,6 @@ class NatTable:
             nid = len(self.nodes) - 1
             self._ids[x] = nid
         return {"$nat": nid}
-
-    def to_list(self):
-        return self.nodes
 
     @classmethod
     def decode_all(cls, nodes):

@@ -402,7 +402,7 @@ class WideTrace(Trace):
         obj["conditions"] = {side: [s.to_json(table)
                                     for s in self.conditions[side]]
                              for side in ("g", "h")}
-        obj["nats"] = table.to_list()
+        obj["nats"] = table.nodes
         obj["poset"], obj["witness"] = self.poset.name, self.witness.name
 
     @classmethod

@@ -48,35 +48,42 @@ def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
         raise UsageError("steps must be >= 1")
     _check_family(family, steps + 1)
     source = PayloadSource.coerce(payload)
-    consumed: List[int] = []
 
     start = checked_densify(family[0], poset.decode(0), poset.leq)
     ps, qs = [start], [start]
-    records: List[dict] = []
     for n in range(steps):
         z = source.next_bit()
-        consumed.append(z)
-        alpha = poset.encode(qs[n])
-        j = nat_add(nat_mul_pow2(alpha, 1), z)
+        j = nat_add(nat_mul_pow2(poset.encode(qs[n]), 1), z)
         branch_p = witness.antichain(ps[n], j)
         if not poset.leq(branch_p, ps[n]) or branch_p == ps[n]:
             raise WitnessViolation(f"A_p({n}) not properly below p_{n}")
         p_next = checked_densify(family[n + 1], branch_p, poset.leq)
-        beta = poset.encode(p_next)
-        branch_q = witness.antichain(qs[n], beta)
+        branch_q = witness.antichain(qs[n], poset.encode(p_next))
         if not poset.leq(branch_q, qs[n]) or branch_q == qs[n]:
             raise WitnessViolation(f"A_q({n}) not properly below q_{n}")
         q_next = checked_densify(family[n + 1], branch_q, poset.leq)
         ps.append(p_next)
         qs.append(q_next)
-        records.append({"step": n, "z": z, "alpha": alpha, "j": j,
-                        "beta": beta})
 
+    bits = list(source.drawn)
     return WideTrace(
         poset=poset, witness=witness, family=family,
         seed=family.seed, payload_source=source.description,
-        payload_bits=consumed, stages=records,
+        payload_bits=bits, stages=wide_stages(poset, ps, qs, bits),
         conditions={"g": ps, "h": qs})
+
+
+def wide_stages(poset: CountablePoset, g, h, payload_bits) -> List[dict]:
+    """The stage records of a wide run with chains g, h: step n codes
+    z = payload_bits[n] at j = 2 * alpha + z below g[n], alpha the index
+    of h[n], and branches h at beta, the index of g[n + 1]."""
+    records = []
+    for n, z in enumerate(payload_bits):
+        alpha = poset.encode(h[n])
+        records.append({"step": n, "z": z, "alpha": alpha,
+                        "j": nat_add(nat_mul_pow2(alpha, 1), z),
+                        "beta": poset.encode(g[n + 1])})
+    return records
 
 
 def _find_hit(chain, witness: WidenessWitness, base, poset: CountablePoset,

@@ -93,7 +93,7 @@ def test_huge_runs_stay_structural():
     assert key1 == key2 and "runs" in key1
     table = NatTable()
     obj = s.to_json(table)
-    assert BitString.from_json(obj, NatTable.decode_all(table.to_list())) == s
+    assert BitString.from_json(obj, NatTable.decode_all(table.nodes)) == s
 
 
 # --- differential test against a plain str model --------------------------

@@ -657,6 +657,19 @@ def _case_pair_condition_not_binary(tmp_path, fam, plane):
     return _verify_edited(_pair_trace(tmp_path, fam), edit)
 
 
+def _case_pair_condition_whitespace(tmp_path, fam, plane):
+    def edit(obj):
+        cond = obj["conditions"][1]
+        cond["c"] = cond["c"][:2] + " \n" + cond["c"][2:]
+    return _verify_edited(_pair_trace(tmp_path, fam), edit)
+
+
+def _case_stream_prefix_tab(tmp_path, fam, plane):
+    def edit(stream):
+        stream["prefix"] = stream["prefix"][:3] + "\t" + stream["prefix"][3:]
+    return _verify_edited(_pair_trace(tmp_path, fam), _stream_c(edit))
+
+
 def _case_many_condition_extra_stream(tmp_path, fam, plane):
     def edit(obj):
         obj["conditions"][0]["3"] = "0"
@@ -878,6 +891,7 @@ def _case_chain_payload_bit(tmp_path, fam, plane):
     _case_chain_plane_commitment_pair, _case_chain_plane_rows_list,
     _case_chain_patch_not_object, _case_stream_prefix_too_long,
     _case_patched_column_too_large, _case_pair_condition_not_binary,
+    _case_pair_condition_whitespace, _case_stream_prefix_tab,
     _case_many_condition_extra_stream, _case_generics_cell_row_a,
     _case_generics_cell_bit_5, _case_generics_cell_row_negative,
     _case_generics_cell_row_half, _case_generics_cell_bit_true,

@@ -9,6 +9,9 @@ from forcing_lab.entangle import decode_pair, entangle_pair, pair_stages
 from forcing_lab.errors import (EmptyFamily, FamilyTooSmall, NoMarker,
                                 PayloadExhausted, UsageError)
 from forcing_lab.generic import meets_family
+from forcing_lab.posets import cohen_poset, cohen_wide_witness
+from forcing_lab.verify import verify_trace
+from forcing_lab.wide import entangle_wide
 
 
 def reference_pair_len_family(payload_bits, stages):
@@ -120,6 +123,25 @@ def test_error_cases():
         entangle_pair(min_length_family(2), BitStream.constant(0), 0)
     with pytest.raises(PayloadExhausted):
         entangle_pair(min_length_family(3), PayloadSource.from_bits("1"), 2)
+
+
+def test_a_payload_source_feeds_one_run():
+    """A run's payload bits are a copy of its source's ledger. A source
+    that has handed out bits is a usage error for a second run, whose trace
+    would describe the source from its start."""
+    fam = mixed_cohen_family(6, seed="ledger")
+    source = PayloadSource.from_seed(7)
+    trace = entangle_pair(fam, source, 6)
+    with pytest.raises(UsageError):
+        entangle_pair(fam, source, 6)
+    with pytest.raises(UsageError):
+        entangle_wide(cohen_poset(), cohen_wide_witness(),
+                      min_length_family(4), source, 2)
+    assert verify_trace(trace).all_passed
+    bits = list(trace.payload_bits)
+    assert bits == source.drawn and len(bits) == 11
+    source.next_bit()
+    assert trace.payload_bits == bits
 
 
 def test_no_marker_on_all_zero_streams():

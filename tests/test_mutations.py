@@ -30,12 +30,16 @@ from forcing_lab.bits import BitStream, PrngTail
 from forcing_lab.cli import main
 from forcing_lab.dense import DenseSet, checked_densify, load_family_file
 from forcing_lab.entangle import entangle_pair
+from forcing_lab.errors import UsageError
 from forcing_lab.posets import cohen_poset, cohen_wide_witness
-from forcing_lab.towers import nat_add, nat_half, nat_mul_pow2, nat_parity
-from forcing_lab.trace import write_trace
-from forcing_lab.wide import entangle_wide
+from forcing_lab.towers import (nat_add, nat_equal, nat_half, nat_mul_pow2,
+                                nat_parity)
+from forcing_lab.trace import load_trace, write_trace
+from forcing_lab.verify import _source_yields, verify_trace
+from forcing_lab.wide import decode_wide, entangle_wide
 
-FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
+ROOT = Path(__file__).resolve().parents[1]
+FAMILIES = ROOT / "docs" / "families"
 
 # One value of each JSON type: a swap puts one of another type in place.
 VALUES = (None, True, 7, 1.5, "x", [], {})
@@ -425,6 +429,16 @@ def _lengthen_last_run(side):
     return apply
 
 
+def _cut_condition(name, n, length):
+    """Cut stage n's `name` condition to its first `length` bits, a prefix
+    of the stream outside D_n, and record that length in stage n."""
+    def apply(obj):
+        cond = obj["conditions"][n]
+        cond[name] = cond[name][:length]
+        obj["stages"][n][f"{name}_len"] = length
+    return apply
+
+
 def _last_stage(key, other):
     def apply(obj):
         last = obj["stages"][-1]
@@ -465,6 +479,10 @@ ITEM_EDITS = {
                               lambda obj: obj["boundaries"].__setitem__(0, 2)),
     "pair-marker-spacing": ("len8-pair", _marker_at_first_boundary),
     "pair-stage-conditions": ("pair", _drop_last("conditions")),
+    # D_1 of mixed12 asks for the word 101: c_1 is 00000101, d_1
+    # 01110000111101
+    "pair-c-generic": ("pair", _cut_condition("c", 1, 7)),
+    "pair-d-generic": ("pair", _cut_condition("d", 1, 13)),
     "many-decode-roundtrip": ("many", lambda obj: obj["payload_source"]
                               .update(hex="fe")),
     "many-frontier-invariant": ("many", _drop_last("conditions")),
@@ -479,6 +497,8 @@ ITEM_EDITS = {
     "wide-decode-roundtrip/last-j-edited": ("wide", _last_stage("j", "beta")),
     "wide-decode-roundtrip/last-beta-edited": ("wide",
                                                _last_stage("beta", "j")),
+    "wide-decode-roundtrip/stage-key-added": (
+        "wide", lambda obj: obj["stages"][0].update(note=0)),
     "generics-rows-are-slices": ("generic-plane",
                                  _flip("conditions", 0, 0, 2)),
     "generics-plane-meets-family": ("far-generic-plane",
@@ -519,14 +539,21 @@ def item_traces(tmp_path_factory):
     return out
 
 
-def _verify_items(path):
-    """(exit code, names of the FAIL items) of `verify` on a trace file."""
+def _verify_report(path):
+    """(exit code, (passed, name) of each item) of `verify` on a trace
+    file."""
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         rc = main(["verify", "--trace", str(path)])
-    return rc, [line.split()[1].rstrip(":")
+    return rc, [(line.startswith("ok "), line.split()[1].rstrip(":"))
                 for line in out.getvalue().splitlines()
-                if line.startswith("FAIL ")]
+                if line.startswith(("ok ", "FAIL "))]
+
+
+def _verify_items(path):
+    """(exit code, names of the FAIL items) of `verify` on a trace file."""
+    rc, items = _verify_report(path)
+    return rc, [name for ok, name in items if not ok]
 
 
 @pytest.mark.parametrize("case", sorted(ITEM_EDITS))
@@ -539,15 +566,15 @@ def test_each_verify_item_fails_alone(item_traces, tmp_path, case):
     assert _verify_items(_write(path, obj)) == (1, [case.split("/")[0]])
 
 
-def test_last_g_hit_of_another_node_is_densified_again(tmp_path):
+def test_last_g_hit_of_another_node_fails_with_no_second_densify(tmp_path):
     """The last g condition branches at 2 alpha + z written as another node
     than the recorded j, the same value with alpha's children doubled one
     by one, and h[steps] and the last beta follow it. The walk accepts that
     index, so the trace decodes. verify compares nodes, not values: the
-    recorded j is not the walk's hit, so the last g condition is densified
-    again from the record, one densify past the walk's 2 * steps + 1, and
-    the result differs from the chain's, as it did before verify reused
-    the walk's last pair."""
+    recorded j is not the walk's hit, so the last pair fails at once, with
+    no densify past the walk's 2 * steps + 1. A densify at the recorded
+    node could not give the chain's condition: its marker run would hold
+    that node, not the hit."""
     fam = load_family_file(_family("len8"))
     trace = entangle_wide(cohen_poset(), cohen_wide_witness(), fam, "101", 3)
     poset, witness, last = trace.poset, trace.witness, trace.stages[-1]
@@ -566,7 +593,7 @@ def test_last_g_hit_of_another_node_is_densified_again(tmp_path):
     with mock.patch.object(DenseSet, "densify", autospec=True,
                            side_effect=DenseSet.densify) as densify:
         assert _verify_items(path) == (1, ["wide-decode-roundtrip"])
-    assert densify.call_count == 2 * 3 + 2
+    assert densify.call_count == 2 * 3 + 1
 
 
 WIDE_SETS = ([{"type": "min-length"}]
@@ -595,3 +622,137 @@ def test_wide_roundtrip_implies_descent_and_membership(item_traces,
         _write(tmp_path_factory.getbasetemp() / "implied.json", obj))
     if rc != 2 and "wide-decode-roundtrip" not in fails:
         assert fails == []
+
+
+def test_readme_item_table_names_every_verify_item(item_traces, tmp_path):
+    """README's item table lists, for each of the five kinds, exactly the
+    items `verify` prints on that kind's CLI-written trace, in order."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| kind | item | edit that fails it alone |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        kind, item = (cell.strip().strip("`")
+                      for cell in line.split("|")[1:3])
+        table.setdefault(kind, []).append(item)
+    printed = {}
+    for kind in TRACES:
+        rc, items = _verify_report(_write(tmp_path / f"{kind}.json",
+                                          item_traces[kind]))
+        assert rc == 0
+        printed[kind] = [name for _, name in items]
+    assert table == printed
+
+
+# A family whose D_1 asks for 30 zeros in a row: after `bits:000` both
+# streams end in a run of zeros that the const-0 tail continues.
+THIRTY_ZEROS_FAMILY = {"carrier": "cohen", "sets": [
+    {"type": "min-length"}, {"type": "pattern", "word": "0" * 30}]}
+
+
+def test_pair_witnesses_past_a_search_budget_verify(tmp_path):
+    """Both streams' prefixes are cut before their trailing zeros, so they
+    are the same infinite sequences, and each stage condition is still a
+    prefix in its set. A search of each stream cut at its prefix length +
+    horizon + 16 bits ends before stream c's D_1 witness; pair genericity
+    is read off the stage conditions, so the trace passes."""
+    family = tmp_path / "zeros.json"
+    family.write_text(json.dumps(THIRTY_ZEROS_FAMILY))
+    path = tmp_path / "pair.json"
+    assert run_cli(["entangle-pair", "--family", family, "--payload",
+                    "bits:000", "--stages", "2", "--out", path]) == (0, "")
+    obj = json.loads(path.read_text())
+    for stream in obj["streams"]:
+        stream["prefix"] = stream["prefix"].rstrip("0")
+    rc, items = _verify_report(_write(path, obj))
+    assert (rc, len(items), all(ok for ok, _ in items)) == (0, 5, True)
+
+
+def _densify_again_roundtrip(trace):
+    """wide-decode-roundtrip as verify once checked it: each stage record
+    field by field, and the last pair densified again from a last record
+    that names another node than the walk's hit."""
+    family, poset, witness = trace.family, trace.poset, trace.witness
+    g, h = trace.g_chain, trace.h_chain
+    count = len(trace.payload_bits)
+    if not 0 < len(trace.stages) == count == len(g) - 1 == len(h) - 1:
+        return False
+    triples, (j, m, g_last, h_last) = decode_wide(
+        g, h, poset, witness, family, count, with_last=True)
+    for n, (p, q, z) in enumerate(triples):
+        rec = trace.stages[n]
+        if not (z == trace.payload_bits[n] and p == g[n] and q == h[n]
+                and rec["step"] == n and rec["z"] == z
+                and nat_equal(rec["alpha"], poset.encode(q))
+                and nat_equal(rec["j"],
+                              nat_add(nat_mul_pow2(rec["alpha"], 1), z))
+                and poset.leq(h[n + 1], witness.antichain(q, rec["beta"]))):
+            return False
+    last = trace.stages[-1]
+    for chain, key, hit, walked in ((g, "j", j, g_last),
+                                    (h, "beta", m, h_last)):
+        if not nat_equal(last[key], hit):
+            branch = witness.antichain(chain[count - 1], last[key])
+            walked = checked_densify(family[count], branch, poset.leq)
+        if chain[count] != walked:
+            return False
+    return _source_yields(trace)
+
+
+@pytest.fixture(scope="module")
+def wide_traces(tmp_path_factory):
+    """CLI-written wide traces: len8 and len52, unseeded and seeded."""
+    tmp = tmp_path_factory.mktemp("wide")
+    writers = [TRACES["wide"][0],
+               ["entangle-wide", "--family", _family("len52"),
+                "--payload", "seed:w", "--steps", "4", "--seed", "s1"]]
+    out = []
+    for i, argv in enumerate(writers):
+        path = tmp / f"wide{i}.json"
+        assert run_cli(argv + ["--out", path]) == (0, "")
+        out.append(json.loads(path.read_text()))
+    return out
+
+
+def _point_at_another_node(obj, pick):
+    """Set one stage's alpha, j or beta to a nat reference (or int) of
+    another stage field."""
+    refs = [(rec, key) for rec in obj["stages"] for key in ("alpha", "j",
+                                                            "beta")]
+    rec, key = pick(refs)
+    other, other_key = pick(refs)
+    rec[key] = copy.deepcopy(other[other_key])
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_one_stage_compare_matches_the_field_checks(wide_traces,
+                                                    tmp_path_factory, data):
+    """verify compares a wide trace's stage records with
+    `wide.wide_stages` once and fails a last record that does not name
+    the walk's hits: on random edits of CLI-written wide traces it gives
+    the verdicts of the field-by-field check and the densify again."""
+    obj = copy.deepcopy(data.draw(st.sampled_from(wide_traces)))
+    pick = lambda seq: data.draw(st.sampled_from(list(seq)))
+    edit = data.draw(st.sampled_from(("int", "node", "drop")), label="edit")
+    if edit == "int":
+        ints = [p for p in json_paths(obj) if type(_at(obj, p)) is int]
+        path = pick(ints)
+        _at(obj, path[:-1])[path[-1]] += pick((1, -1))
+    elif edit == "node":
+        _point_at_another_node(obj, pick)
+    else:
+        obj["conditions"][pick("gh")].pop()
+    path = _write(tmp_path_factory.getbasetemp() / "stages.json", obj)
+    try:
+        trace = load_trace(path)
+    except UsageError:
+        return
+    items = verify_trace(trace).items
+    try:
+        expected = _densify_again_roundtrip(trace)
+    except Exception:  # noqa: BLE001 - verify reports it as a FAIL
+        expected = False
+    assert [(name, ok if name != "wide-decode-roundtrip" else expected)
+            for name, ok, _ in items] == [(name, ok) for name, ok, _ in items]

@@ -104,7 +104,7 @@ def test_nat_table_roundtrip_reinterns():
     table = NatTable()
     refs = [table.encode(v) for v in (alpha, j, alpha)]
     assert refs[0] == refs[2]  # shared node, same id
-    rebuilt = NatTable.decode_all(table.to_list())
+    rebuilt = NatTable.decode_all(table.nodes)
     assert rebuilt[refs[0]["$nat"]] is alpha
     assert rebuilt[refs[1]["$nat"]] is j
     for bad in ({"$nat": len(rebuilt)}, {"$nat": -1}, {"nat": 0}, "7"):
@@ -154,7 +154,7 @@ def _build(steps):
 def _structure(x):
     """Canonical text of x's DAG, independent of which objects hold it."""
     table = NatTable()
-    return json.dumps([table.encode(x), table.to_list()])
+    return json.dumps([table.encode(x), table.nodes])
 
 
 @given(st.lists(_STEP, min_size=1, max_size=12),
@@ -178,6 +178,6 @@ def test_interning_survives_collection(steps, keep):
                 assert hash(sa) == hash(sb)
     table = NatTable()
     refs = [table.encode(v) for v in vals]
-    built = NatTable.decode_all(table.to_list())
+    built = NatTable.decode_all(table.nodes)
     assert all(nat_resolve(r, built) is v for r, v in zip(refs, vals)
                if isinstance(v, Nat))
