@@ -28,11 +28,18 @@ _MATERIALIZE_LIMIT = 1 << 22
 # to_json (and so stable_key) writes strings up to this length as 0/1 text
 _JSON_TEXT_LIMIT = 4096
 _CLEAN01 = re.compile(r"[01]*")
+_NAT_TEXT = re.compile(r"0|[1-9][0-9]*")
 
 
 def _is_bit(value) -> bool:
     """Whether a decoded JSON value is the bit 0 or 1; a bool is not."""
     return type(value) is int and value in (0, 1)
+
+
+def _is_nat_text(key) -> bool:
+    """Whether a JSON key is the decimal text a trace writes for a row or
+    column: ASCII digits, with no sign, space, underscore or leading 0."""
+    return type(key) is str and _NAT_TEXT.fullmatch(key) is not None
 
 
 def _normalize_runs(pairs):
@@ -494,7 +501,7 @@ def stream_from_json(obj) -> BitStream:
             raise UsageError(
                 "a patched stream needs a 'base' stream and a 'patch' object")
         for k, v in patch.items():
-            if not str(k).isdecimal() or not _is_bit(v):
+            if not _is_nat_text(k) or not _is_bit(v):
                 raise UsageError(f"bad patch entry {k!r}: {v!r}")
             if int(k) >= _MATERIALIZE_LIMIT:
                 raise UsageError(f"patch column {k} is not below "

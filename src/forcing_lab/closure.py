@@ -6,12 +6,13 @@ plane condition p_n in every D_n that is compatible with all rows already
 finalized. Finding p_n is the reveal-and-retry search: reveal a growing
 rectangle of finalized bits, merge it into the previous commitment,
 densify, and accept once the candidate agrees with the actual rows. An
-attempt reads each finalized row once, as text (`take01`), and the row's
-stream keeps what it has read, so a retry generates only the newly
-revealed bits. Row n is then finalized as b_n patched at the committed
-row-n cells (rows beyond the input get the fill rule as their base), so
-the final plane extends every commitment and each b_n differs from its
-row only at the recorded patch.
+attempt reveals each finalized row as text (`take01`) and reads the row
+bit of each cell its densify added (`bit`); the row's stream keeps what
+it has read, so a retry generates only the newly revealed bits. Row n
+is then finalized as b_n patched at the committed row-n cells (rows
+beyond the input get the fill rule as their base), so the final plane
+extends every commitment and each b_n differs from its row only at the
+recorded patch.
 
 The fresh-cell invariant: the previous commitment agrees with every
 finalized row (it was accepted only when the cells its densifier added
@@ -31,9 +32,9 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from .bits import BitStream, PatchedStream
-from .dense import CARRIER_PLANE, DenseFamily, checked_densify
-from .errors import (FamilyTooSmall, IncompatibleCommitment,
-                     IncompatibleConditions, RetryBudgetExceeded, UsageError)
+from .dense import DenseFamily
+from .errors import (IncompatibleCommitment, IncompatibleConditions,
+                     RetryBudgetExceeded, UsageError)
 from .generic import meets_family
 from .plane import GenericPlane, PlaneCondition, merge_conditions
 from .trace import ChainBoundTrace, GenericsTrace, VerifyReport
@@ -46,18 +47,14 @@ def build_generics_run(family: DenseFamily, rows: int, horizon: int,
     Any finite subtuple of the rows passes mutual_genericity_check against
     the family's row restrictions up to the horizon.
     """
-    if family.carrier != CARRIER_PLANE:
-        raise UsageError("generic planes need a plane-carrier family")
+    family.require(GenericsTrace.carriers, horizon, "build_generics_run")
     if horizon < 0:
         raise UsageError("horizon must be >= 0")
-    if horizon > len(family):
-        raise FamilyTooSmall(
-            f"horizon {horizon} exceeds family size {len(family)}")
     if rows < 0:
         raise UsageError("rows must be >= 0")
     cond = PlaneCondition.empty()
     for n in range(horizon):
-        cond = checked_densify(family[n], cond, PlaneCondition.leq)
+        cond = family.densify(n, cond)
     trace = GenericsTrace(family=family, seed=seed, rows=rows,
                           horizon=horizon, conditions=[cond])
     plane = trace.plane
@@ -74,29 +71,23 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
     the committed row-n cells; fill-rule base beyond the inputs). The trace
     holds the plane, the commitments (`conditions`), patches and rows.
     """
-    if family.carrier != CARRIER_PLANE:
-        raise UsageError("bound_chain needs a plane-carrier family")
+    m = len(b)
+    family.require(ChainBoundTrace.carriers, m, "bound_chain")
     if retry_budget < 1:
         raise UsageError("retry budget must be >= 1")
-    m = len(b)
-    stages = len(family)
-    if stages < m:
-        raise FamilyTooSmall(
-            f"{m} rows need a family of at least {m} sets, got {stages}")
 
     finalized: Dict[int, BitStream] = {}
     chain: List[PlaneCondition] = []
     patches: Dict[int, Dict[int, int]] = {}
     stage_records: List[dict] = []
-    prev = PlaneCondition.empty()
+    commit = PlaneCondition.empty()
     fill = GenericPlane(fill_seed=fill_seed)
 
-    for n in range(stages):
+    for n in range(len(family)):
         reveal_to = 0
-        retries = 0
-        transcript: List[dict] = []
+        attempts: List[dict] = []
         # merged holds the columns below `shown` of every finalized row
-        merged, shown = prev, 0 if prev.square_gaps(n) else n
+        merged, shown = commit, 0 if commit.square_gaps(n) else n
         while True:
             if reveal_to > shown:
                 revealed = PlaneCondition.from_rows(
@@ -107,49 +98,39 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
                 except IncompatibleConditions as exc:
                     raise IncompatibleCommitment(n, str(exc)) from exc
                 shown = reveal_to
-            cand = checked_densify(family[n], merged, PlaneCondition.leq)
+            commit = family.densify(n, merged)
             # merged agrees with every finalized row, so only the cells the
             # densifier added can clash
-            fresh = [(k, col) for k, col in
-                     cand.cells.keys() - merged.cells.keys() if k < n]
-            width: Dict[int, int] = {}
-            for k, col in fresh:
-                if col >= width.get(k, 0):
-                    width[k] = col + 1
-            rows = {k: finalized[k].take01(w) for k, w in width.items()}
-            clashes = [(k, col) for k, col in fresh
-                       if int(rows[k][col]) != cand.cells[(k, col)]]
+            cells = commit.cells
+            clashes = [(k, col) for k, col in cells.keys() - merged.cells
+                       if k < n and finalized[k].bit(col) != cells[k, col]]
             if not clashes:
-                commit = cand
                 break
-            retries += 1
-            transcript.append({"reveal_to": reveal_to,
-                               "clashes": sorted(clashes)})
-            if retries > retry_budget:
+            attempts.append({"reveal_to": reveal_to,
+                             "clashes": sorted(clashes)})
+            if len(attempts) > retry_budget:
                 raise RetryBudgetExceeded(
                     n, f"{len(clashes)} cells still disagree "
                        f"(inputs not generic for this family?)")
             reveal_to = max(reveal_to + 1,
                             max(col for _, col in clashes) + 1)
         chain.append(commit)
-        prev = commit
         row_patch = commit.row_cells(n)
         if n < m:
             patches[n] = row_patch
         base = b[n] if n < m else fill.row_stream(n)
         finalized[n] = PatchedStream(base, row_patch)
-        stage_records.append({"stage": n, "retries": retries,
+        stage_records.append({"stage": n, "retries": len(attempts),
                               "revealed_cols": reveal_to,
                               "committed_cells": len(commit),
-                              "attempts": transcript})
+                              "attempts": attempts})
 
-    top = chain[-1] if chain else PlaneCondition.empty()
     return ChainBoundTrace(
         family=family, seed=fill_seed, rows=m,
         stages=stage_records, conditions=chain, patches=patches,
         streams={**{f"b{k}": b[k] for k in range(m)},
                  **{f"d{k}": finalized[k] for k in range(m)}},
-        plane=GenericPlane(commitments=top, rows=finalized,
+        plane=GenericPlane(commitments=commit, rows=finalized,
                            fill_seed=fill_seed))
 
 

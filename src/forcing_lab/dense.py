@@ -5,6 +5,12 @@ sending every condition to a stronger one inside the set. That pair is the
 whole interface the constructions see; the "ground model" is nothing more
 than an indexed countable family of these.
 
+A DenseFamily answers for its carrier: `densify` holds D_n's densifier
+to its contract in the carrier's order (end-extension for "cohen" and
+"poset", the same coordinate by coordinate on tuples of one length for
+"product", inclusion of cells for "plane"), and `require` is the one
+check that a run, or a loaded trace, can use the family.
+
 Catalog entry types (entry i of the JSON list defines D_i):
 
   carrier "cohen"   {"type": "min-length"}            length >= i+1
@@ -42,7 +48,8 @@ import json
 from typing import Callable, List, Optional, Sequence
 
 from .bits import BitString, derive_seed, prng_bit
-from .errors import AmbiguousNat, CheckFailure, UsageError
+from .errors import (AmbiguousNat, CheckFailure, EmptyFamily, FamilyTooSmall,
+                     UsageError)
 from .plane import PlaneCondition
 from .towers import (is_huge, nat_add, nat_equal, nat_le, nat_less,
                      nat_parity, nat_sub)
@@ -51,6 +58,16 @@ CARRIER_COHEN = "cohen"
 CARRIER_PRODUCT = "product"
 CARRIER_PLANE = "plane"
 CARRIER_POSET = "poset"
+
+# The order a densifier must extend its input in, by carrier; methods are
+# looked up per call, so a span wrapped on the class sees them.
+_ORDERS = {
+    CARRIER_COHEN: lambda s, t: s.end_extends(t),
+    CARRIER_POSET: lambda s, t: s.end_extends(t),
+    CARRIER_PRODUCT: lambda s, t: len(s) == len(t) and all(
+        a.end_extends(b) for a, b in zip(s, t)),
+    CARRIER_PLANE: lambda p, q: p.leq(q),
+}
 
 
 class DenseSet:
@@ -105,6 +122,34 @@ class DenseFamily:
             out["seed"] = self.seed
         return out
 
+    def densify(self, n: int, cond):
+        """D_n's densifier run on cond, held to its contract: the output
+        extends cond in the carrier's order and lies in D_n."""
+        dset = self.sets[n]
+        out = dset.densify(cond)
+        if not _ORDERS[self.carrier](out, cond):
+            raise CheckFailure(
+                f"densifier of D_{dset.index} did not extend its input")
+        if not dset.member(out):
+            raise CheckFailure(
+                f"densifier of D_{dset.index} landed outside its set")
+        return out
+
+    def require(self, carriers: Sequence[str], sets: int, run: str) -> None:
+        """Raise unless `run`, needing `sets` sets, can use this family:
+        EmptyFamily (a FamilyTooSmall) if it needs one and there is none,
+        then UsageError for a carrier not in `carriers`, then
+        FamilyTooSmall."""
+        if sets > 0 and not self.sets:
+            raise EmptyFamily(f"{run} needs at least one dense set")
+        if self.carrier not in carriers:
+            raise UsageError(f"{run} needs a family over the "
+                             f"{' or '.join(carriers)} carrier, "
+                             f"got {self.carrier!r}")
+        if len(self.sets) < sets:
+            raise FamilyTooSmall(f"{run} needs {sets} dense sets, "
+                                 f"family has {len(self.sets)}")
+
     def with_seed(self, seed) -> "DenseFamily":
         """This catalog family, reseeded; only works for catalog entries."""
         if self.entries is None:
@@ -112,18 +157,6 @@ class DenseFamily:
         spec = self.describe()
         spec["seed"] = seed
         return family_from_spec(spec)
-
-
-def checked_densify(dset: DenseSet, cond, leq: Callable) -> object:
-    """Run a densifier and enforce its contract."""
-    out = dset.densify(cond)
-    if not leq(out, cond):
-        raise CheckFailure(
-            f"densifier of D_{dset.index} did not extend its input")
-    if not dset.member(out):
-        raise CheckFailure(
-            f"densifier of D_{dset.index} landed outside its set")
-    return out
 
 
 # --- structural word search (exact also on run-compressed huge strings) ---

@@ -21,10 +21,8 @@ from typing import List, Sequence, Tuple
 
 from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, ConstTail,
                    PayloadSource)
-from .dense import (CARRIER_COHEN, CARRIER_PRODUCT, DenseFamily,
-                    checked_densify)
-from .errors import (BadArity, EmptyFamily, FamilyTooSmall, InternalError,
-                     NoMarker, UsageError)
+from .dense import DenseFamily
+from .errors import BadArity, InternalError, NoMarker, UsageError
 from .towers import nat_le, nat_to_int
 from .trace import ManyTrace, PairTrace
 
@@ -35,37 +33,26 @@ def entangle_pair(family: DenseFamily, payload, stages: int) -> PairTrace:
     Consumes 2*stages - 1 payload bits; the trace holds the streams c and d
     and records every stage string, marker position and consumed bit.
     """
-    if len(family) == 0:
-        raise EmptyFamily("entangle_pair needs at least one dense set")
-    if family.carrier != CARRIER_COHEN:
-        raise UsageError("entangle_pair works over the Cohen carrier")
+    family.require(PairTrace.carriers, stages, "entangle_pair")
     if stages < 1:
         raise UsageError("stages must be >= 1")
-    if len(family) < stages:
-        raise FamilyTooSmall(f"{stages} stages need {stages} sets, "
-                             f"family has {len(family)}")
     source = PayloadSource.coerce(payload)
-    leq, next_bit = BitString.end_extends, source.next_bit
-    c = checked_densify(family[0], BitString.empty(), leq)
+    next_bit = source.next_bit
+    c = family.densify(0, BitString.empty())
     if c.is_empty:
         # the decoder needs the first marker at index >= 1
-        c = checked_densify(family[0], BitString.from01("0"), leq)
+        c = family.densify(0, BitString.from01("0"))
     boundaries = [nat_to_int(c.length)]
-    d = checked_densify(
-        family[0],
-        BitString.zeros(c.length).append_bit(1).append_bit(next_bit()), leq)
+    d = family.densify(
+        0, BitString.zeros(c.length).append_bit(1).append_bit(next_bit()))
     conditions = [{"c": c, "d": d}]
     for n in range(1, stages):
         boundaries.append(nat_to_int(d.length))
-        c = checked_densify(
-            family[n],
-            c.pad_zeros_to(d.length).append_bit(1).append_bit(next_bit()),
-            leq)
+        c = family.densify(
+            n, c.pad_zeros_to(d.length).append_bit(1).append_bit(next_bit()))
         boundaries.append(nat_to_int(c.length))
-        d = checked_densify(
-            family[n],
-            d.pad_zeros_to(c.length).append_bit(1).append_bit(next_bit()),
-            leq)
+        d = family.densify(
+            n, d.pad_zeros_to(c.length).append_bit(1).append_bit(next_bit()))
         conditions.append({"c": c, "d": d})
     for prev, nxt in zip(boundaries, boundaries[1:]):
         if nxt < prev + 2:
@@ -150,32 +137,20 @@ def entangle_many(k: int, family: DenseFamily, payload, stages: int
     """
     if k < 2:
         raise BadArity("entangle_many needs k >= 2 streams")
-    if len(family) == 0:
-        raise EmptyFamily("entangle_many needs at least one dense set")
-    if family.carrier != CARRIER_PRODUCT or family.arity != k - 1:
+    family.require(ManyTrace.carriers, stages, "entangle_many")
+    if family.arity != k - 1:
         raise BadArity(f"family must be a product of arity {k - 1}")
     if stages < 1:
         raise UsageError("stages must be >= 1")
-    if len(family) < stages:
-        raise FamilyTooSmall(f"{stages} stages need {stages} sets, "
-                             f"family has {len(family)}")
     source = PayloadSource.coerce(payload)
     cur: List[BitString] = [BitString.empty() for _ in range(k)]
     boundaries: List[int] = []
     conditions: List[dict] = []
-    prev_marker = None
-
-    def tuple_leq(t1, t2) -> bool:
-        return len(t1) == len(t2) and all(a.end_extends(b)
-                                          for a, b in zip(t1, t2))
-
     for s in range(stages):
         for i in range(k):
             others = [j for j in range(k) if j != i]
-            densified = checked_densify(
-                family[s], tuple(cur[j] for j in others), tuple_leq)
-            if len(densified) != k - 1:
-                raise InternalError("densifier changed the tuple arity")
+            # the product order keeps the tuple's length
+            densified = family.densify(s, tuple(cur[j] for j in others))
             for j, new in zip(others, densified):
                 cur[j] = new
             top = max(nat_to_int(x.length) for x in densified)
@@ -184,10 +159,9 @@ def entangle_many(k: int, family: DenseFamily, payload, stages: int
                     f"excluded stream {i} outgrew the sub-round at stage {s}")
             for j in others:
                 cur[j] = cur[j].pad_zeros_to(top)
-            if prev_marker is not None and top < prev_marker + 2:
+            if boundaries and top < boundaries[-1] + 2:
                 raise InternalError(
-                    f"marker positions too close: {prev_marker}, {top}")
-            prev_marker = top
+                    f"marker positions too close: {boundaries[-1]}, {top}")
             cur[i] = (cur[i].pad_zeros_to(top).append_bit(1)
                       .append_bit(source.next_bit()))
             boundaries.append(top)

@@ -29,12 +29,12 @@ class IncompatibleConditions(CheckFailure):
         self.cell = cell
 
 
-class EmptyFamily(UsageError):
-    """A construction was handed a dense family with no sets."""
-
-
 class FamilyTooSmall(UsageError):
     """The dense family has fewer sets than the run needs."""
+
+
+class EmptyFamily(FamilyTooSmall):
+    """A run that needs a dense set was handed a family with no sets."""
 
 
 class BadArity(UsageError):

@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, ConstTail,
-                   PrngTail, derive_seed, stream_from_json)
+                   PrngTail, _is_nat_text, derive_seed, stream_from_json)
 from .errors import IncompatibleConditions, UsageError
 
 Cell = Tuple[int, int]
@@ -287,8 +287,9 @@ class GenericPlane:
     @classmethod
     def from_json(cls, obj) -> "GenericPlane":
         rows = obj.get("rows", {})
-        if not isinstance(rows, dict):
-            raise UsageError("a plane's rows must be a JSON object")
+        if not isinstance(rows, dict) or not all(map(_is_nat_text, rows)):
+            raise UsageError("a plane's rows must be a JSON object keyed by "
+                             "decimal row numbers")
         rows = {int(r): stream_from_json(s) for r, s in rows.items()}
         return cls(PlaneCondition.from_json(obj.get("commitments", [])),
                    rows=rows, fill_seed=obj.get("fill_seed"))

@@ -37,8 +37,9 @@ from operator import is_
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from .bits import (BitStream, BitString, PayloadSource, _is_bit,
-                   stream_from_json)
-from .dense import DenseFamily, family_from_spec
+                   _is_nat_text, stream_from_json)
+from .dense import (CARRIER_COHEN, CARRIER_PLANE, CARRIER_POSET,
+                    CARRIER_PRODUCT, DenseFamily, family_from_spec)
 from .errors import CheckFailure, UsageError
 from .plane import GenericPlane, PlaneCondition
 from .posets import (POSET_REGISTRY, WITNESS_REGISTRY, CountablePoset,
@@ -288,12 +289,13 @@ def _decode_streams(kind: str, objs: list, names: Iterable[str]
 class Trace:
     """The envelope every trace kind shares.
 
-    Subclasses set `kind`, declare their own fields, name their streams in
-    `_stream_names`, and override `_encode`/`_decode` only for fields they
-    keep as decoded objects.
+    Subclasses set `kind` and the family `carriers` its runs use, declare
+    their own fields, name their streams in `_stream_names`, and override
+    `_encode`/`_decode` only for fields they keep as decoded objects.
     """
 
     kind: ClassVar[str]
+    carriers: ClassVar[Tuple[str, ...]]
     # the names of the streams, in order, given the trace's JSON fields
     _stream_names: ClassVar[Callable[[dict], Iterable[str]]] = staticmethod(
         lambda values: ())
@@ -328,6 +330,7 @@ class Trace:
                              f"and boundaries and stages hold ints only")
         PayloadSource.from_json(values["payload_source"])  # raises if bad
         values["family"] = family_from_spec(values["family"])
+        values["family"].require(cls.carriers, 0, f"a {cls.kind} trace")
         values["streams"] = _decode_streams(cls.kind, values["streams"],
                                             cls._stream_names(values))
         try:
@@ -364,14 +367,22 @@ class _StringsTrace(Trace):
 
 class PairTrace(_StringsTrace):
     kind = "pair"
+    carriers = (CARRIER_COHEN,)
     _stream_names = staticmethod(lambda values: ("c", "d"))
 
 
 @dataclass(kw_only=True)
 class ManyTrace(_StringsTrace):
     kind = "many"
+    carriers = (CARRIER_PRODUCT,)
     k: int
     _stream_names = staticmethod(lambda values: map(str, range(values["k"])))
+
+    @classmethod
+    def _decode(cls, obj, values):
+        if values["k"] < 2:
+            raise UsageError(f"many trace k must be >= 2, got {values['k']}")
+        super()._decode(obj, values)
 
 
 _STAGE_NATS = ("alpha", "j", "beta")
@@ -383,6 +394,7 @@ class WideTrace(Trace):
     hold the two descending chains as {"g": [...], "h": [...]}."""
 
     kind = "wide"
+    carriers = (CARRIER_POSET, CARRIER_COHEN)
     poset: CountablePoset
     witness: WidenessWitness
 
@@ -422,6 +434,7 @@ class WideTrace(Trace):
 class _PlaneTrace(Trace):
     """A trace whose conditions are plane conditions over `rows` rows."""
 
+    carriers = (CARRIER_PLANE,)
     rows: int
 
     @classmethod
@@ -459,11 +472,12 @@ class ChainBoundTrace(_PlaneTrace):
     def _decode(cls, obj, values):
         super()._decode(obj, values)
         for r, cols in values["patches"].items():
-            if not isinstance(cols, dict) or not all(
-                    c.isdecimal() and _is_bit(b)
-                    for c, b in cols.items()):
-                raise UsageError(f"chain-bound trace patch of row {r!r} must "
-                                 f"map decimal columns to bits 0/1")
+            if not (_is_nat_text(r) and isinstance(cols, dict) and all(
+                    _is_nat_text(c) and _is_bit(b)
+                    for c, b in cols.items())):
+                raise UsageError(f"chain-bound trace patches must map decimal "
+                                 f"rows to decimal columns to bits 0/1, got "
+                                 f"row {r!r}")
         values["patches"] = {int(r): {int(c): b for c, b in cols.items()}
                              for r, cols in values["patches"].items()}
         values["plane"] = GenericPlane.from_json(values["plane"])

@@ -127,6 +127,8 @@ def _verify_many(trace: ManyTrace) -> VerifyReport:
         return True, f"{len(bits)} bits recovered"
 
     def frontier_invariant():
+        if not trace.conditions:
+            return False, "no stage"  # entangle_many runs at least one
         records = many_stages(trace.k, trace.boundaries, trace.payload_bits)
         if (len(records) != trace.k * len(trace.conditions)
                 or trace.stages != records):
@@ -164,11 +166,11 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
 
     wide-decode-roundtrip passing means both chains hold steps + 1 >= 2
     conditions, the family at least as many sets, and every condition is,
-    as a value, `checked_densify(D_n, c)`: c is the poset's first element
+    as a value, `family.densify(n, c)`: c is the poset's first element
     at n = 0, and at n >= 1 the registered witness's A(x, k) = x 0^k 1
     below the chain's condition x at n - 1, at the walk's hit k (the last
     record must name the last hits), and `stages` is
-    `wide.wide_stages` of the chains and payload. `checked_densify` accepts
+    `wide.wide_stages` of the chains and payload. `family.densify` accepts
     only outputs that lie in D_n and end-extend c, and c properly
     end-extends x. So every condition lies in its set
     (wide-chain-membership, which reads each set's member on the same

@@ -20,25 +20,12 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .bits import PayloadSource
-from .dense import CARRIER_COHEN, CARRIER_POSET, DenseFamily, checked_densify
-from .errors import (AmbiguousNat, ConsistencyFailure, EmptyFamily,
-                     FamilyTooSmall, NoAntichainHit, UsageError,
-                     WitnessViolation)
+from .dense import DenseFamily
+from .errors import (AmbiguousNat, ConsistencyFailure, NoAntichainHit,
+                     UsageError, WitnessViolation)
 from .posets import CountablePoset, WidenessWitness
 from .towers import nat_add, nat_equal, nat_half, nat_mul_pow2, nat_parity
 from .trace import WideTrace
-
-_WIDE_CARRIERS = (CARRIER_COHEN, CARRIER_POSET)
-
-
-def _check_family(family: DenseFamily, needed: int):
-    if len(family) == 0:
-        raise EmptyFamily("wide runs need at least one dense set")
-    if family.carrier not in _WIDE_CARRIERS:
-        raise UsageError("wide runs need a poset (or cohen) carrier family")
-    if len(family) < needed:
-        raise FamilyTooSmall(f"run needs {needed} dense sets, "
-                             f"family has {len(family)}")
 
 
 def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
@@ -46,10 +33,10 @@ def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
     """Build the coding chains g and h; each meets D_0 .. D_steps."""
     if steps < 1:
         raise UsageError("steps must be >= 1")
-    _check_family(family, steps + 1)
+    family.require(WideTrace.carriers, steps + 1, "entangle_wide")
     source = PayloadSource.coerce(payload)
 
-    start = checked_densify(family[0], poset.decode(0), poset.leq)
+    start = family.densify(0, poset.decode(0))
     ps, qs = [start], [start]
     for n in range(steps):
         z = source.next_bit()
@@ -57,11 +44,11 @@ def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
         branch_p = witness.antichain(ps[n], j)
         if not poset.leq(branch_p, ps[n]) or branch_p == ps[n]:
             raise WitnessViolation(f"A_p({n}) not properly below p_{n}")
-        p_next = checked_densify(family[n + 1], branch_p, poset.leq)
+        p_next = family.densify(n + 1, branch_p)
         branch_q = witness.antichain(qs[n], poset.encode(p_next))
         if not poset.leq(branch_q, qs[n]) or branch_q == qs[n]:
             raise WitnessViolation(f"A_q({n}) not properly below q_{n}")
-        q_next = checked_densify(family[n + 1], branch_q, poset.leq)
+        q_next = family.densify(n + 1, branch_q)
         ps.append(p_next)
         qs.append(q_next)
 
@@ -119,10 +106,10 @@ def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
         raise UsageError(f"budget must be >= 1, got {budget}")
     if count < 1:
         return ([], None) if with_last else []
-    _check_family(family, count + 1)
+    family.require(WideTrace.carriers, count + 1, "decode_wide")
     g = list(g)
     h = list(h)
-    p = checked_densify(family[0], poset.decode(0), poset.leq)
+    p = family.densify(0, poset.decode(0))
     q = p
     out: List[Tuple[object, object, int]] = []
     for n in range(count):
@@ -135,8 +122,7 @@ def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
             raise ConsistencyFailure(
                 n, f"recovered alpha {alpha!r} != index(q_{n}) "
                    f"{poset.encode(q)!r}")
-        p_next = checked_densify(family[n + 1], witness.antichain(p, j),
-                                 poset.leq)
+        p_next = family.densify(n + 1, witness.antichain(p, j))
         m = _find_hit(h, witness, q, poset, budget)
         if m is None:
             raise NoAntichainHit(n, "h", budget=budget)
@@ -144,8 +130,7 @@ def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
             raise ConsistencyFailure(
                 n, f"h-side hit {m!r} != index(p_{n + 1}) "
                    f"{poset.encode(p_next)!r}")
-        q_next = checked_densify(family[n + 1], witness.antichain(q, m),
-                                 poset.leq)
+        q_next = family.densify(n + 1, witness.antichain(q, m))
         out.append((p, q, z))
         p, q = p_next, q_next
     return (out, (j, m, p, q)) if with_last else out

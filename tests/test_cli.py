@@ -877,7 +877,108 @@ def _case_chain_payload_bit(tmp_path, fam, plane):
     return _verify_edited(_chain_trace(tmp_path, plane), edit)
 
 
+def _many_k(k):
+    """A many-trace edit to k streams, keeping streams 0..k-1 and their
+    conditions; with no stream left, the stages and the fields derived
+    from them go too."""
+    def edit(obj):
+        kept = [str(i) for i in range(k)]
+        obj.update(k=k, streams=obj["streams"][:len(kept)], conditions=[
+            {name: rec[name] for name in kept} for rec in obj["conditions"]])
+        if k < 1:
+            obj.update(conditions=[], stages=[], boundaries=[],
+                       payload_bits=[])
+            del obj["payload_source"]
+    return edit
+
+
+def _case_many_k_1(tmp_path, fam, plane):
+    return _verify_edited(_many_trace(tmp_path), _many_k(1))
+
+
+def _case_many_k_0(tmp_path, fam, plane):
+    return _verify_edited(_many_trace(tmp_path), _many_k(0))
+
+
+def _family_of(carrier, kind, count, **extra):
+    """A trace edit that gives the trace `count` sets of type `kind` over
+    `carrier`."""
+    return lambda obj: obj.update(family={
+        "carrier": carrier, "sets": [{"type": kind}] * count, **extra})
+
+
+def _case_pair_family_plane(tmp_path, fam, plane):
+    return _verify_edited(_pair_trace(tmp_path, fam),
+                          _family_of("plane", "square", 8))
+
+
+def _case_many_family_cohen(tmp_path, fam, plane):
+    return _verify_edited(_many_trace(tmp_path),
+                          _family_of("cohen", "min-length", 4))
+
+
+def _case_wide_family_plane(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam),
+                          _family_of("plane", "square", 8))
+
+
+def _case_chain_family_cohen(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane),
+                          _family_of("cohen", "min-length", 12))
+
+
+def _case_generics_family_product(tmp_path, fam, plane):
+    return _verify_edited(_generics_trace(tmp_path, plane),
+                          _family_of("product", "min-length", 12, arity=2))
+
+
+def _renamed_key(mapping, old, new):
+    mapping[new] = mapping.pop(old)
+
+
+def _case_chain_patch_row_plus_0(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), lambda o: (
+        _renamed_key(o["patches"], "0", "+0")))
+
+
+def _case_chain_patch_column_03(tmp_path, fam, plane):
+    def edit(obj):
+        cols = obj["patches"]["0"]
+        col = min(cols, key=int)
+        _renamed_key(cols, col, "0" + col)
+    return _verify_edited(_chain_trace(tmp_path, plane), edit)
+
+
+def _case_d0_patch_key_03(tmp_path, fam, plane):
+    def edit(obj):
+        patch = next(s for s in obj["streams"] if s["name"] == "d0")["patch"]
+        col = min(patch, key=int)
+        _renamed_key(patch, col, "0" + col)
+    return _verify_edited(_chain_trace(tmp_path, plane), edit)
+
+
+def _case_chain_plane_row_space_1(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(
+        lambda p: _renamed_key(p["rows"], "1", " 1")))
+
+
+def _case_chain_plane_row_minus_3(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(
+        lambda p: p["rows"].update({"-3": p["rows"]["0"]})))
+
+
+def _case_chain_plane_row_00(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(
+        lambda p: p["rows"].update({"00": p["rows"]["1"]})))
+
+
 @pytest.mark.parametrize("case", [
+    _case_many_k_1, _case_many_k_0, _case_pair_family_plane,
+    _case_many_family_cohen, _case_wide_family_plane,
+    _case_chain_family_cohen, _case_generics_family_product,
+    _case_chain_patch_row_plus_0, _case_chain_patch_column_03,
+    _case_d0_patch_key_03, _case_chain_plane_row_space_1,
+    _case_chain_plane_row_minus_3, _case_chain_plane_row_00,
     _case_pair_no_payload_bits, _case_pair_no_stream_c, _case_family_of_ints,
     _case_pattern_without_word, _case_decode_wide_unknown_poset,
     _case_decode_wide_budget_zero, _case_decode_wide_budget_negative,

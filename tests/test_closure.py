@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from forcing_lab.bits import BitStream, ConstTail, PatchedStream, PrngTail
 from forcing_lab.closure import bound_chain, build_generics_run, verify_bound
-from forcing_lab.dense import (DenseFamily, DenseSet, checked_densify,
-                               family_from_spec, mixed_plane_family,
-                               square_family)
-from forcing_lab.errors import FamilyTooSmall, RetryBudgetExceeded, UsageError
+from forcing_lab.dense import (DenseFamily, DenseSet, family_from_spec,
+                               mixed_plane_family, square_family)
+from forcing_lab.errors import (EmptyFamily, FamilyTooSmall,
+                                RetryBudgetExceeded, UsageError)
 from forcing_lab.generic import meets_family, mutual_genericity_check
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
+from forcing_lab.verify import verify_trace
 from test_dense import restrict_rows
 from test_mutations import run_cli
 
@@ -56,8 +57,7 @@ def reference_stages(b, family, retry_budget=8, fill_seed=None):
             revealed = PlaneCondition(
                 {(k, col): finalized[k].bit(col)
                  for k in range(n) for col in range(reveal_to)})
-            cand = checked_densify(family[n], merge_conditions(prev, revealed),
-                                   lambda x, y: x.leq(y))
+            cand = family.densify(n, merge_conditions(prev, revealed))
             clashes = [(k, col) for (k, col), bit in cand.cells.items()
                        if k < n and finalized[k].bit(col) != bit]
             if not clashes:
@@ -247,8 +247,23 @@ def test_retry_budget_exceeded_on_adversarial_family():
 def test_family_smaller_than_rows_rejected():
     with pytest.raises(FamilyTooSmall):
         bound_chain([BitStream.constant(0)] * 3, square_family(2))
+    with pytest.raises(EmptyFamily):
+        bound_chain([BitStream.constant(0)], square_family(0))
+    with pytest.raises(EmptyFamily):
+        build_generics_run(square_family(0), 1, 1)
     with pytest.raises(UsageError):
         bound_chain([], square_family(1), retry_budget=0)
+
+
+def test_runs_of_no_set_accept_an_empty_family():
+    """A generics run to horizon 0 and a chain bound of 0 rows need no
+    set; over the empty family both verify."""
+    generics = build_generics_run(square_family(0), 2, 0)
+    chain = bound_chain([], square_family(0))
+    assert generics.conditions == [PlaneCondition.empty()]
+    assert chain.conditions == [] and chain.stages == []
+    for trace in (generics, chain):
+        assert verify_trace(trace).all_passed
 
 
 def test_rows_beyond_inputs_get_fill_bases():
@@ -300,8 +315,8 @@ def test_random_bound_chains_verify_or_are_too_small(
     rc, err = run_cli(argv)
     if rc == 2:
         assert len(sets) < rows
-        assert err == (f"error: {rows} rows need a family of at least {rows} "
-                       f"sets, got {len(sets)}\n")
+        assert err == (f"error: bound_chain needs {rows} dense sets, "
+                       f"family has {len(sets)}\n")
     else:
         assert (rc, err) == (0, "")
         assert run_cli(["verify", "--trace", tmp / "chain.json"]) == (0, "")

@@ -14,7 +14,8 @@ from forcing_lab.dense import (DenseFamily, DenseSet, build_set,
                                first_difference, load_family_file,
                                min_length_family, mixed_cohen_family,
                                mixed_plane_family, square_family)
-from forcing_lab.errors import UsageError
+from forcing_lab.errors import (CheckFailure, EmptyFamily, FamilyTooSmall,
+                                UsageError)
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
 from forcing_lab.towers import nat_le, nat_pow2
 
@@ -95,6 +96,87 @@ def test_plane_densifier_contract(cells, seed):
         out = dset.densify(p)
         assert out.leq(p)
         assert dset.member(out)
+
+
+def _any(cond):
+    return True
+
+
+def _none(cond):
+    return False
+
+
+S = BitString.from01
+CELL = PlaneCondition({(0, 0): 1})
+# carrier -> (input, densifier, member) of a D_0 whose densifier breaks
+# the contract in the carrier's order
+NOT_AN_EXTENSION = {
+    "cohen": (S("01"), lambda s: S("1"), _any),
+    "poset": (S("01"), lambda s: S("00"), _any),
+    "product/coordinate-swapped": ((S("0"), S("1")),
+                                   lambda t: (t[1], t[0]), _any),
+    # zip alone would compare the kept coordinate and pass it
+    "product/tuple-shortened": ((S("0"), S("1")), lambda t: t[:1], _any),
+    "product/tuple-lengthened": ((S("0"), S("1")),
+                                 lambda t: t + (S(""),), _any),
+    "plane": (CELL, lambda p: PlaneCondition({(0, 0): 0}), _any),
+}
+OUTSIDE_ITS_SET = {
+    "cohen": (S("01"), lambda s: s.append_bit(1), _none),
+    "poset": (S("01"), lambda s: s, _none),
+    "product": ((S("0"), S("1")), lambda t: t, _none),
+    "plane": (CELL, lambda p: p, _none),
+}
+
+
+def _one_set_family(carrier, member, densify):
+    return DenseFamily([DenseSet(0, member, densify)], carrier,
+                       arity=2 if carrier == "product" else None)
+
+
+@pytest.mark.parametrize("case", sorted(NOT_AN_EXTENSION))
+def test_densify_rejects_a_non_extension_in_the_carriers_order(case):
+    cond, densify, member = NOT_AN_EXTENSION[case]
+    fam = _one_set_family(case.split("/")[0], member, densify)
+    with pytest.raises(CheckFailure,
+                       match="^densifier of D_0 did not extend its input$"):
+        fam.densify(0, cond)
+
+
+@pytest.mark.parametrize("carrier", sorted(OUTSIDE_ITS_SET))
+def test_densify_rejects_an_output_outside_its_set(carrier):
+    cond, densify, member = OUTSIDE_ITS_SET[carrier]
+    fam = _one_set_family(carrier, member, densify)
+    with pytest.raises(CheckFailure,
+                       match="^densifier of D_0 landed outside its set$"):
+        fam.densify(0, cond)
+
+
+def test_densify_returns_what_the_set_densifies_to():
+    fam = family_from_spec({"carrier": "product", "arity": 2, "sets": [
+        {"type": "min-length"}, {"type": "separating"}]})
+    tup = (S("0"), S("0"))
+    assert fam.densify(1, tup) == fam[1].densify(tup) == (S("00"), S("01"))
+
+
+def test_require_checks_carrier_then_size():
+    empty = DenseFamily([], "plane")
+    empty.require(("plane",), 0, "a run of no set")
+    empty.require(("plane",), -1, "a run of no set")
+    with pytest.raises(FamilyTooSmall) as err:
+        empty.require(("cohen",), 1, "bound_chain")
+    assert type(err.value) is EmptyFamily
+    assert str(err.value) == "bound_chain needs at least one dense set"
+    fam = min_length_family(2)
+    fam.require(("poset", "cohen"), 2, "entangle_wide")
+    with pytest.raises(UsageError) as err:
+        fam.require(("poset", "plane"), 3, "a wide trace")
+    assert not isinstance(err.value, FamilyTooSmall)
+    assert str(err.value) == ("a wide trace needs a family over the poset or "
+                              "plane carrier, got 'cohen'")
+    with pytest.raises(FamilyTooSmall) as err:
+        fam.require(("cohen",), 3, "entangle_pair")
+    assert str(err.value) == "entangle_pair needs 3 dense sets, family has 2"
 
 
 plane_cells = st.dictionaries(

@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from forcing_lab.bits import BitStream, PrngTail
 from forcing_lab.cli import main
-from forcing_lab.dense import DenseSet, checked_densify, load_family_file
+from forcing_lab.dense import DenseSet, load_family_file
 from forcing_lab.entangle import entangle_pair
 from forcing_lab.errors import UsageError
 from forcing_lab.posets import cohen_poset, cohen_wide_witness
@@ -463,6 +463,11 @@ def _marker_at_first_boundary(obj):
     del obj["payload_source"]
 
 
+def _no_stages(obj):
+    obj.update(conditions=[], stages=[], boundaries=[], payload_bits=[])
+    del obj["payload_source"]
+
+
 def _no_steps(obj):
     obj.update(payload_bits=[], stages=[])
     for side in ("g", "h"):
@@ -486,6 +491,7 @@ ITEM_EDITS = {
     "many-decode-roundtrip": ("many", lambda obj: obj["payload_source"]
                               .update(hex="fe")),
     "many-frontier-invariant": ("many", _drop_last("conditions")),
+    "many-frontier-invariant/no-stages": ("many", _no_stages),
     "many-subtuples-generic": ("many",
                                lambda obj: obj["family"].update(arity=4)),
     "wide-decode-roundtrip": ("wide", _drop_last("conditions", "g")),
@@ -583,10 +589,9 @@ def test_last_g_hit_of_another_node_fails_with_no_second_densify(tmp_path):
                 2 * alpha.const + last["z"])
     assert nat_half(j) is alpha and nat_parity(j) == last["z"]
     assert j is not last["j"]
-    g[3] = checked_densify(fam[3], witness.antichain(g[2], j), poset.leq)
+    g[3] = fam.densify(3, witness.antichain(g[2], j))
     last["beta"] = poset.encode(g[3])
-    h[3] = checked_densify(fam[3], witness.antichain(h[2], last["beta"]),
-                           poset.leq)
+    h[3] = fam.densify(3, witness.antichain(h[2], last["beta"]))
     path = tmp_path / "edited.json"
     write_trace(path, trace)
     assert run_cli(["decode-wide", "--trace", path]) == (0, "")
@@ -694,7 +699,7 @@ def _densify_again_roundtrip(trace):
                                     (h, "beta", m, h_last)):
         if not nat_equal(last[key], hit):
             branch = witness.antichain(chain[count - 1], last[key])
-            walked = checked_densify(family[count], branch, poset.leq)
+            walked = family.densify(count, branch)
         if chain[count] != walked:
             return False
     return _source_yields(trace)
