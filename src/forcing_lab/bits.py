@@ -16,13 +16,13 @@ finite prefixes.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
+from itertools import chain
 from typing import List, Optional
 
 from .errors import AmbiguousNat, PayloadExhausted, UsageError
-from .towers import (NatLike, NatTable, nat_add, nat_equal, nat_le,
-                     nat_less, nat_resolve, nat_sub, nat_to_int)
+from .towers import (NatLike, NatTable, compact_texts, nat_add, nat_equal,
+                     nat_le, nat_less, nat_resolve, nat_sub, nat_to_int)
 
 _MATERIALIZE_LIMIT = 1 << 22
 # to_json (and so stable_key) writes strings up to this length as 0/1 text
@@ -301,14 +301,23 @@ class BitString:
         return cls((b, nat_resolve(l, built)) for b, l in obj["runs"])
 
     def stable_key(self) -> str:
-        """Deterministic, process-independent serialization for hashing:
-        the compact dump of to_json with its own table."""
-        table = NatTable()
-        obj = self.to_json(table)
-        if isinstance(obj, str):
-            return obj
-        return json.dumps({**obj, "nats": table.nodes},
-                          sort_keys=True, separators=(",", ":"))
+        """Deterministic, process-independent serialization for hashing.
+
+        Byte for byte, the 0/1 text up to _JSON_TEXT_LIMIT bits, else
+        `json.dumps({**self.to_json(table), "nats": table.nodes},
+        sort_keys=True, separators=(",", ":"))` with a fresh NatTable
+        `table`. The key seeds densifier freedom, so any byte change
+        would change seeded traces. It is written without building
+        to_json's dicts: the rows with one `%` template, the nat nodes by
+        `towers.compact_texts`."""
+        text = self._text
+        if text is not None and len(text) <= _JSON_TEXT_LIMIT:
+            return text
+        runs = self.runs
+        # bits pass through compact_texts as the ints they are
+        rows, nodes = compact_texts(chain.from_iterable(runs))
+        return '{"nats":[' + ",".join(nodes) + '],"runs":[' + ",".join(
+            ["[%d,%s]"] * len(runs)) % tuple(rows) + "]}"
 
     def __eq__(self, other):
         if not isinstance(other, BitString):

@@ -269,6 +269,47 @@ class NatTable:
         return built
 
 
+_ADD_TEXT = '{"args":[%s],"const":%d,"op":"add"}'
+_MUL2_TEXT = '{"arg":%s,"exp":%s,"op":"mul2"}'
+
+
+def compact_texts(values):
+    """What one fresh NatTable makes of `values`, encoded in turn, as the
+    compact JSON text that `json.dumps(..., sort_keys=True,
+    separators=(",", ":"))` writes: `(refs, nodes)`, where refs[i] is
+    values[i] itself for an int (its `%s` text) and the reference text
+    `{"$nat":N}` for a Nat, and nodes[N] is the text of `table.nodes[N]`.
+
+    Ids follow `encode`'s first-use order, children before their node.
+    Each node's text is written once, and a node already met costs one
+    lookup of its reference text; the recursion is no deeper than
+    `encode`'s."""
+    texts = {}
+    nodes = []
+    return [v if type(v) is int
+            else texts.get(v) or _node_text(v, texts, nodes)
+            for v in values], nodes
+
+
+def _node_text(x: Nat, texts: dict, nodes: list) -> str:
+    """Append the text of node x, after those of its children not in
+    `texts`, to `nodes`; record and return x's reference text."""
+    if x.kind == "add":
+        node = _ADD_TEXT % (",".join(
+            [texts.get(c) or _node_text(c, texts, nodes) for c in x.children]),
+            x.const)
+    else:
+        arg, exp = x.arg, x.exp
+        node = _MUL2_TEXT % (
+            arg if type(arg) is int
+            else texts.get(arg) or _node_text(arg, texts, nodes),
+            exp if type(exp) is int
+            else texts.get(exp) or _node_text(exp, texts, nodes))
+    text = texts[x] = '{"$nat":%d}' % len(nodes)
+    nodes.append(node)
+    return text
+
+
 def nat_resolve(ref, built):
     """Turn a serialized int-or-{"$nat": id} reference back into a value."""
     if type(ref) is int:

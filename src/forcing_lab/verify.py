@@ -13,7 +13,7 @@ from __future__ import annotations
 from .bits import PayloadSource
 from .closure import verify_bound
 from .entangle import decode_many, decode_pair, many_stages, pair_stages
-from .errors import PayloadExhausted, UsageError
+from .errors import AmbiguousNat, PayloadExhausted, UsageError
 from .generic import (GenericityReport, SetResult, meets_family,
                       mutual_genericity_check)
 from .towers import nat_equal
@@ -89,6 +89,9 @@ def _verify_pair(trace: PairTrace) -> VerifyReport:
         """Whether the stream meets D_n, for each n below the horizon, at
         its stage-n condition: a prefix of the stream lying in D_n."""
         stream = trace.streams[name]
+        if len(trace.family) < horizon:
+            return False, (f"{horizon} stages need {horizon} dense sets, "
+                           f"family has {len(trace.family)}")
         rep = GenericityReport(horizon=horizon, budget=0)
         for n, rec in enumerate(trace.conditions):
             cond = rec[name]
@@ -188,7 +191,12 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
     def chains_descend():
         for name, chain in (("g", g), ("h", h)):
             for i in range(len(chain) - 1):
-                if not chain[i + 1].proper_end_extends(chain[i]):
+                try:
+                    descends = chain[i + 1].proper_end_extends(chain[i])
+                except AmbiguousNat:
+                    return False, (f"{name} chain cannot be ordered at {i}: "
+                                   f"{name}[{i + 1}] against {name}[{i}]")
+                if not descends:
                     return False, f"{name} chain not strictly descending at {i}"
         return True, f"both chains strictly descend ({len(g)} conditions)"
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from unittest import mock
 
 import pytest
@@ -302,6 +303,95 @@ def test_long_concrete_string_is_run_backed():
     assert z.prefix(n - 1).to01() == "0" * (n - 1)
     assert z.ones() == 0 and z.bit(n - 1) == 0
     assert z.stable_key() == '{"nats":[],"runs":[[0,%d]]}' % n
+
+
+# --- stable_key against the compact dump of to_json -----------------------
+
+def _reference_key(s):
+    """stable_key as the compact `json.dumps` of to_json and its table."""
+    table = NatTable()
+    obj = s.to_json(table)
+    if isinstance(obj, str):
+        return obj
+    return json.dumps({**obj, "nats": table.nodes},
+                      sort_keys=True, separators=(",", ":"))
+
+
+nat_steps = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 99), st.integers(0, 99),
+              st.integers(-9, 9)),
+    st.tuples(st.just("mul"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("pow2"), st.integers(0, 99)),
+), max_size=12)
+
+
+def _nat_pool(steps):
+    """Lengths built by the tower helpers from a few ints and Nats: sums
+    with negative consts and repeated children, mul2 nodes with int or
+    symbolic arg and exp. Negative ints are left out, as no run has one."""
+    pool = [1, 3, 4090, nat_pow2(5000), nat_mul_pow2(3, 4999)]
+    for name, i, *rest in steps:
+        x = pool[i % len(pool)]
+        if name == "add":
+            value = nat_add(x, pool[rest[0] % len(pool)], rest[1])
+        elif name == "mul":
+            value = nat_mul_pow2(x, pool[rest[0] % len(pool)])
+        else:
+            value = nat_pow2(x)
+        if not (type(value) is int and value < 0):
+            pool.append(value)
+    return pool
+
+
+@given(nat_steps, st.lists(st.tuples(st.integers(0, 1), st.integers(0, 99)),
+                           min_size=1, max_size=8))
+@example([("add", 3, 3, -2), ("mul", 5, 4), ("add", 6, 5, 0)],
+         [(0, 6), (1, 0), (0, 5), (1, 6)])  # shared children, reused nodes
+def test_stable_key_of_nat_runs_matches_the_dump(steps, specs):
+    pool = _nat_pool(steps)
+    s = BitString([(b, pool[i % len(pool)]) for b, i in specs])
+    assert s.stable_key() == _reference_key(s)
+
+
+@given(st.integers(4090, 4102), st.integers(1, 600), st.integers(0, 2**32))
+def test_stable_key_of_long_text_matches_the_dump(n, longest, seed):
+    """Text-backed strings either side of the 4096 bits where the key
+    turns from 0/1 text into runs, of runs up to `longest` bits."""
+    rnd = random.Random(seed)
+    text = "".join(rnd.choice("01") * rnd.randint(1, longest)
+                   for _ in range(n))[:n]
+    s = BitString.from01(text)
+    assert s.stable_key() == _reference_key(s)
+
+
+growth_ops = st.lists(st.one_of(
+    st.tuples(st.just("append_run"), st.integers(0, 1), st.integers(0, 1500)),
+    st.tuples(st.just("append_huge"), st.integers(0, 1)),
+    st.tuples(st.just("append_bit"), st.integers(0, 1)),
+    st.tuples(st.just("concat"), short_texts, st.booleans()),
+    st.tuples(st.just("pad_zeros_to"), st.integers(0, 1500)),
+), max_size=12)
+
+
+@given(short_texts, growth_ops)
+def test_stable_key_matches_the_dump_as_strings_grow(start, ops):
+    """Appends that carry a string across the 4096-bit line, some of them
+    symbolic, key as the dump at every step."""
+    huge = nat_pow2(5000)
+    s = BitString.from01(start)
+    for name, *args in ops:
+        if name == "append_run":
+            s = s.append_run(*args)
+        elif name == "append_huge":
+            s = s.append_run(args[0], huge)
+        elif name == "append_bit":
+            s = s.append_bit(args[0])
+        elif name == "concat":    # an operand with a symbolic run, or text
+            other = BitString.from01(args[0])
+            s = s.concat(other.append_run(0, huge) if args[1] else other)
+        elif s.is_concrete:
+            s = s.pad_zeros_to(s.length + args[0])
+        assert s.stable_key() == _reference_key(s)
 
 
 def test_stream_take_and_bits():

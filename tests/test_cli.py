@@ -244,6 +244,54 @@ def test_check_failures_exit_1(tmp_path, len_family):
                  "--payload", "bits:1", "--stages", "4"]) == 1
 
 
+@pytest.mark.parametrize("sets", [5, None], ids=["cut-to-5", "no-sets"])
+def test_pair_family_short_of_its_stages_fails_generic_items(tmp_path,
+                                                             capsys, sets):
+    """A pair trace whose family has fewer sets than stages fails both
+    genericity items with one line naming the two counts."""
+    out = tmp_path / "pair.json"
+    assert main(["entangle-pair", "--family", str(FAMILIES / "mixed12.json"),
+                 "--payload", "seed:3", "--stages", "8", "--seed", "s1",
+                 "--out", str(out)]) == 0
+
+    def edit(obj):
+        if sets is None:
+            del obj["family"]["sets"]
+        else:
+            del obj["family"]["sets"][sets:]
+
+    path = _edited(out, edit)
+    capsys.readouterr()
+    assert main(["verify", "--trace", path]) == 1
+    text = capsys.readouterr().out
+    for name in ("c", "d"):
+        assert (f"FAIL pair-{name}-generic: 8 stages need 8 dense sets, "
+                f"family has {sets or 0}") in text.splitlines()
+    assert "exception" not in text
+
+
+def test_wide_chain_that_cannot_be_ordered_fails_descent(tmp_path, capsys):
+    """An edited run that leaves two symbolic lengths to compare fails
+    wide-chains-descending with the chain and index, not an exception."""
+    out = tmp_path / "wide.json"
+    assert main(["entangle-wide", "--family", str(FAMILIES / "len8.json"),
+                 "--payload", "bits:101", "--steps", "3",
+                 "--out", str(out)]) == 0
+
+    def edit(obj):
+        runs = obj["conditions"]["h"][2]["runs"]
+        assert runs[-1] == [1, 1]
+        runs[-1] = [0, 1]
+
+    path = _edited(out, edit)
+    capsys.readouterr()
+    assert main(["verify", "--trace", path]) == 1
+    text = capsys.readouterr().out
+    assert ("FAIL wide-chains-descending: h chain cannot be ordered at 2: "
+            "h[3] against h[2]") in text.splitlines()
+    assert "exception" not in text
+
+
 def _pair_trace(tmp_path, family):
     out = tmp_path / "pair.json"
     assert main(["entangle-pair", "--family", family, "--payload", "hex:ff",

@@ -6,10 +6,12 @@ recorded from an earlier release, so any change to trace encoding, the
 envelope layout or verify's report shows up here. The long pair case
 grows its stage strings past the 4096 bits where `BitString.stable_key`
 switches from the 0/1 text to run JSON; that key seeds densifier freedom,
-so both branches are pinned. The non-ASCII seed of the utf8 plane case
-pins how the trace writer escapes text. The budgets that
-`meets_family` picks by default decide verdicts, so they are pinned too,
-one per filter shape.
+so both branches are pinned. The unseeded wide case draws no bits from
+its keys; the seeded one does, from run-backed keys whose symbolic run
+lengths fill a nat table, so its bytes pin that key text too. The
+non-ASCII seed of the utf8 plane case pins how the trace writer escapes
+text. The budgets that `meets_family` picks by default decide verdicts,
+so they are pinned too, one per filter shape.
 """
 
 import hashlib
@@ -50,6 +52,9 @@ GOLDEN = {
              "1b133125284c7cccd50b270d5f5706c834528dc2d7e38bcc9b1dd2e7fbab6b0f"),
     "wide": ("75e0c215d5a75b0331d802b26df3a70cf559ba9b4c27126d6f0ba7b7c9039cb4",
              "a7bcc3e6339f986f78af2165408f289a8e5071ba5c8afc0100d3f5db660ae741"),
+    "wide-seeded": (
+        "4c2adee20b914964127214245cc9a04f758355e918a2d8a256399d32f10bd386",
+        "2fe1ea7c0f84633e1a19fcbcf07d73c510fdad3b6ca9bf7b5854df52ac358498"),
     "generic-plane": (
         "ccf21ae81ac05fdb845723419e969aa6ede51cdf74c4a35b6968405aedc8b428",
         "8ac5d596de240e77502a69abc5b7286055df2822587369bc57b7772d22a7b958"),
@@ -63,7 +68,8 @@ GOLDEN = {
         "9e6a54ddfcf1db96d27be9691d2e52085eaa765f8286783df14481f529475ded",
         "8ac5d596de240e77502a69abc5b7286055df2822587369bc57b7772d22a7b958"),
 }
-KIND = {"pair-long": "pair", "generic-plane-utf8": "generic-plane"}
+KIND = {"pair-long": "pair", "generic-plane-utf8": "generic-plane",
+        "wide-seeded": "wide"}
 
 
 def _sha(data: bytes) -> str:
@@ -89,6 +95,8 @@ def golden_runs(tmp_path_factory):
          "--out", out["many"]],
         ["entangle-wide", "--family", fams["len"], "--payload", "bits:10110",
          "--steps", "5", "--out", out["wide"]],
+        ["entangle-wide", "--family", fams["len"], "--payload", "bits:101101",
+         "--steps", "6", "--seed", "gold-wide", "--out", out["wide-seeded"]],
         ["build-generics", "--family", fams["plane"], "--rows", "3",
          "--horizon", "6", "--seed", "gold-rows",
          "--out", out["generic-plane"]],

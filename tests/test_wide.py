@@ -16,7 +16,8 @@ from forcing_lab.dense import DenseFamily, DenseSet, min_length_family
 from forcing_lab.errors import (ConsistencyFailure, FamilyTooSmall,
                                 NoAntichainHit, UsageError)
 from forcing_lab.posets import cohen_poset, cohen_wide_witness
-from forcing_lab.towers import is_huge, nat_equal, nat_mul_pow2
+from forcing_lab.towers import NatTable, is_huge, nat_equal, nat_mul_pow2
+from forcing_lab.verify import verify_trace
 from forcing_lab.wide import decode_wide, entangle_wide
 
 WITNESS = cohen_wide_witness()
@@ -99,6 +100,26 @@ def test_roundtrip_with_randomized_densifiers():
     triples = decode_wide(g, h, cohen_poset(), WITNESS, fam, 8)
     assert [z for _, _, z in triples] == trace.payload_bits
     assert all(p == g[n] and q == h[n] for n, (p, q, _) in enumerate(triples))
+
+
+def test_seeded_densify_keys_build_no_dicts(monkeypatch):
+    """The keys that seed densifier freedom are written as text: with
+    `json.dumps` and `NatTable.encode` raising, a seeded 5-step run builds
+    and verifies, hashing keys whose nat tables are not empty."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a densify key went through the dict dump")
+
+    keys = []
+    stable_key = BitString.stable_key
+    monkeypatch.setattr(BitString, "stable_key",
+                        lambda s: keys.append(stable_key(s)) or keys[-1])
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(NatTable, "encode", refuse)
+    fam = min_length_family(6, seed="no-dicts")
+    trace = entangle_wide(cohen_poset(), WITNESS, fam, "10110", 5)
+    report = verify_trace(trace)
+    assert report.all_passed, report.summary()
+    assert any('"$nat"' in key for key in keys)
 
 
 def test_antichain_hit_uniqueness():
