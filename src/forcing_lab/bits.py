@@ -21,14 +21,20 @@ from itertools import chain
 from typing import List, Optional
 
 from .errors import AmbiguousNat, PayloadExhausted, UsageError
-from .towers import (NatLike, NatTable, compact_texts, nat_add, nat_equal,
-                     nat_le, nat_less, nat_resolve, nat_sub, nat_to_int)
+from .towers import (Nat, NatLike, NatTable, compact_texts, nat_add,
+                     nat_equal, nat_le, nat_less, nat_resolve, nat_sub,
+                     nat_to_int)
 
 _MATERIALIZE_LIMIT = 1 << 22
 # to_json (and so stable_key) writes strings up to this length as 0/1 text
 _JSON_TEXT_LIMIT = 4096
 _CLEAN01 = re.compile(r"[01]*")
 _NAT_TEXT = re.compile(r"0|[1-9][0-9]*")
+# The key state of no runs, where every stable_key starts: (runs covered,
+# text offset where they end, nat reference texts, node texts, the rows'
+# text with a comma after each row).
+# A stored state is never changed, so this one is shared by every string.
+_NO_KEY = (0, 0, {}, [], "")
 
 
 def _is_bit(value) -> bool:
@@ -42,6 +48,14 @@ def _is_nat_text(key) -> bool:
     return type(key) is str and _NAT_TEXT.fullmatch(key) is not None
 
 
+def _check_nat(length):
+    """Refuse a run length that is not a plain int and not a Nat either,
+    such as a bool or a float."""
+    if type(length) is not Nat:
+        raise UsageError(f"a run length must be an int or a Nat, got "
+                         f"{length!r}")
+
+
 def _normalize_runs(pairs):
     runs = []
     for bit, length in pairs:
@@ -52,6 +66,8 @@ def _normalize_runs(pairs):
                 raise UsageError(f"negative run length {length}")
             if length == 0:
                 continue
+        else:
+            _check_nat(length)
         if runs and runs[-1][0] == bit:
             runs[-1] = (bit, nat_add(runs[-1][1], length))
         else:
@@ -59,11 +75,12 @@ def _normalize_runs(pairs):
     return tuple(runs)
 
 
-def _runs_of(text: str):
-    # One find per run: the wide constructions keep strings of up to
-    # _MATERIALIZE_LIMIT bits that are a few long zero runs.
+def _runs_of(text: str, start: int = 0):
+    """The runs of text[start:]. One find per run: the wide constructions
+    keep strings of up to _MATERIALIZE_LIMIT bits that are a few long zero
+    runs."""
     runs = []
-    i, n = 0, len(text)
+    i, n = start, len(text)
     while i < n:
         one = text[i] == "1"
         j = text.find("0" if one else "1", i)
@@ -80,17 +97,26 @@ class BitString:
     Exactly one backing is set: `_text` when the length is a plain int no
     larger than _MATERIALIZE_LIMIT, else `_runs`. The choice depends on the
     length alone, so equal strings have equal backings.
+
+    `_key` is the key state that `stable_key` resumes from. A keyed string
+    stores the state of all its runs but the last, and `append_run`,
+    `append_bit`, `pad_zeros_to` and `concat` hand the result the state of
+    `self`, never that of `other`: every extension starts with all of
+    those runs, whatever it merges into the last one. Any other string,
+    from the constructor, `prefix`, `strip_prefix` or `from_json`, starts
+    from the empty state `_NO_KEY`.
     """
 
-    __slots__ = ("_text", "_runs", "length")
+    __slots__ = ("_text", "_runs", "length", "_key")
 
     def __init__(self, pairs=()):
         runs = _normalize_runs(pairs)
         self._set(runs, nat_add(*(l for _, l in runs)) if runs else 0)
 
-    def _set(self, runs, length):
+    def _set(self, runs, length, key=_NO_KEY):
         # runs must already be normalized
         self.length = length
+        self._key = key
         if type(length) is int and length <= _MATERIALIZE_LIMIT:
             self._text = "".join(("1" if b else "0") * l for b, l in runs)
             self._runs = None
@@ -99,20 +125,21 @@ class BitString:
             self._runs = runs
 
     @classmethod
-    def _make(cls, runs, length) -> "BitString":
+    def _make(cls, runs, length, key=_NO_KEY) -> "BitString":
         obj = cls.__new__(cls)
-        obj._set(runs, length)
+        obj._set(runs, length, key)
         return obj
 
     @classmethod
-    def _of_text(cls, text: str) -> "BitString":
+    def _of_text(cls, text: str, key=_NO_KEY) -> "BitString":
         # text must hold only '0' and '1'
         if len(text) > _MATERIALIZE_LIMIT:
-            return cls._make(_runs_of(text), len(text))
+            return cls._make(_runs_of(text), len(text), key)
         obj = cls.__new__(cls)
         obj._text = text
         obj._runs = None
         obj.length = len(text)
+        obj._key = key
         return obj
 
     @classmethod
@@ -179,13 +206,16 @@ class BitString:
                 raise UsageError(f"negative run length {length}")
             text = self._text
             if text is not None and len(text) + length <= _MATERIALIZE_LIMIT:
-                return BitString._of_text(text + ("1" if bit else "0") * length)
+                return BitString._of_text(
+                    text + ("1" if bit else "0") * length, self._key)
+        else:
+            _check_nat(length)
         runs = self.runs
         if runs and runs[-1][0] == bit:
             runs = runs[:-1] + ((bit, nat_add(runs[-1][1], length)),)
         else:
             runs = runs + ((bit, length),)
-        return BitString._make(runs, nat_add(self.length, length))
+        return BitString._make(runs, nat_add(self.length, length), self._key)
 
     def append_bit(self, bit: int) -> "BitString":
         return self.append_run(bit, 1)
@@ -201,13 +231,14 @@ class BitString:
         a, b = self._text, other._text
         if (a is not None and b is not None
                 and len(a) + len(b) <= _MATERIALIZE_LIMIT):
-            return BitString._of_text(a + b)
+            return BitString._of_text(a + b, self._key)
         a, b = self.runs, other.runs
         if a[-1][0] == b[0][0]:
             joined = a[:-1] + ((a[-1][0], nat_add(a[-1][1], b[0][1])),) + b[1:]
         else:
             joined = a + b
-        return BitString._make(joined, nat_add(self.length, other.length))
+        return BitString._make(joined, nat_add(self.length, other.length),
+                               self._key)
 
     def pad_zeros_to(self, n: NatLike) -> "BitString":
         gap = nat_sub(n, self.length)
@@ -309,15 +340,36 @@ class BitString:
         `table`. The key seeds densifier freedom, so any byte change
         would change seeded traces. It is written without building
         to_json's dicts: the rows with one `%` template, the nat nodes by
-        `towers.compact_texts`."""
+        `towers.compact_texts`.
+
+        A key writes only the runs past the string's key state (see the
+        class docstring), which it copies before it extends, and then
+        stores the state of all runs but the last for the string and its
+        extensions. So along a chain of appends each key costs what the
+        last append added, and a fresh key is the same code from the
+        empty state."""
         text = self._text
         if text is not None and len(text) <= _JSON_TEXT_LIMIT:
             return text
-        runs = self.runs
+        done, offset, texts, nodes, rows = self._key
+        runs = self._runs[done:] if text is None else _runs_of(text, offset)
+        texts, nodes = dict(texts), list(nodes)
         # bits pass through compact_texts as the ints they are
-        rows, nodes = compact_texts(chain.from_iterable(runs))
-        return '{"nats":[' + ",".join(nodes) + '],"runs":[' + ",".join(
-            ["[%d,%s]"] * len(runs)) % tuple(rows) + "]}"
+        refs = compact_texts(chain.from_iterable(runs[:-1]), texts, nodes)
+        rows += ("[%d,%s]," * (len(runs) - 1)) % tuple(refs)
+        kept = len(nodes)
+        last = compact_texts(runs[-1], texts, nodes)
+        key = ('{"nats":[' + ",".join(nodes) + '],"runs":[' + rows
+               + "[%d,%s]]}" % tuple(last))
+        # Store the state without the last run, whose nodes are the newest
+        # entries of `texts`: a dict pops its newest entry first.
+        for _ in range(len(nodes) - kept):
+            texts.popitem()
+        del nodes[kept:]
+        self._key = (done + len(runs) - 1,
+                     0 if text is None else len(text) - runs[-1][1],
+                     texts, nodes, rows)
+        return key
 
     def __eq__(self, other):
         if not isinstance(other, BitString):

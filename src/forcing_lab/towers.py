@@ -273,22 +273,24 @@ _ADD_TEXT = '{"args":[%s],"const":%d,"op":"add"}'
 _MUL2_TEXT = '{"arg":%s,"exp":%s,"op":"mul2"}'
 
 
-def compact_texts(values):
-    """What one fresh NatTable makes of `values`, encoded in turn, as the
+def compact_texts(values, texts: dict, nodes: list):
+    """What one NatTable makes of `values`, encoded in turn, as the
     compact JSON text that `json.dumps(..., sort_keys=True,
-    separators=(",", ":"))` writes: `(refs, nodes)`, where refs[i] is
+    separators=(",", ":"))` writes. Returns refs, where refs[i] is
     values[i] itself for an int (its `%s` text) and the reference text
-    `{"$nat":N}` for a Nat, and nodes[N] is the text of `table.nodes[N]`.
+    `{"$nat":N}` for a Nat; appends the text of each new node
+    `table.nodes[N]` to `nodes`, and records its reference text in
+    `texts` (Nat -> text).
 
     Ids follow `encode`'s first-use order, children before their node.
     Each node's text is written once, and a node already met costs one
     lookup of its reference text; the recursion is no deeper than
-    `encode`'s."""
-    texts = {}
-    nodes = []
+    `encode`'s. Empty `texts` and `nodes` stand for a fresh table; those
+    an earlier call left stand for the table that encoded its values, so
+    a call goes on where that one stopped."""
     return [v if type(v) is int
             else texts.get(v) or _node_text(v, texts, nodes)
-            for v in values], nodes
+            for v in values]
 
 
 def _node_text(x: Nat, texts: dict, nodes: list) -> str:

@@ -394,6 +394,117 @@ def test_stable_key_matches_the_dump_as_strings_grow(start, ops):
         assert s.stable_key() == _reference_key(s)
 
 
+# (op, bit, pool index, text): the bit of an appended run, or of a concat
+# operand's symbolic run after its text
+branch_ops = st.tuples(
+    st.sampled_from(["append_run", "append_huge", "append_bit",
+                     "pad_zeros_to", "concat"]),
+    st.integers(0, 1), st.integers(0, 99), short_texts)
+
+
+def _extend(s, op, pool):
+    """s after one growth op, its lengths from `pool`. An append merges
+    into s's last run when its bit is that run's bit. A concat operand is
+    a run-backed string, keyed before it is joined."""
+    name, bit, i, text = op
+    length = pool[i % len(pool)]
+    if name == "append_run":
+        return s.append_run(bit, length)
+    if name == "append_huge":
+        huge = [v for v in pool if is_huge(v)]
+        return s.append_run(bit, huge[i % len(huge)])
+    if name == "append_bit":
+        return s.append_bit(bit)
+    if name == "pad_zeros_to":
+        return (s.pad_zeros_to(nat_add(s.length, length)) if s.is_concrete
+                else s.append_run(0, length))
+    other = BitString.from01(text).append_run(bit, pool[3])
+    assert other.stable_key() == _reference_key(other)
+    return s.concat(other)
+
+
+@given(nat_steps, st.one_of(st.integers(0, 40), st.integers(4080, 4400)),
+       st.integers(0, 2**32), st.lists(st.tuples(branch_ops, st.booleans()),
+                                       max_size=6),
+       st.lists(st.lists(branch_ops, min_size=1, max_size=3), min_size=2,
+                max_size=4),
+       st.booleans(), st.randoms(use_true_random=False),
+       st.integers(0, 300))
+@example([], 4300, 0, [(("append_run", 1, 2, ""), True)],
+         [[("append_run", 1, 0, "")], [("append_run", 0, 0, "")],
+          [("concat", 1, 0, "0")]], False, random.Random(0), 100)
+def test_carried_keys_match_the_dump_under_branching(
+        steps, n, seed, trunk, kids, early, rnd, cut):
+    """Strings that extend a keyed parent start their keys from its
+    state: a chain keyed at some of its elements, then two or more
+    children of its last element keyed in any order, then that parent
+    again, and the prefix and strip_prefix results of keyed strings,
+    which start from no state. Every key equals the dump. The prefixes
+    are `cut` bits long, leaving a long rest, and `cut` bits short of the
+    end (4000 + `cut` bits long for a symbolic string), ending inside or
+    before the last run."""
+    pool = _nat_pool(steps)
+    text_rnd = random.Random(seed)
+    s = BitString.from01("".join(text_rnd.choice("01") * text_rnd.randint(
+        1, 40) for _ in range(n))[:n])
+    for op, keyed in trunk:
+        s = _extend(s, op, pool)
+        if keyed:
+            assert s.stable_key() == _reference_key(s)
+    parent = s
+    if not early:  # else the children take the state of an older string
+        assert parent.stable_key() == _reference_key(parent)
+    children = []
+    for ops in kids:
+        child = parent
+        for op in ops:
+            child = _extend(child, op, pool)
+        children.append(child)
+    for child in rnd.sample(children, len(children)):
+        assert child.stable_key() == _reference_key(child)
+    assert parent.stable_key() == _reference_key(parent)
+    for keyed in (parent, children[0]):
+        long_cut = (max(keyed.length - cut, 0) if keyed.is_concrete
+                    else 4000 + cut)
+        for head in (keyed.prefix(min(cut, long_cut)), keyed.prefix(long_cut)):
+            for t in (head, keyed.strip_prefix(head)):
+                assert t.stable_key() == _reference_key(t)
+
+
+def test_keys_along_appends_scan_the_text_once(monkeypatch):
+    """300 keyed appends grow a text-backed string past 8192 bits; the
+    keys' `_runs_of` scans reach back only to the last run of the string
+    before the append, so they cover at most 3 characters per bit of the
+    final string (each key scanned the whole text before keys resumed)."""
+    scanned = []
+    runs_of = bits._runs_of
+    monkeypatch.setattr(bits, "_runs_of", lambda text, start=0: scanned.append(
+        len(text) - start) or runs_of(text, start))
+    rnd = random.Random(7)
+    s = BitString.empty()
+    for _ in range(300):
+        s = s.append_run(rnd.randint(0, 1), rnd.randint(1, 60))
+        key = s.stable_key()
+    assert s.length > 8192 and s._text is not None
+    assert sum(scanned) <= 3 * s.length
+    monkeypatch.undo()
+    assert key == _reference_key(s)
+
+
+@pytest.mark.parametrize("length", [True, False, 2.0, 0.5])
+def test_a_run_length_must_be_an_int_or_a_nat(length):
+    """A bool or float run length is refused on both backings, whether it
+    comes to the constructor or to append_run."""
+    huge = nat_pow2(5000)
+    for build in (lambda: BitString([(0, huge), (1, length)]),
+                  lambda: BitString.zeros(huge).append_run(1, length),
+                  lambda: BitString([(0, 3), (1, length)]),
+                  lambda: BitString.from01("01").append_run(1, length),
+                  lambda: BitString.zeros(length)):
+        with pytest.raises(UsageError, match="an int or a Nat"):
+            build()
+
+
 def test_stream_take_and_bits():
     s = BitStream.from_prefix("0110", ConstTail(0))
     assert s.take01(7) == "0110000"

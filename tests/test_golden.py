@@ -11,11 +11,17 @@ its keys; the seeded one does, from run-backed keys whose symbolic run
 lengths fill a nat table, so its bytes pin that key text too. The
 non-ASCII seed of the utf8 plane case pins how the trace writer escapes
 text. The budgets that `meets_family` picks by default decide verdicts,
-so they are pinned too, one per filter shape.
+so they are pinned too, one per filter shape. The seeded cases are also
+run under the oldest Python that pyproject.toml allows, when one is found.
 """
 
 import hashlib
 import json
+import os
+import re
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -76,39 +82,50 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def golden_runs(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("golden")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _golden_argv(tmp):
+    """(case -> the CLI argv that writes its trace, case -> that trace's
+    path), cases in the order they must run; the family files are written
+    to `tmp`."""
     fams = {}
     for name, spec in (("cohen", COHEN), ("product", PRODUCT), ("len", LEN),
                        ("long", LONG), ("plane", PLANE)):
         fams[name] = tmp / f"{name}.json"
         fams[name].write_text(json.dumps(spec))
     out = {k: tmp / f"{k}.json" for k in GOLDEN}
-    runs = [
-        ["entangle-pair", "--family", fams["cohen"], "--payload", "seed:g1",
-         "--stages", "9", "--out", out["pair"]],
-        ["entangle-pair", "--family", fams["long"], "--payload", "seed:g2",
-         "--stages", "9", "--out", out["pair-long"]],
-        ["entangle-many", "--k", "3", "--family", fams["product"],
-         "--payload", "hex:b7", "--stages", "6", "--seed", "gold-many",
-         "--out", out["many"]],
-        ["entangle-wide", "--family", fams["len"], "--payload", "bits:10110",
-         "--steps", "5", "--out", out["wide"]],
-        ["entangle-wide", "--family", fams["len"], "--payload", "bits:101101",
-         "--steps", "6", "--seed", "gold-wide", "--out", out["wide-seeded"]],
-        ["build-generics", "--family", fams["plane"], "--rows", "3",
-         "--horizon", "6", "--seed", "gold-rows",
-         "--out", out["generic-plane"]],
-        ["build-generics", "--family", fams["plane"], "--rows", "3",
-         "--horizon", "6", "--seed", "é-ü",
-         "--out", out["generic-plane-utf8"]],
-        ["bound-chain", "--family", fams["plane"], "--rows", "3",
-         "--from-generics", out["generic-plane"], "--seed", "gold-fill",
-         "--out", out["chain-bound"]],
-    ]
-    for argv in runs:
-        assert main([str(a) for a in argv]) == 0
+    runs = {
+        "pair": ["entangle-pair", "--family", fams["cohen"], "--payload",
+                 "seed:g1", "--stages", "9"],
+        "pair-long": ["entangle-pair", "--family", fams["long"], "--payload",
+                      "seed:g2", "--stages", "9"],
+        "many": ["entangle-many", "--k", "3", "--family", fams["product"],
+                 "--payload", "hex:b7", "--stages", "6", "--seed",
+                 "gold-many"],
+        "wide": ["entangle-wide", "--family", fams["len"], "--payload",
+                 "bits:10110", "--steps", "5"],
+        "wide-seeded": ["entangle-wide", "--family", fams["len"], "--payload",
+                        "bits:101101", "--steps", "6", "--seed", "gold-wide"],
+        "generic-plane": ["build-generics", "--family", fams["plane"],
+                          "--rows", "3", "--horizon", "6", "--seed",
+                          "gold-rows"],
+        "generic-plane-utf8": ["build-generics", "--family", fams["plane"],
+                               "--rows", "3", "--horizon", "6", "--seed",
+                               "é-ü"],
+        "chain-bound": ["bound-chain", "--family", fams["plane"], "--rows",
+                        "3", "--from-generics", out["generic-plane"],
+                        "--seed", "gold-fill"],
+    }
+    return ({case: [str(a) for a in (*argv, "--out", out[case])]
+             for case, argv in runs.items()}, out)
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    runs, out = _golden_argv(tmp_path_factory.mktemp("golden"))
+    for argv in runs.values():
+        assert main(argv) == 0
     return out
 
 
@@ -120,6 +137,45 @@ def test_trace_and_verify_bytes_match_golden(golden_runs, case, capsys):
     assert main(["verify", "--trace", str(path)]) == 0
     stdout = capsys.readouterr().out
     assert (_sha(path.read_bytes()), _sha(stdout.encode())) == GOLDEN[case]
+
+
+def _oldest_python():
+    """A command running the oldest Python that pyproject.toml allows: the
+    one FORCING_LAB_MIN_PYTHON names, else `pythonX.Y` on PATH; None when
+    neither runs that version."""
+    want = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                     (ROOT / "pyproject.toml").read_text()).groups()
+    check = "import sys; sys.exit(sys.version_info[:2] != (%s, %s))" % want
+    for exe in (os.environ.get("FORCING_LAB_MIN_PYTHON"),
+                shutil.which("python%s.%s" % want)):
+        if exe and subprocess.run([exe, "-c", check],
+                                  capture_output=True).returncode == 0:
+            return exe
+    return None
+
+
+@pytest.mark.parametrize("case", ["pair-long", "wide-seeded"])
+def test_oldest_python_writes_the_golden_bytes(tmp_path, case):
+    """The runtime is stdlib-only, so the oldest supported Python runs the
+    CLI with no test dependency. The seeded cases, whose densify keys seed
+    their bits, write the golden trace and verify output there too."""
+    exe = _oldest_python()
+    if exe is None:
+        pytest.skip("no interpreter of the oldest supported Python found")
+    runs, out = _golden_argv(tmp_path)
+
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def cli(argv):
+        proc = subprocess.run([exe, "-m", "forcing_lab.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    cli(runs[case])
+    stdout = cli(["verify", "--trace", str(out[case])])
+    trace = out[case].read_bytes()
+    assert (_sha(trace), _sha(stdout.encode())) == GOLDEN[case]
 
 
 def test_default_budgets_per_filter_shape():

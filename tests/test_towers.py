@@ -119,20 +119,34 @@ def test_repr_is_safe_for_towers():
     assert "Nat" in repr(x)
 
 
-def test_repeated_wide_runs_leave_the_intern_table_empty(tmp_path):
+def _wide_run(tmp_path, payload, *seed):
+    """One 12-step entangle-wide run and its verify, through the CLI."""
     fam = tmp_path / "len16.json"
     fam.write_text(json.dumps(
         {"carrier": "cohen", "sets": [{"type": "min-length"}] * 16}))
     out = tmp_path / "wide.json"
+    assert main(["entangle-wide", "--family", str(fam), "--payload", payload,
+                 "--steps", "12", "--out", str(out), *seed]) == 0
+    assert main(["verify", "--trace", str(out)]) == 0
+    assert json.loads(out.read_text())["nats"]  # the run made nodes
+    out.unlink()
+
+
+def test_repeated_wide_runs_leave_the_intern_table_empty(tmp_path):
     for payload in ("bits:101101010101", "bits:000011110000",
                     "bits:" + "1" * 12):
-        assert main(["entangle-wide", "--family", str(fam), "--payload",
-                     payload, "--steps", "12", "--out", str(out)]) == 0
-        assert main(["verify", "--trace", str(out)]) == 0
-        assert json.loads(out.read_text())["nats"]  # the run made nodes
-        out.unlink()
+        _wide_run(tmp_path, payload)
     gc.collect()
     assert len(towers._INTERN) == 0
+
+
+def test_repeated_seeded_wide_runs_leave_the_intern_table_empty(tmp_path):
+    """The key states that seeded densify keys hand along the chains pin
+    no node once the run's strings are gone."""
+    for i in range(10):
+        _wide_run(tmp_path, f"seed:p{i}", "--seed", f"s{i}")
+        gc.collect()
+        assert len(towers._INTERN) == 0
 
 
 # ("add", i, j, const) or ("mul", i, j): operands index the values so far

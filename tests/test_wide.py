@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forcing_lab import towers
 from forcing_lab.bits import BitStream, BitString, PayloadSource
 from forcing_lab.cli import ENV_SEED, main
 from forcing_lab.dense import DenseFamily, DenseSet, min_length_family
@@ -120,6 +121,26 @@ def test_seeded_densify_keys_build_no_dicts(monkeypatch):
     report = verify_trace(trace)
     assert report.all_passed, report.summary()
     assert any('"$nat"' in key for key in keys)
+
+
+@pytest.mark.parametrize("seed", [None, "linear"])
+def test_densify_keys_write_each_node_text_about_once(monkeypatch, seed):
+    """Each densify key writes only the node texts of what the last append
+    added, so doubling the steps of a run about doubles the node texts its
+    keys write (at most 2.5x), where rewriting every key whole made it
+    grow as the square."""
+    calls = []
+    node_text = towers._node_text
+    monkeypatch.setattr(towers, "_node_text",
+                        lambda *args: calls.append(1) or node_text(*args))
+    counts = []
+    for steps in (40, 80):
+        calls.clear()
+        entangle_wide(cohen_poset(), WITNESS,
+                      min_length_family(steps + 1, seed=seed),
+                      BitStream.seeded("lin"), steps)
+        counts.append(len(calls))
+    assert 0 < counts[0] and counts[1] <= 2.5 * counts[0]
 
 
 def test_antichain_hit_uniqueness():
