@@ -178,10 +178,9 @@ def _run(args) -> int:
         if not isinstance(trace, WideTrace):
             raise UsageError(f"{args.trace} is not a wide trace")
         count = len(trace.payload_bits) if args.count is None else args.count
-        triples = decode_wide(trace.g_chain, trace.h_chain, trace.poset,
-                              trace.witness, trace.family, count, args.budget)
-        bits = [z for _, _, z in triples]
-        print(f"decoded z bits: {''.join(map(str, bits))}")
+        replay = decode_wide(trace.g_chain, trace.h_chain, trace.poset,
+                             trace.witness, trace.family, count, args.budget)
+        print(f"decoded z bits: {''.join(map(str, replay.payload_bits))}")
         return 0
     if cmd == "build-generics":
         family = load_family_file(args.family)

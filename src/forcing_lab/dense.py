@@ -538,7 +538,7 @@ def load_family_file(path) -> DenseFamily:
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read family file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"family file {path} is not valid JSON: {exc}") from exc

@@ -213,15 +213,18 @@ def _cells(p: PlaneCondition, nl: str, cell_texts: dict) -> str:
 
 def write_trace(path, trace) -> None:
     text = _dump(trace.to_json())
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write trace {path}: {exc}") from exc
 
 
 def load_trace(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read trace {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"trace {path} is not valid JSON: {exc}") from exc

@@ -16,10 +16,9 @@ from .entangle import decode_many, decode_pair, many_stages, pair_stages
 from .errors import AmbiguousNat, PayloadExhausted, UsageError
 from .generic import (GenericityReport, SetResult, meets_family,
                       mutual_genericity_check)
-from .towers import nat_equal
 from .trace import (ChainBoundTrace, GenericsTrace, ManyTrace, PairTrace,
                     VerifyReport, WideTrace)
-from .wide import decode_wide, wide_stages
+from .wide import decode_wide
 
 
 def _scan_budget_for(boundaries) -> int:
@@ -168,20 +167,21 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
     so no edit fails either of them alone:
 
     wide-decode-roundtrip passing means both chains hold steps + 1 >= 2
-    conditions, the family at least as many sets, and every condition is,
-    as a value, `family.densify(n, c)`: c is the poset's first element
-    at n = 0, and at n >= 1 the registered witness's A(x, k) = x 0^k 1
-    below the chain's condition x at n - 1, at the walk's hit k (the last
-    record must name the last hits), and `stages` is
-    `wide.wide_stages` of the chains and payload. `family.densify` accepts
-    only outputs that lie in D_n and end-extend c, and c properly
-    end-extends x. So every condition lies in its set
-    (wide-chain-membership, which reads each set's member on the same
-    values), and each chain strictly descends (wide-chains-descending).
-    Its prefix tests raise no AmbiguousNat: the symbolic runs of a walk
-    condition are 0^k blocks, each ended by the marker bit 1, and the
-    densifiers append a few concrete bits, so x's last run has a small
-    int length.
+    conditions, the family at least as many sets, and the chains, stage
+    records and payload bits equal those of the walk `wide.decode_wide`
+    replays from the chains. The walk's condition at n is
+    `family.densify(n, c)`: c is the poset's first element at n = 0, and
+    at n >= 1 the registered witness's A(x, k) = x 0^k 1 below the walk's
+    condition x at n - 1, at the hit k, which the walk checks to lie
+    properly below x. Each record names the hits its step branched at,
+    and no other node. `family.densify` accepts only outputs that lie in
+    D_n and end-extend c, and c properly end-extends x. So every condition
+    lies in its set (wide-chain-membership, which reads each set's member
+    on the same values), and each chain strictly descends
+    (wide-chains-descending). Its prefix tests raise no AmbiguousNat: the
+    symbolic runs of a walk condition are 0^k blocks, each ended by the
+    marker bit 1, and the densifiers append a few concrete bits, so x's
+    last run has a small int length.
     """
     report = VerifyReport()
     family, poset, witness = trace.family, trace.poset, trace.witness
@@ -211,21 +211,12 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
         if not 0 < len(trace.stages) == count == len(g) - 1 == len(h) - 1:
             return False, ("stage records, chains and payload differ in "
                            "length or hold no step")
-        triples, (j, m, g_last, h_last) = decode_wide(
-            g, h, poset, witness, family, count, with_last=True)
-        for n, (p, q, z) in enumerate(triples):
-            if z != trace.payload_bits[n]:
-                return False, f"z({n}) mismatch"
-            if p != g[n] or q != h[n]:
-                return False, f"conditions mismatch at step {n}"
-        # the walk densified the last pair at its own hits, the nodes the
-        # last record must name: a densify at any other node appends after
-        # another marker run, so it cannot give the chains' conditions
-        last = trace.stages[-1]
-        if not (nat_equal(last["j"], j) and nat_equal(last["beta"], m)
-                and g[count] == g_last and h[count] == h_last):
-            return False, f"conditions mismatch at step {count}"
-        if trace.stages != wide_stages(poset, g, h, trace.payload_bits):
+        replay = decode_wide(g, h, poset, witness, family, count)
+        if replay.payload_bits != trace.payload_bits:
+            return False, "payload bits do not match the decoded z bits"
+        if replay.conditions != trace.conditions:
+            return False, "chains do not match the decoded walk"
+        if replay.stages != trace.stages:
             return False, "stage records do not match the chains and payload"
         if not _source_yields(trace):
             return False, _SOURCE_MISMATCH

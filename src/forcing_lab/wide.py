@@ -7,7 +7,9 @@ At step n it extends p_n into the antichain below it at position
 the payload bit and the partner's identity), densifies into D_{n+1}, and
 then extends q_n into its antichain at the enumeration index of the new
 p_{n+1}. Either chain alone just meets every dense set; together they
-replay the whole walk.
+replay the whole walk. The construction and the decoder run the one walk
+`_walk`, and differ only in where each step's two antichain indices come
+from: the payload for the one, the chains' antichain hits for the other.
 
 Indices here are lazy naturals: on the canonical Cohen poset the step-1
 antichain position is already ~2^35 and step 2 is beyond physical memory
@@ -16,8 +18,6 @@ the witness's `locate`, and never by scanning j = 0, 1, 2, ...
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
 
 from .bits import PayloadSource
 from .dense import DenseFamily
@@ -28,6 +28,38 @@ from .towers import nat_add, nat_equal, nat_half, nat_mul_pow2, nat_parity
 from .trace import WideTrace
 
 
+def _walk(poset: CountablePoset, witness: WidenessWitness,
+          family: DenseFamily, steps: int, g_index, h_index) -> WideTrace:
+    """The coding walk of `steps` steps, as a trace with no payload source.
+
+    At step n, `g_index(n, p_n, alpha)` gives the antichain index j below
+    p_n, alpha being the index of q_n, and `h_index(n, q_n, beta)` the
+    index below q_n, beta being the index of p_{n+1}. Each branch must lie
+    properly below its condition and is densified into D_{n+1}. Step n's
+    record is {step, z, alpha, j, beta}, z the parity of j."""
+    def branch(n, name, x, k):
+        below = witness.antichain(x, k)
+        if not poset.leq(below, x) or below == x:
+            raise WitnessViolation(f"A_{name}({n}) not properly below "
+                                   f"{name}_{n}")
+        return family.densify(n + 1, below)
+
+    start = family.densify(0, poset.decode(0))
+    ps, qs, stages = [start], [start], []
+    for n in range(steps):
+        alpha = poset.encode(qs[n])
+        j = g_index(n, ps[n], alpha)
+        ps.append(branch(n, "p", ps[n], j))
+        beta = poset.encode(ps[n + 1])
+        qs.append(branch(n, "q", qs[n], h_index(n, qs[n], beta)))
+        stages.append({"step": n, "z": nat_parity(j), "alpha": alpha,
+                       "j": j, "beta": beta})
+    return WideTrace(poset=poset, witness=witness, family=family,
+                     seed=family.seed,
+                     payload_bits=[rec["z"] for rec in stages],
+                     stages=stages, conditions={"g": ps, "h": qs})
+
+
 def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
                   family: DenseFamily, payload, steps: int) -> WideTrace:
     """Build the coding chains g and h; each meets D_0 .. D_steps."""
@@ -35,42 +67,12 @@ def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
         raise UsageError("steps must be >= 1")
     family.require(WideTrace.carriers, steps + 1, "entangle_wide")
     source = PayloadSource.coerce(payload)
-
-    start = family.densify(0, poset.decode(0))
-    ps, qs = [start], [start]
-    for n in range(steps):
-        z = source.next_bit()
-        j = nat_add(nat_mul_pow2(poset.encode(qs[n]), 1), z)
-        branch_p = witness.antichain(ps[n], j)
-        if not poset.leq(branch_p, ps[n]) or branch_p == ps[n]:
-            raise WitnessViolation(f"A_p({n}) not properly below p_{n}")
-        p_next = family.densify(n + 1, branch_p)
-        branch_q = witness.antichain(qs[n], poset.encode(p_next))
-        if not poset.leq(branch_q, qs[n]) or branch_q == qs[n]:
-            raise WitnessViolation(f"A_q({n}) not properly below q_{n}")
-        q_next = family.densify(n + 1, branch_q)
-        ps.append(p_next)
-        qs.append(q_next)
-
-    bits = list(source.drawn)
-    return WideTrace(
-        poset=poset, witness=witness, family=family,
-        seed=family.seed, payload_source=source.description,
-        payload_bits=bits, stages=wide_stages(poset, ps, qs, bits),
-        conditions={"g": ps, "h": qs})
-
-
-def wide_stages(poset: CountablePoset, g, h, payload_bits) -> List[dict]:
-    """The stage records of a wide run with chains g, h: step n codes
-    z = payload_bits[n] at j = 2 * alpha + z below g[n], alpha the index
-    of h[n], and branches h at beta, the index of g[n + 1]."""
-    records = []
-    for n, z in enumerate(payload_bits):
-        alpha = poset.encode(h[n])
-        records.append({"step": n, "z": z, "alpha": alpha,
-                        "j": nat_add(nat_mul_pow2(alpha, 1), z),
-                        "beta": poset.encode(g[n + 1])})
-    return records
+    trace = _walk(poset, witness, family, steps,
+                  lambda n, p, alpha: nat_add(nat_mul_pow2(alpha, 1),
+                                              source.next_bit()),
+                  lambda n, q, beta: beta)
+    trace.payload_source = source.description
+    return trace
 
 
 def _find_hit(chain, witness: WidenessWitness, base, poset: CountablePoset,
@@ -89,49 +91,44 @@ def _find_hit(chain, witness: WidenessWitness, base, poset: CountablePoset,
 
 
 def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
-                family: DenseFamily, count: int, budget: int = 1024, *,
-                with_last: bool = False):
-    """Recover the walk n -> (p_n, q_n, z(n)) from the two chains.
+                family: DenseFamily, count: int,
+                budget: int = 1024) -> WideTrace:
+    """Replay the walk of `count` steps from the two chains.
 
-    The decoder recomputes the canonical start itself, reads z(n) and
-    alpha off the antichain index hit by g, cross-checks alpha against the
-    enumeration index of its reconstructed q_n, and reconstructs p_{n+1}
-    through the (pure) densifier, cross-checking against the h-side hit.
-
-    With `with_last`, the result is `(triples, last)`, where `last` is
-    `(j, m, p_count, q_count)`: the g- and h-side hits of the last step
-    and the pair the walk densified from them (None when count < 1).
+    The decoder walks from the canonical start itself. At step n it takes
+    the antichain index j hit by g below its p_n: half of j must be alpha,
+    the index of its q_n, and the parity of j is z(n). Then it takes the
+    index hit by h below its q_n, which must be the index of its p_{n+1}.
+    The result is the replayed trace: the stage records, the chains the
+    walk densified and the z bits, with no payload source. For count < 1
+    nothing is walked, and the trace holds no step and no condition.
     """
     if budget < 1:
         raise UsageError(f"budget must be >= 1, got {budget}")
     if count < 1:
-        return ([], None) if with_last else []
+        return WideTrace(poset=poset, witness=witness, family=family,
+                         seed=family.seed, conditions={"g": [], "h": []})
     family.require(WideTrace.carriers, count + 1, "decode_wide")
     g = list(g)
     h = list(h)
-    p = family.densify(0, poset.decode(0))
-    q = p
-    out: List[Tuple[object, object, int]] = []
-    for n in range(count):
+
+    def g_hit(n, p, alpha):
         j = _find_hit(g, witness, p, poset, budget)
         if j is None:
             raise NoAntichainHit(n, "g", budget=budget)
-        z = nat_parity(j)
-        alpha = nat_half(j)
-        if not nat_equal(alpha, poset.encode(q)):
+        if not nat_equal(nat_half(j), alpha):
             raise ConsistencyFailure(
-                n, f"recovered alpha {alpha!r} != index(q_{n}) "
-                   f"{poset.encode(q)!r}")
-        p_next = family.densify(n + 1, witness.antichain(p, j))
+                n, f"recovered alpha {nat_half(j)!r} != index(q_{n}) "
+                   f"{alpha!r}")
+        return j
+
+    def h_hit(n, q, beta):
         m = _find_hit(h, witness, q, poset, budget)
         if m is None:
             raise NoAntichainHit(n, "h", budget=budget)
-        if not nat_equal(m, poset.encode(p_next)):
+        if not nat_equal(m, beta):
             raise ConsistencyFailure(
-                n, f"h-side hit {m!r} != index(p_{n + 1}) "
-                   f"{poset.encode(p_next)!r}")
-        q_next = family.densify(n + 1, witness.antichain(q, m))
-        out.append((p, q, z))
-        p, q = p_next, q_next
-    return (out, (j, m, p, q)) if with_last else out
+                n, f"h-side hit {m!r} != index(p_{n + 1}) {beta!r}")
+        return m
 
+    return _walk(poset, witness, family, count, g_hit, h_hit)

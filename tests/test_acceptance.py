@@ -103,7 +103,8 @@ def test_criterion_4_wide_50_steps():
     assert trace.stages[0]["j"] == 3
     assert trace.stages[0]["beta"] == 32
     assert g[1] == BitString.from01("00001")
-    triples = decode_wide(g, h, poset, witness, fam, 50)
+    replay = decode_wide(g, h, poset, witness, fam, 50)
+    triples = list(zip(replay.g_chain, replay.h_chain, replay.payload_bits))
     assert [z for _, _, z in triples] == trace.payload_bits[:50]
     for n, (p, q, _) in enumerate(triples):
         assert p == g[n] and q == h[n]

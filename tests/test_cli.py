@@ -925,6 +925,32 @@ def _case_chain_payload_bit(tmp_path, fam, plane):
     return _verify_edited(_chain_trace(tmp_path, plane), edit)
 
 
+def _not_utf8(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def _case_verify_trace_not_utf8(tmp_path, fam, plane):
+    return ["verify", "--trace", _not_utf8(tmp_path, "t.json", b"\xff\xfe{}")]
+
+
+def _case_decode_wide_trace_not_utf8(tmp_path, fam, plane):
+    return ["decode-wide", "--trace",
+            _not_utf8(tmp_path, "t.json", b"\xff\xfe{}")]
+
+
+def _case_family_trailing_byte_not_utf8(tmp_path, fam, plane):
+    family = _not_utf8(tmp_path, "fam.json", Path(fam).read_bytes() + b"\xff")
+    return ["entangle-pair", "--family", family, "--payload", "seed:x",
+            "--stages", "2"]
+
+
+def _case_out_in_missing_directory(tmp_path, fam, plane):
+    return ["entangle-pair", "--family", fam, "--payload", "seed:x",
+            "--stages", "2", "--out", str(tmp_path / "missing" / "t.json")]
+
+
 def _many_k(k):
     """A many-trace edit to k streams, keeping streams 0..k-1 and their
     conditions; with no stream left, the stages and the fields derived
@@ -1064,7 +1090,9 @@ def _case_chain_plane_row_00(tmp_path, fam, plane):
     _case_pair_payload_bit_2, _case_pair_payload_bit_true,
     _case_pair_boundary_float, _case_pair_stage_c_len_true,
     _case_many_stage_length_float, _case_chain_stage_retries_true,
-    _case_chain_payload_bit,
+    _case_chain_payload_bit, _case_verify_trace_not_utf8,
+    _case_decode_wide_trace_not_utf8, _case_family_trailing_byte_not_utf8,
+    _case_out_in_missing_directory,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):

@@ -683,8 +683,10 @@ def _densify_again_roundtrip(trace):
     count = len(trace.payload_bits)
     if not 0 < len(trace.stages) == count == len(g) - 1 == len(h) - 1:
         return False
-    triples, (j, m, g_last, h_last) = decode_wide(
-        g, h, poset, witness, family, count, with_last=True)
+    replay = decode_wide(g, h, poset, witness, family, count)
+    triples = zip(replay.g_chain, replay.h_chain, replay.payload_bits)
+    j, m = replay.stages[-1]["j"], replay.stages[-1]["beta"]
+    g_last, h_last = replay.g_chain[count], replay.h_chain[count]
     for n, (p, q, z) in enumerate(triples):
         rec = trace.stages[n]
         if not (z == trace.payload_bits[n] and p == g[n] and q == h[n]
@@ -734,8 +736,8 @@ def _point_at_another_node(obj, pick):
 @settings(max_examples=80, deadline=None)
 def test_one_stage_compare_matches_the_field_checks(wide_traces,
                                                     tmp_path_factory, data):
-    """verify compares a wide trace's stage records with
-    `wide.wide_stages` once and fails a last record that does not name
+    """verify compares a wide trace's stage records with those of the
+    decoder's replay once and fails a last record that does not name
     the walk's hits: on random edits of CLI-written wide traces it gives
     the verdicts of the field-by-field check and the densify again."""
     obj = copy.deepcopy(data.draw(st.sampled_from(wide_traces)))

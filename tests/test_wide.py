@@ -10,13 +10,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcing_lab import towers
+from forcing_lab import posets, towers
 from forcing_lab.bits import BitStream, BitString, PayloadSource
 from forcing_lab.cli import ENV_SEED, main
 from forcing_lab.dense import DenseFamily, DenseSet, min_length_family
 from forcing_lab.errors import (ConsistencyFailure, FamilyTooSmall,
-                                NoAntichainHit, UsageError)
-from forcing_lab.posets import cohen_poset, cohen_wide_witness
+                                NoAntichainHit, UsageError, WitnessViolation)
+from forcing_lab.posets import (WidenessWitness, cohen_poset,
+                                cohen_wide_witness)
+from forcing_lab.trace import load_trace
 from forcing_lab.towers import NatTable, is_huge, nat_equal, nat_mul_pow2
 from forcing_lab.verify import verify_trace
 from forcing_lab.wide import decode_wide, entangle_wide
@@ -85,7 +87,8 @@ def test_decode_roundtrip_with_towers():
     payload = PayloadSource.from_bits("101101001101")
     trace = entangle_wide(cohen_poset(), WITNESS, fam, payload, 12)
     g, h = trace.g_chain, trace.h_chain
-    triples = decode_wide(g, h, cohen_poset(), WITNESS, fam, 12)
+    replay = decode_wide(g, h, cohen_poset(), WITNESS, fam, 12)
+    triples = list(zip(replay.g_chain, replay.h_chain, replay.payload_bits))
     assert [z for _, _, z in triples] == trace.payload_bits
     for n, (p, q, _) in enumerate(triples):
         assert p == g[n]
@@ -98,7 +101,8 @@ def test_roundtrip_with_randomized_densifiers():
     trace = entangle_wide(cohen_poset(), WITNESS, fam,
                           BitStream.seeded("wf"), 8)
     g, h = trace.g_chain, trace.h_chain
-    triples = decode_wide(g, h, cohen_poset(), WITNESS, fam, 8)
+    replay = decode_wide(g, h, cohen_poset(), WITNESS, fam, 8)
+    triples = list(zip(replay.g_chain, replay.h_chain, replay.payload_bits))
     assert [z for _, _, z in triples] == trace.payload_bits
     assert all(p == g[n] and q == h[n] for n, (p, q, _) in enumerate(triples))
 
@@ -171,6 +175,19 @@ def test_decoder_needs_both_chains_in_order():
         decode_wide(h, g, cohen_poset(), WITNESS, fam, 4)
 
 
+def test_a_branch_not_properly_below_is_a_witness_violation():
+    """A witness whose antichain member below q is q itself fails the
+    walk's check, both when building and when decoding chains built with
+    the registered witness, whose hits its `locate` still finds."""
+    fam = min_length_family(6)
+    flat = WidenessWitness("flat", lambda q, k: q, WITNESS.locate)
+    with pytest.raises(WitnessViolation, match=r"A_p\(0\)"):
+        entangle_wide(cohen_poset(), flat, fam, "10", 2)
+    trace = entangle_wide(cohen_poset(), WITNESS, fam, "10", 2)
+    with pytest.raises(WitnessViolation, match=r"A_p\(0\)"):
+        decode_wide(trace.g_chain, trace.h_chain, cohen_poset(), flat, fam, 2)
+
+
 def trivial_family(count):
     """Every condition is in every set; densifiers are the identity."""
     sets = [DenseSet(i, lambda s: True, lambda s: s, spec={"type": "trivial"})
@@ -217,7 +234,8 @@ def test_no_hit_within_budget():
     g, h = trace.g_chain, trace.h_chain
     with pytest.raises(NoAntichainHit):
         decode_wide(g, h, cohen_poset(), WITNESS, fam, 2, budget=1)
-    assert decode_wide(g, h, cohen_poset(), WITNESS, fam, 2, budget=3)
+    assert decode_wide(g, h, cohen_poset(), WITNESS, fam, 2,
+                       budget=3).payload_bits
 
 
 def test_family_size_guards():
@@ -242,8 +260,9 @@ COHEN_SETS = st.one_of(
 def test_random_wide_families_verify_and_decode_through_the_cli(
         tmp_path_factory, steps, data, seed):
     """entangle-wide on random min-length, pattern and parity families,
-    seeded or not, with a random payload: the trace verifies and
-    decode-wide returns the payload."""
+    seeded or not, with a random payload: the trace verifies,
+    decode-wide returns the payload, and `decode_wide` replays the loaded
+    trace's stage records, chains and payload bits exactly."""
     sets = data.draw(st.lists(COHEN_SETS, min_size=steps + 1,
                               max_size=steps + 3))
     payload = data.draw(st.text(alphabet="01", min_size=steps,
@@ -260,6 +279,13 @@ def test_random_wide_families_verify_and_decode_through_the_cli(
         assert main(["verify", "--trace", out]) == 0
         assert main(["decode-wide", "--trace", out]) == 0
     assert text.getvalue().splitlines()[-1] == f"decoded z bits: {payload}"
+    trace = load_trace(out)
+    replay = decode_wide(trace.g_chain, trace.h_chain, trace.poset,
+                         trace.witness, trace.family, steps)
+    assert replay.stages == trace.stages
+    assert replay.conditions == trace.conditions
+    assert replay.payload_bits == trace.payload_bits
+    assert replay.payload_source is None
 
 
 @pytest.mark.parametrize("name, steps, seed", [("len8", 1, None),
@@ -279,3 +305,20 @@ def test_verify_densifies_each_step_once(tmp_path, name, steps, seed):
                                side_effect=DenseSet.densify) as densify:
             assert main(["verify", "--trace", out]) == 0
     assert densify.call_count == 2 * steps + 1
+
+
+def test_build_and_verify_encode_each_chain_element_once(tmp_path):
+    """A 12-step entangle-wide and its verify each encode every chain
+    element past the start once, in the walk: 24 `cohen_index` calls."""
+    family, out = FAMILIES / "len52.json", str(tmp_path / "wide.json")
+    counts = []
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()):
+        os.environ.pop(ENV_SEED, None)
+        for argv in (["entangle-wide", "--family", str(family), "--payload",
+                      "seed:5", "--steps", "12", "--out", out],
+                     ["verify", "--trace", out]):
+            with mock.patch.object(posets, "cohen_index", autospec=True,
+                                   side_effect=posets.cohen_index) as encode:
+                assert main(argv) == 0
+            counts.append(encode.call_count)
+    assert counts == [24, 24]
