@@ -79,13 +79,13 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
     finalized: Dict[int, BitStream] = {}
     chain: List[PlaneCondition] = []
     patches: Dict[int, Dict[int, int]] = {}
-    stage_records: List[dict] = []
+    clash_lists: List[List[list]] = []
     commit = PlaneCondition.empty()
     fill = GenericPlane(fill_seed=fill_seed)
 
     for n in range(len(family)):
-        reveal_to = 0
-        attempts: List[dict] = []
+        reveal_to, tried = 0, []
+        clash_lists.append(tried)
         # merged holds the columns below `shown` of every finalized row
         merged, shown = commit, 0 if commit.square_gaps(n) else n
         while True:
@@ -106,68 +106,64 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
                        if k < n and finalized[k].bit(col) != cells[k, col]]
             if not clashes:
                 break
-            attempts.append({"reveal_to": reveal_to,
-                             "clashes": sorted(clashes)})
-            if len(attempts) > retry_budget:
+            tried.append(sorted(clashes))
+            if len(tried) > retry_budget:
                 raise RetryBudgetExceeded(
                     n, f"{len(clashes)} cells still disagree "
                        f"(inputs not generic for this family?)")
-            reveal_to = max(reveal_to + 1,
-                            max(col for _, col in clashes) + 1)
+            reveal_to = _next_reveal(reveal_to, clashes)
         chain.append(commit)
         row_patch = commit.row_cells(n)
         if n < m:
             patches[n] = row_patch
         base = b[n] if n < m else fill.row_stream(n)
         finalized[n] = PatchedStream(base, row_patch)
-        stage_records.append({"stage": n, "retries": len(attempts),
-                              "revealed_cols": reveal_to,
-                              "committed_cells": len(commit),
-                              "attempts": attempts})
 
     return ChainBoundTrace(
-        family=family, seed=fill_seed, rows=m,
-        stages=stage_records, conditions=chain, patches=patches,
+        family=family, seed=fill_seed, rows=m, conditions=chain,
+        stages=chain_stages(chain, clash_lists), patches=patches,
         streams={**{f"b{k}": b[k] for k in range(m)},
                  **{f"d{k}": finalized[k] for k in range(m)}},
         plane=GenericPlane(commitments=commit, rows=finalized,
                            fill_seed=fill_seed))
 
 
-def _reveals_follow_clashes(n: int, rec: dict) -> bool:
-    """Whether stage n's record holds reveal columns `bound_chain` could
-    have written, checked on its ints alone, with no replay.
+def _next_reveal(reveal_to: int, clashes) -> int:
+    """The retry rule: after an attempt at `reveal_to` finds `clashes`,
+    reveal below max(reveal_to + 1, largest clash column + 1)."""
+    return max([reveal_to + 1] + [col + 1 for _, col in clashes])
 
-    Attempt 0 reveals from column 0, and each retry reveals to
-    max(r + 1, largest clash column + 1) after an attempt at r; a stage's
-    `revealed_cols` is the value after its last attempt (0 with none). An
-    attempt's clashes are distinct [row, col] cells, sorted, in rows below
-    n and at or past its `reveal_to`, since the merged condition holds
-    those rows' columns below it."""
-    reveal = 0
-    for attempt in rec["attempts"]:
-        clashes = attempt["clashes"]
-        if (attempt["reveal_to"] != reveal or not clashes
-                or any(len(cell) != 2 or not 0 <= cell[0] < n
-                       or cell[1] < reveal for cell in clashes)
-                or any(a >= b for a, b in zip(clashes, clashes[1:]))):
-            return False
-        reveal = max(reveal + 1, max(col for _, col in clashes) + 1)
-    return rec["revealed_cols"] == reveal
+
+def chain_stages(conditions, clash_lists) -> List[dict]:
+    """The stage records of a run whose stage n committed conditions[n]
+    after failed attempts finding clash_lists[n]: attempt 0 reveals from
+    column 0, a retry by `_next_reveal`, and `revealed_cols` is the
+    reveal after a stage's last attempt."""
+    records = []
+    for n, (cond, tried) in enumerate(zip(conditions, clash_lists)):
+        reveal, attempts = 0, []
+        for clashes in tried:
+            attempts.append({"reveal_to": reveal, "clashes": clashes})
+            reveal = _next_reveal(reveal, clashes)
+        records.append({"stage": n, "retries": len(attempts),
+                        "revealed_cols": reveal,
+                        "committed_cells": len(cond), "attempts": attempts})
+    return records
 
 
 def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     """Independently re-check a chain-bound run; reports, never raises.
 
-    Checks: one commitment per set and per stage record, each record's
-    stage number, cell count and retry count matching its commitment and
-    attempts and its reveal columns following the retry rule
-    (`_reveals_follow_clashes`), commitments in their sets, the commitment
-    chain descending, the last (so every) commitment contained in the
-    plane, every patch cell being a cell of the last commitment, each row
-    d_k being the plane's row k and b_k patched at exactly its recorded
-    patch (so the plane's row equals b_k off the patch at every column),
-    and the plane meeting the family.
+    Checks: one commitment per set and per stage record, each record the
+    one `chain_stages` rebuilds from the commitments and its clash lists,
+    each of those lists distinct cells, sorted, in rows below its stage
+    and at or past its reveal (the merged condition holds those rows'
+    columns below it), commitments in their sets, the commitment chain
+    descending, the last (so every) commitment contained in the plane,
+    every patch cell being a cell of the last commitment, each row d_k
+    being the plane's row k and b_k patched at exactly its recorded patch
+    (so the plane's row equals b_k off the patch at every column), and the
+    plane meeting the family. Which cells clashed is read as given.
     """
     report = VerifyReport()
     plane, b, family = trace.plane, trace.row_streams("b"), trace.family
@@ -177,10 +173,14 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     def members():
         if not len(chain) == len(family) == len(trace.stages):
             return False, "commitments, sets and stage records differ in number"
-        bad = [n for n, (rec, cond) in enumerate(zip(trace.stages, chain))
-               if rec["stage"] != n or rec["committed_cells"] != len(cond)
-               or rec["retries"] != len(rec["attempts"])
-               or not _reveals_follow_clashes(n, rec)]
+        built = chain_stages(chain, [[a["clashes"] for a in rec["attempts"]]
+                                     for rec in trace.stages])
+        bad = [n for n, (rec, want) in enumerate(zip(trace.stages, built))
+               if rec != want or not all(
+                   c and sorted(set(map(tuple, c))) == list(map(tuple, c))
+                   and all(0 <= row < n and col >= a["reveal_to"]
+                           for row, col in c)
+                   for a in want["attempts"] for c in [a["clashes"]])]
         if bad:
             return False, f"stage records disagree with the chain at: {bad}"
         bad = [n for n in range(len(chain)) if not family[n].member(chain[n])]

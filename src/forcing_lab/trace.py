@@ -36,8 +36,8 @@ from json.encoder import encode_basestring_ascii
 from operator import is_
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
-from .bits import (BitStream, BitString, PayloadSource, _is_bit,
-                   _is_nat_text, stream_from_json)
+from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, PayloadSource,
+                   _is_bit, _is_nat_text, stream_from_json)
 from .dense import (CARRIER_COHEN, CARRIER_PLANE, CARRIER_POSET,
                     CARRIER_PRODUCT, DenseFamily, family_from_spec)
 from .errors import CheckFailure, UsageError
@@ -327,10 +327,13 @@ class Trace:
         values = {f.name: _json_field(obj, cls.kind, f.name)
                   for f in fields(cls)}
         if not (all(map(_is_bit, values["payload_bits"]))
-                and all(type(b) is int for b in values["boundaries"])
+                and all(type(b) is int and 0 <= b < _MATERIALIZE_LIMIT
+                        for b in values["boundaries"])
                 and _ints_only(values["stages"])):
             raise UsageError(f"{cls.kind} trace payload bits must be 0 or 1, "
-                             f"and boundaries and stages hold ints only")
+                             f"boundaries ints in "
+                             f"0..{_MATERIALIZE_LIMIT - 1} (stream columns), "
+                             f"and stages hold ints only")
         PayloadSource.from_json(values["payload_source"])  # raises if bad
         values["family"] = family_from_spec(values["family"])
         values["family"].require(cls.carriers, 0, f"a {cls.kind} trace")
@@ -474,6 +477,16 @@ class ChainBoundTrace(_PlaneTrace):
     @classmethod
     def _decode(cls, obj, values):
         super()._decode(obj, values)
+        for rec in values["stages"]:
+            attempts = rec.get("attempts") if isinstance(rec, dict) else None
+            if not isinstance(attempts, list) or not all(
+                    isinstance(a, dict) and isinstance(a.get("clashes"), list)
+                    and all(type(cell) is list
+                            and list(map(type, cell)) == [int, int]
+                            for cell in a["clashes"]) for a in attempts):
+                raise UsageError("chain-bound stage records must be objects "
+                                 "whose 'attempts' are objects holding "
+                                 "'clashes' lists of [row, col] cells")
         for r, cols in values["patches"].items():
             if not (_is_nat_text(r) and isinstance(cols, dict) and all(
                     _is_nat_text(c) and _is_bit(b)

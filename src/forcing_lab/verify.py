@@ -13,7 +13,7 @@ from __future__ import annotations
 from .bits import PayloadSource
 from .closure import verify_bound
 from .entangle import decode_many, decode_pair, many_stages, pair_stages
-from .errors import AmbiguousNat, PayloadExhausted, UsageError
+from .errors import AmbiguousNat, CheckFailure, PayloadExhausted, UsageError
 from .generic import (GenericityReport, SetResult, meets_family,
                       mutual_genericity_check)
 from .trace import (ChainBoundTrace, GenericsTrace, ManyTrace, PairTrace,
@@ -26,6 +26,14 @@ def _scan_budget_for(boundaries) -> int:
 
 
 _SOURCE_MISMATCH = "payload source does not yield the payload bits"
+
+
+def _require_sets(family, need: int, runs: str) -> None:
+    """Fail the item, naming both counts, where `runs` need more sets than
+    the family has."""
+    if len(family) < need:
+        raise CheckFailure(f"{runs} need {need} dense sets, "
+                           f"family has {len(family)}")
 
 
 def _source_yields(trace) -> bool:
@@ -88,9 +96,7 @@ def _verify_pair(trace: PairTrace) -> VerifyReport:
         """Whether the stream meets D_n, for each n below the horizon, at
         its stage-n condition: a prefix of the stream lying in D_n."""
         stream = trace.streams[name]
-        if len(trace.family) < horizon:
-            return False, (f"{horizon} stages need {horizon} dense sets, "
-                           f"family has {len(trace.family)}")
+        _require_sets(trace.family, horizon, f"{horizon} stages")
         rep = GenericityReport(horizon=horizon, budget=0)
         for n, rec in enumerate(trace.conditions):
             cond = rec[name]
@@ -149,6 +155,10 @@ def _verify_many(trace: ManyTrace) -> VerifyReport:
         return True, f"{len(trace.stages)} sub-rounds"
 
     def subtuples_generic():
+        if trace.family.arity != trace.k - 1:
+            return False, (f"family arity {trace.family.arity}, but each "
+                           f"subtuple holds {trace.k - 1} streams")
+        _require_sets(trace.family, horizon, f"{horizon} stages")
         for i in range(trace.k):
             others = [streams[j] for j in range(trace.k) if j != i]
             rep = mutual_genericity_check(others, trace.family, horizon)
@@ -211,7 +221,10 @@ def _verify_wide(trace: WideTrace) -> VerifyReport:
         if not 0 < len(trace.stages) == count == len(g) - 1 == len(h) - 1:
             return False, ("stage records, chains and payload differ in "
                            "length or hold no step")
-        replay = decode_wide(g, h, poset, witness, family, count)
+        _require_sets(family, count + 1, f"{count} steps")
+        # the hit for step n lies at chain element n + 1
+        replay = decode_wide(g, h, poset, witness, family, count,
+                             budget=len(g))
         if replay.payload_bits != trace.payload_bits:
             return False, "payload bits do not match the decoded z bits"
         if replay.conditions != trace.conditions:

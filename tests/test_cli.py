@@ -925,6 +925,42 @@ def _case_chain_payload_bit(tmp_path, fam, plane):
     return _verify_edited(_chain_trace(tmp_path, plane), edit)
 
 
+def _chain_stage_edit(edit):
+    """A trace edit that applies `edit` to the chain-bound stage records;
+    stage 4 of the `_chain_trace` run made one failed attempt."""
+    def apply(obj):
+        assert len(obj["stages"][4]["attempts"]) == 1
+        edit(obj["stages"])
+    return apply
+
+
+def _case_chain_record_a_list(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _chain_stage_edit(
+        lambda stages: stages.__setitem__(0, [0, 0])))
+
+
+def _case_chain_attempts_an_int(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _chain_stage_edit(
+        lambda stages: stages[4].update(attempts=1)))
+
+
+def _case_chain_attempt_without_clashes(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _chain_stage_edit(
+        lambda stages: stages[4]["attempts"][0].pop("clashes")))
+
+
+def _case_chain_clash_cell_of_a_list(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _chain_stage_edit(
+        lambda stages: stages[4]["attempts"][0]["clashes"].__setitem__(
+            0, [[1], 8])))
+
+
+def _case_pair_boundary_2_pow_5000(tmp_path, fam, plane):
+    def edit(obj):
+        obj["boundaries"][0] = 2 ** 5000
+    return _verify_edited(_pair_trace(tmp_path, fam), edit)
+
+
 def _not_utf8(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
@@ -1092,7 +1128,9 @@ def _case_chain_plane_row_00(tmp_path, fam, plane):
     _case_many_stage_length_float, _case_chain_stage_retries_true,
     _case_chain_payload_bit, _case_verify_trace_not_utf8,
     _case_decode_wide_trace_not_utf8, _case_family_trailing_byte_not_utf8,
-    _case_out_in_missing_directory,
+    _case_out_in_missing_directory, _case_chain_record_a_list,
+    _case_chain_attempts_an_int, _case_chain_attempt_without_clashes,
+    _case_chain_clash_cell_of_a_list, _case_pair_boundary_2_pow_5000,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):
@@ -1102,3 +1140,68 @@ def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+def _product_trace(tmp_path):
+    """A many trace over docs/families/product32-arity3.json: k = 4
+    streams, so each subtuple holds 3, and 3 stages."""
+    out = tmp_path / "product.json"
+    assert main(["entangle-many", "--k", "4",
+                 "--family", str(FAMILIES / "product32-arity3.json"),
+                 "--payload", "hex:ff", "--stages", "3",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def _family_edit(edit):
+    return lambda obj: edit(obj["family"])
+
+
+# (trace, edit, the FAIL line `verify` prints for the edited trace)
+FAILING_EDITS = {
+    "chain_record_extra_key": (
+        "chain", _chain_stage_edit(lambda stages: stages[0].update(extra=0)),
+        "FAIL chain-commitments-in-sets: stage records disagree with the "
+        "chain at: [0]"),
+    "chain_attempt_extra_key": (
+        "chain", _chain_stage_edit(
+            lambda stages: stages[4]["attempts"][0].update(extra=0)),
+        "FAIL chain-commitments-in-sets: stage records disagree with the "
+        "chain at: [4]"),
+    "chain_record_without_committed_cells": (
+        "chain", _chain_stage_edit(
+            lambda stages: stages[2].pop("committed_cells")),
+        "FAIL chain-commitments-in-sets: stage records disagree with the "
+        "chain at: [2]"),
+    "many_family_arity_4": (
+        "many", _family_edit(lambda fam: fam.update(arity=4)),
+        "FAIL many-subtuples-generic: family arity 4, but each subtuple "
+        "holds 3 streams"),
+    "many_family_of_2_sets": (
+        "many", _family_edit(lambda fam: fam["sets"].__delitem__(
+            slice(2, None))),
+        "FAIL many-subtuples-generic: 3 stages need 3 dense sets, "
+        "family has 2"),
+    "wide_family_of_3_sets": (
+        "wide", _family_edit(lambda fam: fam["sets"].__delitem__(
+            slice(3, None))),
+        "FAIL wide-decode-roundtrip: 3 steps need 4 dense sets, "
+        "family has 3"),
+}
+
+
+@pytest.mark.parametrize("name", list(FAILING_EDITS))
+def test_edits_that_fail_verify_name_their_fault(tmp_path, len_family,
+                                                 plane_family, name, capsys):
+    """Edited records and families that do not fit their trace fail one
+    item with a one-line detail, never an exception text."""
+    trace, edit, line = FAILING_EDITS[name]
+    path = {"chain": lambda: _chain_trace(tmp_path, plane_family),
+            "many": lambda: _product_trace(tmp_path),
+            "wide": lambda: _wide_trace(tmp_path, len_family)}[trace]()
+    capsys.readouterr()
+    assert main(_verify_edited(path, edit)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert line in lines
+    assert [ln for ln in lines if ln.startswith("FAIL ")] == [line]
+    assert not [ln for ln in lines if "exception:" in ln]

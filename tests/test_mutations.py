@@ -246,8 +246,9 @@ def test_one_bit_file_edit_never_escapes_the_cli(bit_files, tmp_path_factory,
 
 # Derived fields: what `verify` recomputes from the rest of a trace.
 DERIVED_KEYS = ("stages", "boundaries", "payload_bits")
-# the chain-bound stage fields `verify` checks by structure; only which
-# clash cells an attempt found would need a replay of the retry search
+# the chain-bound stage fields `verify` rebuilds with `chain_stages`; which
+# clash cells an attempt found is read as given, as only a replay of the
+# retry search could derive it
 CHAIN_DERIVED = ("stage", "retries", "committed_cells", "revealed_cols",
                  "reveal_to")
 

@@ -322,3 +322,25 @@ def test_build_and_verify_encode_each_chain_element_once(tmp_path):
                 assert main(argv) == 0
             counts.append(encode.call_count)
     assert counts == [24, 24]
+
+
+def test_verify_reads_hits_past_the_decoders_default_budget(tmp_path):
+    """`verify` lets the decoder search the whole chain for each hit, so
+    the hit of step n, at chain element n + 1, is found however long the
+    trace: with the default budget cut to 5, a 5-step trace (last hit at
+    element 5) still passes, as any trace of 1,024 steps or more must
+    past the default of 1,024."""
+    out = str(tmp_path / "wide.json")
+    text = io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(text):
+        os.environ.pop(ENV_SEED, None)
+        assert main(["entangle-wide", "--family", str(FAMILIES / "len8.json"),
+                     "--payload", "bits:10110", "--steps", "5",
+                     "--out", out]) == 0
+        trace = load_trace(out)
+        with mock.patch.object(decode_wide, "__defaults__", (5,)):
+            with pytest.raises(NoAntichainHit):
+                decode_wide(trace.g_chain, trace.h_chain, trace.poset,
+                            trace.witness, trace.family, 5)
+            assert main(["verify", "--trace", out]) == 0
+    assert text.getvalue().endswith("PASS: 3/3 checks passed\n")
