@@ -16,6 +16,7 @@ finite prefixes.
 from __future__ import annotations
 
 import hashlib
+import marshal
 import re
 from itertools import chain
 from typing import List, Optional
@@ -56,8 +57,10 @@ def _check_nat(length):
                          f"{length!r}")
 
 
-def _normalize_runs(pairs):
-    runs = []
+def _normalize_runs(pairs, runs=()):
+    """The normalized runs of `runs`, themselves normalized, followed by
+    `pairs`: no empty run, and no two neighbours of one bit."""
+    runs = list(runs)
     for bit, length in pairs:
         if not _is_bit(bit):
             raise UsageError(f"bit must be 0 or 1, got {bit!r}")
@@ -316,20 +319,22 @@ class BitString:
         return nat_add(*(l for b, l in self._runs if b == 1), 0)
 
     def to_json(self, table: NatTable):
-        """The 0/1 text up to _JSON_TEXT_LIMIT bits, else {"runs": ...}
-        with each symbolic run length as a reference into `table`."""
-        text = self._text
-        if text is not None and len(text) <= _JSON_TEXT_LIMIT:
-            return text
-        return {"runs": [[b, l if type(l) is int else table.encode(l)]
-                         for b, l in self.runs]}
+        """The 0/1 text up to _JSON_TEXT_LIMIT bits, else {"runs": rows},
+        a `RunRows` of one [bit, length] row per run, each symbolic length
+        a reference into `table`."""
+        return chain_to_json([self], table)[0]
 
     @classmethod
     def from_json(cls, obj, built) -> "BitString":
-        """Inverse of to_json; `built` holds the decoded table nodes."""
+        """Inverse of to_json; `built` holds the decoded table nodes. A run
+        list is an object holding only `runs`."""
         if isinstance(obj, str):
             return cls.from01(obj)
-        return cls((b, nat_resolve(l, built)) for b, l in obj["runs"])
+        if type(obj) is not dict or obj.keys() != {"runs"}:
+            got = sorted(obj) if type(obj) is dict else type(obj).__name__
+            raise UsageError(f"a bitstring must be 0/1 text or an object "
+                             f"holding only 'runs', got {got}")
+        return cls(_resolved(obj["runs"], built))
 
     def stable_key(self) -> str:
         """Deterministic, process-independent serialization for hashing.
@@ -390,6 +395,81 @@ class BitString:
 
 
 _EMPTY = BitString()
+
+
+class RunRows(list):
+    """The [bit, length] rows of a run list, as `BitString.to_json` makes
+    them; json writes it as the list it is. `base` is the rows they start
+    with, the same objects, all but base's last, or None: `trace._dump`
+    then writes these rows from base's text."""
+
+    __slots__ = ("base",)
+
+
+def chain_to_json(chain, table: NatTable) -> list:
+    """`[s.to_json(table) for s in chain]`, where the rows of a run list
+    whose runs start with all those of the run list before it but the
+    last, as each element of a descending chain's do, start with that
+    list's rows, the same objects (`RunRows.base`), and only the rest are
+    encoded: each nat reference is encoded once per chain."""
+    out, base, base_runs = [], None, ()
+    for s in chain:
+        text = s._text
+        if text is not None and len(text) <= _JSON_TEXT_LIMIT:
+            out.append(text)
+            continue
+        runs = s.runs
+        k = len(base_runs) - 1
+        if not (k > 0 and len(runs) > k and runs[:k] == base_runs[:k]):
+            base, k = None, 0
+        rows = RunRows(base[:k] if k else ())
+        rows += [[b, l if type(l) is int else table.encode(l)]
+                 for b, l in runs[k:]]
+        rows.base = base
+        out.append({"runs": rows})
+        base, base_runs = rows, runs
+    return out
+
+
+def _resolved(rows, built):
+    """The (bit, length) pairs of JSON run rows, each length resolved into
+    `built` in turn."""
+    return ((b, nat_resolve(l, built)) for b, l in rows)
+
+
+def chain_from_json(objs, built) -> List[BitString]:
+    """`[BitString.from_json(obj, built) for obj in objs]` for the strings
+    of a chain, whose run lists each start with the rows of the one before
+    but its last.
+
+    The runs of a run list are normalized in two steps, its rows but the
+    last, then its last row. Where it has more rows than the run list
+    before it but one, and its leading rows equal those, by value and by
+    type, the first step resumes from their normalized runs, so only the
+    rest are normalized. marshal writes each value with its type (`1`,
+    `true` and `1.0` are three byte strings), so equal bytes are equal
+    rows of equal types; rows that are not equal so are all normalized,
+    as `from_json` does."""
+    out = []
+    # the last run list's rows but its last: their count, their marshal
+    # bytes and their normalized runs
+    shared, shared_bytes, head = 0, None, ()
+    for obj in objs:
+        rows = obj.get("runs") if type(obj) is dict else None
+        if type(rows) is not list or obj.keys() != {"runs"}:
+            out.append(BitString.from_json(obj, built))
+            shared_bytes = None
+            continue
+        if (len(rows) <= shared
+                or marshal.dumps(rows[:shared], 2) != shared_bytes):
+            shared, head = 0, ()
+        rest = rows[shared:]
+        head = _normalize_runs(_resolved(rest[:-1], built), head)
+        runs = _normalize_runs(_resolved(rest[-1:], built), head)
+        out.append(BitString._make(runs, nat_add(*(l for _, l in runs), 0)))
+        shared = max(len(rows) - 1, 0)
+        shared_bytes = marshal.dumps(rows[:shared], 2)
+    return out
 
 
 # --- tail rules -----------------------------------------------------------

@@ -228,43 +228,52 @@ class NatTable:
 
     def __init__(self):
         self.nodes = []
-        self._ids = {}
+        self._refs = {}
 
     def encode(self, x: NatLike):
+        """`x` itself for an int, else the reference `{"$nat": id}` to its
+        node, which the first use appends after its children's. Every
+        reference to one node is one object."""
         if isinstance(x, int):
             return x
-        nid = self._ids.get(x)
-        if nid is None:
+        refs = self._refs
+        ref = refs.get(x)
+        if ref is None:
             if x.kind == "add":
                 obj = {"op": "add",
-                       "args": [self.encode(c) for c in x.children],
+                       "args": [refs.get(c) or self.encode(c)
+                                for c in x.children],
                        "const": x.const}
             else:
                 obj = {"op": "mul2",
                        "arg": self.encode(x.arg),
                        "exp": self.encode(x.exp)}
             self.nodes.append(obj)
-            nid = len(self.nodes) - 1
-            self._ids[x] = nid
-        return {"$nat": nid}
+            ref = refs[x] = {"$nat": len(self.nodes) - 1}
+        return ref
 
     @classmethod
     def decode_all(cls, nodes):
-        """Rebuild the interned values for a serialized table."""
+        """Rebuild the interned values for a serialized table. A node holds
+        three keys: `op` and the two its op reads, `args` and `const` for
+        `add`, `arg` and `exp` for `mul2`."""
         built = []
         for obj in nodes or []:
-            if obj["op"] == "add":
+            op = obj["op"]
+            if op == "add" and len(obj) == 3:
                 if type(obj["const"]) is not int:
                     raise UsageError(f"nat node {len(built)} has a "
                                      f"non-integer const {obj['const']!r}")
                 val = nat_add(*[nat_resolve(a, built) for a in obj["args"]],
                               obj["const"])
-            elif obj["op"] == "mul2":
+            elif op == "mul2" and len(obj) == 3:
                 val = nat_mul_pow2(nat_resolve(obj["arg"], built),
                                    nat_resolve(obj["exp"], built))
             else:
-                raise UsageError(f"nat node {len(built)} has an unknown op "
-                                 f"{obj['op']!r}")
+                raise UsageError(f"nat node {len(built)} must hold exactly "
+                                 f"op 'add', args and const, or op 'mul2', "
+                                 f"arg and exp; got op {op!r} in "
+                                 f"{sorted(obj)}")
             built.append(val)
         return built
 

@@ -12,7 +12,11 @@ node ids), so identical runs give identical bytes.
 
 A trace's JSON value is `Trace.to_json()`, which leaves each plane
 condition as the object: the writer reads its cells directly instead of
-as built `[r, c, b]` lists. On disk a trace is exactly the bytes of
+as built `[r, c, b]` lists. A wide trace's run lists (`bits.RunRows`) and
+`nats` table (`NatNodes`) are list subclasses: json writes them as the
+lists they are, and the writer writes a chain's run lists each from the
+text of the one before it, and the table from one template per node op.
+On disk a trace is exactly the bytes of
 `json.dumps(trace.to_json(), indent=2, sort_keys=True, default=_plane_cells)`
 followed by a newline, where the hook `_plane_cells` writes a
 PlaneCondition as its `to_json()` list: ASCII only, non-ASCII text
@@ -37,7 +41,8 @@ from operator import is_
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, PayloadSource,
-                   _is_bit, _is_nat_text, stream_from_json)
+                   RunRows, _is_bit, _is_nat_text, chain_from_json,
+                   chain_to_json, stream_from_json)
 from .dense import (CARRIER_COHEN, CARRIER_PLANE, CARRIER_POSET,
                     CARRIER_PRODUCT, DenseFamily, family_from_spec)
 from .errors import CheckFailure, UsageError
@@ -64,13 +69,20 @@ def _dump(obj) -> str:
     cells are written from the condition itself: each distinct cell's text
     is made once per indent and reused for the rest of the write, since
     the conditions of a chain-bound trace share most of their cells.
+    Each run list of a wide chain is the text of the run list before it,
+    cut before that list's last row, and the texts of its own new rows
+    (`_run_rows`), and the `nats` table is filled into one template per
+    node op with each reference's text made once (`_nat_nodes`): for a
+    trace of n steps it makes the texts of O(n) rows and references, not
+    of the O(n^2) its chains and table hold.
     """
     return _encode(obj, "\n", {}) + "\n"
 
 
-def _encode(obj, nl: str, cell_texts: dict) -> str:
+def _encode(obj, nl: str, memo: dict) -> str:
     """JSON text of `obj` whose every line break is `nl`, a newline and the
-    current indent; `cell_texts` maps an indent to its cells' texts."""
+    current indent; `memo` holds, for one write, the texts that `_cells`
+    and `_run_rows` reuse."""
     t = type(obj)
     if obj is None:
         return "null"
@@ -80,15 +92,19 @@ def _encode(obj, nl: str, cell_texts: dict) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + _items(obj, inner, cell_texts, "," + inner) \
+        return "[" + inner + _items(obj, inner, memo, "," + inner) \
             + nl + "]"
     if t is dict and all(type(k) is str for k in obj):
         keys = sorted(obj)
         inner = nl + "  "
         return _record_template(keys, inner, nl) % tuple(
-            _texts(list(map(obj.__getitem__, keys)), inner, cell_texts))
+            _texts(list(map(obj.__getitem__, keys)), inner, memo))
     if t is PlaneCondition:
-        return _cells(obj, nl, cell_texts)
+        return _cells(obj, nl, memo)
+    if t is RunRows:
+        return _run_rows(obj, nl, memo)
+    if t is NatNodes:
+        return _nat_nodes(obj, nl, memo)
     # floats, other keys, other types: ASCII-escaped JSON holds no raw
     # newline inside a string, so re-indenting by replacement is exact
     return json.dumps(obj, indent=2, sort_keys=True,
@@ -104,7 +120,7 @@ def _plane_cells(obj) -> list:
                     f"is not JSON serializable")
 
 
-def _items(items: list, inner: str, cell_texts: dict, sep: str) -> str:
+def _items(items: list, inner: str, memo: dict, sep: str) -> str:
     """The JSON texts of the non-empty `items`, each starting on line
     `inner`, joined by `sep`.
 
@@ -126,9 +142,9 @@ def _items(items: list, inner: str, cell_texts: dict, sep: str) -> str:
         values = list(chain.from_iterable(items))
     else:
         return sep.join(["%s"] * len(items)) % tuple(
-            _texts(items, inner, cell_texts))
+            _texts(items, inner, memo))
     return sep.join(map(templates.__getitem__, shapes)) % tuple(
-        _texts(values, deeper, cell_texts))
+        _texts(values, deeper, memo))
 
 
 def _record_template(keys, inner: str, nl: str) -> str:
@@ -146,7 +162,7 @@ def _record_template(keys, inner: str, nl: str) -> str:
 _FEW = 8
 
 
-def _texts(values: list, nl: str, cell_texts: dict) -> list:
+def _texts(values: list, nl: str, memo: dict) -> list:
     """The JSON text of each of `values`, whose line breaks are `nl`, for
     a `%s` slot: where all are ints, the ints themselves (`%s` writes an
     int as `int.__repr__` does); where all are strings, one map; fewer
@@ -162,7 +178,7 @@ def _texts(values: list, nl: str, cell_texts: dict) -> list:
     if len(values) < _FEW:
         return [int.__repr__(v) if type(v) is int
                 else encode_basestring_ascii(v) if type(v) is str
-                else _encode(v, nl, cell_texts) for v in values]
+                else _encode(v, nl, memo) for v in values]
     if len(kinds) > 1:
         # each kind written on its own, kinds in order of first appearance
         # (a chain-bound trace's first key, `boundaries`, is a list, so its
@@ -170,27 +186,27 @@ def _texts(values: list, nl: str, cell_texts: dict) -> list:
         # `_cells` expects), the texts then put back in order
         texts = {t: iter(_texts(list(compress(values, map(is_, types,
                                                           repeat(t)))),
-                                nl, cell_texts)) for t in kinds}
+                                nl, memo)) for t in kinds}
         return list(map(next, map(texts.__getitem__, types)))
     if list in kinds or tuple in kinds or (
             dict in kinds
             and set(map(type, chain.from_iterable(values))) <= {str}):
-        return _items(values, nl, cell_texts, "\0").split("\0")
-    return [_encode(v, nl, cell_texts) for v in values]
+        return _items(values, nl, memo, "\0").split("\0")
+    return [_encode(v, nl, memo) for v in values]
 
 
-def _cells(p: PlaneCondition, nl: str, cell_texts: dict) -> str:
+def _cells(p: PlaneCondition, nl: str, memo: dict) -> str:
     """The JSON text of `p.to_json()` whose line breaks are `nl`.
 
-    `cell_texts[nl]` holds, for one write, the bit and the text of each
+    `memo[nl]` holds, for one write, the bit and the text of each
     cell seen at this indent, and those cells in sorted order. A condition
     holding every cell seen so far, as each commitment of a chain does, is
     written in that order with no sort of its own; one giving a seen cell
     the other bit is written from its `to_json()`."""
     if not p.cells:
         return "[]"
-    bits, texts, order = (cell_texts.get(nl)
-                          or cell_texts.setdefault(nl, ({}, {}, [])))
+    bits, texts, order = (memo.get(nl)
+                          or memo.setdefault(nl, ({}, {}, [])))
     cells = p.cells
     inner = nl + "  "
     new = sorted(filterfalse(bits.__contains__, cells))
@@ -205,10 +221,87 @@ def _cells(p: PlaneCondition, nl: str, cell_texts: dict) -> str:
         order += new
         order.sort()
     if not cells.items() <= bits.items():
-        return _encode(p.to_json(), nl, cell_texts)
+        return _encode(p.to_json(), nl, memo)
     keys = order if len(order) == len(cells) else sorted(cells)
     return "[" + inner + ("," + inner).join(map(texts.__getitem__, keys)) \
         + nl + "]"
+
+
+def _run_rows(rows: RunRows, nl: str, memo: dict) -> str:
+    """The JSON text of run rows whose line breaks are `nl`.
+
+    Rows that start with all of `rows.base`'s rows but its last, the same
+    objects, as each run list of a wide chain does with the one before,
+    are base's text cut before its last row, then the texts of the rest.
+    `memo[id(rows)]` holds, for one write, the indent and that cut text,
+    until the rows built on them are written."""
+    if not rows:
+        return "[]"
+    inner = nl + "  "
+    base = rows.base
+    k = len(base) - 1 if base is not None else 0
+    cut = memo.pop(id(base), None) if base is not None else None
+    if (cut is not None and cut[0] == nl and len(rows) > k
+            and all(map(is_, islice(base, k), rows))):
+        head, rest = cut[1], rows[k:]
+    else:
+        head, rest = "[" + inner, rows
+    sep = "," + inner
+    texts = _items(rest, inner, memo, "\0").split("\0")
+    head += "".join([text + sep for text in texts[:-1]])
+    memo[id(rows)] = (nl, head)
+    return head + texts[-1] + nl + "]"
+
+
+class NatNodes(list):
+    """A NatTable's `nodes`: json writes it as the list it is, and `_dump`
+    from one template per node op."""
+
+
+def _nat_nodes(nodes: NatNodes, nl: str, memo: dict) -> str:
+    """The JSON text of a NatTable's nodes whose line breaks are `nl`.
+
+    A node holds what `NatTable.encode` puts in it: an `add` node a
+    non-empty list of references `args` and an int `const`, a `mul2` node
+    an `arg` and an `exp` that are ints or references `{"$nat": id}`.
+    Each node is filled into its op's template, and each reference's text
+    is made once per indent, by `_ref_texts`."""
+    if not nodes:
+        return "[]"
+    inner = nl + "  "
+    key = inner + "  "
+    item = key + "  "
+    add = ("{" + key + '"args": [' + item + "%s" + key + "]," + key
+           + '"const": %d,' + key + '"op": "add"' + inner + "}")
+    mul2 = ("{" + key + '"arg": %s,' + key + '"exp": %s,' + key
+            + '"op": "mul2"' + inner + "}")
+    in_args = _ref_texts([ref for node in nodes if node["op"] == "add"
+                          for ref in node["args"]], item, memo)
+    in_mul2 = _ref_texts([node[k] for node in nodes if node["op"] == "mul2"
+                          for k in ("arg", "exp")], key, memo)
+    sep = "," + item
+    texts = []
+    for node in nodes:
+        if node["op"] == "add":
+            texts.append(add % (sep.join([in_args[ref["$nat"]]
+                                          for ref in node["args"]]),
+                                node["const"]))
+        else:
+            arg, exp = node["arg"], node["exp"]
+            texts.append(mul2 % (
+                arg if type(arg) is int else in_mul2[arg["$nat"]],
+                exp if type(exp) is int else in_mul2[exp["$nat"]]))
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+def _ref_texts(values: list, nl: str, memo: dict) -> dict:
+    """The text, by id, of each distinct reference `{"$nat": id}` among
+    `values`, whose line breaks are `nl`, all made by one `_items` call."""
+    refs = {v["$nat"]: v for v in values if type(v) is dict}
+    if not refs:
+        return {}
+    return dict(zip(refs, _items(list(refs.values()), nl, memo,
+                                 "\0").split("\0")))
 
 
 def write_trace(path, trace) -> None:
@@ -313,7 +406,9 @@ class Trace:
 
     def to_json(self) -> dict:
         """The trace as JSON values, each plane condition left as itself,
-        which `_dump` writes as its cell list."""
+        which `_dump` writes as its cell list; a wide trace's run lists
+        and nat table are lists that `_dump` writes from what they share
+        (see the module docstring)."""
         obj = {f.name: getattr(self, f.name) for f in fields(self)}
         obj["kind"] = self.kind
         obj["family"] = self.family.describe()
@@ -417,10 +512,9 @@ class WideTrace(Trace):
         obj["stages"] = [{**rec, **{key: table.encode(rec[key])
                                     for key in _STAGE_NATS}}
                          for rec in self.stages]
-        obj["conditions"] = {side: [s.to_json(table)
-                                    for s in self.conditions[side]]
+        obj["conditions"] = {side: chain_to_json(self.conditions[side], table)
                              for side in ("g", "h")}
-        obj["nats"] = table.nodes
+        obj["nats"] = NatNodes(table.nodes)
         obj["poset"], obj["witness"] = self.poset.name, self.witness.name
 
     @classmethod
@@ -431,9 +525,8 @@ class WideTrace(Trace):
         values["stages"] = [{**rec, **{key: nat_resolve(rec[key], built)
                                        for key in _STAGE_NATS}}
                             for rec in values["stages"]]
-        values["conditions"] = {side: [BitString.from_json(s, built)
-                                       for s in values["conditions"][side]]
-                                for side in ("g", "h")}
+        values["conditions"] = {side: chain_from_json(
+            values["conditions"][side], built) for side in ("g", "h")}
 
 
 @dataclass(kw_only=True)

@@ -10,7 +10,7 @@ construction itself.
 
 from __future__ import annotations
 
-from .bits import PayloadSource
+from .bits import _MATERIALIZE_LIMIT, PayloadSource
 from .closure import verify_bound
 from .entangle import decode_many, decode_pair, many_stages, pair_stages
 from .errors import AmbiguousNat, CheckFailure, PayloadExhausted, UsageError
@@ -22,7 +22,14 @@ from .wide import decode_wide
 
 
 def _scan_budget_for(boundaries) -> int:
-    return max([4096] + [b + 8 for b in boundaries])
+    """The scan budget of a decode that reads 8 bits past every boundary,
+    and at least 4096; one past the decoders' cap fails the item."""
+    budget = max([4096] + [b + 8 for b in boundaries])
+    if budget > _MATERIALIZE_LIMIT:
+        raise CheckFailure(f"boundary {budget - 8} needs a scan budget of "
+                           f"{budget} bits, past the decoders' cap of "
+                           f"{_MATERIALIZE_LIMIT}")
+    return budget
 
 
 _SOURCE_MISMATCH = "payload source does not yield the payload bits"

@@ -961,6 +961,35 @@ def _case_pair_boundary_2_pow_5000(tmp_path, fam, plane):
     return _verify_edited(_pair_trace(tmp_path, fam), edit)
 
 
+def _wide_run_list_edit(index, edit):
+    """A trace edit that applies `edit` to the run list at `index` among
+    those of chain g: 0 is read on its own, -1 on the rows of the one
+    before it."""
+    def apply(obj):
+        edit([s for s in obj["conditions"]["g"] if isinstance(s, dict)][index])
+    return apply
+
+
+def _case_wide_first_run_list_extra_key(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _wide_run_list_edit(
+        0, lambda s: s.update(extra=1)))
+
+
+def _case_wide_last_run_list_extra_key(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _wide_run_list_edit(
+        -1, lambda s: s.update(extra=1)))
+
+
+def _case_wide_nat_node_extra_key(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _nat_node(
+        {}, lambda n: n.update(extra=1)))
+
+
+def _case_wide_mul2_node_with_args(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _nat_node(
+        {"op": "mul2"}, lambda n: n.update(args=[])))
+
+
 def _not_utf8(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
@@ -1131,6 +1160,8 @@ def _case_chain_plane_row_00(tmp_path, fam, plane):
     _case_out_in_missing_directory, _case_chain_record_a_list,
     _case_chain_attempts_an_int, _case_chain_attempt_without_clashes,
     _case_chain_clash_cell_of_a_list, _case_pair_boundary_2_pow_5000,
+    _case_wide_first_run_list_extra_key, _case_wide_last_run_list_extra_key,
+    _case_wide_nat_node_extra_key, _case_wide_mul2_node_with_args,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):
@@ -1204,4 +1235,25 @@ def test_edits_that_fail_verify_name_their_fault(tmp_path, len_family,
     lines = capsys.readouterr().out.splitlines()
     assert line in lines
     assert [ln for ln in lines if ln.startswith("FAIL ")] == [line]
+    assert not [ln for ln in lines if "exception:" in ln]
+
+
+@pytest.mark.parametrize("kind", ["pair", "many"])
+def test_a_boundary_past_the_scan_cap_fails_its_decode_in_one_line(
+        tmp_path, len_family, kind, capsys):
+    """A boundary in the load range whose decode would scan past the
+    decoders' cap of 2^22 bits fails the decode item, naming the boundary
+    and the cap, not with an exception text."""
+    path = (_pair_trace(tmp_path, len_family) if kind == "pair"
+            else _many_trace(tmp_path))
+
+    def edit(obj):
+        obj["boundaries"][0] = 2 ** 22 - 1
+
+    capsys.readouterr()
+    assert main(_verify_edited(path, edit)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert (f"FAIL {kind}-decode-roundtrip: boundary 4194303 needs a scan "
+            f"budget of 4194311 bits, past the decoders' cap of 4194304"
+            in lines)
     assert not [ln for ln in lines if "exception:" in ln]

@@ -1,25 +1,31 @@
 """Trace persistence: round trips, determinism, verification hooks, and the
 writer's bytes against `json.dumps(indent=2, sort_keys=True)`."""
 
+import copy
 import dataclasses
 import json
 import math
 import sys
+from collections import Counter
 from itertools import accumulate
 from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forcing_lab import bits as bits_module
 from forcing_lab import trace as trace_module
-from forcing_lab.bits import BitStream, PayloadSource
+from forcing_lab.bits import (BitStream, BitString, PayloadSource,
+                              chain_from_json, chain_to_json)
 from forcing_lab.closure import bound_chain, build_generics_run
 from forcing_lab.dense import (min_length_family, mixed_cohen_family,
                                mixed_plane_family)
 from forcing_lab.entangle import entangle_many, entangle_pair
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
 from forcing_lab.posets import cohen_poset, cohen_wide_witness
-from forcing_lab.towers import nat_equal
+from forcing_lab.towers import (NatTable, nat_add, nat_equal, nat_mul_pow2,
+                                nat_pow2)
 from forcing_lab.trace import _dump, load_trace, trace_from_json, write_trace
 from forcing_lab.verify import verify_trace
 from forcing_lab.wide import entangle_wide
@@ -343,3 +349,189 @@ def test_failed_write_keeps_the_previous_file(tmp_path, to_json, error):
     with pytest.raises(error):
         write_trace(path, SimpleNamespace(to_json=to_json))
     assert path.read_bytes() == before
+
+
+# --- wide chains: each run list written and read on the one before it ------
+
+def _nat_length(i: int):
+    """One of three lazy naturals, made when drawn: a Nat held by the
+    module would keep the intern table from emptying (see test_towers)."""
+    return [nat_pow2(5000), nat_add(nat_pow2(5000), 7),
+            nat_mul_pow2(3, nat_pow2(5000))][i]
+
+
+# int lengths keep short strings as text (to_json writes text up to 4096
+# bits, runs past it); 2^22 + 1 and the Nats give run-backed strings
+_RUN_LENGTHS = (st.sampled_from([1, 2, 3, 40, 3000, 2 ** 22 + 1])
+                | st.integers(0, 2).map(_nat_length))
+_RUN_PAIRS = st.lists(st.tuples(st.integers(0, 1), _RUN_LENGTHS),
+                      min_size=1, max_size=4)
+
+
+@st.composite
+def _chains(draw):
+    """Strings each of which extends the one before it, sharing all its
+    runs or all but the last, or is built anew, sharing none."""
+    chain = [BitString(draw(_RUN_PAIRS))]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            s = chain[-1]
+            for bit, length in draw(_RUN_PAIRS):
+                s = s.append_run(bit, length)
+        else:
+            s = BitString(draw(_RUN_PAIRS))
+        chain.append(s)
+    return chain
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return wide_trace()
+
+
+def _outcome(read):
+    try:
+        strings = read()
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+    return strings, [s.length for s in strings]
+
+
+def _prefix_edit(chain: list, data) -> Optional[str]:
+    """Edit `chain` (JSON values) inside the rows a run list shares with
+    the run list before it, all of its rows but the last; the edit's name,
+    or None where no run list shares a row."""
+    shared = [i for i in range(1, len(chain))
+              if isinstance(chain[i], dict) and isinstance(chain[i - 1], dict)
+              and len(chain[i - 1]["runs"]) > 1
+              and chain[i]["runs"][:len(chain[i - 1]["runs"]) - 1]
+              == chain[i - 1]["runs"][:-1]]
+    if not shared:
+        return None
+    i = data.draw(st.sampled_from(shared))
+    rows = chain[i]["runs"]
+    j = data.draw(st.integers(0, len(chain[i - 1]["runs"]) - 2))
+    bit, length = rows[j]
+    kind = data.draw(st.sampled_from(["bit_true", "bit_float", "length_true",
+                                      "length_float", "drop", "swap",
+                                      "extra_key"]))
+    if kind == "bit_true":
+        rows[j][0] = bool(bit)
+    elif kind == "bit_float":
+        rows[j][0] = float(bit)
+    elif kind in ("length_true", "length_float"):
+        cast = bool if kind == "length_true" else float
+        if type(length) is int:
+            rows[j][1] = cast(length)
+        else:  # a nat reference: its id
+            length["$nat"] = cast(length["$nat"])
+    elif kind == "drop":
+        del rows[j]
+    elif kind == "swap":
+        rows[j], rows[-1] = rows[-1], rows[j]
+    else:
+        chain[i]["extra"] = 1
+    return kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_chains(), h=_chains(), data=st.data())
+def test_wide_chains_write_and_read_as_their_elements_do(wide, g, h, data):
+    """A wide trace's chains, each run list written and read on the one
+    before it, against the plain per-element path: the written bytes are
+    `json.dumps` of each string's own `to_json`, with the `nats` table it
+    makes, and the read strings are each run list's `BitString.from_json`.
+    Edits inside the rows a run list shares with the one before it (a bit,
+    an int length or a nat reference id made a bool or a float, a row
+    dropped or swapped with the last, an extra key) read as they read
+    element by element: the same strings, or the same error class and
+    text."""
+    trace = dataclasses.replace(wide, conditions={"g": g, "h": h})
+    obj = trace.to_json()
+    table = NatTable()
+    for rec in trace.stages:
+        for key in ("alpha", "j", "beta"):
+            table.encode(rec[key])
+    plain = {side: [s.to_json(table) for s in chain]
+             for side, chain in (("g", g), ("h", h))}
+    plain_obj = json.loads(json.dumps(
+        {**obj, "conditions": plain, "nats": table.nodes}))
+    text = _dump(obj)
+    assert text == stdlib_dump(plain_obj)
+    loaded = json.loads(text)
+    again = trace_from_json(loaded)
+    built = NatTable.decode_all(loaded["nats"])
+    for side, chain in (("g", g), ("h", h)):
+        each = [BitString.from_json(s, built)
+                for s in loaded["conditions"][side]]
+        assert again.conditions[side] == each == chain
+        assert [s.length for s in again.conditions[side]] == [
+            s.length for s in each]
+    side = data.draw(st.sampled_from(["g", "h"]))
+    edited = copy.deepcopy(loaded["conditions"][side])
+    if _prefix_edit(edited, data) is not None:
+        assert _outcome(lambda: chain_from_json(edited, built)) == _outcome(
+            lambda: [BitString.from_json(s, built) for s in edited])
+
+
+def test_a_run_list_inside_the_rows_of_the_one_before_reads_alone():
+    """A run list no longer than the rows it shares with the one before,
+    and the run list after it: each reads as `from_json` reads it."""
+    huge = nat_pow2(5000)
+    chain = [BitString([(1, huge), (0, 5)]), BitString([(1, huge)]),
+             BitString([(1, huge), (0, 1)])]
+    table = NatTable()
+    objs = json.loads(json.dumps(chain_to_json(chain, table)))
+    built = NatTable.decode_all(table.nodes)
+    assert chain_from_json(objs, built) == [
+        BitString.from_json(s, built) for s in objs] == chain
+
+
+def _wide_io_counts(monkeypatch, steps: int) -> Counter:
+    """The row texts and nat reference texts `_dump` makes of a wide trace
+    of `steps` steps, and the run rows loading it normalizes."""
+    trace = entangle_wide(cohen_poset(), cohen_wide_witness(),
+                          min_length_family(steps + 1),
+                          PayloadSource.from_bits("10" * (steps // 2)), steps)
+    counts = Counter()
+
+    def tally(values):
+        for v in values:
+            if type(v) is list and v and type(v[0]) is int:
+                counts["row texts"] += 1
+            elif type(v) is dict and "$nat" in v:
+                counts["reference texts"] += 1
+
+    items, encode = trace_module._items, trace_module._encode
+    normalize = bits_module._normalize_runs
+
+    def counted_normalize(pairs, runs=()):
+        pairs = list(pairs)
+        counts["rows normalized"] += len(pairs)
+        return normalize(pairs, runs)
+
+    monkeypatch.setattr(trace_module, "_items", lambda values, *args: (
+        tally(values) or items(values, *args)))
+    monkeypatch.setattr(trace_module, "_encode", lambda value, *args: (
+        tally([value]) or encode(value, *args)))
+    monkeypatch.setattr(bits_module, "_normalize_runs", counted_normalize)
+    text = _dump(trace.to_json())
+    trace_from_json(json.loads(text))
+    monkeypatch.undo()
+    assert text == stdlib_dump(trace.to_json())
+    return counts
+
+
+def test_wide_trace_io_counts_grow_with_the_steps_not_their_square(
+        monkeypatch):
+    """From 20 to 40 steps each count about doubles (117 to 237 row
+    texts, 309 to 649 reference texts, 116 to 236 rows normalized).
+    Written and read element by element, each chain element whole, the
+    row counts grew about 3.9x (837 to 3,277 texts, 836 to 3,276 rows
+    normalized) and the reference texts 3.7x (1,226 to 4,486)."""
+    small = _wide_io_counts(monkeypatch, 20)
+    large = _wide_io_counts(monkeypatch, 40)
+    assert small.keys() == large.keys() == {
+        "row texts", "reference texts", "rows normalized"}
+    for key in small:
+        assert large[key] <= 2.5 * small[key], (key, small, large)
