@@ -13,16 +13,19 @@ Only two node shapes are needed by the constructions:
                               always dominated) integer constant
     mul2(x, e)                x * 2**e
 
-Interning makes structural equality pointer equality among live nodes. The
-table holds only live nodes: it is weak, keyed by the children themselves,
-and a node keeps its children alive, so two live nodes of one structure are
-one object. That is exactly the equality the decoders need: they recompute
-the encoder's quantities through the same helpers, on the same
-reconstructed conditions, so identical values arrive as identical nodes. No
-general comparison of two distinct symbolic values is ever attempted; the
-few subtractions and orderings the package performs are either concrete or
-structurally forced, and anything else raises AmbiguousNat rather than
-guessing.
+Interning makes structural equality pointer equality among live nodes.
+`_INTERN` is a plain dict from a node's structure (kind, children, const,
+arg, exp), keyed by the children themselves, to a weak reference to the
+node, so a lookup or an insert runs no Python-level weakref code. A node
+keeps its structure in a slot, and its `__del__` drops its entry when it
+dies; a node keeps its children alive, so two live nodes of one structure
+are one object, and `len(_INTERN)` counts the live nodes. That is exactly
+the equality the decoders need: they recompute the encoder's quantities
+through the same helpers, on the same reconstructed conditions, so
+identical values arrive as identical nodes. No general comparison of two
+distinct symbolic values is ever attempted; the few subtractions and
+orderings the package performs are either concrete or structurally forced,
+and anything else raises AmbiguousNat rather than guessing.
 
 Soundness contract for mixed comparisons: a Nat always represents a value
 above 2**(LIMIT_BITS-64), and every site comparing an int against a Nat
@@ -31,8 +34,8 @@ supplies an int far below that (lengths, horizons, budgets).
 
 from __future__ import annotations
 
-import weakref
 from typing import Union
+from weakref import ref as _weakref
 
 from .errors import AmbiguousNat, UsageError
 
@@ -40,20 +43,22 @@ LIMIT_BITS = 4096
 
 NatLike = Union[int, "Nat"]
 
-_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# structure -> weakref.ref(node), for live nodes only (see module doc)
+_INTERN: dict = {}
 
 
 class Nat:
     """A too-large-to-materialize natural number; use the module functions."""
 
-    __slots__ = ("kind", "children", "const", "arg", "exp", "__weakref__")
+    __slots__ = ("kind", "children", "const", "arg", "exp", "_key",
+                 "__weakref__")
 
-    def __init__(self, kind, children=(), const=0, arg=None, exp=None):
-        self.kind = kind
-        self.children = children
-        self.const = const
-        self.arg = arg
-        self.exp = exp
+    def __init__(self, key):
+        self._key = key
+        self.kind, self.children, self.const, self.arg, self.exp = key
+
+    def __del__(self, _drop=_INTERN.pop):
+        _drop(self._key, None)  # bound early: it may run at shutdown
 
     def approx_log2(self):
         """Float log2 estimate, for repr only; inf when beyond floats."""
@@ -83,10 +88,11 @@ def _approx_log2(x):
 
 def _intern(kind, children=(), const=0, arg=None, exp=None):
     key = (kind, children, const, arg, exp)
-    node = _INTERN.get(key)
+    ref = _INTERN.get(key)
+    node = ref() if ref is not None else None
     if node is None:
-        node = Nat(kind, children=children, const=const, arg=arg, exp=exp)
-        _INTERN[key] = node
+        node = Nat(key)
+        _INTERN[key] = _weakref(node)
     return node
 
 
@@ -322,10 +328,11 @@ def _node_text(x: Nat, texts: dict, nodes: list) -> str:
 
 
 def nat_resolve(ref, built):
-    """Turn a serialized int-or-{"$nat": id} reference back into a value."""
+    """Turn a serialized int-or-{"$nat": id} reference back into a value.
+    A reference is an object whose one key is `$nat`."""
     if type(ref) is int:
         return ref
-    nid = ref.get("$nat") if isinstance(ref, dict) else None
+    nid = ref.get("$nat") if isinstance(ref, dict) and len(ref) == 1 else None
     if type(nid) is not int or not 0 <= nid < len(built):
         raise UsageError(f"bad nat reference {ref!r} into a table of "
                          f"{len(built)} nodes")

@@ -76,11 +76,18 @@ def entangle_wide(poset: CountablePoset, witness: WidenessWitness,
 
 
 def _find_hit(chain, witness: WidenessWitness, base, poset: CountablePoset,
-              budget: int):
+              budget: int, start: int = 0):
     """The unique antichain index below `base` hit by the chain's filter:
     the first `witness.locate` answer, among the chain's first `budget`
-    elements, whose antichain member lies above its element."""
-    for el in chain[:budget]:
+    elements, whose antichain member lies above its element.
+
+    The first `start` elements are not read: the caller knows each to be
+    a prefix of `base`, which no member of the antichain below `base` lies
+    above, so the full scan finds no hit there either. For the registered
+    witness `locate` answers None (or raises AmbiguousNat, which the scan
+    passes over) on a prefix of its base, so the answer, None included,
+    is the full scan's."""
+    for el in chain[start:budget]:
         try:
             k = witness.locate(base, el)
         except AmbiguousNat:
@@ -102,6 +109,13 @@ def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
     The result is the replayed trace: the stage records, the chains the
     walk densified and the z bits, with no payload source. For count < 1
     nothing is walked, and the trace holds no step and no condition.
+
+    Each hit is searched from the first chain element that differs
+    (`BitString.__eq__`) from the walk's own condition at its place, among
+    p_0..p_n (or q_0..q_n). The walk's conditions descend, so each element
+    skipped is a prefix of p_n and holds no hit below it (see `_find_hit`):
+    on an unedited trace step n reads element n + 1 alone, and an edited
+    chain is scanned from its first differing element.
     """
     if budget < 1:
         raise UsageError(f"budget must be >= 1, got {budget}")
@@ -111,9 +125,18 @@ def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
     family.require(WideTrace.carriers, count + 1, "decode_wide")
     g = list(g)
     h = list(h)
+    # leading elements of each chain equal to the walk's conditions
+    same = {"g": 0, "h": 0}
+
+    def start(name, chain, n, cond):
+        """Extend chain `name`'s count of leading elements equal to the
+        walk's conditions by its condition `cond` at step n."""
+        if same[name] == n < len(chain) and chain[n] == cond:
+            same[name] = n + 1
+        return same[name]
 
     def g_hit(n, p, alpha):
-        j = _find_hit(g, witness, p, poset, budget)
+        j = _find_hit(g, witness, p, poset, budget, start("g", g, n, p))
         if j is None:
             raise NoAntichainHit(n, "g", budget=budget)
         if not nat_equal(nat_half(j), alpha):
@@ -123,7 +146,7 @@ def decode_wide(g, h, poset: CountablePoset, witness: WidenessWitness,
         return j
 
     def h_hit(n, q, beta):
-        m = _find_hit(h, witness, q, poset, budget)
+        m = _find_hit(h, witness, q, poset, budget, start("h", h, n, q))
         if m is None:
             raise NoAntichainHit(n, "h", budget=budget)
         if not nat_equal(m, beta):

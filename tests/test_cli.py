@@ -990,6 +990,32 @@ def _case_wide_mul2_node_with_args(tmp_path, fam, plane):
         {"op": "mul2"}, lambda n: n.update(args=[])))
 
 
+def _nat_ref_extra_key(pick):
+    """A trace edit that adds a key to the nat reference `pick` finds."""
+    def edit(obj):
+        pick(obj).update(extra=1)
+    return edit
+
+
+def _case_wide_run_row_nat_ref_extra_key(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _nat_ref_extra_key(
+        lambda obj: next(run[1] for s in obj["conditions"]["g"]
+                         if isinstance(s, dict) for run in s["runs"]
+                         if isinstance(run[1], dict))))
+
+
+def _case_wide_stage_alpha_nat_ref_extra_key(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _nat_ref_extra_key(
+        lambda obj: next(s["alpha"] for s in obj["stages"]
+                         if isinstance(s["alpha"], dict))))
+
+
+def _case_wide_add_node_arg_nat_ref_extra_key(tmp_path, fam, plane):
+    return _verify_edited(_wide_trace(tmp_path, fam), _nat_ref_extra_key(
+        lambda obj: next(n["args"][0] for n in obj["nats"]
+                         if n["op"] == "add" and n["args"])))
+
+
 def _not_utf8(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
@@ -1162,6 +1188,9 @@ def _case_chain_plane_row_00(tmp_path, fam, plane):
     _case_chain_clash_cell_of_a_list, _case_pair_boundary_2_pow_5000,
     _case_wide_first_run_list_extra_key, _case_wide_last_run_list_extra_key,
     _case_wide_nat_node_extra_key, _case_wide_mul2_node_with_args,
+    _case_wide_run_row_nat_ref_extra_key,
+    _case_wide_stage_alpha_nat_ref_extra_key,
+    _case_wide_add_node_arg_nat_ref_extra_key,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):

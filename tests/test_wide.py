@@ -10,12 +10,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcing_lab import posets, towers
+from forcing_lab import posets, towers, wide
 from forcing_lab.bits import BitStream, BitString, PayloadSource
 from forcing_lab.cli import ENV_SEED, main
 from forcing_lab.dense import DenseFamily, DenseSet, min_length_family
-from forcing_lab.errors import (ConsistencyFailure, FamilyTooSmall,
-                                NoAntichainHit, UsageError, WitnessViolation)
+from forcing_lab.errors import (AmbiguousNat, ConsistencyFailure,
+                                FamilyTooSmall, NoAntichainHit, UsageError,
+                                WitnessViolation)
 from forcing_lab.posets import (WidenessWitness, cohen_poset,
                                 cohen_wide_witness)
 from forcing_lab.trace import load_trace
@@ -344,3 +345,93 @@ def test_verify_reads_hits_past_the_decoders_default_budget(tmp_path):
                             trace.witness, trace.family, 5)
             assert main(["verify", "--trace", out]) == 0
     assert text.getvalue().endswith("PASS: 3/3 checks passed\n")
+
+
+def test_each_hit_is_one_locate_call(tmp_path):
+    """`decode_wide` searches each hit past the chain elements that equal
+    the walk's own conditions, so a 12-step trace makes 24 `locate` calls
+    under `verify` and 24 under `decode-wide`, one per hit, where a search
+    from element 0 made 180."""
+    family = tmp_path / "len16.json"
+    family.write_text(json.dumps(
+        {"carrier": "cohen", "sets": [{"type": "min-length"}] * 16}))
+    out = str(tmp_path / "wide.json")
+    counts = []
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()):
+        os.environ.pop(ENV_SEED, None)
+        assert main(["entangle-wide", "--family", str(family), "--payload",
+                     "bits:101101010101", "--steps", "12", "--out", out]) == 0
+        for argv in (["verify", "--trace", out],
+                     ["decode-wide", "--trace", out]):
+            with mock.patch.object(posets, "_cohen_locate",
+                                   side_effect=posets._cohen_locate) as locate:
+                assert main(argv) == 0
+            counts.append(locate.call_count)
+    assert counts == [24, 24]
+
+
+def full_scan(chain, witness, base, poset, budget, start=0):
+    """`_find_hit` as it read every chain from element 0: the reference
+    the skip of `decode_wide` must agree with."""
+    for el in chain[:budget]:
+        try:
+            k = witness.locate(base, el)
+        except AmbiguousNat:
+            continue
+        if k is not None and poset.leq(el, witness.antichain(base, k)):
+            return k
+    return None
+
+
+def _replay(g, h, fam, count, budget):
+    """decode_wide's replay as comparable values, or its exception."""
+    try:
+        replay = decode_wide(g, h, cohen_poset(), WITNESS, fam, count, budget)
+    except Exception as exc:  # compared by class and text
+        return type(exc), str(exc)
+    return replay.stages, replay.conditions, replay.payload_bits
+
+
+@pytest.fixture(scope="module")
+def edit_runs():
+    """The family, then the edited run and runs whose walks leave it at
+    steps 5, 2 and 0; built per module, so that no node they hold lives
+    through the other modules' intern-table tests."""
+    family = min_length_family(10)
+    return family, [entangle_wide(cohen_poset(), WITNESS, family, payload, 6)
+                    for payload in ("bits:101101", "bits:101100",
+                                    "bits:100101", "bits:011100")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(
+           st.sampled_from(["drop", "dup", "swap", "other", "run"]),
+           st.sampled_from("gh"), st.integers(0, 6), st.integers(0, 20)),
+           min_size=1, max_size=3),
+       count=st.integers(1, 6), budget=st.sampled_from([2, 4, 1024]))
+def test_edited_chains_replay_as_a_full_scan_does(edit_runs, edits, count,
+                                                  budget):
+    """Chains edited by dropping an element, duplicating one, swapping
+    neighbours, or putting in the other chain's or another run's element
+    replay as the search from element 0 replays them: the same stages,
+    chains and z bits, or the same exception class and text."""
+    family, runs = edit_runs
+    chains = {"g": list(runs[0].g_chain), "h": list(runs[0].h_chain)}
+    for kind, name, i, k in edits:
+        chain, other = chains[name], chains["h" if name == "g" else "g"]
+        i %= len(chain)
+        if kind == "drop" and len(chain) > 1:
+            del chain[i]
+        elif kind == "dup":
+            chain.insert(i, chain[i])
+        elif kind == "swap" and i + 1 < len(chain):
+            chain[i], chain[i + 1] = chain[i + 1], chain[i]
+        elif kind == "other":
+            chain[i] = other[k % len(other)]
+        elif kind == "run":
+            run = runs[1 + k % 3]
+            chain[i] = run.conditions[name][k % len(run.conditions[name])]
+    got = _replay(chains["g"], chains["h"], family, count, budget)
+    with mock.patch.object(wide, "_find_hit", full_scan):
+        want = _replay(chains["g"], chains["h"], family, count, budget)
+    assert got == want
