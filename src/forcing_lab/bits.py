@@ -150,8 +150,11 @@ class BitString:
         return _EMPTY
 
     @classmethod
-    def from01(cls, text: str) -> "BitString":
-        if not _CLEAN01.fullmatch(text):
+    def from01(cls, text: str, start: int = 0) -> "BitString":
+        """The string of the 0/1 `text`; its first `start` characters are
+        known to be 0/1 (a text checked before that this one extends), so
+        only the rest is checked."""
+        if not _CLEAN01.fullmatch(text, start):
             bad = next(ch for ch in text if ch not in "01")
             raise UsageError(f"invalid bitstring character {bad!r}")
         return cls._of_text(text)
@@ -575,6 +578,19 @@ class BitStream:
     def take(self, n: int) -> BitString:
         """First n bits as a finite condition."""
         return BitString._of_text(self.take01(n))
+
+    def starts_with(self, s: BitString) -> bool:
+        """Whether `s` is a prefix of the stream, `take(s.length) == s`,
+        tested on the text read so far, with no slice."""
+        text = s._text
+        if text is None:
+            return self.take(s.length) == s
+        return self._read(len(text)).startswith(text)
+
+    def find_one(self, start: int, stop: int) -> int:
+        """The first column in start..stop - 1 holding a 1, or -1; found in
+        the text read so far, with no slice."""
+        return self._read(stop).find("1", start, stop)
 
     def to_json(self):
         return {"prefix": self.prefix_string.to01(),

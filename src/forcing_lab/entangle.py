@@ -104,7 +104,7 @@ def _walk(streams: Sequence, count: int, budget: int
     pos = 0
     for t in range(count):
         stream = streams[t % len(streams)]
-        pos = stream.take01(pos + budget).find("1", pos)
+        pos = stream.find_one(pos, pos + budget)
         if pos == -1:
             break
         markers.append(pos)

@@ -16,6 +16,9 @@ as built `[r, c, b]` lists. A wide trace's run lists (`bits.RunRows`) and
 `nats` table (`NatNodes`) are list subclasses: json writes them as the
 lists they are, and the writer writes a chain's run lists each from the
 text of the one before it, and the table from one template per node op.
+A pair or many trace's condition records are a list subclass too
+(`StageTexts`): json writes them as the list they are, and the writer
+puts each 0/1 text in its quotes with no escape pass.
 On disk a trace is exactly the bytes of
 `json.dumps(trace.to_json(), indent=2, sort_keys=True, default=_plane_cells)`
 followed by a newline, where the hook `_plane_cells` writes a
@@ -26,9 +29,11 @@ them itself, without the pure-Python encoder the stdlib falls back to when
 int rows, rows of ints and nat references, and records (dicts with str
 keys).
 
-Bitstrings are stored as ASCII '0'/'1' when small; conditions from wide
-runs can be astronomically long, and are stored as run lists whose lengths
-live in a shared table of lazy-natural nodes.
+Bitstrings are stored as ASCII '0'/'1' when small; a pair or many stage
+text extends its stream's text at the stage before, and loading checks it
+for 0/1 only past that text. Conditions from wide runs can be
+astronomically long, and are stored as run lists whose lengths live in a
+shared table of lazy-natural nodes.
 """
 
 from __future__ import annotations
@@ -74,7 +79,10 @@ def _dump(obj) -> str:
     (`_run_rows`), and the `nats` table is filled into one template per
     node op with each reference's text made once (`_nat_nodes`): for a
     trace of n steps it makes the texts of O(n) rows and references, not
-    of the O(n^2) its chains and table hold.
+    of the O(n^2) its chains and table hold. The condition records of a
+    pair or many trace (`StageTexts`) are one join of each 0/1 text, in
+    its quotes, between the cuts of one template per key tuple: for n
+    stages their O(n^2) characters are copied once, and none is escaped.
     """
     return _encode(obj, "\n", {}) + "\n"
 
@@ -105,6 +113,8 @@ def _encode(obj, nl: str, memo: dict) -> str:
         return _run_rows(obj, nl, memo)
     if t is NatNodes:
         return _nat_nodes(obj, nl, memo)
+    if t is StageTexts:
+        return _stage_texts(obj, nl)
     # floats, other keys, other types: ASCII-escaped JSON holds no raw
     # newline inside a string, so re-indenting by replacement is exact
     return json.dumps(obj, indent=2, sort_keys=True,
@@ -251,6 +261,35 @@ def _run_rows(rows: RunRows, nl: str, memo: dict) -> str:
     head += "".join([text + sep for text in texts[:-1]])
     memo[id(rows)] = (nl, head)
     return head + texts[-1] + nl + "]"
+
+
+class StageTexts(list):
+    """Condition records {stream name: 0/1 text}: json writes it as the
+    list it is, and `_dump` each text in its quotes, since it holds
+    nothing to escape."""
+
+
+def _stage_texts(recs: StageTexts, nl: str) -> str:
+    """The JSON text of condition records whose line breaks are `nl`: each
+    record's template, one per sorted key tuple, cut at its slots, and
+    each 0/1 text put between the cuts in its quotes."""
+    if not recs:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    shapes = list(map(tuple, map(sorted, recs)))
+    # a record's text cut where its texts go; no JSON text here holds a NUL
+    cuts = {keys: (_record_template(keys, inner + "  ", inner)
+                   % (('"\0"',) * len(keys))).split("\0")
+            for keys in set(shapes)}
+    pieces = ["[" + inner]
+    for rec, keys in zip(recs, shapes):
+        cut = cuts[keys]
+        pieces += chain.from_iterable(zip(cut, map(rec.__getitem__, keys)))
+        pieces += cut[-1], sep
+    pieces[-1] = nl + "]"
+    # one join sizes the whole text first, so it is made once, not regrown
+    return "".join(pieces)
 
 
 class NatNodes(list):
@@ -449,11 +488,18 @@ class Trace:
 
 
 class _StringsTrace(Trace):
-    """Conditions are per-stage {stream name: BitString}, stored as 0/1 text."""
+    """Conditions are per-stage {stream name: BitString}, stored as 0/1 text.
+
+    Each stage's text extends the stream's text at the stage before, so
+    the writer and the loader pay for the characters a stage adds: the
+    writer writes the texts as `StageTexts`, with no escape pass, and the
+    loader checks a text that starts with its stream's text before it
+    only past that text."""
 
     def _encode(self, obj):
-        obj["conditions"] = [{name: s.to01() for name, s in rec.items()}
-                             for rec in self.conditions]
+        obj["conditions"] = StageTexts(
+            [{name: s.to01() for name, s in rec.items()}
+             for rec in self.conditions])
 
     @classmethod
     def _decode(cls, obj, values):
@@ -462,8 +508,18 @@ class _StringsTrace(Trace):
                    for rec in conds):
             raise UsageError(f"{cls.kind} trace conditions must be objects "
                              f"keyed by the stream names")
-        values["conditions"] = [{name: BitString.from01(text)
-                                 for name, text in rec.items()} for rec in conds]
+        last = dict.fromkeys(names, "")  # each stream's last text read
+        decoded = []
+        for rec in conds:
+            strings = {}
+            for name, text in rec.items():
+                known = last[name]
+                strings[name] = BitString.from01(
+                    text, len(known) if type(text) is str
+                    and text.startswith(known) else 0)
+                last[name] = text
+            decoded.append(strings)
+        values["conditions"] = decoded
 
 
 class PairTrace(_StringsTrace):

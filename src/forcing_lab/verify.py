@@ -107,8 +107,7 @@ def _verify_pair(trace: PairTrace) -> VerifyReport:
         rep = GenericityReport(horizon=horizon, budget=0)
         for n, rec in enumerate(trace.conditions):
             cond = rec[name]
-            met = (stream.take(cond.length) == cond
-                   and trace.family[n].member(cond))
+            met = stream.starts_with(cond) and trace.family[n].member(cond)
             rep.results.append(SetResult(n, met, cond if met else None))
         return rep.all_met, rep.summary()
 
@@ -152,7 +151,7 @@ def _verify_many(trace: ManyTrace) -> VerifyReport:
             lengths = records[(s + 1) * trace.k - 1]["lengths"]
             for i, stream in enumerate(streams):
                 cond = rec[str(i)]
-                if cond.length != lengths[i] or stream.take(lengths[i]) != cond:
+                if cond.length != lengths[i] or not stream.starts_with(cond):
                     return False, (f"stage {s} stream {i}: condition is not "
                                    f"its {lengths[i]}-bit prefix")
         spaced = all(b >= a + 2 for a, b in zip(trace.boundaries,

@@ -1,12 +1,14 @@
 """The benchmark's correctness gates, run from the tier-1 suite.
 
-`bench/run.py --workload plane --seconds 0 --pool-cycles 2` builds, writes
-and verifies the 10 ops of two pool cycles and compares each op's trace
-bytes with `bench/digests.json`; `"correct": true` means every op passed
-and every digest matched. A traced run (`--trace 1`) is correct only when,
-in addition, every layer span the benchmark expects for the workload was
-entered, so a refactor that empties one shows up here. The runs only read
-`bench/` and remove their working directory on exit.
+`bench/run.py --workload W --seconds 0 --pool-cycles 2` builds, writes and
+verifies the 10 ops of two pool cycles and compares each op's trace bytes
+with `bench/digests.json`; `"correct": true` means every op passed and
+every digest matched. It runs for `plane` (chain-bound and generic-plane
+traces) and `cohen` (pair and many traces up to 192 stages). A traced run
+(`--trace 1`) is correct only when, in addition, every layer span the
+benchmark expects for the workload was entered, so a refactor that empties
+one shows up here. The runs only read `bench/` and remove their working
+directory on exit.
 """
 
 import json
@@ -27,10 +29,18 @@ def _bench(*args):
     return json.loads(run.stdout.strip().splitlines()[-1])
 
 
-def test_plane_workload_trace_bytes_match_recorded_digests():
-    result = _bench("--workload", "plane", "--pool-cycles", "2")
+def _check_digests(workload):
+    result = _bench("--workload", workload, "--pool-cycles", "2")
     assert result["correct"] is True, result
     assert result["attempted"] == 10 and result["failed"] == 0, result
+
+
+def test_plane_workload_trace_bytes_match_recorded_digests():
+    _check_digests("plane")
+
+
+def test_cohen_workload_trace_bytes_match_recorded_digests():
+    _check_digests("cohen")
 
 
 @pytest.mark.parametrize("workload", ["cohen", "wide", "plane"])

@@ -219,10 +219,12 @@ def _length_pool():
     """Run lengths: small ints, an int just past the bound below which an
     int compares with a Nat, and distinct interned Nats, two of them sums
     holding another as a child. Built per example, so no node outlives the
-    test."""
-    a, b = nat_pow2(5000), nat_pow2(5001)
-    return (1, 2, 3, 5, 1 << 4050, a, b, nat_add(a, 3), nat_add(a, b),
-            nat_mul_pow2(3, 5000))
+    test. Each is set by the towers module's limits: at LIMIT_BITS = 4096,
+    the int is 2^4050 and the Nats are built on 2^5000 and 2^5001."""
+    top = towers.LIMIT_BITS + 904
+    a, b = nat_pow2(top), nat_pow2(top + 1)
+    return (1, 2, 3, 5, towers._SMALL_CMP_BOUND << 50, a, b, nat_add(a, 3),
+            nat_add(a, b), nat_mul_pow2(3, top))
 
 
 run_specs = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9)),
@@ -242,6 +244,25 @@ def test_run_prefix_compare_matches_the_run_walk(specs, cut, part, edits):
     one: a smaller int or another pool length), then edited. strip_prefix
     agrees with the walk, except that where the walk raised AmbiguousNat
     before other's last run, the tuple compare finds the runs unequal."""
+    _check_run_prefix_compare(specs, cut, part, edits)
+
+
+LOW_LIMIT = 160
+
+
+@given(run_specs, st.integers(0, 99), st.integers(0, 9), prefix_edits)
+def test_run_prefix_compare_matches_the_run_walk_at_a_lowered_limit(
+        specs, cut, part, edits):
+    """The run walk differential at LIMIT_BITS = 160, `_SMALL_CMP_BOUND`
+    set by its formula, and the length pool by both: its int is 2^114 and
+    its Nats are built on 2^1064 and 2^1065."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(towers, "LIMIT_BITS", LOW_LIMIT)
+        mp.setattr(towers, "_SMALL_CMP_BOUND", 1 << (LOW_LIMIT - 96))
+        _check_run_prefix_compare(specs, cut, part, edits)
+
+
+def _check_run_prefix_compare(specs, cut, part, edits):
     pool = _length_pool()
     s = BitString([(b, pool[i]) for b, i in specs] + [(1, pool[5])])
     assert s._runs is not None
@@ -608,6 +629,32 @@ def test_cached_reads_agree_with_a_fresh_stream(prefix, tail, patch, reads):
         assert s.take01(top) == "".join(
             str(reference_bit(prefix, tail, own_patch, i)) for i in range(top))
         assert s.to_json() == before
+
+
+@given(bit_texts, tails, patches, reads, st.data())
+def test_prefix_tests_and_marker_finds_answer_as_slices_do(
+        prefix, tail, patch, reads, data):
+    """After any reads, `starts_with(s)` answers `take(s.length) == s` and
+    `find_one(start, stop)` answers `take01(stop).find("1", start)`, of a
+    fresh stream, for s the stream's own prefix, that prefix with a bit
+    flipped or with one bit past it, or random text."""
+    for own_patch in ({}, patch):
+        def fresh():
+            plain = BitStream.from_prefix(prefix, tail)
+            return PatchedStream(plain, own_patch) if own_patch else plain
+
+        s = fresh()
+        for op, n in reads:
+            getattr(s, op)(n)
+        text = fresh().take01(data.draw(st.integers(0, 80)))
+        at = data.draw(st.integers(0, 80))
+        cond = BitString.from01(data.draw(st.sampled_from([
+            text, text[:at] + "10"[int(text[at])] + text[at + 1:]
+            if at < len(text) else text + "1", text + "1", "1" + text])))
+        assert s.starts_with(cond) == (fresh().take(cond.length) == cond)
+        start = data.draw(st.integers(0, 80))
+        stop = start + data.draw(st.integers(1, 40))
+        assert s.find_one(start, stop) == fresh().take01(stop).find("1", start)
 
 
 def test_prng_tail_bits_are_hashed_once_per_stream():

@@ -3,13 +3,18 @@ writer's bytes against `json.dumps(indent=2, sort_keys=True)`."""
 
 import copy
 import dataclasses
+import io
 import json
 import math
+import os
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,10 +23,12 @@ from forcing_lab import bits as bits_module
 from forcing_lab import trace as trace_module
 from forcing_lab.bits import (BitStream, BitString, PayloadSource,
                               chain_from_json, chain_to_json)
+from forcing_lab.cli import ENV_SEED, main
 from forcing_lab.closure import bound_chain, build_generics_run
 from forcing_lab.dense import (min_length_family, mixed_cohen_family,
                                mixed_plane_family)
 from forcing_lab.entangle import entangle_many, entangle_pair
+from forcing_lab.errors import UsageError
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
 from forcing_lab.posets import cohen_poset, cohen_wide_witness
 from forcing_lab.towers import (NatTable, nat_add, nat_equal, nat_mul_pow2,
@@ -29,6 +36,8 @@ from forcing_lab.towers import (NatTable, nat_add, nat_equal, nat_mul_pow2,
 from forcing_lab.trace import _dump, load_trace, trace_from_json, write_trace
 from forcing_lab.verify import verify_trace
 from forcing_lab.wide import entangle_wide
+
+FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
 
 
 def roundtrip(tmp_path, trace, name):
@@ -535,3 +544,228 @@ def test_wide_trace_io_counts_grow_with_the_steps_not_their_square(
         "row texts", "reference texts", "rows normalized"}
     for key in small:
         assert large[key] <= 2.5 * small[key], (key, small, large)
+
+
+def _pair_io_chars(monkeypatch, stages: int) -> Counter:
+    """The characters `_dump` of a pair trace of `stages` stages escapes,
+    itself or through `json.dumps`, and those loading it checks for 0/1."""
+    trace = entangle_pair(mixed_cohen_family(stages, seed="io"),
+                          PayloadSource.from_seed("io"), stages)
+    counts = Counter()
+    escape, clean = trace_module.encode_basestring_ascii, bits_module._CLEAN01
+
+    def counted_escape(text):
+        counts["escaped"] += len(text)
+        return escape(text)
+
+    def counted_dumps(value, **kwargs):
+        text = json.dumps(value, **kwargs)
+        counts["escaped"] += len(text)
+        return text
+
+    def counted_fullmatch(text, pos=0):
+        counts["checked"] += len(text) - pos
+        return clean.fullmatch(text, pos)
+
+    obj = trace.to_json()
+    monkeypatch.setattr(trace_module, "encode_basestring_ascii",
+                        counted_escape)
+    monkeypatch.setattr(trace_module, "json",
+                        SimpleNamespace(dumps=counted_dumps))
+    text = _dump(obj)
+    monkeypatch.undo()
+    monkeypatch.setattr(bits_module, "_CLEAN01",
+                        SimpleNamespace(fullmatch=counted_fullmatch))
+    again = trace_from_json(json.loads(text))
+    monkeypatch.undo()
+    assert again.conditions == trace.conditions
+    assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return counts
+
+
+def test_pair_trace_io_chars_grow_with_the_stages_not_their_square(
+        monkeypatch):
+    """From 64 to 192 stages the characters the writer escapes and the
+    loader checks grow about 3x: each stage's 0/1 text is written with no
+    escape, and checked only past its stream's text at the stage before.
+    Escaped and checked whole, they grew about 9x, as the text does."""
+    small = _pair_io_chars(monkeypatch, 64)
+    large = _pair_io_chars(monkeypatch, 192)
+    assert small.keys() == large.keys() == {"escaped", "checked"}
+    for key in small:
+        assert large[key] <= 3.5 * small[key], (key, small, large)
+
+
+@pytest.mark.parametrize("make", [pair_trace, many_trace])
+def test_pair_and_many_traces_dump_through_json_with_no_hook(make):
+    """The condition records the writer marks are still a list of dicts
+    of strs to `json`."""
+    obj = make().to_json()
+    assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == _dump(obj)
+    assert json.loads(json.dumps(obj)) == json.loads(_dump(obj))
+
+
+def _decode_each_text(cls, obj, values):
+    """`_StringsTrace._decode` as it read every condition's text whole."""
+    conds, names = values["conditions"], set(values["streams"])
+    if not all(isinstance(rec, dict) and set(rec) == names
+               for rec in conds):
+        raise UsageError(f"{cls.kind} trace conditions must be objects "
+                         f"keyed by the stream names")
+    values["conditions"] = [{name: BitString.from01(text)
+                             for name, text in rec.items()} for rec in conds]
+
+
+@st.composite
+def _stage_texts(draw, names) -> list:
+    """Condition records whose texts each extend the stream's text at the
+    stage before by 0 to 5 bits."""
+    conds = [{} for _ in range(draw(st.integers(1, 6)))]
+    for name in names:
+        text = ""
+        for rec in conds:
+            text += draw(st.text(alphabet="01", max_size=5))
+            rec[name] = text
+    return conds
+
+
+_NOT_TEXT = st.sampled_from([0, 1, None, True, 1.5, ["0"], {"0": 1}])
+
+
+def _edit_texts(conds: list, data) -> None:
+    """One to three edits of condition records: a character replaced, a
+    text cut or extended, two texts of one stream or of two streams
+    swapped, a value that is not a str, or a record's keys reordered."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(
+            ["char", "cut", "extend", "swap_stage", "swap_stream",
+             "not_text", "reorder"]))
+        i = data.draw(st.integers(0, len(conds) - 1))
+        rec = conds[i]
+        name = data.draw(st.sampled_from(sorted(rec)))
+        text = rec[name]
+        if kind == "reorder":
+            conds[i] = dict(reversed(list(rec.items())))
+        elif kind == "not_text":
+            rec[name] = data.draw(_NOT_TEXT)
+        elif kind.startswith("swap"):
+            j = data.draw(st.integers(0, len(conds) - 1))
+            other = name if kind == "swap_stage" else data.draw(
+                st.sampled_from(sorted(conds[j])))
+            rec[name], conds[j][other] = conds[j][other], text
+        elif type(text) is not str:
+            continue
+        elif kind == "extend":
+            rec[name] = text + data.draw(st.sampled_from(
+                ["0", "00", "1", "01", "0x", "é"]))
+        elif text:
+            at = data.draw(st.integers(0, len(text) - 1))
+            rec[name] = text[:at] + (data.draw(st.sampled_from(
+                ["2", "x", " ", "é"])) + text[at + 1:] if kind == "char"
+                else "")
+
+
+def _loaded_conditions(obj):
+    """The condition records `trace_from_json` loads from `obj`, as lists
+    of (name, string, length), or the error's class and text."""
+    try:
+        conds = trace_from_json(obj).conditions
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+    return [[(name, s, s.length) for name, s in rec.items()] for rec in conds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(make=st.sampled_from([pair_trace, many_trace]), data=st.data())
+def test_stage_texts_load_as_each_text_read_whole_does(make, data):
+    """Random stage texts, edited, load from one text to the next as they
+    load each read whole by `from01`: the same strings, in the same key
+    order, or the same error class and text for the first bad text."""
+    obj = json.loads(_dump(make().to_json()))
+    names = [s["name"] for s in obj["streams"]]
+    obj["conditions"] = data.draw(_stage_texts(names))
+    if data.draw(st.booleans()):
+        _edit_texts(obj["conditions"], data)
+    got = _loaded_conditions(obj)
+    with mock.patch.object(trace_module._StringsTrace, "_decode",
+                           classmethod(_decode_each_text)):
+        assert got == _loaded_conditions(obj)
+
+
+def test_a_text_past_its_stream_text_is_checked_past_it_alone():
+    """The first bad text in record order names its first bad character,
+    wherever it lies against the text before it."""
+    obj = json.loads(_dump(pair_trace().to_json()))
+    conds = obj["conditions"]
+    conds[1]["d"] = conds[0]["d"] + "é0"
+    conds[2]["c"] = "x" + conds[2]["c"]
+    with pytest.raises(UsageError, match="invalid bitstring character 'é'"):
+        trace_from_json(obj)
+    conds[1]["d"] = conds[0]["d"]
+    with pytest.raises(UsageError, match="invalid bitstring character 'x'"):
+        trace_from_json(obj)
+
+
+def _verify_run(path: str):
+    """`verify --trace path`: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--trace", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def cli_strings_traces(tmp_path_factory):
+    """A CLI-written pair trace (mixed12, 6 stages) and many trace (k = 4,
+    product32-arity3, 3 stages), as JSON values."""
+    tmp = tmp_path_factory.mktemp("strings")
+    runs = {"pair": ["entangle-pair", "--family",
+                     str(FAMILIES / "mixed12.json"), "--payload",
+                     "bits:10110100111", "--stages", "6"],
+            "many": ["entangle-many", "--k", "4", "--family",
+                     str(FAMILIES / "product32-arity3.json"), "--payload",
+                     "bits:101101001110", "--stages", "3"]}
+    objs = {}
+    for kind, argv in runs.items():
+        path = str(tmp / f"{kind}.json")
+        with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()):
+            os.environ.pop(ENV_SEED, None)
+            assert main(argv + ["--out", path]) == 0
+        assert _verify_run(path)[0] == 0
+        objs[kind] = json.loads(Path(path).read_text())
+    return objs
+
+
+def _verify_reading_each_text_whole(path: str):
+    """`_verify_run` on the per-text reference path: the stage texts each
+    loaded whole, stream prefixes tested on `take(n)` strings, and each
+    marker found in a `take01` slice."""
+    with mock.patch.object(trace_module._StringsTrace, "_decode",
+                           classmethod(_decode_each_text)), \
+            mock.patch.object(BitStream, "starts_with",
+                              lambda self, s: self.take(s.length) == s), \
+            mock.patch.object(BitStream, "find_one",
+                              lambda self, start, stop: self.take01(
+                                  stop).find("1", start)):
+        return _verify_run(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["pair", "many"]), data=st.data())
+def test_edited_cli_traces_verify_as_each_text_read_whole_does(
+        cli_strings_traces, tmp_path_factory, kind, data):
+    """CLI-written pair and many traces whose stage texts are edited, or
+    a stream's prefix: `verify` gives the same exit code, stdout and
+    stderr as with every text read whole."""
+    obj = copy.deepcopy(cli_strings_traces[kind])
+    if data.draw(st.booleans()):
+        _edit_texts(obj["conditions"], data)
+    else:
+        stream = data.draw(st.sampled_from(obj["streams"]))
+        prefix = stream["prefix"]
+        stream["prefix"] = data.draw(st.sampled_from([
+            prefix[:-1], prefix + "1", prefix + "01",
+            "10"[int(prefix[0])] + prefix[1:]]))
+    path = str(tmp_path_factory.mktemp("edited") / "trace.json")
+    Path(path).write_text(json.dumps(obj, indent=2))
+    assert _verify_run(path) == _verify_reading_each_text_whole(path)

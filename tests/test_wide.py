@@ -264,6 +264,25 @@ def test_random_wide_families_verify_and_decode_through_the_cli(
     seeded or not, with a random payload: the trace verifies,
     decode-wide returns the payload, and `decode_wide` replays the loaded
     trace's stage records, chains and payload bits exactly."""
+    _check_wide_cli_flow(tmp_path_factory, steps, data, seed)
+
+
+@given(steps=st.integers(1, 6), data=st.data(),
+       seed=st.one_of(st.none(), st.sampled_from(["w", "s7", "é"])))
+@settings(max_examples=12, deadline=None)
+def test_random_wide_families_verify_and_decode_at_a_lowered_limit(
+        tmp_path_factory, steps, data, seed):
+    """The random CLI flows above at LIMIT_BITS = 160, `_SMALL_CMP_BOUND`
+    set by its formula: a value past 2^160 is a Nat, and an int at or
+    past 2^64 does not compare with one."""
+    low = 160
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(towers, "LIMIT_BITS", low)
+        mp.setattr(towers, "_SMALL_CMP_BOUND", 1 << (low - 96))
+        _check_wide_cli_flow(tmp_path_factory, steps, data, seed)
+
+
+def _check_wide_cli_flow(tmp_path_factory, steps, data, seed):
     sets = data.draw(st.lists(COHEN_SETS, min_size=steps + 1,
                               max_size=steps + 3))
     payload = data.draw(st.text(alphabet="01", min_size=steps,
