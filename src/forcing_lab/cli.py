@@ -133,6 +133,8 @@ def _write(args, trace) -> None:
 
 def _run(args) -> int:
     cmd = args.command
+    if getattr(args, "count", None) is not None and args.count < 0:
+        raise UsageError(f"--count must be >= 0, got {args.count}")
     if cmd == "entangle-pair":
         family = _load_family(args)
         trace = entangle_pair(family, _parse_payload(args.payload),

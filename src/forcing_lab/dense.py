@@ -538,10 +538,11 @@ def load_family_file(path) -> DenseFamily:
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read family file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"family file {path} is not valid JSON: {exc}") from exc
+    except (OSError, RecursionError, ValueError) as exc:
+        # as in `trace.load_trace`: not UTF-8, too many digits, too deep
+        raise UsageError(f"cannot read family file {path}: {exc}") from exc
     return family_from_spec(obj)
 
 

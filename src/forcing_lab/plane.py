@@ -19,13 +19,17 @@ the cells it adds rather than for the cells it holds:
   _base  a weak reference to the condition it was made from, so `leq`
          against that one is an identity test (a strong one would keep
          every intermediate condition of a build alive)
-  _rows  once the seeded fill key is asked for, each row's last column and
-         segment of `json.dumps(to_json())`; the key is their join, and a
-         derived condition appends its new cells to the rows they end,
-         rebuilding a row only when a cell lands inside it
+  _rows  each row's last column and segment of `json.dumps(to_json())`;
+         the key text (the seeded fill key, and the text the trace writer
+         re-indents) is their join, and a derived condition appends its new
+         cells to the rows they end, rebuilding a row only when a cell
+         lands inside it
 
-None of them is part of the condition's value: a condition from
-`PlaneCondition(...)` or `from_json` starts without them and learns them.
+None of them is part of the condition's value. The empty condition starts
+with empty row segments, so every condition a build derives from it
+carries its key text, whether or not the family is seeded; a condition
+made from cells (`PlaneCondition(cells)`, `from_json`, `from_rows`, a
+corner) starts without them and learns them when its key text is asked for.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class PlaneCondition:
 
     def __init__(self, cells: Optional[Dict[Cell, int]] = None):
         self.cells = MappingProxyType(dict(cells or {}))
-        self._side, self._base, self._rows = 0, None, None
+        self._side, self._base, self._rows = 0, None, None if cells else {}
 
     @classmethod
     def _of(cls, cells: Dict[Cell, int], base: "PlaneCondition" = None,

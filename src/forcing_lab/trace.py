@@ -11,11 +11,13 @@ parses trace JSON. Serialization is deterministic (sorted keys, stable
 node ids), so identical runs give identical bytes.
 
 A trace's JSON value is `Trace.to_json()`, which leaves each plane
-condition as the object: the writer reads its cells directly instead of
-as built `[r, c, b]` lists. A wide trace's run lists (`bits.RunRows`) and
-`nats` table (`NatNodes`) are list subclasses: json writes them as the
-lists they are, and the writer writes a chain's run lists each from the
-text of the one before it, and the table from one template per node op.
+condition as the object: the writer re-indents the condition's key text,
+the `json.dumps` of its cell list that a built condition already holds,
+instead of building `[r, c, b]` lists. A wide trace's run lists
+(`bits.RunRows`) and `nats` table (`NatNodes`) are list subclasses: json
+writes them as the lists they are, and the writer writes a chain's run
+lists each from the text of the one before it, and the table from one
+template per node op.
 A pair or many trace's condition records are a list subclass too
 (`StageTexts`): json writes them as the list they are, and the writer
 puts each 0/1 text in its quotes with no escape pass.
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from itertools import chain, compress, filterfalse, islice, repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
@@ -70,10 +72,9 @@ def _dump(obj) -> str:
       sets, stream objects, nat nodes, nat references): one template per
       sorted key tuple.
     The values a list holds are written kind by kind, so the lists and
-    records among them are again written as one list. A plane condition's
-    cells are written from the condition itself: each distinct cell's text
-    is made once per indent and reused for the rest of the write, since
-    the conditions of a chain-bound trace share most of their cells.
+    records among them are again written as one list. A plane condition is
+    its key text re-indented (`_cells`): a condition a build derives from
+    the empty one made that text while it was built, row by row.
     Each run list of a wide chain is the text of the run list before it,
     cut before that list's last row, and the texts of its own new rows
     (`_run_rows`), and the `nats` table is filled into one template per
@@ -89,8 +90,8 @@ def _dump(obj) -> str:
 
 def _encode(obj, nl: str, memo: dict) -> str:
     """JSON text of `obj` whose every line break is `nl`, a newline and the
-    current indent; `memo` holds, for one write, the texts that `_cells`
-    and `_run_rows` reuse."""
+    current indent; `memo` holds, for one write, the texts that `_run_rows`
+    reuses."""
     t = type(obj)
     if obj is None:
         return "null"
@@ -108,7 +109,7 @@ def _encode(obj, nl: str, memo: dict) -> str:
         return _record_template(keys, inner, nl) % tuple(
             _texts(list(map(obj.__getitem__, keys)), inner, memo))
     if t is PlaneCondition:
-        return _cells(obj, nl, memo)
+        return _cells(obj, nl)
     if t is RunRows:
         return _run_rows(obj, nl, memo)
     if t is NatNodes:
@@ -190,10 +191,8 @@ def _texts(values: list, nl: str, memo: dict) -> list:
                 else encode_basestring_ascii(v) if type(v) is str
                 else _encode(v, nl, memo) for v in values]
     if len(kinds) > 1:
-        # each kind written on its own, kinds in order of first appearance
-        # (a chain-bound trace's first key, `boundaries`, is a list, so its
-        # `conditions` are written before its `plane`, in chain order as
-        # `_cells` expects), the texts then put back in order
+        # each kind written on its own, kinds in order of first appearance,
+        # the texts then put back in order
         texts = {t: iter(_texts(list(compress(values, map(is_, types,
                                                           repeat(t)))),
                                 nl, memo)) for t in kinds}
@@ -205,36 +204,19 @@ def _texts(values: list, nl: str, memo: dict) -> list:
     return [_encode(v, nl, memo) for v in values]
 
 
-def _cells(p: PlaneCondition, nl: str, memo: dict) -> str:
-    """The JSON text of `p.to_json()` whose line breaks are `nl`.
-
-    `memo[nl]` holds, for one write, the bit and the text of each
-    cell seen at this indent, and those cells in sorted order. A condition
-    holding every cell seen so far, as each commitment of a chain does, is
-    written in that order with no sort of its own; one giving a seen cell
-    the other bit is written from its `to_json()`."""
+def _cells(p: PlaneCondition, nl: str) -> str:
+    """The JSON text of `p.to_json()` whose line breaks are `nl`: p's key
+    text, `json.dumps(p.to_json())`, re-indented. That text holds only
+    ints, brackets and `, `, so a `, ` inside a cell breaks one level
+    deeper than the `], [` between two cells."""
     if not p.cells:
         return "[]"
-    bits, texts, order = (memo.get(nl)
-                          or memo.setdefault(nl, ({}, {}, [])))
-    cells = p.cells
     inner = nl + "  "
-    new = sorted(filterfalse(bits.__contains__, cells))
-    if new:
-        deeper = inner + "  "
-        template = "[" + deeper + ("%d," + deeper) * 2 + "%d" + inner + "]"
-        new_bits = list(map(cells.__getitem__, new))
-        bits.update(zip(new, new_bits))
-        # one format for all the new cells; no cell text holds a NUL
-        texts.update(zip(new, ("\0".join([template] * len(new)) % tuple(
-            chain.from_iterable(map(chain, new, zip(new_bits))))).split("\0")))
-        order += new
-        order.sort()
-    if not cells.items() <= bits.items():
-        return _encode(p.to_json(), nl, memo)
-    keys = order if len(order) == len(cells) else sorted(cells)
-    return "[" + inner + ("," + inner).join(map(texts.__getitem__, keys)) \
-        + nl + "]"
+    deeper = inner + "  "
+    return ("[" + inner + "[" + deeper + p.key_text()[2:-2]
+            .replace("], [", "\0").replace(", ", "," + deeper)
+            .replace("\0", inner + "]," + inner + "[" + deeper)
+            + inner + "]" + nl + "]")
 
 
 def _run_rows(rows: RunRows, nl: str, memo: dict) -> str:
@@ -344,11 +326,14 @@ def _ref_texts(values: list, nl: str, memo: dict) -> dict:
 
 
 def write_trace(path, trace) -> None:
-    text = _dump(trace.to_json())
+    """Write the trace file; the text is made before the file is opened,
+    so a value `_dump` cannot write (one nested past Python's recursion
+    limit, say) leaves the file as it was."""
     try:
+        text = _dump(trace.to_json())
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
-    except OSError as exc:
+    except (OSError, RecursionError) as exc:
         raise UsageError(f"cannot write trace {path}: {exc}") from exc
 
 
@@ -356,10 +341,12 @@ def load_trace(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read trace {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"trace {path} is not valid JSON: {exc}") from exc
+    except (OSError, RecursionError, ValueError) as exc:
+        # ValueError: bytes that are not UTF-8, or an int past Python's
+        # digit limit; RecursionError: values nested past json's depth
+        raise UsageError(f"cannot read trace {path}: {exc}") from exc
     return trace_from_json(obj)
 
 

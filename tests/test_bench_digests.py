@@ -4,7 +4,9 @@
 verifies the 10 ops of two pool cycles and compares each op's trace bytes
 with `bench/digests.json`; `"correct": true` means every op passed and
 every digest matched. It runs for `plane` (chain-bound and generic-plane
-traces) and `cohen` (pair and many traces up to 192 stages). A traced run
+traces), `cohen` (pair and many traces up to 192 stages) and `wide` (wide
+traces, two of them of 40 steps, whose chains the writer writes each run
+list from the one before). A traced run
 (`--trace 1`) is correct only when, in addition, every layer span the
 benchmark expects for the workload was entered, so a refactor that empties
 one shows up here. The runs only read `bench/` and remove their working
@@ -41,6 +43,10 @@ def test_plane_workload_trace_bytes_match_recorded_digests():
 
 def test_cohen_workload_trace_bytes_match_recorded_digests():
     _check_digests("cohen")
+
+
+def test_wide_workload_trace_bytes_match_recorded_digests():
+    _check_digests("wide")
 
 
 @pytest.mark.parametrize("workload", ["cohen", "wide", "plane"])

@@ -1042,6 +1042,63 @@ def _case_out_in_missing_directory(tmp_path, fam, plane):
             "--stages", "2", "--out", str(tmp_path / "missing" / "t.json")]
 
 
+_TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
+def _case_verify_trace_nested_too_deep(tmp_path, fam, plane):
+    return ["verify", "--trace", _not_utf8(tmp_path, "t.json", _TOO_DEEP)]
+
+
+def _case_verify_payload_bit_of_5000_digits(tmp_path, fam, plane):
+    path = _pair_trace(tmp_path, fam)
+    path.write_text(path.read_text().replace(
+        '"payload_bits": [\n    1', '"payload_bits": [\n    ' + "1" * 5000, 1))
+    assert "1" * 5000 in path.read_text()
+    return ["verify", "--trace", str(path)]
+
+
+def _case_pair_family_nested_too_deep(tmp_path, fam, plane):
+    return ["entangle-pair", "--family",
+            _not_utf8(tmp_path, "fam.json", _TOO_DEEP),
+            "--payload", "seed:x", "--stages", "2"]
+
+
+def _case_many_family_int_of_5000_digits(tmp_path, fam, plane):
+    family = _not_utf8(tmp_path, "fam.json", (
+        '{"carrier": "product", "arity": %s, "sets": []}'
+        % ("2" * 5000)).encode())
+    return ["entangle-many", "--k", "2", "--family", family,
+            "--payload", "seed:x", "--stages", "2"]
+
+
+def _case_out_of_a_seed_nested_600_deep(tmp_path, fam, plane):
+    """json reads a family whose seed nests 600 lists deep, and the run
+    prints its summary, but the trace writer cannot write the seed."""
+    seed = []
+    for _ in range(599):
+        seed = [seed]
+    family = tmp_path / "deep.json"
+    family.write_text(json.dumps({**json.loads(Path(fam).read_text()),
+                                  "seed": seed}))
+    return ["entangle-pair", "--family", str(family), "--payload", "seed:x",
+            "--stages", "2", "--out", str(tmp_path / "t.json")]
+
+
+def _case_decode_pair_count_negative(tmp_path, fam, plane):
+    path = _bit_file(tmp_path)
+    return ["decode-pair", "--c", path, "--d", path, "--count", "-1"]
+
+
+def _case_decode_many_count_negative(tmp_path, fam, plane):
+    path = _bit_file(tmp_path)
+    return ["decode-many", "--streams", path, path, "--count", "-2"]
+
+
+def _case_decode_wide_count_negative(tmp_path, fam, plane):
+    return ["decode-wide", "--trace", str(_wide_trace(tmp_path, fam)),
+            "--count", "-3"]
+
+
 def _many_k(k):
     """A many-trace edit to k streams, keeping streams 0..k-1 and their
     conditions; with no stream left, the stages and the fields derived
@@ -1191,6 +1248,11 @@ def _case_chain_plane_row_00(tmp_path, fam, plane):
     _case_wide_run_row_nat_ref_extra_key,
     _case_wide_stage_alpha_nat_ref_extra_key,
     _case_wide_add_node_arg_nat_ref_extra_key,
+    _case_verify_trace_nested_too_deep,
+    _case_verify_payload_bit_of_5000_digits,
+    _case_pair_family_nested_too_deep, _case_many_family_int_of_5000_digits,
+    _case_out_of_a_seed_nested_600_deep, _case_decode_pair_count_negative,
+    _case_decode_many_count_negative, _case_decode_wide_count_negative,
 ], ids=lambda f: f.__name__[len("_case_"):])
 def test_malformed_input_is_one_line_usage_error(tmp_path, len_family,
                                                  plane_family, case, capsys):

@@ -20,13 +20,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forcing_lab import bits as bits_module
+from forcing_lab import cli
+from forcing_lab import plane as plane_module
 from forcing_lab import trace as trace_module
 from forcing_lab.bits import (BitStream, BitString, PayloadSource,
                               chain_from_json, chain_to_json)
 from forcing_lab.cli import ENV_SEED, main
 from forcing_lab.closure import bound_chain, build_generics_run
-from forcing_lab.dense import (min_length_family, mixed_cohen_family,
-                               mixed_plane_family)
+from forcing_lab.dense import (family_from_spec, min_length_family,
+                               mixed_cohen_family, mixed_plane_family)
 from forcing_lab.entangle import entangle_many, entangle_pair
 from forcing_lab.errors import UsageError
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
@@ -341,21 +343,120 @@ def test_plane_writer_bytes_match_stdlib_json(conditions, commitments, data):
         assert _dump(obj) == stdlib_dump(obj)
 
 
+_PLANE_SETS = st.lists(st.just({"type": "square"}) | st.builds(
+    lambda row: {"type": "cell", "row": row}, st.integers(0, 4)),
+    min_size=1, max_size=8)
+
+
+def _rectangle(p: PlaneCondition, rows, start: int, width: int, bits):
+    """A `from_rows` rectangle over `rows`, columns start.., compatible
+    with p: p's bit where p sets the cell, else one of `bits`."""
+    return PlaneCondition.from_rows(
+        {r: "".join(str(p.cells.get((r, c), next(bits)))
+                    for c in range(start, start + width)) for r in rows},
+        start)
+
+
+@st.composite
+def _built_conditions(draw):
+    """Plane conditions made as the program makes them: a seeded or
+    unseeded family's square and cell densifiers applied from the empty
+    condition, merged with `from_rows` rectangles (the last one from
+    column 0 on a row with cells, so it may land left of the row's last
+    column and its text is rebuilt), and conditions made from cells by
+    `PlaneCondition(cells)` and `from_json`."""
+    family = family_from_spec({
+        "carrier": "plane", "sets": draw(_PLANE_SETS),
+        "seed": draw(st.none() | st.sampled_from(["k", "\u00e9"]))})
+    bits = iter(draw(st.lists(st.sampled_from("01"), min_size=64,
+                              max_size=64)) * 4)
+    p, conds = PlaneCondition.empty(), []
+    for n in range(len(family)):
+        if draw(st.booleans()):
+            p = merge_conditions(p, _rectangle(
+                p, draw(st.sets(st.integers(0, 5), max_size=3)),
+                draw(st.integers(0, 8)), draw(st.integers(1, 4)), bits))
+        p = family.densify(n, p)
+        conds.append(p)
+    row = max((r for r, _ in p.cells), default=0)
+    conds.append(merge_conditions(p, _rectangle(
+        p, [row], 0, max(p.row_cells(row), default=0) + 1, bits)))
+    cells = draw(_PLANE_CELLS)
+    conds += [cells, PlaneCondition.from_json(cells.to_json()),
+              PlaneCondition.from_json(p.to_json())]
+    return conds
+
+
+@settings(max_examples=100, deadline=None)
+@given(_built_conditions())
+def test_built_plane_conditions_are_written_from_their_key_text(conds):
+    """Each condition's key text is the json of its cells, and the writer,
+    which re-indents that text, writes values holding the conditions as
+    json does: at the top, in lists, beside other values, and in a
+    chain-bound trace's shape."""
+    rebuilt = merge_conditions(
+        mixed_plane_family(4).densify(2, PlaneCondition.empty()),
+        PlaneCondition.from_rows({0: "01"}))  # left of the cell at (0, 2)
+    for p in conds + [rebuilt]:
+        assert p.key_text() == json.dumps(p.to_json())
+    values = [conds, conds[-1], [conds, 0, "x", None],
+              {"conditions": conds, "plane": {"commitments": conds[-1]},
+               "boundaries": []}]
+    for value in values:
+        assert _dump(value) == stdlib_dump(value)
+
+
+def test_writing_a_built_plane_trace_makes_no_row_text(tmp_path, monkeypatch):
+    """Every commitment of a CLI-built chain-bound or generic-plane trace
+    made its key text while it was built, unseeded family or not, so
+    writing the trace makes none: no `plane._grow_rows` call."""
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    grow, write = plane_module._grow_rows, cli.write_trace
+    calls, writes = [], []
+
+    def counted_write(path, trace):
+        writes.append(trace.kind)
+        with mock.patch.object(plane_module, "_grow_rows",
+                               lambda *args: calls.append(args)
+                               or grow(*args)):
+            write(path, trace)
+
+    monkeypatch.setattr(cli, "write_trace", counted_write)
+    family = str(FAMILIES / "plane-mixed12.json")
+    for argv in (["bound-chain", "--rows", "2"],
+                 ["build-generics", "--rows", "2", "--horizon", "12"]):
+        out = tmp_path / f"{argv[0]}.json"
+        with redirect_stdout(io.StringIO()):
+            assert main(argv + ["--family", family, "--out", str(out)]) == 0
+    assert writes == ["chain-bound", "generic-plane"] and calls == []
+
+
 def _raise_value_error():
     raise ValueError("no JSON for this trace")
 
 
-@pytest.mark.parametrize("to_json, error", [
-    (_raise_value_error, ValueError), (lambda: {"seed": {1, 2}}, TypeError)],
-    ids=["to_json-raises", "unencodable-value"])
-def test_failed_write_keeps_the_previous_file(tmp_path, to_json, error):
+def _nested_600_deep():
+    seed = []
+    for _ in range(599):
+        seed = [seed]
+    assert json.loads(json.dumps(seed)) == seed  # json reads and writes it
+    return {"seed": seed}
+
+
+@pytest.mark.parametrize("to_json, error, match", [
+    (_raise_value_error, ValueError, "no JSON"),
+    (lambda: {"seed": {1, 2}}, TypeError, "not JSON serializable"),
+    (_nested_600_deep, UsageError, "cannot write trace .*trace.json: ")],
+    ids=["to_json-raises", "unencodable-value", "nested-600-deep"])
+def test_failed_write_keeps_the_previous_file(tmp_path, to_json, error,
+                                              match):
     """`write_trace` writes a trace's `to_json()`; a stand-in whose hook
-    raises, or returns a value JSON cannot hold, leaves the file as it
-    was."""
+    raises, or returns a value JSON cannot hold or the writer cannot nest
+    so deep (a usage error naming the path), leaves the file as it was."""
     path = tmp_path / "trace.json"
     write_trace(path, pair_trace())
     before = path.read_bytes()
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         write_trace(path, SimpleNamespace(to_json=to_json))
     assert path.read_bytes() == before
 
