@@ -196,10 +196,8 @@ class BitString:
                 if i < l:
                     return b
                 i -= l
-            elif nat_less(i, l):
+            elif nat_less(i, l):  # True, or AmbiguousNat for an i this large
                 return b
-            else:
-                i = i - nat_to_int(l)
         raise IndexError("bit index beyond string length")
 
     def append_run(self, bit: int, length: NatLike) -> "BitString":
@@ -692,9 +690,14 @@ class PayloadSource:
 
     @classmethod
     def from_bits(cls, bits) -> "PayloadSource":
-        if isinstance(bits, str):
-            bits = [int(c) for c in bits if c in "01"]
-        return cls({"kind": "bits", "bits": "".join(map(str, bits))}, bits=bits)
+        """A finite source of `bits`: a str of `0` and `1` only, or a list
+        of the ints 0 and 1 only (a bool is not a bit); anything else is a
+        usage error."""
+        if isinstance(bits, list) and all(map(_is_bit, bits)):
+            bits = "".join(map(str, bits))
+        if not isinstance(bits, str) or bits.strip("01"):
+            raise UsageError(f"bits payload source {bits!r} is not binary")
+        return cls({"kind": "bits", "bits": bits}, bits=list(map(int, bits)))
 
     @classmethod
     def from_hex(cls, hexstr: str) -> "PayloadSource":
@@ -758,9 +761,6 @@ class PayloadSource:
                                  f"{_MATERIALIZE_LIMIT} bits")
             return cls.from_hex(obj["hex"])
         if kind == "bits":
-            if obj["bits"].strip("01"):
-                raise UsageError(f"bits payload source {obj['bits']!r} is "
-                                 f"not binary")
             return cls.from_bits(obj["bits"])
         if kind == "seed":
             if obj["algo"] != PrngTail.algo:

@@ -29,6 +29,7 @@ that surfaces honestly as RetryBudgetExceeded.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Sequence
 
 from .bits import BitStream, PatchedStream
@@ -160,7 +161,8 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     and at or past its reveal (the merged condition holds those rows'
     columns below it), commitments in their sets, the commitment chain
     descending, the last (so every) commitment contained in the plane,
-    every patch cell being a cell of the last commitment, each row d_k
+    the plane's fill seed being the trace's seed as JSON text, every
+    patch cell being a cell of the last commitment, each row d_k
     being the plane's row k and b_k patched at exactly its recorded patch
     (so the plane's row equals b_k off the patch at every column), and the
     plane meeting the family. Which cells clashed is read as given.
@@ -192,6 +194,11 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
         return not bad, f"chain breaks at: {bad}" if bad else ""
 
     def rows_preserved():
+        # compared as JSON text, as the fill rule reads the seed's text: a
+        # true is not a 1 (an in-memory run's seed need not be JSON)
+        if not (plane.fill_seed is trace.seed
+                or json.dumps(plane.fill_seed) == json.dumps(trace.seed)):
+            return False, "the plane's fill_seed is not the trace's seed"
         top = chain[-1] if chain else PlaneCondition.empty()
         stray = [(k, col) for k, cols in sorted(trace.patches.items())
                  for col, bit in sorted(cols.items())

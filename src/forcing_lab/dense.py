@@ -51,8 +51,7 @@ from .bits import BitString, derive_seed, prng_bit
 from .errors import (AmbiguousNat, CheckFailure, EmptyFamily, FamilyTooSmall,
                      UsageError)
 from .plane import PlaneCondition
-from .towers import (is_huge, nat_add, nat_equal, nat_le, nat_less,
-                     nat_parity, nat_sub)
+from .towers import nat_add, nat_le, nat_less, nat_parity, nat_sub
 
 CARRIER_COHEN = "cohen"
 CARRIER_PRODUCT = "product"
@@ -160,6 +159,14 @@ class DenseFamily:
 
 
 # --- structural word search (exact also on run-compressed huge strings) ---
+#
+# On a run list, a w-bit word is searched for in the text of the runs each
+# capped at w bits. A run lying inside a w-bit match holds at most w - 2
+# of its bits, so capping neither loses nor makes an occurrence, and it
+# keeps their order: the last occurrence in the capped text starts in the
+# run where the last true one does, and as late in it as any. Two strings
+# agree up to their first differing run, compared as (bit, length) pairs,
+# so a first difference is decided there alone.
 
 def _text(s: BitString) -> Optional[str]:
     """The 0/1 text of s if s is stored as text, else None."""
@@ -170,84 +177,60 @@ def _text(s: BitString) -> Optional[str]:
 
 
 def contains_word_at_or_after(s: BitString, word: str, minpos: int) -> bool:
-    """Does `word` occur in s starting at some index >= minpos?"""
+    """Does `word` occur in s starting at some index >= minpos?
+
+    On a run list the last occurrence in the text of the runs capped at
+    w = len(word) bits decides: its latest true start is the end of the
+    run it starts in minus min(bits of the match in that run, w), which
+    are the match's bits in that run's capped text. minpos is a set
+    index, far below `towers._SMALL_CMP_BOUND`, so that start is compared
+    with it exactly, never ambiguously."""
     w = len(word)
     if w == 0:
         return True
     text = _text(s)
     if text is not None:
         return text.find(word, minpos) != -1
-    # Compress each run to at most w bits; occurrences survive compression
-    # provided no interior run of the match was shortened, which is checked.
-    blocks = []  # (bit, true_start, true_len, sprime_start, trunc_len)
-    sprime = []
-    pos = 0
-    spos = 0
+    capped, cends, ends = [], [], []
+    cend = end = 0
     for bit, length in s.runs:
-        trunc = length if (not is_huge(length) and length <= w) else w
-        blocks.append((bit, pos, length, spos, trunc))
-        sprime.append(str(bit) * trunc)
-        pos = nat_add(pos, length)
-        spos += trunc
-    text = "".join(sprime)
-    starts = [b[3] for b in blocks]
-    hit = text.find(word)
-    while hit != -1:
-        i = _block_at(starts, hit)
-        j = _block_at(starts, hit + w - 1)
-        ok = True
-        for k in range(i + 1, j):
-            bit, _, length, _, trunc = blocks[k]
-            if is_huge(length) or length > trunc:
-                ok = False
-                break
-        if ok:
-            if i == j:
-                _, tstart, tlen, _, _ = blocks[i]
-                anchor = nat_sub(nat_add(tstart, tlen), w)
-            else:
-                _, tstart, tlen, sstart, trunc = blocks[i]
-                d = (sstart + trunc) - hit
-                anchor = nat_sub(nat_add(tstart, tlen), d)
-            if nat_le(minpos, anchor):
-                return True
-        hit = text.find(word, hit + 1)
-    return False
-
-
-def _block_at(starts, pos):
-    return bisect.bisect_right(starts, pos) - 1
+        n = length if type(length) is int and length < w else w
+        capped.append(str(bit) * n)
+        cend += n
+        end = nat_add(end, length)
+        cends.append(cend)
+        ends.append(end)
+    hit = "".join(capped).rfind(word)
+    if hit == -1:
+        return False
+    i = bisect.bisect_right(cends, hit)
+    return nat_le(minpos, nat_sub(ends[i], cends[i] - hit))
 
 
 def first_difference(a: BitString, b: BitString):
-    """First position below both lengths where the strings disagree."""
+    """First position below both lengths where the strings disagree.
+
+    On run lists the equal leading runs are skipped, and the first run
+    that differs answers: its start if the bits differ; else its start
+    plus the shorter length, or None if the string with the shorter run
+    ends there. Ordering two distinct symbolic lengths raises
+    AmbiguousNat."""
     ta, tb = _text(a), _text(b)
     if ta is not None and tb is not None:
         n = min(len(ta), len(tb))
         if ta[:n] == tb[:n]:
             return None
         return n - (int(ta[:n], 2) ^ int(tb[:n], 2)).bit_length()
-    ra, rb = list(a.runs), list(b.runs)
-    i = j = 0
-    la = ra[0][1] if ra else 0
-    lb = rb[0][1] if rb else 0
+    ra, rb = a.runs, b.runs
     pos = 0
-    while i < len(ra) and j < len(rb):
-        if ra[i][0] != rb[j][0]:
-            return pos
-        if nat_le(la, lb):
-            step = la
-        else:
-            step = lb
-        pos = nat_add(pos, step)
-        la = nat_sub(la, step)
-        lb = nat_sub(lb, step)
-        if nat_equal(la, 0):
-            i += 1
-            la = ra[i][1] if i < len(ra) else 0
-        if nat_equal(lb, 0):
-            j += 1
-            lb = rb[j][1] if j < len(rb) else 0
+    for k, (run_a, run_b) in enumerate(zip(ra, rb)):
+        if run_a != run_b:
+            (bit_a, la), (bit_b, lb) = run_a, run_b
+            if bit_a != bit_b:
+                return pos
+            shorter, runs = (la, ra) if nat_le(la, lb) else (lb, rb)
+            return nat_add(pos, shorter) if k + 1 < len(runs) else None
+        pos = nat_add(pos, run_a[1])
     return None
 
 

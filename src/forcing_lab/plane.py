@@ -42,7 +42,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, ConstTail,
                    PrngTail, _is_nat_text, derive_seed, stream_from_json)
-from .errors import IncompatibleConditions, UsageError
+from .errors import CheckFailure, IncompatibleConditions, UsageError
 
 Cell = Tuple[int, int]
 
@@ -259,11 +259,16 @@ class GenericPlane:
 
         A corner larger than the last one it made copies that one's cells
         and reads only its border from the rows; a smaller one is built
-        afresh, and the same k gives the same object."""
+        afresh, and the same k gives the same object. A corner of more than
+        _MATERIALIZE_LIMIT cells raises CheckFailure before it is built."""
         last, last_k = PlaneCondition.empty(), 0
 
         def corner(k: int) -> PlaneCondition:
             nonlocal last, last_k
+            if k * k > _MATERIALIZE_LIMIT:
+                raise CheckFailure(f"a corner of side {k} holds {k * k} "
+                                   f"cells, past the cap of "
+                                   f"{_MATERIALIZE_LIMIT}")
             if k < last_k:
                 return self.restriction(k)
             if k > last_k:

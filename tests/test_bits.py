@@ -12,9 +12,13 @@ from forcing_lab import bits, towers
 from forcing_lab.bits import (BitStream, BitString, ConstTail, PatchedStream,
                               PayloadSource, PrngTail, read_bit_file,
                               stream_from_json, write_bit_file)
+from forcing_lab.dense import min_length_family
+from forcing_lab.entangle import entangle_pair
 from forcing_lab.errors import AmbiguousNat, PayloadExhausted, UsageError
+from forcing_lab.posets import cohen_poset, cohen_wide_witness
 from forcing_lab.towers import (NatTable, is_huge, nat_add, nat_equal, nat_le,
                                 nat_mul_pow2, nat_pow2, nat_sub)
+from forcing_lab.wide import entangle_wide
 
 bit_texts = st.text(alphabet="01", max_size=40)
 
@@ -704,10 +708,13 @@ def test_payload_source_descriptions_draw_the_same_bits(tmp_path):
 
 
 def test_payload_sources():
-    fin = PayloadSource.from_bits("101")
-    assert [fin.next_bit() for _ in range(3)] == [1, 0, 1]
-    with pytest.raises(PayloadExhausted):
-        fin.next_bit()
+    for payload in ("101", [1, 0, 1], "", []):
+        fin = PayloadSource.from_bits(payload)
+        want = "".join(map(str, payload))
+        assert fin.description == {"kind": "bits", "bits": want}
+        assert [fin.next_bit() for _ in want] == list(map(int, want))
+        with pytest.raises(PayloadExhausted):
+            fin.next_bit()
 
     hexed = PayloadSource.from_hex("ff")
     got = [hexed.next_bit() for _ in range(10)]
@@ -719,6 +726,25 @@ def test_payload_sources():
 
     with pytest.raises(UsageError):
         PayloadSource.from_hex("zz")
+
+
+@pytest.mark.parametrize("payload", ["1x0 1", "10 1", "2", "0b1", "\u0661",
+                                     [1, 0, 2], [1, True], [False], [1.0],
+                                     ["1"], [None]])
+def test_a_non_binary_payload_is_a_usage_error_before_any_bit_is_drawn(
+        payload):
+    """A str payload holds only `0` and `1`, and a list payload only the
+    ints 0 and 1; nothing else is dropped or coerced into a bit."""
+    with pytest.raises(UsageError, match="is not binary"):
+        PayloadSource.from_bits(payload)
+    runs = [lambda: entangle_pair(min_length_family(3), payload, 2),
+            lambda: entangle_wide(cohen_poset(), cohen_wide_witness(),
+                                  min_length_family(4), payload, 3)]
+    for run in runs:
+        with mock.patch.object(PayloadSource, "next_bit",
+                               side_effect=AssertionError("drew a bit")), \
+                pytest.raises(UsageError, match="is not binary"):
+            run()
 
 
 def test_bit_files(tmp_path):

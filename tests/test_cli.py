@@ -1295,6 +1295,15 @@ FAILING_EDITS = {
             lambda stages: stages[2].pop("committed_cells")),
         "FAIL chain-commitments-in-sets: stage records disagree with the "
         "chain at: [2]"),
+    "chain_plane_fill_seed_other": (
+        "chain", lambda obj: obj["plane"].update(fill_seed="other"),
+        "FAIL chain-rows-preserved-off-patches: the plane's fill_seed is not "
+        "the trace's seed"),
+    "chain_plane_fill_seed_true_for_seed_1": (
+        "chain", lambda obj: (obj.update(seed=1),
+                              obj["plane"].update(fill_seed=True)),
+        "FAIL chain-rows-preserved-off-patches: the plane's fill_seed is not "
+        "the trace's seed"),
     "many_family_arity_4": (
         "many", _family_edit(lambda fam: fam.update(arity=4)),
         "FAIL many-subtuples-generic: family arity 4, but each subtuple "
@@ -1327,6 +1336,38 @@ def test_edits_that_fail_verify_name_their_fault(tmp_path, len_family,
     assert line in lines
     assert [ln for ln in lines if ln.startswith("FAIL ")] == [line]
     assert not [ln for ln in lines if "exception:" in ln]
+
+
+@pytest.mark.parametrize("kind", ["generic-plane", "chain-bound"])
+@pytest.mark.parametrize("row", [300, 3000])
+def test_a_cell_set_far_down_the_plane_fails_its_corner_in_one_line(
+        tmp_path, kind, row, capsys):
+    """A cell set at row r is first met on the (r + 1)-square corner. Past
+    2^22 cells, the plane-meets item fails naming the side and the cap
+    before that corner is built; below it, the trace passes."""
+    family = tmp_path / "far.json"
+    family.write_text(json.dumps(
+        {"carrier": "plane", "sets": [{"type": "cell", "row": row}]}))
+    out = str(tmp_path / "far-trace.json")
+    build = (["build-generics", "--horizon", "1"] if kind == "generic-plane"
+             else ["bound-chain"])
+    assert main(build + ["--family", str(family), "--rows", "1",
+                         "--out", out]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = main(["verify", "--trace", out])
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().out.splitlines()
+    fails = [ln for ln in lines if ln.startswith("FAIL ")]
+    assert not [ln for ln in lines if "exception:" in ln]
+    if row == 300:
+        assert (rc, fails) == (0, [])
+    else:
+        item = "generics" if kind == "generic-plane" else "chain"
+        assert (rc, fails) == (1, [
+            f"FAIL {item}-plane-meets-family: a corner of side 3001 holds "
+            f"9006001 cells, past the cap of 4194304"])
+        assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("kind", ["pair", "many"])

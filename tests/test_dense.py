@@ -1,23 +1,26 @@
 """The family catalog: densifier contracts, exact structural word search."""
 
+import bisect
 import gc
+import itertools
 import json
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcing_lab import bits, dense
+from forcing_lab import bits, dense, towers
 from forcing_lab.bits import BitStream, BitString, PrngTail, derive_seed, prng_bit
 from forcing_lab.dense import (DenseFamily, DenseSet, build_set,
                                contains_word_at_or_after, family_from_spec,
                                first_difference, load_family_file,
                                min_length_family, mixed_cohen_family,
                                mixed_plane_family, square_family)
-from forcing_lab.errors import (CheckFailure, EmptyFamily, FamilyTooSmall,
-                                UsageError)
+from forcing_lab.errors import (AmbiguousNat, CheckFailure, EmptyFamily,
+                                FamilyTooSmall, UsageError)
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
-from forcing_lab.towers import nat_le, nat_pow2
+from forcing_lab.towers import (is_huge, nat_add, nat_equal, nat_le,
+                                nat_mul_pow2, nat_pow2, nat_sub)
 
 bit_texts = st.text(alphabet="01", max_size=30)
 seeds = st.one_of(st.none(), st.integers(0, 5).map(lambda i: f"seed{i}"))
@@ -450,6 +453,169 @@ def test_first_difference_on_huge_strings():
     assert first_difference(s, BitString.from01("0100")) is None
     assert first_difference(s, s) is None
     assert first_difference(BitString.from01("1").append_run(0, big), s) == 0
+
+
+# --- the run branches against their two-cursor reference --------------------
+#
+# Before they decided by the last capped match and the first differing run,
+# the run branches of `contains_word_at_or_after` and `first_difference`
+# searched every capped match and walked both run lists with two cursors.
+# Those branches are kept here as the reference.
+
+def reference_word_search_on_runs(s, word, minpos):
+    w = len(word)
+    blocks = []  # (bit, true_start, true_len, sprime_start, trunc_len)
+    sprime = []
+    pos = 0
+    spos = 0
+    for bit, length in s.runs:
+        trunc = length if (not is_huge(length) and length <= w) else w
+        blocks.append((bit, pos, length, spos, trunc))
+        sprime.append(str(bit) * trunc)
+        pos = nat_add(pos, length)
+        spos += trunc
+    text = "".join(sprime)
+    starts = [b[3] for b in blocks]
+    hit = text.find(word)
+    while hit != -1:
+        i = bisect.bisect_right(starts, hit) - 1
+        j = bisect.bisect_right(starts, hit + w - 1) - 1
+        ok = True
+        for k in range(i + 1, j):
+            bit, _, length, _, trunc = blocks[k]
+            if is_huge(length) or length > trunc:
+                ok = False
+                break
+        if ok:
+            if i == j:
+                _, tstart, tlen, _, _ = blocks[i]
+                anchor = nat_sub(nat_add(tstart, tlen), w)
+            else:
+                _, tstart, tlen, sstart, trunc = blocks[i]
+                d = (sstart + trunc) - hit
+                anchor = nat_sub(nat_add(tstart, tlen), d)
+            if nat_le(minpos, anchor):
+                return True
+        hit = text.find(word, hit + 1)
+    return False
+
+
+def reference_first_difference_on_runs(a, b):
+    ra, rb = list(a.runs), list(b.runs)
+    i = j = 0
+    la = ra[0][1] if ra else 0
+    lb = rb[0][1] if rb else 0
+    pos = 0
+    while i < len(ra) and j < len(rb):
+        if ra[i][0] != rb[j][0]:
+            return pos
+        if nat_le(la, lb):
+            step = la
+        else:
+            step = lb
+        pos = nat_add(pos, step)
+        la = nat_sub(la, step)
+        lb = nat_sub(lb, step)
+        if nat_equal(la, 0):
+            i += 1
+            la = ra[i][1] if i < len(ra) else 0
+        if nat_equal(lb, 0):
+            j += 1
+            lb = rb[j][1] if j < len(rb) else 0
+    return None
+
+
+def _run_lengths():
+    """Run lengths: small ints, ints at and past `_SMALL_CMP_BOUND` (the
+    last is 2^4050), and symbolic lengths, among them two pairs of
+    distinct nodes of one value. Built per example, so no node outlives
+    the test."""
+    x, y = nat_pow2(5000), nat_pow2(5001)
+    bound = towers._SMALL_CMP_BOUND
+    return (1, 2, 3, 4, 5, 7, 9, bound - 1, bound, bound << 50,
+            x, nat_mul_pow2(2, 4999), y, nat_add(x, y), nat_add(y, x),
+            nat_add(x, 3))
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the text of the AmbiguousNat it raises."""
+    try:
+        return "value", fn(*args)
+    except AmbiguousNat as exc:
+        return "AmbiguousNat", str(exc)
+
+
+def _same(got, want):
+    """Equal outcomes: one kind, and values of one type that are equal (a
+    symbolic position only to the same interned node)."""
+    return (got[0] == want[0] and type(got[1]) is type(want[1])
+            and got[1] == want[1])
+
+
+def _run_string(spec, lengths):
+    return BitString([(bit, lengths[i]) for bit, i in spec])
+
+
+run_lists = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 15)),
+                     max_size=6)
+# below the bound, near a run end of the string's int prefix, or anywhere
+minposes = st.one_of(
+    st.integers(0, 40),
+    st.tuples(st.integers(0, 6), st.integers(-9, 9)),
+    st.integers(0, towers._SMALL_CMP_BOUND - 1))
+
+
+@settings(max_examples=400)
+@given(run_lists, st.text(alphabet="01", min_size=1, max_size=7), minposes)
+def test_word_search_on_run_lists_matches_the_reference(spec, word, minpos):
+    """`minpos` is a set index, far below `_SMALL_CMP_BOUND`, which is
+    where the word search is exact; each string here is held as runs."""
+    lengths = _run_lengths()
+    with mock.patch.object(bits, "_MATERIALIZE_LIMIT", 0):
+        s = _run_string(spec, lengths)
+    if isinstance(minpos, tuple):
+        index, shift = minpos
+        ends = list(itertools.accumulate(
+            itertools.takewhile(lambda n: type(n) is int,
+                                (length for _, length in s.runs))))
+        minpos = ends[index % len(ends)] + shift if ends else shift
+        minpos = min(max(minpos, 0), towers._SMALL_CMP_BOUND - 1)
+    assert s.is_empty or s._runs is not None
+    got = _outcome(contains_word_at_or_after, s, word, minpos)
+    want = _outcome(reference_word_search_on_runs, s, word, minpos)
+    assert _same(got, want), (got, want)
+
+
+@settings(max_examples=400)
+@given(run_lists, run_lists, run_lists)
+def test_first_difference_on_run_lists_matches_the_reference(
+        shared, tail_a, tail_b):
+    """Two strings sharing a run prefix, held as runs, both ways round."""
+    lengths = _run_lengths()
+    with mock.patch.object(bits, "_MATERIALIZE_LIMIT", 0):
+        a = _run_string(shared + tail_a, lengths)
+        b = _run_string(shared + tail_b, lengths)
+    for s, t in ((a, b), (b, a), (a, a)):
+        got = _outcome(first_difference, s, t)
+        want = _outcome(reference_first_difference_on_runs, s, t)
+        assert _same(got, want), (got, want)
+
+
+def test_a_match_from_a_capped_run_into_the_next_starts_where_it_must():
+    """A run capped at the word's width holds the match's first bits; the
+    match starts that many bits before the run's true end."""
+    with mock.patch.object(bits, "_MATERIALIZE_LIMIT", 0):
+        s = BitString.from01("1" + "0" * 10 + "1")
+    assert s._runs is not None
+    assert contains_word_at_or_after(s, "0001", 8)       # 0001 at 8
+    assert not contains_word_at_or_after(s, "0001", 9)
+    assert not contains_word_at_or_after(s, "1001", 0)
+    big = nat_pow2(5000)
+    t = BitString.from01("1").append_run(0, big).append01("10")
+    for word, want in (("001", True), ("0011", False), ("0010", True),
+                       ("10001", False)):
+        assert contains_word_at_or_after(t, word, 1000) is want
+        assert reference_word_search_on_runs(t, word, 1000) is want
 
 
 def test_parity_sets_on_huge_strings():

@@ -88,10 +88,11 @@ FAMILY_COMMANDS = {
 }
 
 
-def run_cli(argv):
-    """Run the CLI in-process; return (exit code, stderr text)."""
+def run_cli(argv, out=None):
+    """Run the CLI in-process; return (exit code, stderr text). Stdout is
+    written to `out` if given, else dropped."""
     err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    with redirect_stdout(out or io.StringIO()), redirect_stderr(err):
         rc = main([str(a) for a in argv])
     return rc, err.getvalue()
 
@@ -182,9 +183,13 @@ def test_one_mutation_never_escapes_the_cli(targets, tmp_path_factory, data):
                  lambda seq: data.draw(st.sampled_from(list(seq))))
     mutated = tmp_path_factory.getbasetemp() / "mutated.json"
     mutated.write_text(json.dumps(bad))
-    rc, err = run_cli([mutated if a == "IN" else a for a in argv])
+    out = io.StringIO()
+    rc, err = run_cli([mutated if a == "IN" else a for a in argv], out)
     assert rc in (0, 1, 2), err
     assert "Traceback" not in err and len(err.splitlines()) <= 1, err
+    # no verify item fell through to VerifyReport's catch-all
+    assert not [ln for ln in out.getvalue().splitlines()
+                if "exception:" in ln], out.getvalue()
 
 
 # bit-file readers: `IN` (or `file:IN`) is the edited file, BITS_<name> a

@@ -418,8 +418,7 @@ def edit_runs():
     through the other modules' intern-table tests."""
     family = min_length_family(10)
     return family, [entangle_wide(cohen_poset(), WITNESS, family, payload, 6)
-                    for payload in ("bits:101101", "bits:101100",
-                                    "bits:100101", "bits:011100")]
+                    for payload in ("101101", "101100", "100101", "011100")]
 
 
 @settings(max_examples=300, deadline=None)
