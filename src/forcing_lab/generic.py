@@ -6,7 +6,8 @@ horizon". The filter representations are concrete:
   cohen    a BitStream (filter = its finite prefixes) or a BitString
            (filter = the prefixes of that one condition)
   product  a tuple of the above, one per coordinate
-  plane    a GenericPlane (filter = its finite restrictions)
+  plane    a GenericPlane (filter = its finite restrictions, read as
+           corner views that touch the rows only when a value is asked)
 
 Each set is decided in one search over the filter's conditions up to the
 budget. Every catalog set has a witness search that returns the least

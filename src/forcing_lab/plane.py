@@ -30,15 +30,22 @@ with empty row segments, so every condition a build derives from it
 carries its key text, whether or not the family is seeded; a condition
 made from cells (`PlaneCondition(cells)`, `from_json`, `from_rows`, a
 corner) starts without them and learns them when its key text is asked for.
+
+The k x k corners a genericity search reads (`GenericPlane.corners()`) are
+views: their `_side` is k, and their cell map (`_CornerCells`) answers
+whether a pair of ints is a cell by a bounds test, building the cells of
+`restriction(k)` only when a value is read. A square or cell set's member
+test therefore reads no row.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Mapping
 from itertools import chain, count, filterfalse, product, repeat
 from operator import eq
 from types import MappingProxyType
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .bits import (_MATERIALIZE_LIMIT, BitStream, BitString, ConstTail,
                    PrngTail, _is_nat_text, derive_seed, stream_from_json)
@@ -81,9 +88,10 @@ class PlaneCondition:
     def _of(cls, cells: Dict[Cell, int], base: "PlaneCondition" = None,
             added: Mapping[Cell, int] = None, side: int = 0
             ) -> "PlaneCondition":
-        """Wrap a dict the caller has just built and keeps no reference to:
-        `base`'s cells plus `added`, the cells base lacks (read only when
-        base has row segments), covering at least the side x side corner."""
+        """Wrap a dict (or a corner's `_CornerCells`) the caller has just
+        built and keeps no reference to: `base`'s cells plus `added`, the
+        cells base lacks (read only when base has row segments), covering
+        at least the side x side corner."""
         p = cls.__new__(cls)
         p.cells = MappingProxyType(cells)
         if base is None:
@@ -257,11 +265,12 @@ class GenericPlane:
     def corners(self) -> Callable[[int], PlaneCondition]:
         """A function k -> restriction(k) for reading many corners.
 
-        A corner larger than the last one it made copies that one's cells
-        and reads only its border from the rows; a smaller one is built
-        afresh, and the same k gives the same object. A corner of more than
-        _MATERIALIZE_LIMIT cells raises CheckFailure before it is built."""
-        last, last_k = PlaneCondition.empty(), 0
+        Each corner is a view of the plane (`_CornerCells`): known to cover
+        its k x k square, it reads the rows only when a value is asked for,
+        so a square or cell set's member test reads none. The same k as the
+        last call gives the same object. A corner of more than
+        _MATERIALIZE_LIMIT cells raises CheckFailure before it is made."""
+        last, last_k = None, None
 
         def corner(k: int) -> PlaneCondition:
             nonlocal last, last_k
@@ -269,16 +278,9 @@ class GenericPlane:
                 raise CheckFailure(f"a corner of side {k} holds {k * k} "
                                    f"cells, past the cap of "
                                    f"{_MATERIALIZE_LIMIT}")
-            if k < last_k:
-                return self.restriction(k)
-            if k > last_k:
-                cells = dict(last.cells)
-                for r in range(k):
-                    start = last_k if r < last_k else 0
-                    text = self.row_stream(r).take01(k)[start:]
-                    cells.update(zip(zip(repeat(r), count(start)),
-                                     map(int, text)))
-                last, last_k = PlaneCondition._of(cells, side=k), k
+            if k != last_k:
+                last = PlaneCondition._of(_CornerCells(self, k), side=k)
+                last_k = k
             return last
 
         return corner
@@ -295,10 +297,65 @@ class GenericPlane:
 
     @classmethod
     def from_json(cls, obj) -> "GenericPlane":
-        rows = obj.get("rows", {})
+        """Inverse of to_json: an object holding `commitments` and `rows`,
+        and `fill_seed` or nothing else (an absent one reads as None)."""
+        if not (isinstance(obj, dict) and {"commitments", "rows"}
+                <= obj.keys() <= {"commitments", "rows", "fill_seed"}):
+            raise UsageError("a plane must be an object holding "
+                             "'commitments' and 'rows', and 'fill_seed' or "
+                             "no other key")
+        rows = obj["rows"]
         if not isinstance(rows, dict) or not all(map(_is_nat_text, rows)):
             raise UsageError("a plane's rows must be a JSON object keyed by "
                              "decimal row numbers")
         rows = {int(r): stream_from_json(s) for r, s in rows.items()}
-        return cls(PlaneCondition.from_json(obj.get("commitments", [])),
+        return cls(PlaneCondition.from_json(obj["commitments"]),
                    rows=rows, fill_seed=obj.get("fill_seed"))
+
+
+class _CornerCells(Mapping):
+    """The cell map of a plane's k x k corner, the cells of restriction(k).
+
+    Whether a pair of ints is a cell is a bounds test; any other key, and
+    any read of values, is answered by the restriction's cells, built from
+    the rows once, on the first such read."""
+
+    __slots__ = ("_plane", "_k", "_cells")
+
+    def __init__(self, plane: GenericPlane, k: int):
+        self._plane, self._k, self._cells = plane, k, None
+
+    def _built(self) -> Mapping[Cell, int]:
+        if self._cells is None:
+            self._cells = self._plane.restriction(self._k).cells
+        return self._cells
+
+    def __contains__(self, cell) -> bool:
+        if (type(cell) is tuple and len(cell) == 2
+                and type(cell[0]) is int and type(cell[1]) is int):
+            return 0 <= cell[0] < self._k and 0 <= cell[1] < self._k
+        return cell in self._built()
+
+    def __len__(self) -> int:
+        return self._k * self._k
+
+    def __getitem__(self, cell) -> int:
+        return self._built()[cell]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        return self._built() == other
+
+    def get(self, cell, default=None):
+        return self._built().get(cell, default)
+
+    def keys(self):
+        return self._built().keys()
+
+    def items(self):
+        return self._built().items()
+
+    def values(self):
+        return self._built().values()

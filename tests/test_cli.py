@@ -12,6 +12,7 @@ import pytest
 from forcing_lab import bits, cli
 from forcing_lab.bits import _MATERIALIZE_LIMIT, stream_from_json
 from forcing_lab.cli import ENV_SEED, main
+from forcing_lab.plane import GenericPlane
 
 FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -622,6 +623,21 @@ def _case_chain_plane_rows_list(tmp_path, fam, plane):
         lambda p: p.update(rows=[1])))
 
 
+def _case_chain_plane_without_commitments(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(
+        lambda p: p.pop("commitments")))
+
+
+def _case_chain_plane_without_rows(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(
+        lambda p: p.pop("rows")))
+
+
+def _case_chain_plane_extra_key(tmp_path, fam, plane):
+    return _verify_edited(_chain_trace(tmp_path, plane), _plane_edit(
+        lambda p: p.update(extra=1)))
+
+
 def _case_chain_patch_not_object(tmp_path, fam, plane):
     return _verify_edited(_chain_trace(tmp_path, plane),
                           lambda o: o.update(patches={"0": [1]}))
@@ -1212,6 +1228,8 @@ def _case_chain_plane_row_00(tmp_path, fam, plane):
     _case_many_stream_missing, _case_generics_stream_named_x,
     _case_generics_streams_reordered, _case_chain_plane_row_key_x,
     _case_chain_plane_commitment_pair, _case_chain_plane_rows_list,
+    _case_chain_plane_without_commitments, _case_chain_plane_without_rows,
+    _case_chain_plane_extra_key,
     _case_chain_patch_not_object, _case_stream_prefix_too_long,
     _case_patched_column_too_large, _case_pair_condition_not_binary,
     _case_pair_condition_whitespace, _case_stream_prefix_tab,
@@ -1368,6 +1386,40 @@ def test_a_cell_set_far_down_the_plane_fails_its_corner_in_one_line(
             f"FAIL {item}-plane-meets-family: a corner of side 3001 holds "
             f"9006001 cells, past the cap of 4194304"])
         assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("kind", ["generic-plane", "chain-bound"])
+def test_a_cell_set_below_the_cap_reads_no_corner(tmp_path, kind,
+                                                  monkeypatch, capsys):
+    """A cell set at row 2000 (2001^2 cells, below the cap) is decided by
+    whether its one cell lies in the 2001-square corner: verify of a seeded
+    trace passes without building any corner or hashing its fill bits."""
+    family = tmp_path / "far.json"
+    family.write_text(json.dumps(
+        {"carrier": "plane", "sets": [{"type": "cell", "row": 2000}]}))
+    out = str(tmp_path / "far-trace.json")
+    build = (["build-generics", "--horizon", "1"] if kind == "generic-plane"
+             else ["bound-chain"])
+    assert main(build + ["--family", str(family), "--rows", "1",
+                         "--seed", "s1", "--out", out]) == 0
+    capsys.readouterr()
+    calls = {"restriction": 0, "prng_bit": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(GenericPlane, "restriction",
+                        counted("restriction", GenericPlane.restriction))
+    monkeypatch.setattr(bits, "prng_bit", counted("prng_bit", bits.prng_bit))
+    rc = main(["verify", "--trace", out])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert not [ln for ln in lines if ln.startswith("FAIL ")
+                or "exception:" in ln]
+    assert calls["restriction"] == 0 and calls["prng_bit"] < 100, calls
 
 
 @pytest.mark.parametrize("kind", ["pair", "many"])

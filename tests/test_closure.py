@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forcing_lab import bits
 from forcing_lab.bits import BitStream, ConstTail, PatchedStream, PrngTail
 from forcing_lab.closure import bound_chain, build_generics_run, verify_bound
 from forcing_lab.dense import (DenseFamily, DenseSet, family_from_spec,
@@ -14,9 +16,12 @@ from forcing_lab.errors import (EmptyFamily, FamilyTooSmall,
                                 RetryBudgetExceeded, UsageError)
 from forcing_lab.generic import meets_family, mutual_genericity_check
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
+from forcing_lab.trace import load_trace, write_trace
 from forcing_lab.verify import verify_trace
 from test_dense import restrict_rows
 from test_mutations import run_cli
+
+FAMILIES = Path(__file__).resolve().parents[1] / "docs" / "families"
 
 
 def generic_rows(family, rows, horizon, seed=None):
@@ -275,6 +280,38 @@ def test_rows_beyond_inputs_get_fill_bases():
         stream = trace.plane.rows[r]
         for c in range(8):
             assert stream.bit(c) == trace.plane.cell(r, c)
+
+
+@pytest.mark.parametrize("family", [
+    square_family(12, seed="sq"),
+    family_from_spec(json.loads((FAMILIES / "plane-mixed12.json").read_text())),
+], ids=["squares12", "plane-mixed12"])
+def test_deciding_catalog_sets_reads_no_row(tmp_path, monkeypatch, family):
+    """On a loaded chain-bound trace of 8 rows, meets_family decides every
+    square and cell set from its witness search and the corner's bounds:
+    no row stream is read and no fill bit hashed. Verify's report is the
+    one of a second loaded copy, read without the counters."""
+    path = tmp_path / "chain.json"
+    rows = generic_rows(family, 8, len(family), seed="rows")
+    write_trace(path, bound_chain(rows, family, fill_seed="s1"))
+    trace, copy = load_trace(path), load_trace(path)
+    calls = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [(BitStream, "take01"), (BitStream, "_read"),
+                        (PatchedStream, "_read"), (bits, "prng_bit")]:
+        counted(owner, name)
+    report = meets_family(trace.plane, trace.family, len(trace.family))
+    assert report.all_met and calls == []
+    monkeypatch.undo()
+    assert verify_trace(trace).summary() == verify_trace(copy).summary()
 
 
 def test_verify_never_raises_on_garbage():

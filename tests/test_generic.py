@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 from forcing_lab.bits import BitStream, BitString, PrngTail
 from forcing_lab.dense import (DenseFamily, DenseSet, family_from_spec,
                                min_length_family)
-from forcing_lab.errors import BadArity, FamilyTooSmall
+from forcing_lab.errors import (BadArity, FamilyTooSmall,
+                                IncompatibleConditions)
 from forcing_lab.generic import meets_family, mutual_genericity_check
-from forcing_lab.plane import GenericPlane, PlaneCondition
+from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
 
 
 def test_all_zero_stream_misses_ones_set():
@@ -180,8 +181,9 @@ def test_plane_filter_witness_is_least_member_corner(entries, commit, rows,
                                                      seed, data):
     """Square and cell sets, and a set with no witness search (some cell
     is 1), against budgets below and above the largest square. The plane's
-    corners grow from the last one (`corners`), and must equal fresh
-    restrictions whatever order they are asked in."""
+    corners (`corners`) are views that read the rows only when a value is
+    asked for, and must equal fresh restrictions whatever order they are
+    asked in."""
     fam = family_from_spec({"carrier": "plane", "sets": entries})
     has_a_one = DenseSet(len(fam), lambda p: 1 in p.cells.values(),
                          lambda p: p)
@@ -197,3 +199,68 @@ def test_plane_filter_witness_is_least_member_corner(entries, commit, rows,
     for k in data.draw(st.lists(st.integers(0, 12), max_size=6)):
         assert corner(k) == plane.restriction(k)
 
+
+
+def _outcome(fn):
+    """fn()'s value, or the type and text of what it raised."""
+    try:
+        return "value", fn()
+    except (IncompatibleConditions, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# keys a member predicate or caller may test that are not pairs of ints
+ODD_KEYS = [(True, 0), (0, True), (True, True), (1.0, 1), (0, 2.0),
+            (0.5, 0), (1, 0.5), (1,), (1, 1, 1), 3, "a", None, [0, 0],
+            (0, [0])]
+
+
+@given(plane_commits, plane_rows, st.sampled_from([None, "f"]),
+       st.lists(st.integers(0, 12), min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(-2, 14), st.integers(-2, 14)),
+                max_size=12),
+       st.sampled_from(ODD_KEYS))
+@settings(max_examples=80, deadline=None)
+def test_plane_corner_view_reads_as_its_restriction(commit, rows, seed, ks,
+                                                    cells, odd):
+    """Each corner from `corners`, asked in any order, against a fresh
+    `restriction(k)` on every read a member predicate or caller can make:
+    cells inside, outside and at negative coordinates and keys that are
+    not pairs of ints (asked before any value is read), then the cell map,
+    order, compatibility, merge, key text, JSON and square gaps on both
+    sides of k."""
+    plane = GenericPlane(
+        PlaneCondition(commit), fill_seed=seed,
+        rows={r: BitStream.from_prefix(t, PrngTail(t))
+              for r, t in rows.items()})
+    corner = plane.corners()
+    previous = plane.commitments
+    for k in ks:
+        view, ref = corner(k), plane.restriction(k)
+        assert corner(k) is view
+        for cell in cells + [(k - 1, k - 1), (k, 0), (0, k), (k, k)]:
+            assert (cell in view.cells) == (cell in ref.cells)
+        assert (_outcome(lambda: odd in view.cells)
+                == _outcome(lambda: odd in ref.cells))
+        assert len(view) == len(ref) == len(view.cells) == k * k
+        for r, c in cells:
+            assert view.get(r, c) == ref.get(r, c)
+        assert list(view.cells) == list(ref.cells)
+        assert list(view.cells.items()) == list(ref.cells.items())
+        assert view == ref and ref == view
+        assert view.cells == ref.cells and ref.cells == view.cells
+        for other in (previous, plane.commitments, ref):
+            assert view.leq(other) == ref.leq(other)
+            assert other.leq(view) == other.leq(ref)
+            assert view.compatible(other) == ref.compatible(other)
+            assert other.compatible(view) == other.compatible(ref)
+            for merged in ((view, other), (other, view)):
+                swapped = [ref if p is view else p for p in merged]
+                assert (_outcome(lambda: merge_conditions(*merged).to_json())
+                        == _outcome(lambda: merge_conditions(*swapped)
+                                    .to_json()))
+        assert view.key_text() == ref.key_text()
+        assert view.to_json() == ref.to_json()
+        for size in range(max(k - 2, 0), k + 3):
+            assert view.square_gaps(size) == ref.square_gaps(size)
+        previous = view
