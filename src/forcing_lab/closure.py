@@ -8,11 +8,16 @@ rectangle of finalized bits, merge it into the previous commitment,
 densify, and accept once the candidate agrees with the actual rows. An
 attempt reveals each finalized row as text (`take01`) and reads the row
 bit of each cell its densify added (`bit`); the row's stream keeps what
-it has read, so a retry generates only the newly revealed bits. Row n
+it has read, so a retry generates only the newly revealed bits. A
+candidate the densifier derived from the merged condition keeps the
+cells it added (`_added`), so the clash test walks those alone; any other
+candidate is compared by the difference of the two cell maps. Row n
 is then finalized as b_n patched at the committed row-n cells (rows
 beyond the input get the fill rule as their base), so the final plane
 extends every commitment and each b_n differs from its row only at the
-recorded patch.
+recorded patch. The row-n cells are looked up by column where the
+commitment knows the row's last column, and a patched row looks up its
+patch only at the columns a read adds.
 
 The fresh-cell invariant: the previous commitment agrees with every
 finalized row (it was accepted only when the cells its densifier added
@@ -102,9 +107,9 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
             commit = family.densify(n, merged)
             # merged agrees with every finalized row, so only the cells the
             # densifier added can clash
-            cells = commit.cells
-            clashes = [(k, col) for k, col in cells.keys() - merged.cells
-                       if k < n and finalized[k].bit(col) != cells[k, col]]
+            clashes = [(k, col)
+                       for (k, col), bit in _fresh_cells(commit, merged)
+                       if k < n and finalized[k].bit(col) != bit]
             if not clashes:
                 break
             tried.append(sorted(clashes))
@@ -127,6 +132,19 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
                  **{f"d{k}": finalized[k] for k in range(m)}},
         plane=GenericPlane(commitments=commit, rows=finalized,
                            fill_seed=fill_seed))
+
+
+def _fresh_cells(commit: PlaneCondition, merged: PlaneCondition):
+    """The (cell, bit) items commit holds and merged lacks: the cells
+    commit keeps as added to merged when merged is its base, else the
+    difference of the two cell maps (a densifier may build its condition
+    from cells)."""
+    if commit is merged:
+        return ()
+    if commit._added is not None and commit._base() is merged:
+        return commit._added.items()
+    cells = commit.cells
+    return [(cell, cells[cell]) for cell in cells.keys() - merged.cells]
 
 
 def _next_reveal(reveal_to: int, clashes) -> int:
@@ -162,10 +180,13 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     columns below it), commitments in their sets, the commitment chain
     descending, the last (so every) commitment contained in the plane,
     the plane's fill seed being the trace's seed as JSON text, every
-    patch cell being a cell of the last commitment, each row d_k
-    being the plane's row k and b_k patched at exactly its recorded patch
-    (so the plane's row equals b_k off the patch at every column), and the
-    plane meeting the family. Which cells clashed is read as given.
+    patch cell being a cell of the last commitment, the plane holding one
+    row per set, each row d_k being the plane's row k and b_k
+    patched at exactly its recorded patch (so the plane's row equals b_k
+    off the patch at every column), each row n past the inputs being the
+    fill rule's row n patched at commitment n's row-n cells, and the
+    plane meeting the family. Rows are compared as JSON, so no column is
+    read. Which cells clashed is read as given.
     """
     report = VerifyReport()
     plane, b, family = trace.plane, trace.row_streams("b"), trace.family
@@ -210,11 +231,30 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
                or not isinstance(d, PatchedStream)
                or d.base.to_json() != b[k].to_json()
                or d.patch != trace.patches.get(k)]
+        if bad:
+            return False, f"rows not b_k patched as recorded: {bad[:6]}"
+        odd = sorted(plane.rows.keys() ^ set(range(horizon)))
+        if odd:
+            return False, f"plane rows not one per set: {odd[:6]}"
+        fill = GenericPlane(fill_seed=trace.seed)
+
+        def is_fill_row(n):
+            row = plane.rows[n]
+            # commitment n is stage n's only when there is one per set,
+            # which chain-commitments-in-sets checks
+            return (isinstance(row, PatchedStream)
+                    and row.base.to_json()
+                    == BitStream(tail=fill.fill_tail(n)).to_json()
+                    and (len(chain) != horizon
+                         or row.patch == chain[n].row_cells(n)))
+
+        bad = [n for n in range(len(b), horizon) if not is_fill_row(n)]
         # the window only labels the report; no column is scanned
         window = max([horizon + 16]
                      + [c + 1 for cols in trace.patches.values()
                         for c in cols])
-        return (not bad, f"rows not b_k patched as recorded: {bad[:6]}" if bad
+        return (not bad, f"fill rows not the fill rule patched at their "
+                         f"commitment: {bad[:6]}" if bad
                 else f"window {window}")
 
     def meets():

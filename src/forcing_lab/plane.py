@@ -11,19 +11,22 @@ Order, compatibility and merge compare cell maps through dict views, so
 their per-cell work runs inside the dict and set code, not in a Python loop.
 
 A condition made from another by adding cells (a densifier's `p ∪ fill`, a
-merge) carries three caches, so that each step of a plane build pays for
+merge) carries four caches, so that each step of a plane build pays for
 the cells it adds rather than for the cells it holds:
 
-  _side  a side s whose s x s corner the condition is known to cover; the
-         square checks read only the border past it
-  _base  a weak reference to the condition it was made from, so `leq`
-         against that one is an identity test (a strong one would keep
-         every intermediate condition of a build alive)
-  _rows  each row's last column and segment of `json.dumps(to_json())`;
-         the key text (the seeded fill key, and the text the trace writer
-         re-indents) is their join, and a derived condition appends its new
-         cells to the rows they end, rebuilding a row only when a cell
-         lands inside it
+  _side   a side s whose s x s corner the condition is known to cover; the
+          square checks read only the border past it
+  _base   a weak reference to the condition it was made from, so `leq`
+          against that one is an identity test (a strong one would keep
+          every intermediate condition of a build alive)
+  _added  the cells it added to that base, or None where the maker did not
+          compute them; the chain bound's clash test reads only these
+  _rows   each row's last column and segment of `json.dumps(to_json())`;
+          the key text (the seeded fill key, and the text the trace writer
+          re-indents) is their join, and a derived condition appends its new
+          cells to the rows they end, rebuilding a row only when a cell
+          lands inside it; `row_cells(r)` looks up row r's columns up to
+          its last one instead of scanning every cell
 
 None of them is part of the condition's value. The empty condition starts
 with empty row segments, so every condition a build derives from it
@@ -78,11 +81,12 @@ class PlaneCondition:
     """Immutable finite partial function (row, col) -> bit, carrying the
     caches of the module docstring."""
 
-    __slots__ = ("cells", "_side", "_base", "_rows", "__weakref__")
+    __slots__ = ("cells", "_side", "_base", "_added", "_rows", "__weakref__")
 
     def __init__(self, cells: Optional[Dict[Cell, int]] = None):
         self.cells = MappingProxyType(dict(cells or {}))
-        self._side, self._base, self._rows = 0, None, None if cells else {}
+        self._side, self._base, self._added = 0, None, None
+        self._rows = None if cells else {}
 
     @classmethod
     def _of(cls, cells: Dict[Cell, int], base: "PlaneCondition" = None,
@@ -90,15 +94,16 @@ class PlaneCondition:
             ) -> "PlaneCondition":
         """Wrap a dict (or a corner's `_CornerCells`) the caller has just
         built and keeps no reference to: `base`'s cells plus `added`, the
-        cells base lacks (read only when base has row segments), covering
-        at least the side x side corner."""
+        cells base lacks (None if the caller did not compute them; needed
+        when base has row segments), covering at least the side x side
+        corner. With a base, `added` is kept as `_added`."""
         p = cls.__new__(cls)
         p.cells = MappingProxyType(cells)
         if base is None:
-            p._side, p._base, p._rows = side, None, None
+            p._side, p._base, p._added, p._rows = side, None, None, None
         else:
             p._side = max(base._side, side)
-            p._base = weakref.ref(base)
+            p._base, p._added = weakref.ref(base), added
             p._rows = (None if base._rows is None
                        else _grow_rows(base._rows, cells, added))
         return p
@@ -157,7 +162,17 @@ class PlaneCondition:
                                 in sorted(self._rows.items())]) + "]"
 
     def row_cells(self, row: int) -> Dict[int, int]:
-        return {c: b for (r, c), b in self.cells.items() if r == row}
+        """The row's cells as {col: bit}. With row segments, the row's
+        columns up to its last one are looked up when they are fewer than
+        the cells held; otherwise every cell is scanned."""
+        cells, rows = self.cells, self._rows
+        if rows is not None:
+            last = rows.get(row, (-1,))[0]
+            if last < len(cells):
+                get = cells.get
+                return {c: b for c in range(last + 1)
+                        if (b := get((row, c))) is not None}
+        return {c: b for (r, c), b in cells.items() if r == row}
 
     def max_row(self) -> int:
         return max((r for r, _ in self.cells), default=-1)
@@ -248,14 +263,19 @@ class GenericPlane:
             stream = self._built.get(row)
         if stream is None:
             cols = self.commitments.row_cells(row)
-            tail = (ConstTail(0) if self.fill_seed is None else
-                    PrngTail(derive_seed(self.fill_seed, "plane-fill", row)))
+            tail = self.fill_tail(row)
             prefix = "".join(
                 str(cols[c]) if c in cols else tail.take01(c, c + 1)
                 for c in range(max(cols, default=-1) + 1))
             stream = BitStream(BitString.from01(prefix), tail)
             self._built[row] = stream
         return stream
+
+    def fill_tail(self, row: int):
+        """The fill rule's bits of the row: seeded pseudo-random bits, or 0
+        when the seed is None."""
+        return (ConstTail(0) if self.fill_seed is None else
+                PrngTail(derive_seed(self.fill_seed, "plane-fill", row)))
 
     def restriction(self, size: int) -> PlaneCondition:
         """The size x size corner of the plane as a finite condition."""

@@ -671,6 +671,86 @@ def test_prng_tail_bits_are_hashed_once_per_stream():
     assert [c.args[1] for c in spy.call_args_list] == list(range(2, 12))
 
 
+# patches near the start, far past it, or empty
+near_and_far = st.dictionaries(
+    st.one_of(st.integers(0, 60), st.integers(300, 420)), st.integers(0, 1),
+    max_size=8)
+patched_reads = st.lists(st.tuples(
+    st.sampled_from(["bit", "take01", "starts_with", "find_one"]),
+    st.integers(0, 440), st.integers(0, 40)), max_size=12)
+
+
+@given(bit_texts, tails, near_and_far, patched_reads, st.integers(0, 480),
+       st.booleans())
+def test_patched_reads_match_the_base_text_patched_whole(
+        prefix, tail, patch, reads, warm, nested):
+    """`bit`, `take01`, `starts_with` and `find_one`, in any order and to
+    any length, on a stream whose base was read to any length before (its
+    text may run past a read) and may itself be patched, answer as the
+    base's text with every patch column replaced at once does."""
+    def plain():
+        inner = BitStream.from_prefix(prefix, tail)
+        return PatchedStream(inner, {7: 1, 350: 0}) if nested else inner
+
+    whole = list(plain().take01(500))
+    for col, bit in patch.items():
+        whole[col] = str(bit)
+    whole = "".join(whole)
+    base = plain()
+    base.take01(warm)
+    s = PatchedStream(base, patch)
+    for op, n, width in reads:
+        if op == "bit":
+            assert s.bit(n) == int(whole[n])
+        elif op == "take01":
+            assert s.take01(n) == whole[:n]
+        elif op == "starts_with":
+            for text in (whole[:n], whole[:n] + "10"[int(whole[n])]):
+                assert (s.starts_with(BitString.from01(text))
+                        == whole.startswith(text))
+        else:
+            assert s.find_one(n, n + width) == whole.find("1", n, n + width)
+    assert s.take01(500) == whole
+
+
+class CountingPatch(dict):
+    """A patch that counts the entries it is asked for or walks."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+
+def test_patched_read_looks_up_only_its_new_columns():
+    """A read that extends a patched stream's text by k columns reads no
+    more than min(k, patch entries) entries of its patch, whether the patch
+    is large and far out or small."""
+    base = BitStream.from_prefix("01", PrngTail("count"))
+    for patch, reads in (({c: 1 for c in range(3000, 4000)},
+                          [3, 3, 10, 40, 41, 3500]),
+                         ({5: 1, 900: 0}, [1, 1000, 1200])):
+        s = PatchedStream(base, {})
+        s.patch = counted = CountingPatch(patch)
+        done = 0
+        for n in reads:
+            counted.reads = 0
+            s.take01(n)
+            assert counted.reads <= min(max(n - done, 0), len(patch)), n
+            done = max(done, n)
+        want = list(base.take01(done))
+        for col, bit in patch.items():
+            if col < done:
+                want[col] = str(bit)
+        assert s.take01(done) == "".join(want)
+
+
 def test_patched_stream_reads_nothing_until_asked():
     base = BitStream.from_prefix("01", PrngTail("lazy"))
     far = 10 ** 6

@@ -75,7 +75,7 @@ def reference_stages(b, family, retry_budget=8, fill_seed=None):
                             max(col for _, col in clashes) + 1)
         chain.append(cand)
         prev = cand
-        row_patch = cand.row_cells(n)
+        row_patch = {c: b for (r, c), b in cand.cells.items() if r == n}
         if n < len(b):
             patches[n] = row_patch
         base = b[n] if n < len(b) else fill.row_stream(n)
@@ -108,6 +108,49 @@ def test_bound_chain_matches_rebuilt_rectangle_reference():
         assert trace.stages == records
         total_retries += sum(rec["retries"] for rec in records)
     assert total_retries >= 4  # the runs above do exercise retries
+
+
+def cacheless(family, first=None):
+    """The family with the densifiers of its sets 0..first - 1 (all of them
+    by default) rebuilding their output from its cells, so that it carries
+    no cache: no base, no added cells, no known side, no row segments."""
+    first = len(family) if first is None else first
+    return DenseFamily(
+        [DenseSet(s.index, s.member,
+                  lambda p, s=s: PlaneCondition(s.densify(p).cells))
+         if s.index < first else s for s in family.sets],
+        "plane", entries=family.entries)
+
+
+def fallback_runs():
+    """(rows, family, fill seed, whether the last commitment has row
+    segments): runs whose clash test or row patch cannot use the caches.
+    With every densifier cache-less, each clash test takes the difference
+    of the cell maps and each row patch scans its condition's cells. With
+    only the first one cache-less, every later merge gets a base with no
+    row segments; an unseeded family never learns them, a seeded one
+    learns them for its fill key."""
+    for seed in (None, "mixed"):
+        fam = mixed_plane_family(12, seed=seed)
+        b = generic_rows(fam, 4, 12, seed="rows")
+        yield b, cacheless(fam), "fb", False
+        yield b, cacheless(fam, 1), "fb", seed is not None
+
+
+def test_runs_without_caches_match_the_reference():
+    """The clash test falls back to the difference of the cell maps, and
+    the row patch to a scan, where a commitment carries no caches; the
+    runs give the reference's commitments, patches and stage records."""
+    retries = 0
+    for b, fam, fill_seed, segments in fallback_runs():
+        trace = bound_chain(b, fam, fill_seed=fill_seed)
+        assert (trace.conditions, trace.patches, trace.stages) == \
+            reference_stages(b, fam, fill_seed=fill_seed)
+        assert trace.conditions[0]._base is None
+        assert (trace.conditions[-1]._rows is not None) == segments
+        assert verify_bound(trace).all_passed
+        retries += sum(rec["retries"] for rec in trace.stages)
+    assert retries >= 4  # the runs above do retry
 
 
 def _reveal_edits(rec, n):

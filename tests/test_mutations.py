@@ -525,6 +525,14 @@ ITEM_EDITS = {
                                    _flip("conditions", 11, 11, 2)),
     "chain-rows-preserved-off-patches": ("chain-bound",
                                          _flip("patches", "0", "0")),
+    "chain-rows-preserved-off-patches/fill-row-seed-edited": (
+        "chain-bound", lambda obj: obj["plane"]["rows"]["11"]["base"][
+            "tail_rule"].update(seed="0" * 16)),
+    "chain-rows-preserved-off-patches/row-added": (
+        "chain-bound", lambda obj: obj["plane"]["rows"].update({"99": {
+            "prefix": "", "tail_rule": {"kind": "const", "bit": 0}}})),
+    "chain-rows-preserved-off-patches/fill-row-deleted": (
+        "chain-bound", lambda obj: obj["plane"]["rows"].pop("11")),
     "chain-plane-meets-family": ("far-chain-bound", _keep_rows_below(
         2, "plane", "commitments")),
 }
