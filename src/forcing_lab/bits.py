@@ -605,9 +605,7 @@ class PatchedStream(BitStream):
 
     Construction reads nothing: `bit` answers a patched column from the
     patch and any other from the base, and the text the other reads share
-    is the base's, patched, generated only as far as a read asks. A read
-    that extends the text looks up the patch at each new column, or walks
-    the patch when it holds fewer entries than that."""
+    is the base's, patched, generated only as far as a read asks."""
 
     def __init__(self, base: BitStream, patch: dict):
         self.base = base
@@ -624,18 +622,13 @@ class PatchedStream(BitStream):
     def _read(self, n: int) -> str:
         text = self._text
         if n > len(text):
-            start, patch = len(text), self.patch
+            start = len(text)
             new = self.base._read(n)[start:n]
-            if n - start < len(patch):
-                get = patch.get
-                hits = [(c, b) for c in range(start, n)
-                        if (b := get(c)) is not None]
-            else:
-                hits = [(c, b) for c, b in patch.items() if start <= c < n]
-            if hits:
+            cols = [c for c in self.patch if start <= c < n]
+            if cols:
                 chars = list(new)
-                for c, b in hits:
-                    chars[c - start] = str(b)
+                for c in cols:
+                    chars[c - start] = str(self.patch[c])
                 new = "".join(chars)
             text = self._text = text + new
         return text

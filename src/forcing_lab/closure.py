@@ -10,14 +10,13 @@ attempt reveals each finalized row as text (`take01`) and reads the row
 bit of each cell its densify added (`bit`); the row's stream keeps what
 it has read, so a retry generates only the newly revealed bits. A
 candidate the densifier derived from the merged condition keeps the
-cells it added (`_added`), so the clash test walks those alone; any other
-candidate is compared by the difference of the two cell maps. Row n
+cells it added (`_added`, dropped once read), so the clash test walks
+those alone; any other candidate is compared by the difference of the
+two cell maps. Row n
 is then finalized as b_n patched at the committed row-n cells (rows
 beyond the input get the fill rule as their base), so the final plane
 extends every commitment and each b_n differs from its row only at the
-recorded patch. The row-n cells are looked up by column where the
-commitment knows the row's last column, and a patched row looks up its
-patch only at the columns a read adds.
+recorded patch.
 
 The fresh-cell invariant: the previous commitment agrees with every
 finalized row (it was accepted only when the cells its densifier added
@@ -110,6 +109,8 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
             clashes = [(k, col)
                        for (k, col), bit in _fresh_cells(commit, merged)
                        if k < n and finalized[k].bit(col) != bit]
+            # read once: a kept commitment need not hold its added cells
+            commit._added = None
             if not clashes:
                 break
             tried.append(sorted(clashes))
@@ -184,9 +185,11 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     row per set, each row d_k being the plane's row k and b_k
     patched at exactly its recorded patch (so the plane's row equals b_k
     off the patch at every column), each row n past the inputs being the
-    fill rule's row n patched at commitment n's row-n cells, and the
-    plane meeting the family. Rows are compared as JSON, so no column is
-    read. Which cells clashed is read as given.
+    fill rule's row n patched at commitment n's row-n cells (read as the
+    cells of the last commitment's row n that commitment n holds, which
+    they are when the chain descends), and the plane meeting the family.
+    Rows are compared as JSON, so no column is read. Which cells clashed
+    is read as given.
     """
     report = VerifyReport()
     plane, b, family = trace.plane, trace.row_streams("b"), trace.family
@@ -237,18 +240,26 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
         if odd:
             return False, f"plane rows not one per set: {odd[:6]}"
         fill = GenericPlane(fill_seed=trace.seed)
+        # commitment n is stage n's only when there is one per set, which
+        # chain-commitments-in-sets checks. As the chain descends
+        # (chain-chain-descending), its row-n cells are among the last
+        # commitment's, so one pass over those finds every row's
+        top_rows: Dict[int, list] = {}
+        if len(chain) == horizon:
+            for r, c in top.cells:
+                if r >= len(b):
+                    top_rows.setdefault(r, []).append(c)
 
-        def is_fill_row(n):
-            row = plane.rows[n]
-            # commitment n is stage n's only when there is one per set,
-            # which chain-commitments-in-sets checks
-            return (isinstance(row, PatchedStream)
-                    and row.base.to_json()
-                    == BitStream(tail=fill.fill_tail(n)).to_json()
-                    and (len(chain) != horizon
-                         or row.patch == chain[n].row_cells(n)))
+        def patched_at_commitment(n):
+            cells = chain[n].cells
+            return plane.rows[n].patch == {c: cells[n, c]
+                                           for c in top_rows.get(n, ())
+                                           if (n, c) in cells}
 
-        bad = [n for n in range(len(b), horizon) if not is_fill_row(n)]
+        bad = [n for n in range(len(b), horizon)
+               if not isinstance(plane.rows[n], PatchedStream)
+               or plane.rows[n].base.to_json() != fill.row_stream(n).to_json()
+               or len(chain) == horizon and not patched_at_commitment(n)]
         # the window only labels the report; no column is scanned
         window = max([horizon + 16]
                      + [c + 1 for cols in trace.patches.values()

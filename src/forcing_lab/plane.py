@@ -20,13 +20,13 @@ the cells it adds rather than for the cells it holds:
           against that one is an identity test (a strong one would keep
           every intermediate condition of a build alive)
   _added  the cells it added to that base, or None where the maker did not
-          compute them; the chain bound's clash test reads only these
+          compute them; the chain bound's clash test reads only these,
+          then drops them
   _rows   each row's last column and segment of `json.dumps(to_json())`;
           the key text (the seeded fill key, and the text the trace writer
           re-indents) is their join, and a derived condition appends its new
           cells to the rows they end, rebuilding a row only when a cell
-          lands inside it; `row_cells(r)` looks up row r's columns up to
-          its last one instead of scanning every cell
+          lands inside it
 
 None of them is part of the condition's value. The empty condition starts
 with empty row segments, so every condition a build derives from it
@@ -162,17 +162,7 @@ class PlaneCondition:
                                 in sorted(self._rows.items())]) + "]"
 
     def row_cells(self, row: int) -> Dict[int, int]:
-        """The row's cells as {col: bit}. With row segments, the row's
-        columns up to its last one are looked up when they are fewer than
-        the cells held; otherwise every cell is scanned."""
-        cells, rows = self.cells, self._rows
-        if rows is not None:
-            last = rows.get(row, (-1,))[0]
-            if last < len(cells):
-                get = cells.get
-                return {c: b for c in range(last + 1)
-                        if (b := get((row, c))) is not None}
-        return {c: b for (r, c), b in cells.items() if r == row}
+        return {c: b for (r, c), b in self.cells.items() if r == row}
 
     def max_row(self) -> int:
         return max((r for r, _ in self.cells), default=-1)
@@ -263,19 +253,14 @@ class GenericPlane:
             stream = self._built.get(row)
         if stream is None:
             cols = self.commitments.row_cells(row)
-            tail = self.fill_tail(row)
+            tail = (ConstTail(0) if self.fill_seed is None else
+                    PrngTail(derive_seed(self.fill_seed, "plane-fill", row)))
             prefix = "".join(
                 str(cols[c]) if c in cols else tail.take01(c, c + 1)
                 for c in range(max(cols, default=-1) + 1))
             stream = BitStream(BitString.from01(prefix), tail)
             self._built[row] = stream
         return stream
-
-    def fill_tail(self, row: int):
-        """The fill rule's bits of the row: seeded pseudo-random bits, or 0
-        when the seed is None."""
-        return (ConstTail(0) if self.fill_seed is None else
-                PrngTail(derive_seed(self.fill_seed, "plane-fill", row)))
 
     def restriction(self, size: int) -> PlaneCondition:
         """The size x size corner of the plane as a finite condition."""

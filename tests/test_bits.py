@@ -713,44 +713,6 @@ def test_patched_reads_match_the_base_text_patched_whole(
     assert s.take01(500) == whole
 
 
-class CountingPatch(dict):
-    """A patch that counts the entries it is asked for or walks."""
-
-    reads = 0
-
-    def get(self, key, default=None):
-        self.reads += 1
-        return super().get(key, default)
-
-    def items(self):
-        for item in super().items():
-            self.reads += 1
-            yield item
-
-
-def test_patched_read_looks_up_only_its_new_columns():
-    """A read that extends a patched stream's text by k columns reads no
-    more than min(k, patch entries) entries of its patch, whether the patch
-    is large and far out or small."""
-    base = BitStream.from_prefix("01", PrngTail("count"))
-    for patch, reads in (({c: 1 for c in range(3000, 4000)},
-                          [3, 3, 10, 40, 41, 3500]),
-                         ({5: 1, 900: 0}, [1, 1000, 1200])):
-        s = PatchedStream(base, {})
-        s.patch = counted = CountingPatch(patch)
-        done = 0
-        for n in reads:
-            counted.reads = 0
-            s.take01(n)
-            assert counted.reads <= min(max(n - done, 0), len(patch)), n
-            done = max(done, n)
-        want = list(base.take01(done))
-        for col, bit in patch.items():
-            if col < done:
-                want[col] = str(bit)
-        assert s.take01(done) == "".join(want)
-
-
 def test_patched_stream_reads_nothing_until_asked():
     base = BitStream.from_prefix("01", PrngTail("lazy"))
     far = 10 ** 6

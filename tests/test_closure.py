@@ -110,6 +110,14 @@ def test_bound_chain_matches_rebuilt_rectangle_reference():
     assert total_retries >= 4  # the runs above do exercise retries
 
 
+def test_kept_commitments_hold_no_added_cells():
+    """The clash test reads a candidate's added cells once; no commitment
+    the trace keeps still holds them."""
+    for b, fam, fill_seed in retrying_runs():
+        trace = bound_chain(b, fam, fill_seed=fill_seed)
+        assert [p._added for p in trace.conditions] == [None] * len(fam)
+
+
 def cacheless(family, first=None):
     """The family with the densifiers of its sets 0..first - 1 (all of them
     by default) rebuilding their output from its cells, so that it carries

@@ -533,6 +533,9 @@ ITEM_EDITS = {
             "prefix": "", "tail_rule": {"kind": "const", "bit": 0}}})),
     "chain-rows-preserved-off-patches/fill-row-deleted": (
         "chain-bound", lambda obj: obj["plane"]["rows"].pop("11")),
+    "chain-rows-preserved-off-patches/fill-row-patch-edited": (
+        "chain-bound", lambda obj: obj["plane"]["rows"]["11"]["patch"]
+        .update({"100": 1})),
     "chain-plane-meets-family": ("far-chain-bound", _keep_rows_below(
         2, "plane", "commitments")),
 }

@@ -1,17 +1,14 @@
 """Plane conditions: merge as greatest lower bound, order, planes."""
 
 import json
-from collections.abc import Mapping
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from forcing_lab.bits import (BitStream, PatchedStream, PrngTail,
                               derive_seed, prng_bit)
-from forcing_lab.dense import build_set, mixed_plane_family
 from forcing_lab.errors import IncompatibleConditions
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
-from test_dense import derivations
 
 cells = st.dictionaries(
     st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(0, 1),
@@ -176,83 +173,3 @@ def test_restriction_and_row_cells_match_per_cell_definitions(commit, size,
         assert p.row_cells(row) == {c: b for (r, c), b in commit.items()
                                     if r == row}
     assert PlaneCondition.from_json(p.to_json()) == p
-
-
-def scanned_row(p, row):
-    return {c: b for (r, c), b in p.cells.items() if r == row}
-
-
-@given(derivations())
-@settings(max_examples=150, deadline=None)
-def test_row_cells_match_a_full_scan(conds):
-    """row_cells against a scan of every cell, on each condition of a random
-    derivation (with row segments or not) and on the same cells merged
-    into the empty condition (with them), for every row up to two past the
-    last, empty rows included."""
-    for p in conds:
-        for cond in (p, merge_conditions(PlaneCondition.empty(), p)):
-            for row in range(cond.max_row() + 3):
-                assert cond.row_cells(row) == scanned_row(cond, row)
-
-
-def test_row_cells_of_a_row_rebuilt_left_of_its_last_cell():
-    """Cell sets put (0, 4) and (0, 7) in row 0, then a square lands cells
-    left of column 7, so row 0's segment is rebuilt from the cells."""
-    p = PlaneCondition.empty()
-    for i in (4, 7):
-        p = build_set(i, {"type": "cell", "row": 0}, "plane", None,
-                      "r").densify(p)
-    p = build_set(2, {"type": "square"}, "plane", None, "r").densify(p)
-    assert p._rows[0][0] == 7 and len(p) == 11
-    assert sorted(p.row_cells(0)) == [0, 1, 2, 4, 7]
-    for row in range(5):
-        assert p.row_cells(row) == scanned_row(p, row)
-
-
-class CountingCells(Mapping):
-    """A cell map that counts the cells it is asked for or walks."""
-
-    def __init__(self, cells):
-        self._cells, self.reads = dict(cells), 0
-
-    def get(self, cell, default=None):
-        self.reads += 1
-        return self._cells.get(cell, default)
-
-    def items(self):
-        for item in self._cells.items():
-            self.reads += 1
-            yield item
-
-    def __getitem__(self, cell):
-        self.reads += 1
-        return self._cells[cell]
-
-    def __iter__(self):
-        return iter(self._cells)
-
-    def __len__(self):
-        return len(self._cells)
-
-
-def test_row_cells_of_a_built_condition_read_at_most_its_row():
-    """On each condition of a 24-set mixed family's fold, and on one whose
-    only cell lies far out, row_cells(r) reads no more than min(last column
-    of row r + 1, cells held) cells; a reload, which has no row segments,
-    scans them all."""
-    fam = mixed_plane_family(24, seed="rc")
-    conds = [merge_conditions(PlaneCondition.empty(),
-                              PlaneCondition({(0, 500): 1}))]
-    for n in range(len(fam)):
-        conds.append(fam.densify(n, conds[-1]))
-    for p in conds + [PlaneCondition.from_json(conds[-1].to_json())]:
-        want = {row: scanned_row(p, row) for row in range(p.max_row() + 3)}
-        p.cells = counted = CountingCells(p.cells)
-        for row, cells in want.items():
-            counted.reads = 0
-            assert p.row_cells(row) == cells
-            if p._rows is None:
-                assert counted.reads == len(p)
-            else:
-                assert counted.reads <= min(max(cells, default=-1) + 1,
-                                            len(p))
