@@ -8,15 +8,13 @@ rectangle of finalized bits, merge it into the previous commitment,
 densify, and accept once the candidate agrees with the actual rows. An
 attempt reveals each finalized row as text (`take01`) and reads the row
 bit of each cell its densify added (`bit`); the row's stream keeps what
-it has read, so a retry generates only the newly revealed bits. A
-candidate the densifier derived from the merged condition keeps the
-cells it added (`_added`, dropped once read), so the clash test walks
-those alone; any other candidate is compared by the difference of the
-two cell maps. Row n
-is then finalized as b_n patched at the committed row-n cells (rows
-beyond the input get the fill rule as their base), so the final plane
-extends every commitment and each b_n differs from its row only at the
-recorded patch.
+it has read, so a retry generates only the newly revealed bits. The
+clash test walks only the cells the candidate holds and the merged
+condition lacks (`PlaneCondition.fresh_cells`). Row n is then finalized
+by one rule, `chain_row`: b_n, or past the inputs the fill rule's row n,
+patched at commitment n's row-n cells. So the final plane extends every
+commitment, each b_n differs from its row only at the recorded patch,
+and `verify_bound` rebuilds every row by the same rule.
 
 The fresh-cell invariant: the previous commitment agrees with every
 finalized row (it was accepted only when the cells its densifier added
@@ -72,9 +70,9 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
     """Bound the rows b_0..b_{m-1} by a plane generic for the family.
 
     Runs one stage per family set. Stage n finds p_n <= p_{n-1} inside D_n
-    agreeing with all finalized rows, then finalizes row n (b_n patched at
-    the committed row-n cells; fill-rule base beyond the inputs). The trace
-    holds the plane, the commitments (`conditions`), patches and rows.
+    agreeing with all finalized rows, then finalizes row n by `chain_row`
+    from the committed row-n cells. The trace holds the plane, the
+    commitments (`conditions`), patches and rows.
     """
     m = len(b)
     family.require(ChainBoundTrace.carriers, m, "bound_chain")
@@ -107,10 +105,8 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
             # merged agrees with every finalized row, so only the cells the
             # densifier added can clash
             clashes = [(k, col)
-                       for (k, col), bit in _fresh_cells(commit, merged)
+                       for (k, col), bit in commit.fresh_cells(merged)
                        if k < n and finalized[k].bit(col) != bit]
-            # read once: a kept commitment need not hold its added cells
-            commit._added = None
             if not clashes:
                 break
             tried.append(sorted(clashes))
@@ -123,8 +119,7 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
         row_patch = commit.row_cells(n)
         if n < m:
             patches[n] = row_patch
-        base = b[n] if n < m else fill.row_stream(n)
-        finalized[n] = PatchedStream(base, row_patch)
+        finalized[n] = chain_row(n, b, fill, row_patch)
 
     return ChainBoundTrace(
         family=family, seed=fill_seed, rows=m, conditions=chain,
@@ -135,17 +130,11 @@ def bound_chain(b: Sequence[BitStream], family: DenseFamily,
                            fill_seed=fill_seed))
 
 
-def _fresh_cells(commit: PlaneCondition, merged: PlaneCondition):
-    """The (cell, bit) items commit holds and merged lacks: the cells
-    commit keeps as added to merged when merged is its base, else the
-    difference of the two cell maps (a densifier may build its condition
-    from cells)."""
-    if commit is merged:
-        return ()
-    if commit._added is not None and commit._base() is merged:
-        return commit._added.items()
-    cells = commit.cells
-    return [(cell, cells[cell]) for cell in cells.keys() - merged.cells]
+def chain_row(n: int, b: Sequence[BitStream], fill: GenericPlane,
+              patch: Dict[int, int]) -> PatchedStream:
+    """Row n of a chain bound: input b_n, or past the inputs the fill
+    rule's row n, patched at `patch`, commitment n's row-n cells."""
+    return PatchedStream(b[n] if n < len(b) else fill.row_stream(n), patch)
 
 
 def _next_reveal(reveal_to: int, clashes) -> int:
@@ -180,16 +169,13 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
     and at or past its reveal (the merged condition holds those rows'
     columns below it), commitments in their sets, the commitment chain
     descending, the last (so every) commitment contained in the plane,
-    the plane's fill seed being the trace's seed as JSON text, every
-    patch cell being a cell of the last commitment, the plane holding one
-    row per set, each row d_k being the plane's row k and b_k
-    patched at exactly its recorded patch (so the plane's row equals b_k
-    off the patch at every column), each row n past the inputs being the
-    fill rule's row n patched at commitment n's row-n cells (read as the
-    cells of the last commitment's row n that commitment n holds, which
-    they are when the chain descends), and the plane meeting the family.
-    Rows are compared as JSON, so no column is read. Which cells clashed
-    is read as given.
+    the plane's fill seed being the trace's seed as JSON text, the plane
+    holding one row per set and the inputs no more rows, every row n
+    being `chain_row` rebuilt from commitment n's row-n cells (the plane's
+    row n, d_n for an input row, and the input rows' `patches` whole, so
+    the plane's row equals b_n off the patch at every column), and the
+    plane meeting the family. Patches are compared as dicts and bases as
+    JSON, so no column is read. Which cells clashed is read as given.
     """
     report = VerifyReport()
     plane, b, family = trace.plane, trace.row_streams("b"), trace.family
@@ -223,50 +209,52 @@ def verify_bound(trace: ChainBoundTrace) -> VerifyReport:
         if not (plane.fill_seed is trace.seed
                 or json.dumps(plane.fill_seed) == json.dumps(trace.seed)):
             return False, "the plane's fill_seed is not the trace's seed"
-        top = chain[-1] if chain else PlaneCondition.empty()
-        stray = [(k, col) for k, cols in sorted(trace.patches.items())
-                 for col, bit in sorted(cols.items())
-                 if top.get(k, col) != bit]
-        if stray:
-            return False, f"patch cells not in the last commitment: {stray[:6]}"
-        bad = [k for k, d in enumerate(trace.row_streams("d"))
-               if d.to_json() != plane.row_stream(k).to_json()
-               or not isinstance(d, PatchedStream)
-               or d.base.to_json() != b[k].to_json()
-               or d.patch != trace.patches.get(k)]
-        if bad:
-            return False, f"rows not b_k patched as recorded: {bad[:6]}"
-        odd = sorted(plane.rows.keys() ^ set(range(horizon)))
+        odd = sorted((plane.rows.keys() | set(range(len(b))))
+                     ^ set(range(horizon)))
         if odd:
-            return False, f"plane rows not one per set: {odd[:6]}"
-        fill = GenericPlane(fill_seed=trace.seed)
+            return False, f"plane or input rows not one per set: {odd[:6]}"
         # commitment n is stage n's only when there is one per set, which
-        # chain-commitments-in-sets checks. As the chain descends
-        # (chain-chain-descending), its row-n cells are among the last
-        # commitment's, so one pass over those finds every row's
-        top_rows: Dict[int, list] = {}
+        # chain-commitments-in-sets checks; else each row's recorded patch
+        # stands in. As the chain descends (chain-chain-descending), its
+        # row-n cells are among the last commitment's, so one pass over
+        # those finds every row's
         if len(chain) == horizon:
-            for r, c in top.cells:
-                if r >= len(b):
-                    top_rows.setdefault(r, []).append(c)
-
-        def patched_at_commitment(n):
-            cells = chain[n].cells
-            return plane.rows[n].patch == {c: cells[n, c]
-                                           for c in top_rows.get(n, ())
-                                           if (n, c) in cells}
-
-        bad = [n for n in range(len(b), horizon)
-               if not isinstance(plane.rows[n], PatchedStream)
-               or plane.rows[n].base.to_json() != fill.row_stream(n).to_json()
-               or len(chain) == horizon and not patched_at_commitment(n)]
+            top_rows = {n: [] for n in range(horizon)}
+            for cell in chain[-1].cells if chain else ():
+                if cell[0] < horizon:
+                    top_rows[cell[0]].append(cell)
+            patches = {}
+            for n, keys in top_rows.items():
+                cells = chain[n].cells
+                patches[n] = {k[1]: cells[k] for k in keys if k in cells}
+        else:
+            patches = {n: getattr(plane.rows[n], "patch", {})
+                       for n in range(horizon)}
+        fill = GenericPlane(fill_seed=trace.seed)
+        rows = [chain_row(n, b, fill, patches[n]) for n in range(horizon)]
+        d = trace.row_streams("d")
+        bad = [n for n, row in enumerate(rows) for base in [row.base.to_json()]
+               if not all(isinstance(got, PatchedStream)
+                          and got.patch == row.patch
+                          and got.base.to_json() == base
+                          for got in [plane.rows[n]] + d[n:n + 1])]
+        if bad:
+            return False, (f"rows not b_n, or the fill rule's row n, patched "
+                           f"at commitment n's row-n cells: {bad[:6]}")
+        want = {n: rows[n].patch for n in range(len(b))}
+        if trace.patches != want:
+            off = sorted(r for r in trace.patches.keys() | want.keys()
+                         if trace.patches.get(r) != want.get(r))
+            cells = sorted({(r, c) for r in off for c, _ in
+                            trace.patches.get(r, {}).items()
+                            ^ want.get(r, {}).items()})
+            return False, (f"patches not the rows' patches at rows "
+                           f"{off[:6]}, cells {cells[:6]}")
         # the window only labels the report; no column is scanned
         window = max([horizon + 16]
                      + [c + 1 for cols in trace.patches.values()
                         for c in cols])
-        return (not bad, f"fill rows not the fill rule patched at their "
-                         f"commitment: {bad[:6]}" if bad
-                else f"window {window}")
+        return True, f"window {window}"
 
     def meets():
         rep = meets_family(plane, family, horizon)

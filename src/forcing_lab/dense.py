@@ -442,7 +442,7 @@ def _plane_square(i: int, seed) -> DenseSet:
             return p
         # the fill covers only missing cells, so it cannot clash with p
         fill = _plane_fill(seed, i, p, missing)
-        return PlaneCondition._of({**p.cells, **fill}, p, fill, size)
+        return p.extend(fill, size)
 
     return DenseSet(i, member, densify, spec={"type": "square"},
                     witness_search=_least_at(size))
@@ -460,7 +460,7 @@ def _plane_cell(i: int, row: int, seed) -> DenseSet:
         if (row, col) in p.cells:
             return p
         fill = _plane_fill(seed, i, p, [(row, col)])
-        return PlaneCondition._of({**p.cells, **fill}, p, fill)
+        return p.extend(fill)
 
     return DenseSet(i, member, densify, spec={"type": "cell", "row": row},
                     witness_search=_least_at(max(row, col) + 1))

@@ -10,18 +10,18 @@ BitStream, so a fill bit is hashed at most once per plane.
 Order, compatibility and merge compare cell maps through dict views, so
 their per-cell work runs inside the dict and set code, not in a Python loop.
 
-A condition made from another by adding cells (a densifier's `p ∪ fill`, a
-merge) carries four caches, so that each step of a plane build pays for
-the cells it adds rather than for the cells it holds:
+A condition made from another by adding cells (`extend`, which a
+densifier's `p ∪ fill` and a merge call) carries four caches, so that each
+step of a plane build pays for the cells it adds rather than for the cells
+it holds:
 
   _side   a side s whose s x s corner the condition is known to cover; the
           square checks read only the border past it
   _base   a weak reference to the condition it was made from, so `leq`
           against that one is an identity test (a strong one would keep
           every intermediate condition of a build alive)
-  _added  the cells it added to that base, or None where the maker did not
-          compute them; the chain bound's clash test reads only these,
-          then drops them
+  _added  the cells it added to that base; `fresh_cells` hands them to the
+          chain bound's clash test once, then drops them
   _rows   each row's last column and segment of `json.dumps(to_json())`;
           the key text (the seeded fill key, and the text the trace writer
           re-indents) is their join, and a derived condition appends its new
@@ -89,24 +89,42 @@ class PlaneCondition:
         self._rows = None if cells else {}
 
     @classmethod
-    def _of(cls, cells: Dict[Cell, int], base: "PlaneCondition" = None,
-            added: Mapping[Cell, int] = None, side: int = 0
+    def _of(cls, cells: Mapping[Cell, int], side: int = 0
             ) -> "PlaneCondition":
         """Wrap a dict (or a corner's `_CornerCells`) the caller has just
-        built and keeps no reference to: `base`'s cells plus `added`, the
-        cells base lacks (None if the caller did not compute them; needed
-        when base has row segments), covering at least the side x side
-        corner. With a base, `added` is kept as `_added`."""
+        built and keeps no reference to, covering at least the side x side
+        corner."""
         p = cls.__new__(cls)
         p.cells = MappingProxyType(cells)
-        if base is None:
-            p._side, p._base, p._added, p._rows = side, None, None, None
-        else:
-            p._side = max(base._side, side)
-            p._base, p._added = weakref.ref(base), added
-            p._rows = (None if base._rows is None
-                       else _grow_rows(base._rows, cells, added))
+        p._side, p._base, p._added, p._rows = side, None, None, None
         return p
+
+    def extend(self, added: Dict[Cell, int], side: int = 0
+               ) -> "PlaneCondition":
+        """This condition's cells plus `added`, cells it lacks, covering at
+        least the side x side corner: the one way to derive a condition,
+        so the result carries the caches of the module docstring."""
+        p = PlaneCondition.__new__(PlaneCondition)
+        p.cells = MappingProxyType({**self.cells, **added})
+        p._side = max(self._side, side)
+        p._base, p._added = weakref.ref(self), added
+        p._rows = (None if self._rows is None
+                   else _grow_rows(self._rows, p.cells, added))
+        return p
+
+    def fresh_cells(self, base: "PlaneCondition"):
+        """The (cell, bit) items this condition holds and `base` lacks: the
+        cells it was extended by when `base` is the condition it was made
+        from, else the difference of the two cell maps (a densifier may
+        build its condition from cells). The added cells are handed out
+        once, then forgotten, so a kept condition does not hold them."""
+        added, self._added = self._added, None
+        if self is base:
+            return ()
+        if added is not None and self._base() is base:
+            return added.items()
+        cells = self.cells
+        return [(cell, cells[cell]) for cell in cells.keys() - base.cells]
 
     @classmethod
     def empty(cls) -> "PlaneCondition":
@@ -222,9 +240,9 @@ def merge_conditions(p: PlaneCondition, q: PlaneCondition) -> PlaneCondition:
                     if p.cells.get(c, bit) != bit)
         raise IncompatibleConditions(
             f"conditions disagree at cell {cell}", cell=cell)
-    added = (None if p._rows is None else
-             {c: bit for c, bit in q.cells.items() if c not in p.cells})
-    return PlaneCondition._of({**p.cells, **q.cells}, p, added, q._side)
+    cells = p.cells
+    return p.extend({c: bit for c, bit in q.cells.items() if c not in cells},
+                    q._side)
 
 
 class GenericPlane:
@@ -284,7 +302,7 @@ class GenericPlane:
                                    f"cells, past the cap of "
                                    f"{_MATERIALIZE_LIMIT}")
             if k != last_k:
-                last = PlaneCondition._of(_CornerCells(self, k), side=k)
+                last = PlaneCondition._of(_CornerCells(self, k), k)
                 last_k = k
             return last
 
@@ -322,8 +340,9 @@ class _CornerCells(Mapping):
     """The cell map of a plane's k x k corner, the cells of restriction(k).
 
     Whether a pair of ints is a cell is a bounds test; any other key, and
-    any read of values, is answered by the restriction's cells, built from
-    the rows once, on the first such read."""
+    any read of values (`Mapping` derives `get`, `items` and the rest from
+    `__getitem__` and `__iter__`), is answered by the restriction's cells,
+    built from the rows once, on the first such read."""
 
     __slots__ = ("_plane", "_k", "_cells")
 
@@ -349,18 +368,3 @@ class _CornerCells(Mapping):
 
     def __iter__(self):
         return iter(self._built())
-
-    def __eq__(self, other):
-        return self._built() == other
-
-    def get(self, cell, default=None):
-        return self._built().get(cell, default)
-
-    def keys(self):
-        return self._built().keys()
-
-    def items(self):
-        return self._built().items()
-
-    def values(self):
-        return self._built().values()

@@ -96,10 +96,6 @@ def _intern(kind, children=(), const=0, arg=None, exp=None):
     return node
 
 
-def is_huge(x: NatLike) -> bool:
-    return isinstance(x, Nat)
-
-
 def nat_add(*parts: NatLike) -> NatLike:
     """Sum of ints and Nats; collapses to int when no symbolic part remains."""
     const = 0

@@ -16,7 +16,7 @@ from forcing_lab.dense import min_length_family
 from forcing_lab.entangle import entangle_pair
 from forcing_lab.errors import AmbiguousNat, PayloadExhausted, UsageError
 from forcing_lab.posets import cohen_poset, cohen_wide_witness
-from forcing_lab.towers import (NatTable, is_huge, nat_add, nat_equal, nat_le,
+from forcing_lab.towers import (Nat, NatTable, nat_add, nat_equal, nat_le,
                                 nat_mul_pow2, nat_pow2, nat_sub)
 from forcing_lab.wide import entangle_wide
 
@@ -88,7 +88,7 @@ def test_pad_and_append():
 def test_huge_runs_stay_structural():
     big = nat_pow2(5000)
     s = BitString.from01("01").append_run(0, big).append_bit(1)
-    assert is_huge(s.length)
+    assert isinstance(s.length, Nat)
     assert not s.is_concrete
     assert s.end_extends(BitString.from01("01"))
     rest = s.strip_prefix(BitString.from01("01"))
@@ -438,7 +438,7 @@ def _extend(s, op, pool):
     the op's length is such an int, that answer is taken and the op
     builds nothing (s is returned); any other AmbiguousNat is raised."""
     name, bit, i, text = op
-    huge = [v for v in pool if is_huge(v)]
+    huge = [v for v in pool if isinstance(v, Nat)]
     length = {"append_huge": huge[i % len(huge)], "append_bit": 1,
               "concat": pool[3]}.get(name, pool[i % len(pool)])
     try:

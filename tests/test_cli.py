@@ -363,7 +363,8 @@ def test_d_row_base_swapped_past_the_window_fails_verify(tmp_path,
     _edited(path, swap_d0_base)
     assert main(["verify", "--trace", str(path)]) == 1
     out = capsys.readouterr().out
-    assert "FAIL chain-rows-preserved-off-patches: rows not b_k patched" in out
+    assert ("FAIL chain-rows-preserved-off-patches: rows not b_n, or the fill "
+            "rule's row n, patched at commitment n's row-n cells: [0]" in out)
     assert out.count("FAIL") == 2, out
 
 
@@ -409,14 +410,15 @@ def test_stray_chain_patch_is_named(tmp_path, plane_family, capsys):
     path = _edited(_chain_trace(tmp_path, plane_family), add_far_patch)
     capsys.readouterr()
     assert main(["verify", "--trace", path]) == 1
-    assert ("FAIL chain-rows-preserved-off-patches: patch cells not in the "
-            "last commitment: [(0, 3000000)]" in capsys.readouterr().out)
+    assert ("FAIL chain-rows-preserved-off-patches: patches not the rows' "
+            "patches at rows [0], cells [(0, 3000000)]"
+            in capsys.readouterr().out)
 
 
 def test_far_matching_patch_loads_without_generating_bits(
         tmp_path, plane_family, capsys, monkeypatch):
-    """One matching cell at column 3,000,000 in the last commitment (and
-    its cell count), the row-0 patch, d0 and plane row 0: a valid trace.
+    """One matching cell at column 3,000,000 in every commitment (and its
+    cell count), the row-0 patch, d0 and plane row 0: a valid trace.
     Loading it reads the patch bit and generates no base bit before it."""
     far = 3_000_000
     path = _chain_trace(tmp_path, plane_family)
@@ -425,8 +427,9 @@ def test_far_matching_patch_loads_without_generating_bits(
     before = capsys.readouterr().out
 
     def add_far_cell(obj):
-        obj["conditions"][-1].append([0, far, 1])
-        obj["stages"][-1]["committed_cells"] += 1
+        for cond, rec in zip(obj["conditions"], obj["stages"]):
+            cond.append([0, far, 1])
+            rec["committed_cells"] += 1
         obj["patches"]["0"][str(far)] = 1
         next(s for s in obj["streams"] if s["name"] == "d0")["patch"][
             str(far)] = 1

@@ -19,7 +19,7 @@ from forcing_lab.dense import (DenseFamily, DenseSet, build_set,
 from forcing_lab.errors import (AmbiguousNat, CheckFailure, EmptyFamily,
                                 FamilyTooSmall, UsageError)
 from forcing_lab.plane import GenericPlane, PlaneCondition, merge_conditions
-from forcing_lab.towers import (is_huge, nat_add, nat_equal, nat_le,
+from forcing_lab.towers import (Nat, nat_add, nat_equal, nat_le,
                                 nat_mul_pow2, nat_pow2, nat_sub)
 
 bit_texts = st.text(alphabet="01", max_size=30)
@@ -469,7 +469,8 @@ def reference_word_search_on_runs(s, word, minpos):
     pos = 0
     spos = 0
     for bit, length in s.runs:
-        trunc = length if (not is_huge(length) and length <= w) else w
+        trunc = (length if not isinstance(length, Nat) and length <= w
+                 else w)
         blocks.append((bit, pos, length, spos, trunc))
         sprime.append(str(bit) * trunc)
         pos = nat_add(pos, length)
@@ -483,7 +484,7 @@ def reference_word_search_on_runs(s, word, minpos):
         ok = True
         for k in range(i + 1, j):
             bit, _, length, _, trunc = blocks[k]
-            if is_huge(length) or length > trunc:
+            if isinstance(length, Nat) or length > trunc:
                 ok = False
                 break
         if ok:

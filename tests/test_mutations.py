@@ -469,6 +469,20 @@ def _marker_at_first_boundary(obj):
     del obj["payload_source"]
 
 
+def _input_patches(obj, row):
+    """Input row `row`'s recorded patches: in `patches`, in the plane's row
+    and in stream d_row."""
+    d = next(s for s in obj["streams"] if s["name"] == f"d{row}")
+    return [obj["patches"][str(row)], obj["plane"]["rows"][str(row)]["patch"],
+            d["patch"]]
+
+
+def _last_bit(obj, row, col):
+    """The last commitment's bit at (row, col)."""
+    return next(b for r, c, b in obj["conditions"][-1]
+                if (r, c) == (row, col))
+
+
 def _no_stages(obj):
     obj.update(conditions=[], stages=[], boundaries=[], payload_bits=[])
     del obj["payload_source"]
@@ -515,12 +529,13 @@ ITEM_EDITS = {
                                  _flip("conditions", 0, 0, 2)),
     "generics-plane-meets-family": ("far-generic-plane",
                                     _keep_rows_below(2, "conditions", 0)),
-    "chain-commitments-in-sets": ("chain-bound", _drop_last("conditions", 0)),
+    "chain-commitments-in-sets": ("chain-bound",
+                                  lambda obj: obj["conditions"][1].pop(1)),
     "chain-commitments-in-sets/first-commitment-dropped": (
         "chain-bound", lambda obj: obj["conditions"].pop(0)),
     "chain-commitments-in-sets/last-commitment-dropped": (
         "chain-bound", _drop_last("conditions")),
-    "chain-chain-descending": ("chain-bound", _flip("conditions", 0, 0, 2)),
+    "chain-chain-descending": ("chain-bound", _flip("conditions", 1, 1, 2)),
     "chain-commitments-in-plane": ("chain-bound",
                                    _flip("conditions", 11, 11, 2)),
     "chain-rows-preserved-off-patches": ("chain-bound",
@@ -536,6 +551,16 @@ ITEM_EDITS = {
     "chain-rows-preserved-off-patches/fill-row-patch-edited": (
         "chain-bound", lambda obj: obj["plane"]["rows"]["11"]["patch"]
         .update({"100": 1})),
+    "chain-rows-preserved-off-patches/input-patch-cell-dropped": (
+        "chain-bound", lambda obj: [p.pop("0")
+                                    for p in _input_patches(obj, 0)]),
+    # (0, 1) is a cell of the last commitment, not of commitment 0
+    "chain-rows-preserved-off-patches/later-commitment-cell-recorded": (
+        "chain-bound", lambda obj: [p.update({"1": _last_bit(obj, 0, 1)})
+                                    for p in _input_patches(obj, 0)]),
+    "chain-rows-preserved-off-patches/fill-row-patch-recorded": (
+        "chain-bound", lambda obj: obj["patches"].update(
+            {"5": {"0": _last_bit(obj, 5, 0)}})),
     "chain-plane-meets-family": ("far-chain-bound", _keep_rows_below(
         2, "plane", "commitments")),
 }

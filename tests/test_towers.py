@@ -10,7 +10,7 @@ from forcing_lab import towers
 from forcing_lab.bits import BitString
 from forcing_lab.cli import main
 from forcing_lab.errors import AmbiguousNat, UsageError
-from forcing_lab.towers import (LIMIT_BITS, Nat, NatTable, is_huge, nat_add,
+from forcing_lab.towers import (LIMIT_BITS, Nat, NatTable, nat_add,
                                 nat_equal, nat_half, nat_le, nat_less,
                                 nat_mul_pow2, nat_parity, nat_pow2, nat_resolve,
                                 nat_sub, nat_to_int)
@@ -20,14 +20,14 @@ def test_small_values_stay_ints():
     assert nat_add(2, 3) == 5
     assert nat_pow2(10) == 1024
     assert nat_mul_pow2(3, 4) == 48
-    assert not is_huge(nat_pow2(LIMIT_BITS - 1))
+    assert not isinstance(nat_pow2(LIMIT_BITS - 1), Nat)
 
 
 def test_huge_values_become_nodes():
     x = nat_pow2(LIMIT_BITS + 1)
-    assert is_huge(x)
-    assert is_huge(nat_add(x, 5))
-    assert is_huge(nat_mul_pow2(1, x))
+    assert isinstance(x, Nat)
+    assert isinstance(nat_add(x, 5), Nat)
+    assert isinstance(nat_mul_pow2(1, x), Nat)
 
 
 def test_interning_gives_identity():
@@ -72,7 +72,7 @@ def test_sub_cases():
     x = nat_pow2(6000)
     assert nat_sub(x, x) == 0
     y = nat_sub(x, 17)
-    assert is_huge(y)
+    assert isinstance(y, Nat)
     s = nat_add(x, nat_pow2(7000), 3)
     assert nat_sub(s, x) is nat_add(nat_pow2(7000), 3)
     with pytest.raises(AmbiguousNat):
@@ -324,7 +324,8 @@ def test_lazy_naturals_agree_with_ints_at_a_lowered_limit(steps):
         for x in vals:
             a = _int_value(x)
             assert nat_parity(x) == a % 2
-            assert _agrees(nat_to_int, a, x) is not None or is_huge(x)
+            assert (_agrees(nat_to_int, a, x) is not None
+                    or isinstance(x, Nat))
             for y in vals:
                 b = _int_value(y)
                 _agrees(nat_less, a < b, x, y)

@@ -20,7 +20,7 @@ from forcing_lab.errors import (AmbiguousNat, ConsistencyFailure,
 from forcing_lab.posets import (WidenessWitness, cohen_poset,
                                 cohen_wide_witness)
 from forcing_lab.trace import load_trace
-from forcing_lab.towers import NatTable, is_huge, nat_equal, nat_mul_pow2
+from forcing_lab.towers import Nat, NatTable, nat_equal, nat_mul_pow2
 from forcing_lab.verify import verify_trace
 from forcing_lab.wide import decode_wide, entangle_wide
 
@@ -56,8 +56,8 @@ def test_worked_round_zero_and_one():
     assert step1["j"] == 2 ** 35 + 1  # z(1) = 1
     assert g[2].length == 5 + (2 ** 35 + 1) + 1
     # round 2 leaves the concrete regime entirely
-    assert is_huge(trace.stages[2]["beta"])
-    assert is_huge(h[2].length)
+    assert isinstance(trace.stages[2]["beta"], Nat)
+    assert isinstance(h[2].length, Nat)
 
 
 def test_payload_parity_only_flips_antichain_index():
